@@ -131,6 +131,7 @@ func BenchmarkDetect(b *testing.B) {
 	shard := wb.Shards[0]
 	for _, d := range experiments.StandardMethods(wb, 99) {
 		b.Run(d.Name(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Detect(shard); err != nil {
 					b.Fatal(err)
@@ -143,6 +144,7 @@ func BenchmarkDetect(b *testing.B) {
 		cfg.Workers = workers
 		d := &core.ENLD{Platform: wb.Platform, Config: cfg}
 		b.Run("enld-workers="+itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Detect(shard); err != nil {
 					b.Fatal(err)
@@ -166,6 +168,7 @@ func BenchmarkDetect(b *testing.B) {
 		cfg.ANN = variant.ann
 		d := &core.ENLD{Platform: wb.Platform, Config: cfg}
 		b.Run(variant.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Detect(shard); err != nil {
 					b.Fatal(err)
@@ -343,6 +346,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			trainer := nn.NewTrainer(net, nn.NewSGD(0.01, 0.9, 1e-4))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := trainer.Run(examples, nn.TrainConfig{
 					Epochs: 1, BatchSize: 32, Seed: uint64(i), Workers: workers,
@@ -359,6 +363,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	b.Run("obs", func(b *testing.B) {
 		trainer := nn.NewTrainer(net, nn.NewSGD(0.01, 0.9, 1e-4))
 		trainer.Obs = obs.NewRegistry()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := trainer.Run(examples, nn.TrainConfig{
 				Epochs: 1, BatchSize: 32, Seed: uint64(i), Workers: 1,
@@ -372,6 +377,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	// keep the health checks off the per-sample hot path (< 10% overhead).
 	b.Run("watchdog", func(b *testing.B) {
 		trainer := nn.NewTrainer(net, nn.NewSGD(0.01, 0.9, 1e-4))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := trainer.Run(examples, nn.TrainConfig{
 				Epochs: 1, BatchSize: 32, Seed: uint64(i), Workers: 1,

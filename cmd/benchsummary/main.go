@@ -18,8 +18,11 @@
 // compared against the committed BENCH_ci.json. Any benchmark more than 10%
 // slower gets a warn-only GitHub annotation (single-shot CI runs are noisy);
 // a hot-path benchmark (see hotPaths) more than 25% slower fails the run,
-// unless -warn-only downgrades that to an annotation too. The comparison is
-// embedded in the output JSON under "comparisons".
+// unless -warn-only downgrades that to an annotation too. Where both sides
+// report B/op (b.ReportAllocs or -benchmem), a hot-path benchmark allocating
+// more than 10% more bytes per op fails as well: allocation totals repeat to
+// well under 1% run to run, so that gate needs no noise allowance. The
+// comparison is embedded in the output JSON under "comparisons".
 //
 // Speedups are a hardware property: on a single-core runner the workers=4
 // variants measure pure pool overhead and the ratio sits near (or below) 1.
@@ -53,6 +56,11 @@ type Entry struct {
 	// e.g. "BenchmarkTrainEpoch/workers=4".
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp are present only for benchmarks that report
+	// memory statistics; nil is "not measured", a pointer to 0 is "allocates
+	// nothing".
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 // Speedup is the ratio of a sequential baseline over its parallel variant.
@@ -73,6 +81,10 @@ type Comparison struct {
 	// Ratio is current over baseline ns/op: >1 means slower than baseline.
 	Ratio   float64 `json:"ratio"`
 	HotPath bool    `json:"hot_path,omitempty"`
+	// BaselineBytes and CurrentBytes are the B/op of both sides, present only
+	// when both reported it.
+	BaselineBytes *float64 `json:"baseline_bytes_per_op,omitempty"`
+	CurrentBytes  *float64 `json:"current_bytes_per_op,omitempty"`
 }
 
 // Overhead is the within-run cost ratio of a feature-enabled benchmark
@@ -173,37 +185,51 @@ const (
 	warnRatio = 1.10
 	// failRatio fails the gate for hot-path benchmarks this much slower.
 	failRatio = 1.25
+	// bytesFailRatio fails the gate for hot-path benchmarks allocating this
+	// much more per op. Unlike the timing ratios it carries no noise margin:
+	// bench/SPREAD.md puts the run-to-run spread of allocation totals at 0.4%.
+	bytesFailRatio = 1.10
 )
 
 // compare pairs fresh entries with baseline entries by name, in fresh-entry
 // order. Benchmarks absent from the baseline are skipped: a new benchmark has
 // nothing to regress against.
 func compare(fresh []Entry, baseline Summary) []Comparison {
-	base := make(map[string]float64, len(baseline.Benchmarks))
+	base := make(map[string]Entry, len(baseline.Benchmarks))
 	for _, e := range baseline.Benchmarks {
-		base[e.Name] = e.NsPerOp
+		base[e.Name] = e
 	}
 	var out []Comparison
 	for _, e := range fresh {
 		b, ok := base[e.Name]
-		if !ok || b == 0 {
+		if !ok || b.NsPerOp == 0 {
 			continue
 		}
-		out = append(out, Comparison{
+		c := Comparison{
 			Name:       e.Name,
-			BaselineNs: b,
+			BaselineNs: b.NsPerOp,
 			CurrentNs:  e.NsPerOp,
-			Ratio:      e.NsPerOp / b,
+			Ratio:      e.NsPerOp / b.NsPerOp,
 			HotPath:    hotPaths[e.Name],
-		})
+		}
+		if b.BytesPerOp != nil && e.BytesPerOp != nil {
+			c.BaselineBytes, c.CurrentBytes = b.BytesPerOp, e.BytesPerOp
+		}
+		out = append(out, c)
 	}
 	return out
 }
 
 // gate prints GitHub annotations for regressed comparisons and reports
-// whether any hot-path benchmark crossed the hard-fail threshold.
+// whether any hot-path benchmark crossed a hard-fail threshold: failRatio on
+// time, or bytesFailRatio on B/op where both sides measured it.
 func gate(w io.Writer, comparisons []Comparison) (failed bool) {
 	for _, c := range comparisons {
+		if c.HotPath && c.CurrentBytes != nil && *c.CurrentBytes > *c.BaselineBytes*bytesFailRatio {
+			fmt.Fprintf(w, "::error::%s allocates %.0f B/op vs %.0f at baseline, above the %.0f%% hot-path limit\n",
+				c.Name, *c.CurrentBytes, *c.BaselineBytes, (bytesFailRatio-1)*100)
+			failed = true
+		}
 		switch {
 		case c.HotPath && c.Ratio > failRatio:
 			fmt.Fprintf(w, "::error::%s regressed %.1f%% vs baseline (%.0f -> %.0f ns/op), above the %.0f%% hot-path limit\n",
@@ -237,8 +263,9 @@ func gateOverheads(w io.Writer, overheads []Overhead) (failed bool) {
 }
 
 // benchLine matches one `go test -bench` result line: name, iteration count,
-// ns/op. Extra metrics (B/op, allocs/op) are ignored.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
+// ns/op and, when the benchmark reports memory statistics, the trailing
+// B/op and allocs/op pair. Custom metrics in between are skipped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:.*\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // cpuSuffix matches the trailing -GOMAXPROCS marker go test appends to each
 // benchmark name (omitted entirely when GOMAXPROCS is 1).
@@ -262,7 +289,16 @@ func parse(r io.Reader) ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchsummary: bad ns/op in %q: %w", sc.Text(), err)
 		}
-		out = append(out, Entry{Name: m[1], NsPerOp: ns})
+		e := Entry{Name: m[1], NsPerOp: ns}
+		if m[3] != "" {
+			bytes, errB := strconv.ParseFloat(m[3], 64)
+			allocs, errA := strconv.ParseFloat(m[4], 64)
+			if errB != nil || errA != nil {
+				return nil, fmt.Errorf("benchsummary: bad B/op or allocs/op in %q", sc.Text())
+			}
+			e.BytesPerOp, e.AllocsPerOp = &bytes, &allocs
+		}
+		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -37,9 +37,73 @@ func TestParse(t *testing.T) {
 	if entries[0].Name != "BenchmarkTrainEpoch/workers=1" || entries[0].NsPerOp != 2e8 {
 		t.Fatalf("first entry %+v", entries[0])
 	}
-	// The -GOMAXPROCS suffix is stripped, B/op columns are ignored.
-	if entries[6].Name != "BenchmarkKNN/into/n=1024" || entries[6].NsPerOp != 2500 {
-		t.Fatalf("last entry %+v", entries[6])
+	if entries[0].BytesPerOp != nil || entries[0].AllocsPerOp != nil {
+		t.Fatalf("memory statistics invented for %+v", entries[0])
+	}
+	// The -GOMAXPROCS suffix is stripped; a reported 0 B/op is a measurement,
+	// not an absence.
+	last := entries[6]
+	if last.Name != "BenchmarkKNN/into/n=1024" || last.NsPerOp != 2500 {
+		t.Fatalf("last entry %+v", last)
+	}
+	if last.BytesPerOp == nil || *last.BytesPerOp != 0 || last.AllocsPerOp == nil || *last.AllocsPerOp != 0 {
+		t.Fatalf("last entry memory statistics %v %v", last.BytesPerOp, last.AllocsPerOp)
+	}
+}
+
+// TestParseMemoryColumns covers the column layouts go test emits: memory
+// statistics directly after ns/op, and after custom metrics.
+func TestParseMemoryColumns(t *testing.T) {
+	entries, err := parse(strings.NewReader(
+		"BenchmarkDetect/enld-workers=1 \t 20\t 52000000 ns/op\t 1936512 B/op\t 1200 allocs/op\n" +
+			"BenchmarkANN/query/n=1024 \t 1000\t 3100 ns/op\t 0.9900 recall@k\t 48 B/op\t 2 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("%d entries", len(entries))
+	}
+	if *entries[0].BytesPerOp != 1936512 || *entries[0].AllocsPerOp != 1200 {
+		t.Fatalf("first entry %v B/op %v allocs/op", *entries[0].BytesPerOp, *entries[0].AllocsPerOp)
+	}
+	if entries[1].NsPerOp != 3100 || *entries[1].BytesPerOp != 48 || *entries[1].AllocsPerOp != 2 {
+		t.Fatalf("second entry %+v", entries[1])
+	}
+}
+
+// TestGateBytes pins the allocation gate: hard failure above +10% B/op on a
+// hot path only, silent when either side lacks the measurement, and a
+// baseline of 0 B/op tolerates nothing.
+func TestGateBytes(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	baseline := Summary{Benchmarks: []Entry{
+		{Name: "BenchmarkDetect/enld-workers=1", NsPerOp: 100, BytesPerOp: f(1000)},
+		{Name: "BenchmarkForwardBatch/batched", NsPerOp: 100, BytesPerOp: f(0)},
+		{Name: "BenchmarkTrainEpoch/workers=1", NsPerOp: 100},
+		{Name: "BenchmarkFig8", NsPerOp: 100, BytesPerOp: f(1000)},
+	}}
+	fresh := func(enld, batched float64) []Entry {
+		return []Entry{
+			{Name: "BenchmarkDetect/enld-workers=1", NsPerOp: 100, BytesPerOp: f(enld)},
+			{Name: "BenchmarkForwardBatch/batched", NsPerOp: 100, BytesPerOp: f(batched)},
+			{Name: "BenchmarkTrainEpoch/workers=1", NsPerOp: 100, BytesPerOp: f(5000)}, // baseline has none
+			{Name: "BenchmarkFig8", NsPerOp: 100, BytesPerOp: f(9000)},                 // not a hot path
+		}
+	}
+	var buf strings.Builder
+	cmp := compare(fresh(1100, 0), baseline)
+	if cmp[0].BaselineBytes == nil || *cmp[0].CurrentBytes != 1100 || cmp[2].CurrentBytes != nil {
+		t.Fatalf("bytes not carried into comparisons: %+v", cmp)
+	}
+	if gate(&buf, cmp) || buf.Len() != 0 {
+		t.Fatalf("gate failed or annotated at exactly +10%%: %q", buf.String())
+	}
+	if !gate(&buf, compare(fresh(1101, 0), baseline)) || !strings.Contains(buf.String(), "B/op") {
+		t.Fatalf("gate passed above +10%% B/op: %q", buf.String())
+	}
+	buf.Reset()
+	if !gate(&buf, compare(fresh(1000, 16), baseline)) {
+		t.Fatal("gate passed a hot path that started allocating")
 	}
 }
 

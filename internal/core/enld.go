@@ -145,9 +145,10 @@ type ENLD struct {
 // Name implements detect.Detector.
 func (e *ENLD) Name() string { return "enld" }
 
-// Detect implements detect.Detector.
+// Detect implements detect.Detector. It runs the same detection as
+// DetectFull without materialising the per-iteration snapshots nobody reads.
 func (e *ENLD) Detect(d dataset.Set) (*detect.Result, error) {
-	full, err := e.DetectFull(d)
+	full, err := e.detect(d, false)
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +158,12 @@ func (e *ENLD) Detect(d dataset.Set) (*detect.Result, error) {
 // DetectFull runs fine-grained noisy label detection with contrastive
 // sampling (Algorithms 2 and 3) and returns the extended result.
 func (e *ENLD) DetectFull(d dataset.Set) (*FullResult, error) {
+	return e.detect(d, true)
+}
+
+// detect is DetectFull; snapshots selects whether FullResult.Snapshots is
+// filled (one noisy-ID map per iteration) or left nil.
+func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 	if e.Platform == nil {
 		return nil, errors.New("core: ENLD needs a platform")
 	}
@@ -195,9 +202,15 @@ func (e *ENLD) DetectFull(d dataset.Set) (*FullResult, error) {
 	// lines 5–7).
 	run := &nldRun{
 		e: e, cfg: cfg, strategy: strategy, rng: rng,
-		d: d, iPrime: iPrime, classes: classes,
+		d: d, iPrime: iPrime,
 		model: model, trainer: trainer, res: res,
-		obs: e.Platform.Obs,
+		obs:     e.Platform.Obs,
+		eval:    nn.NewEvaluator(model, cfg.Workers),
+		targets: make([][]float64, classes),
+		req: sampling.Request{
+			Cond: e.Platform.Cond, K: cfg.K, RNG: rng,
+			Meter: &res.Meter, Obs: e.Platform.Obs, Workers: cfg.Workers,
+		},
 	}
 	if err := run.resample(); err != nil {
 		return nil, err
@@ -216,8 +229,10 @@ func (e *ENLD) DetectFull(d dataset.Set) (*FullResult, error) {
 	for i, smp := range d {
 		dInputs[i] = smp.X
 	}
+	count := make([]int, len(d))
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		count := make([]int, len(d))
+		clear(count)
+		cleanBefore := len(cleanIDs)
 		for step := 0; step < cfg.Steps; step++ {
 			if err := run.trainEpoch(); err != nil {
 				return nil, err
@@ -266,15 +281,20 @@ func (e *ENLD) DetectFull(d dataset.Set) (*FullResult, error) {
 			run.mergeClean(cleanIDs)
 		}
 
-		res.Snapshots = append(res.Snapshots, IterationSnapshot{
-			Noisy:           noisyOf(d, cleanIDs),
-			AmbiguousCount:  len(run.ambIdx),
-			ContrastiveSize: len(run.contrastive),
-		})
+		if snapshots {
+			res.Snapshots = append(res.Snapshots, IterationSnapshot{
+				Noisy:           noisyOf(d, cleanIDs),
+				AmbiguousCount:  len(run.ambIdx),
+				ContrastiveSize: len(run.contrastive),
+			})
+		}
 
 		if cfg.AutoStop {
-			n := len(res.Snapshots)
-			if n >= 2 && sameIDSet(res.Snapshots[n-1].Noisy, res.Snapshots[n-2].Noisy) {
+			// The noisy set is D's IDs minus cleanIDs, and cleanIDs only ever
+			// gains IDs of D, so two consecutive iterations' noisy sets are
+			// equal exactly when this iteration added no clean ID — no need
+			// to materialise and compare the sets.
+			if iter >= 1 && len(cleanIDs) == cleanBefore {
 				stableIters++
 			} else {
 				stableIters = 0
@@ -316,14 +336,36 @@ type nldRun struct {
 	strategy sampling.Strategy
 	rng      *mat.RNG
 
-	d       dataset.Set
-	iPrime  dataset.Set
-	classes int
+	d      dataset.Set
+	iPrime dataset.Set
 
 	model   *nn.Network
 	trainer *nn.Trainer
 	res     *FullResult
 	obs     *obs.Registry
+
+	// eval is the run's inference workspace over model: every float64
+	// forward pass of the call — re-scoring, the per-step vote, warm-up
+	// validation — goes through it, so after the first pass of each shape the
+	// call's inference allocates nothing. It is built per Detect call and
+	// dies with it: nothing is retained on the ENLD or the Platform, which
+	// stay safe to share between concurrent calls. preds is the prediction
+	// buffer the vote and validation passes take turns with.
+	eval  *nn.Evaluator
+	preds []int
+	// dScores and iScores are the re-scoring outputs of D and I′. They are
+	// two buffers, not one, because resample reads both at once; the feature
+	// rows it hands the strategy alias them and are dead by the next resample.
+	dScores, iScores detect.Scores
+
+	// req is the sampling request, refilled in place by every resample so
+	// its slices and its instrumented k-NN pool are built once per call.
+	req sampling.Request
+
+	// examples and targets are trainEpoch's reused conversion of the
+	// contrastive set (see dataset.AppendExamples).
+	examples []nn.Example
+	targets  [][]float64
 
 	// f32 is the float32 forward snapshot, refreshed from model before each
 	// ranking-only scoring pass when cfg.Float32 is set.
@@ -348,75 +390,62 @@ type nldRun struct {
 // sampling strategy to produce a fresh contrastive set C.
 func (r *nldRun) resample() error {
 	splitSpan := r.obs.StartSpan("detect/split")
-	var dScores, iScores *detect.Scores
+	dScores, iScores := &r.dScores, &r.iScores
 	if r.cfg.Float32 {
 		r.model.Snapshot32(&r.f32)
 		dScores = detect.ScoreParallel32(&r.f32, r.d, &r.res.Meter, r.cfg.Workers)
 		iScores = detect.ScoreParallel32(&r.f32, r.iPrime, &r.res.Meter, r.cfg.Workers)
 	} else {
-		dScores = detect.ScoreParallel(r.model, r.d, &r.res.Meter, r.cfg.Workers)
-		iScores = detect.ScoreParallel(r.model, r.iPrime, &r.res.Meter, r.cfg.Workers)
+		dScores.Fill(r.eval, r.d, &r.res.Meter)
+		iScores.Fill(r.eval, r.iPrime, &r.res.Meter)
 	}
 
 	r.ambIdx = detect.Ambiguous(r.d, dScores.Predicted)
 	r.hqIdx = highQualityFiltered(r.iPrime, iScores)
 	splitSpan.End()
 
-	// Assemble the sampler's view. Missing-label ambiguous samples have no
-	// observed label for the probability draw; substitute the model's
-	// current prediction, which is the best available estimate.
-	amb := make(dataset.Set, 0, len(r.ambIdx))
-	ambFeats := make([][]float64, 0, len(r.ambIdx))
+	// Assemble the sampler's view in the reused request. Missing-label
+	// ambiguous samples have no observed label for the probability draw;
+	// substitute the model's current prediction, which is the best available
+	// estimate.
+	req := &r.req
+	req.Ambiguous, req.AmbiguousFeatures = req.Ambiguous[:0], req.AmbiguousFeatures[:0]
 	for _, i := range r.ambIdx {
 		smp := r.d[i]
 		if smp.Observed == dataset.Missing {
 			smp.Observed = dScores.Predicted[i]
 		}
-		amb = append(amb, smp)
-		ambFeats = append(ambFeats, dScores.Features[i])
+		req.Ambiguous = append(req.Ambiguous, smp)
+		req.AmbiguousFeatures = append(req.AmbiguousFeatures, dScores.Features[i])
 	}
-	pool := make(dataset.Set, 0, len(r.hqIdx))
-	poolFeats := make([][]float64, 0, len(r.hqIdx))
-	poolConf := make([]float64, 0, len(r.hqIdx))
-	poolEnt := make([]float64, 0, len(r.hqIdx))
-	poolPred := make([]int, 0, len(r.hqIdx))
+	req.Pool, req.PoolFeatures = req.Pool[:0], req.PoolFeatures[:0]
+	req.PoolConfidences, req.PoolEntropies, req.PoolPredicted = req.PoolConfidences[:0], req.PoolEntropies[:0], req.PoolPredicted[:0]
 	for _, i := range r.hqIdx {
-		pool = append(pool, r.iPrime[i])
-		poolFeats = append(poolFeats, iScores.Features[i])
-		poolConf = append(poolConf, iScores.MaxConf[i])
-		poolEnt = append(poolEnt, iScores.Entropy[i])
-		poolPred = append(poolPred, iScores.Predicted[i])
+		req.Pool = append(req.Pool, r.iPrime[i])
+		req.PoolFeatures = append(req.PoolFeatures, iScores.Features[i])
+		req.PoolConfidences = append(req.PoolConfidences, iScores.MaxConf[i])
+		req.PoolEntropies = append(req.PoolEntropies, iScores.Entropy[i])
+		req.PoolPredicted = append(req.PoolPredicted, iScores.Predicted[i])
 	}
-	req := &sampling.Request{
-		Ambiguous:         amb,
-		AmbiguousFeatures: ambFeats,
-		Pool:              pool,
-		PoolFeatures:      poolFeats,
-		PoolConfidences:   poolConf,
-		PoolEntropies:     poolEnt,
-		PoolPredicted:     poolPred,
-		// Baseline policies of §V-A5 select from the uncurated candidates
-		// (no high-quality filter), as the paper specifies "in I_c".
-		RawPool:            r.iPrime,
-		RawPoolConfidences: iScores.MaxConf,
-		RawPoolEntropies:   iScores.Entropy,
-		RawPoolPredicted:   iScores.Predicted,
-		Cond:               r.e.Platform.Cond,
-		K:                  r.cfg.K,
-		RNG:                r.rng,
-		Meter:              &r.res.Meter,
-		Obs:                r.obs,
-		Workers:            r.cfg.Workers,
-	}
-	if len(amb) == 0 || len(pool) == 0 {
-		r.contrastive = nil
+	// Baseline policies of §V-A5 select from the uncurated candidates (no
+	// high-quality filter), as the paper specifies "in I_c".
+	req.RawPool = r.iPrime
+	req.RawPoolConfidences = iScores.MaxConf
+	req.RawPoolEntropies = iScores.Entropy
+	req.RawPoolPredicted = iScores.Predicted
+
+	r.contrastive = r.contrastive[:0]
+	if len(req.Ambiguous) == 0 || len(req.Pool) == 0 {
 		return nil
 	}
 	c, err := r.strategy.Select(req)
 	if err != nil {
 		return fmt.Errorf("core: contrastive sampling: %w", err)
 	}
-	r.contrastive = c
+	// Copied, not kept: C is appended to (mergeClean) and outlives this
+	// iteration's request, so it must not share storage with whatever the
+	// strategy returned.
+	r.contrastive = append(r.contrastive, c...)
 	return nil
 }
 
@@ -429,7 +458,8 @@ func (r *nldRun) predict(xs [][]float64) []int {
 		r.model.Snapshot32(&r.f32)
 		return r.f32.PredictBatch32(xs, r.cfg.Workers)
 	}
-	return r.model.PredictBatch(xs, r.cfg.Workers)
+	r.preds = r.eval.PredictInto(r.preds, xs)
+	return r.preds
 }
 
 // mergeClean appends D's currently selected clean samples to C
@@ -449,12 +479,12 @@ func (r *nldRun) trainEpoch() error {
 	if len(r.contrastive) == 0 {
 		return nil
 	}
-	examples := dataset.ToExamples(r.contrastive, r.classes)
-	if len(examples) == 0 {
+	r.examples = dataset.AppendExamples(r.examples[:0], r.contrastive, r.targets)
+	if len(r.examples) == 0 {
 		return nil
 	}
 	ftSpan := r.obs.StartSpan("detect/finetune")
-	stats, err := r.trainer.Run(examples, nn.TrainConfig{
+	stats, err := r.trainer.Run(r.examples, nn.TrainConfig{
 		Epochs:    1,
 		BatchSize: r.cfg.BatchSize,
 		Seed:      r.rng.Uint64(),
@@ -511,10 +541,10 @@ func (r *nldRun) validationAccuracy() float64 {
 	if len(r.valXS) == 0 {
 		return 0
 	}
-	preds := r.model.PredictBatch(r.valXS, r.cfg.Workers)
+	r.preds = r.eval.PredictInto(r.preds, r.valXS)
 	r.res.Meter.ForwardPasses += int64(len(r.valXS))
 	agree := 0
-	for i, p := range preds {
+	for i, p := range r.preds {
 		if p == r.valLabels[i] {
 			agree++
 		}
@@ -555,19 +585,6 @@ func noisyOf(d dataset.Set, cleanIDs map[int]bool) map[int]bool {
 		}
 	}
 	return out
-}
-
-// sameIDSet reports whether two ID sets are equal.
-func sameIDSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
 }
 
 func intsToFloats(x []int) []float64 {

@@ -158,6 +158,31 @@ func TestENLDAutoStop(t *testing.T) {
 	if len(res.Snapshots) >= 12 {
 		t.Fatalf("auto-stop did not trigger: %d iterations", len(res.Snapshots))
 	}
+	// The loop decides from the clean-set size alone; it must stop exactly
+	// where comparing consecutive noisy sets would: at the first iteration
+	// whose noisy set equals both of its predecessors'.
+	stable, stopAt := 0, -1
+	for i := 1; i < len(res.Snapshots) && stopAt < 0; i++ {
+		if sameIDSet(res.Snapshots[i].Noisy, res.Snapshots[i-1].Noisy) {
+			stable++
+		} else {
+			stable = 0
+		}
+		if stable >= 2 {
+			stopAt = i
+		}
+	}
+	if stopAt != len(res.Snapshots)-1 {
+		t.Fatalf("stopped after %d iterations, the noisy-set rule stops after %d", len(res.Snapshots), stopAt+1)
+	}
+	// Detect skips the snapshots entirely and must stop at the same point.
+	plain, err := (&ENLD{Platform: w.platform, Config: cfg}).Detect(w.incr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIDSet(plain.Noisy, res.Noisy) || plain.Meter != res.Meter {
+		t.Fatal("Detect and DetectFull disagree under auto-stop")
+	}
 	// Quality must match the full run within tolerance.
 	full := cfg
 	full.AutoStop = false

@@ -150,15 +150,30 @@ func Shard(pool Set, spec ShardSpec, rng *mat.RNG) ([]Set, error) {
 // ToExamples converts samples to nn training examples with one-hot targets
 // on the observed labels. Samples with missing labels are skipped, since a
 // hard target cannot be formed for them.
+//
+// Examples of one class share a single target row: Target slices are
+// read-only (see nn.Example), and X aliases the sample's own vector.
 func ToExamples(s Set, classes int) []nn.Example {
-	out := make([]nn.Example, 0, len(s))
+	return AppendExamples(make([]nn.Example, 0, len(s)), s, make([][]float64, classes))
+}
+
+// AppendExamples appends ToExamples' conversion of s to dst. targets is the
+// caller's per-class one-hot row cache, one entry per class: nil rows are
+// filled on first use and every example of class c gets targets[c] itself.
+// Callers converting repeatedly (fine-tuning re-converts the contrastive set
+// every epoch) pass dst[:0] and the same cache back and allocate nothing in
+// steady state.
+func AppendExamples(dst []nn.Example, s Set, targets [][]float64) []nn.Example {
 	for _, smp := range s {
 		if smp.Observed == Missing {
 			continue
 		}
-		out = append(out, nn.Example{X: smp.X, Target: nn.OneHot(smp.Observed, classes)})
+		if targets[smp.Observed] == nil {
+			targets[smp.Observed] = nn.OneHot(smp.Observed, len(targets))
+		}
+		dst = append(dst, nn.Example{X: smp.X, Target: targets[smp.Observed]})
 	}
-	return out
+	return dst
 }
 
 // ToExamplesTrue converts samples to nn training examples targeting the

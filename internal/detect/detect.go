@@ -54,12 +54,21 @@ type Detector interface {
 // features, predicted labels, max-confidences and entropies. Every detector
 // starts from these, so computing them once per (model, set) pair avoids
 // redundant forward passes.
+//
+// Confidences[i] and Features[i] are rows of flat buffers the Scores owns.
+// A Scores is reusable: Fill overwrites it in place, so everything read from
+// it — including row slices handed on to a sampling.Request — is valid until
+// the next Fill of the *same* Scores and unaffected by any other. A caller
+// needing two scored sets live at once keeps two Scores.
 type Scores struct {
 	Confidences [][]float64
 	Features    [][]float64
 	Predicted   []int
 	MaxConf     []float64
 	Entropy     []float64
+
+	conf, feat mat.Matrix  // backing storage of Confidences / Features
+	xs         [][]float64 // input row pointers of the set being scored
 }
 
 // Score runs the model over every sample of d and caches the outputs.
@@ -73,25 +82,38 @@ func Score(model *nn.Network, d dataset.Set, meter *cost.Meter) *Scores {
 // outputs land in that sample's slot, and the derived statistics are computed
 // per sample with no cross-sample arithmetic.
 func ScoreParallel(model *nn.Network, d dataset.Set, meter *cost.Meter, workers int) *Scores {
-	s := &Scores{
-		Predicted: make([]int, len(d)),
-		MaxConf:   make([]float64, len(d)),
-		Entropy:   make([]float64, len(d)),
+	s := new(Scores)
+	s.Fill(nn.NewEvaluator(model, workers), d, meter)
+	return s
+}
+
+// Fill re-scores d through ev's network into s, reusing every buffer s
+// already holds — a second Fill on a same-sized set allocates nothing. It
+// charges one forward pass per sample to meter (if non-nil).
+func (s *Scores) Fill(ev *nn.Evaluator, d dataset.Set, meter *cost.Meter) {
+	s.xs = s.xs[:0]
+	for _, smp := range d {
+		s.xs = append(s.xs, smp.X)
 	}
-	xs := make([][]float64, len(d))
-	for i, smp := range d {
-		xs[i] = smp.X
-	}
-	s.Confidences, s.Features = model.EvaluateBatch(xs, workers)
-	for i, conf := range s.Confidences {
-		s.Predicted[i] = mat.ArgMax(conf)
-		s.MaxConf[i] = mat.Max(conf)
-		s.Entropy[i] = mat.Entropy(conf)
-	}
+	ev.EvaluateInto(&s.conf, &s.feat, s.xs)
+	s.Confidences = s.conf.AppendRows(s.Confidences[:0])
+	s.Features = s.feat.AppendRows(s.Features[:0])
+	s.derive()
 	if meter != nil {
 		meter.ForwardPasses += int64(len(d))
 	}
-	return s
+}
+
+// derive recomputes the per-sample statistics from Confidences.
+func (s *Scores) derive() {
+	s.Predicted = s.Predicted[:0]
+	s.MaxConf = s.MaxConf[:0]
+	s.Entropy = s.Entropy[:0]
+	for _, conf := range s.Confidences {
+		s.Predicted = append(s.Predicted, mat.ArgMax(conf))
+		s.MaxConf = append(s.MaxConf, mat.Max(conf))
+		s.Entropy = append(s.Entropy, mat.Entropy(conf))
+	}
 }
 
 // ScoreParallel32 is ScoreParallel over a float32 forward snapshot: the
@@ -100,21 +122,13 @@ func ScoreParallel(model *nn.Network, d dataset.Set, meter *cost.Meter, workers 
 // The caller owns refreshing model32 from the live network. Results are
 // identical at every worker count within the float32 profile.
 func ScoreParallel32(model32 *nn.Network32, d dataset.Set, meter *cost.Meter, workers int) *Scores {
-	s := &Scores{
-		Predicted: make([]int, len(d)),
-		MaxConf:   make([]float64, len(d)),
-		Entropy:   make([]float64, len(d)),
-	}
+	s := new(Scores)
 	xs := make([][]float64, len(d))
 	for i, smp := range d {
 		xs[i] = smp.X
 	}
 	s.Confidences, s.Features = model32.EvaluateBatch32(xs, workers)
-	for i, conf := range s.Confidences {
-		s.Predicted[i] = mat.ArgMax(conf)
-		s.MaxConf[i] = mat.Max(conf)
-		s.Entropy[i] = mat.Entropy(conf)
-	}
+	s.derive()
 	if meter != nil {
 		meter.ForwardPasses += int64(len(d))
 	}

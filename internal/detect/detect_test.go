@@ -117,3 +117,68 @@ func TestRestrictToLabels(t *testing.T) {
 		t.Fatalf("nil labels kept %d", len(got))
 	}
 }
+
+// TestScoresFillReuseIsSafe pins the two-buffer rule core relies on: with one
+// Evaluator and two Scores, filling the second (I′) leaves everything read
+// from the first (D) — including row slices handed out earlier — untouched;
+// refilling a Scores matches a fresh ScoreParallel element for element even
+// after it held a larger set; and a warmed Fill allocates nothing.
+func TestScoresFillReuseIsSafe(t *testing.T) {
+	model, set := testModelAndSet(t)
+	d, inv := set[:5], set[3:]
+	ev := nn.NewEvaluator(model, 2)
+	var dScores, iScores Scores
+	var meter cost.Meter
+	dScores.Fill(ev, d, &meter)
+	heldFeat, heldConf := dScores.Features[2], dScores.Confidences[2]
+	want := ScoreParallel(model, d, nil, 1)
+	iScores.Fill(ev, inv, &meter)
+	if meter.ForwardPasses != int64(len(d)+len(inv)) {
+		t.Fatalf("meter charged %d forward passes", meter.ForwardPasses)
+	}
+	sameScores(t, "D after scoring I′", &dScores, want)
+	for j, v := range want.Features[2] {
+		if heldFeat[j] != v {
+			t.Fatal("a feature row handed out before the second Fill changed")
+		}
+	}
+	for j, v := range want.Confidences[2] {
+		if heldConf[j] != v {
+			t.Fatal("a confidence row handed out before the second Fill changed")
+		}
+	}
+	sameScores(t, "I′", &iScores, ScoreParallel(model, inv, nil, 1))
+
+	// Shrinking refill: no stale rows or lengths from the larger set.
+	iScores.Fill(ev, d, nil)
+	sameScores(t, "refilled with a smaller set", &iScores, want)
+
+	ev1 := nn.NewEvaluator(model, 1)
+	dScores.Fill(ev1, d, nil)
+	if n := testing.AllocsPerRun(10, func() { dScores.Fill(ev1, d, nil) }); n != 0 {
+		t.Fatalf("warmed Fill allocates %v times per call, want 0", n)
+	}
+}
+
+func sameScores(t *testing.T, label string, got, want *Scores) {
+	t.Helper()
+	if len(got.Confidences) != len(want.Confidences) || len(got.Features) != len(want.Features) ||
+		len(got.Predicted) != len(want.Predicted) || len(got.MaxConf) != len(want.MaxConf) || len(got.Entropy) != len(want.Entropy) {
+		t.Fatalf("%s: lengths differ", label)
+	}
+	for i := range want.Predicted {
+		if got.Predicted[i] != want.Predicted[i] || got.MaxConf[i] != want.MaxConf[i] || got.Entropy[i] != want.Entropy[i] {
+			t.Fatalf("%s: sample %d statistics differ", label, i)
+		}
+		for j, v := range want.Confidences[i] {
+			if got.Confidences[i][j] != v {
+				t.Fatalf("%s: sample %d confidence[%d] differs", label, i, j)
+			}
+		}
+		for j, v := range want.Features[i] {
+			if got.Features[i][j] != v {
+				t.Fatalf("%s: sample %d feature[%d] differs", label, i, j)
+			}
+		}
+	}
+}

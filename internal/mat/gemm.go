@@ -108,13 +108,7 @@ func PackNT(dst, B *Matrix) {
 		panic("mat: PackNT destination aliases operand")
 	}
 	k, n := B.Cols, B.Rows
-	dst.Rows, dst.Cols = k, n
-	need := k * n
-	if cap(dst.Data) < need {
-		dst.Data = make([]float64, need)
-	} else {
-		dst.Data = dst.Data[:need]
-	}
+	dst.Resize(k, n)
 	dd := dst.Data
 	for j := 0; j < n; j++ {
 		br := B.Row(j)

@@ -41,9 +41,35 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
+// Resize reshapes m to rows×cols, reusing the backing array when it has the
+// capacity. The contents after a Resize are unspecified: callers overwrite
+// every element (output buffers refilled per call, packed panels).
+func (m *Matrix) Resize(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic("mat: Resize with negative dimension")
+	}
+	m.Rows, m.Cols = rows, cols
+	if need := rows * cols; cap(m.Data) < need {
+		m.Data = make([]float64, need)
+	} else {
+		m.Data = m.Data[:need]
+	}
+}
+
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// AppendRows appends one view per row of m to dst and returns it. The views
+// share m's backing array — they are valid until m is resized or refilled —
+// and are capacity-capped, so appending to one cannot spill into the next
+// row.
+func (m *Matrix) AppendRows(dst [][]float64) [][]float64 {
+	for i := 0; i < m.Rows; i++ {
+		dst = append(dst, m.Data[i*m.Cols:(i+1)*m.Cols:(i+1)*m.Cols])
+	}
+	return dst
 }
 
 // At returns the element at (i, j).

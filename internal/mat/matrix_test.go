@@ -164,3 +164,38 @@ func TestAddOuterProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResizeAndAppendRows pins the reusable-output-buffer helpers: Resize
+// keeps the backing array when it fits, and AppendRows returns capacity-capped
+// views so growing one row cannot write into its neighbour.
+func TestResizeAndAppendRows(t *testing.T) {
+	var m Matrix
+	m.Resize(3, 4)
+	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
+		t.Fatalf("Resize(3,4) gave %dx%d len %d", m.Rows, m.Cols, len(m.Data))
+	}
+	for i := range m.Data {
+		m.Data[i] = float64(i)
+	}
+	first := &m.Data[0]
+	m.Resize(2, 5)
+	if &m.Data[0] != first || len(m.Data) != 10 {
+		t.Fatal("shrinking Resize reallocated or mis-sized the backing array")
+	}
+	m.Resize(3, 4)
+	rows := m.AppendRows(nil)
+	if len(rows) != 3 {
+		t.Fatalf("%d row views", len(rows))
+	}
+	rows[0] = append(rows[0], -1)
+	if m.At(1, 0) == -1 {
+		t.Fatal("append to a row view spilled into the next row")
+	}
+	rows[1][2] = 42
+	if m.At(1, 2) != 42 {
+		t.Fatal("row view does not alias the matrix")
+	}
+	if got := m.AppendRows(rows[:0]); len(got) != 3 || &got[2][0] != &m.Data[8] {
+		t.Fatal("AppendRows into a reused header slice returned wrong views")
+	}
+}

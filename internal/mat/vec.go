@@ -253,11 +253,28 @@ func Std(x []float64) float64 {
 // computation subtracts the maximum logit first for numerical stability, so
 // it is safe on arbitrarily large logits.
 func Softmax(dst, logits []float64) []float64 {
+	softmaxSum(dst, logits)
+	return dst
+}
+
+// SoftmaxLSE writes the softmax of logits into dst and returns
+// log(sum(exp(logits))): Softmax and LogSumExp in one sweep, for losses that
+// need both. The two share their maximum, their exponentials and the
+// left-to-right sum of those exponentials, so both results are bit-identical
+// to the separate calls (pinned by TestSoftmaxLSEMatchesSeparateCalls) at
+// half the exp evaluations.
+func SoftmaxLSE(dst, logits []float64) float64 {
+	m, sum := softmaxSum(dst, logits)
+	return m + math.Log(sum)
+}
+
+// softmaxSum writes the softmax of logits into dst and returns the maximum
+// logit and the sum of the shifted exponentials it normalized by.
+func softmaxSum(dst, logits []float64) (m, sum float64) {
 	if len(dst) != len(logits) {
 		panic("mat: Softmax length mismatch")
 	}
-	m := Max(logits)
-	var sum float64
+	m = Max(logits)
 	for i, v := range logits {
 		e := math.Exp(v - m)
 		dst[i] = e
@@ -267,7 +284,7 @@ func Softmax(dst, logits []float64) []float64 {
 	for i := range dst {
 		dst[i] *= inv
 	}
-	return dst
+	return m, sum
 }
 
 // LogSumExp returns log(sum(exp(x))) computed stably.

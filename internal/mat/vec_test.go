@@ -175,6 +175,54 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
+// TestSoftmaxLSEMatchesSeparateCalls is the differential test the fused
+// training loss rests on: SoftmaxLSE must reproduce, bit for bit, a softmax
+// written out independently here and the separate LogSumExp — on random
+// logits of several widths, all-equal logits, and logits at ±700 where
+// exp(v−max) underflows to zero or the unshifted exp would overflow.
+func TestSoftmaxLSEMatchesSeparateCalls(t *testing.T) {
+	refSoftmax := func(logits []float64) []float64 {
+		m := Max(logits)
+		out := make([]float64, len(logits))
+		var sum float64
+		for i, v := range logits {
+			out[i] = math.Exp(v - m)
+			sum += out[i]
+		}
+		inv := 1 / sum
+		for i := range out {
+			out[i] *= inv
+		}
+		return out
+	}
+	cases := [][]float64{
+		{0}, {3.5, 3.5, 3.5, 3.5}, {0, 0, 0, 0, 0, 0, 0},
+		{700, -700}, {-700, 700, 0}, {700, 700, 699.5}, {-700, -700, -700},
+		{709.7, 0, -745.2}, {1e300, 1e300}, {-1e300, 0},
+	}
+	rng := NewRNG(4711)
+	for _, n := range []int{1, 2, 5, 10, 100, 257} {
+		for rep := 0; rep < 20; rep++ {
+			cases = append(cases, rng.NormVec(make([]float64, n), 0, 1+float64(rep)*3))
+		}
+	}
+	for _, logits := range cases {
+		want := refSoftmax(logits)
+		wantLSE := LogSumExp(logits)
+		got := make([]float64, len(logits))
+		gotLSE := SoftmaxLSE(got, logits)
+		if math.Float64bits(gotLSE) != math.Float64bits(wantLSE) {
+			t.Fatalf("logits %v: lse %v != LogSumExp %v", logits, gotLSE, wantLSE)
+		}
+		two := Softmax(make([]float64, len(logits)), logits)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(two[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("logits %v: softmax[%d] fused %v, Softmax %v, reference %v", logits, i, got[i], two[i], want[i])
+			}
+		}
+	}
+}
+
 func TestEntropy(t *testing.T) {
 	if got := Entropy([]float64{1, 0, 0}); got != 0 {
 		t.Errorf("Entropy(point mass) = %v", got)

@@ -1,108 +1,166 @@
 package nn
 
 import (
-	"enld/internal/mat"
+	"slices"
 
+	"enld/internal/mat"
 	"enld/internal/parallel"
 )
 
-// The batch inference helpers split a slice of inputs into fixed-size batch
-// chunks and fan the chunks out over a worker pool; each worker runs one
-// blocked-GEMM ForwardBatch per chunk through a private BatchScratch. The
-// chunk partition depends only on len(xs), every input writes only its own
-// output slot, and the batched kernels are bit-identical to the per-sample
-// forward pass, so results are independent of scheduling and identical to a
-// sequential per-sample loop at any worker count.
-// workers <= 0 selects parallel.DefaultWorkers().
-
-// batchChunk is the fixed batch-chunk size of the inference helpers: large
-// enough that each weight matrix is loaded once per 64 samples, small enough
-// that a shard split across a pool keeps every worker busy.
+// batchChunk is the fixed batch-chunk size of batch inference: large enough
+// that each weight matrix is loaded once per 64 samples, small enough that a
+// shard split across a pool keeps every worker busy.
 const batchChunk = 64
 
-// forEachBatch runs fn over fixed-size chunks of [0, count), one private
-// BatchScratch per worker. The network's Wᵀ panels are packed once per call
-// and shared read-only across the workers, so each chunk's forward pass
-// (through forwardBatch/lossBatch with the supplied panels) skips its own
-// repack.
-func (n *Network) forEachBatch(count int, workers int, fn func(s *BatchScratch, panels []mat.Matrix, lo, hi int)) {
+// Evaluator is a reusable batch-inference workspace bound to one network:
+// a worker pool, one BatchScratch per worker and the per-layer Wᵀ panels.
+// Every call repacks the panels in place from the network's current weights
+// (so the network may be trained between calls), splits the inputs into fixed
+// batchChunk pieces, fans them out over the pool — one blocked-GEMM forward
+// pass per piece through the executing worker's scratch — and writes each
+// input's results into that input's slot of caller-owned flat buffers. The
+// partition depends only on len(xs) and the batched kernels are bit-identical
+// to the per-sample forward pass, so results equal a sequential per-sample
+// loop at any worker count.
+//
+// After the first call on a given input size nothing is allocated: the
+// scratch, the panels and the outputs are all reused. What that buys is
+// bounded by the owner's lifetime — an Evaluator holds about 0.4 MB per
+// worker for the default architecture, so callers keep one for a burst of
+// passes over one model (core.ENLD: one Detect call) and drop it.
+//
+// An Evaluator is for one goroutine at a time. Outputs never alias its
+// internals: a later call disturbs nothing an earlier call returned, except
+// through output buffers the caller itself passes again.
+type Evaluator struct {
+	net     *Network
+	pool    *parallel.Pool
+	scratch []BatchScratch
+	panels  []mat.Matrix
+
+	// task is e.chunk bound once, so handing it to the pool allocates no
+	// closure per call; the fields below are the current call's arguments,
+	// read by the chunk workers and cleared when the call returns.
+	task       func(worker, lo, hi int)
+	xs, ts     [][]float64
+	preds      []int
+	losses     []float64
+	conf, feat *mat.Matrix
+}
+
+// NewEvaluator returns an inference workspace for net fanning out over
+// workers goroutines (<= 0 selects parallel.DefaultWorkers()).
+func NewEvaluator(net *Network, workers int) *Evaluator {
 	pool := parallel.New(workers)
-	scratch := make([]BatchScratch, pool.Workers())
-	var panels []mat.Matrix
-	n.packPanels(&panels)
-	pool.ForEachChunk(count, batchChunk, func(w, lo, hi int) {
-		fn(&scratch[w], panels, lo, hi)
-	})
+	e := &Evaluator{net: net, pool: pool, scratch: make([]BatchScratch, pool.Workers())}
+	e.task = e.chunk
+	return e
 }
 
-// ConfidencesBatch computes M(x,θ) for every input, returning one fresh
-// confidence vector per input.
+// run executes one pass over xs with whatever outputs the caller set.
+func (e *Evaluator) run(xs [][]float64) {
+	e.xs = xs
+	e.net.packPanels(&e.panels)
+	e.pool.ForEachChunk(len(xs), batchChunk, e.task)
+	e.xs, e.ts, e.preds, e.losses, e.conf, e.feat = nil, nil, nil, nil, nil, nil
+}
+
+// chunk forwards inputs [lo, hi) through the worker's scratch and fills the
+// requested outputs for exactly those inputs.
+func (e *Evaluator) chunk(worker, lo, hi int) {
+	s := &e.scratch[worker]
+	e.net.forwardBatch(s, e.xs[lo:hi], e.panels)
+	logits, feats := s.Logits(), s.Features()
+	for r := 0; r < hi-lo; r++ {
+		lrow := logits.Row(r)
+		if e.preds != nil {
+			e.preds[lo+r] = mat.ArgMax(lrow)
+		}
+		if e.conf != nil {
+			mat.Softmax(e.conf.Row(lo+r), lrow)
+		}
+		if e.feat != nil {
+			copy(e.feat.Row(lo+r), feats.Row(r))
+		}
+		if e.losses != nil {
+			e.losses[lo+r] = rowLoss(lrow, e.ts[lo+r])
+		}
+	}
+}
+
+// PredictInto writes argmax M(x,θ) of every input into dst, reallocating it
+// only when its capacity is short, and returns dst[:len(xs)].
+func (e *Evaluator) PredictInto(dst []int, xs [][]float64) []int {
+	dst = slices.Grow(dst[:0], len(xs))[:len(xs)]
+	e.preds = dst
+	e.run(xs)
+	return dst
+}
+
+// EvaluateInto computes the confidence vectors M(x,θ) into conf and the
+// feature vectors M̂(x,θ) into feat, one row per input; each is resized to
+// len(xs) rows reusing its backing array. Either may be nil to skip it.
+func (e *Evaluator) EvaluateInto(conf, feat *mat.Matrix, xs [][]float64) {
+	if conf != nil {
+		conf.Resize(len(xs), e.net.Classes())
+	}
+	if feat != nil {
+		feat.Resize(len(xs), e.net.FeatureDim())
+	}
+	e.conf, e.feat = conf, feat
+	e.run(xs)
+}
+
+// LossesInto writes the cross-entropy loss of every (xs[i], targets[i]) pair
+// into dst, reallocating it only when its capacity is short, and returns
+// dst[:len(xs)].
+func (e *Evaluator) LossesInto(dst []float64, xs, targets [][]float64) []float64 {
+	if len(targets) != len(xs) {
+		panic("nn: LossesInto xs/targets length mismatch")
+	}
+	dst = slices.Grow(dst[:0], len(xs))[:len(xs)]
+	e.losses, e.ts = dst, targets
+	e.run(xs)
+	return dst
+}
+
+// The helpers below are the one-shot forms: each runs a single pass through
+// a throwaway Evaluator and returns fresh outputs. Callers making repeated
+// passes over one model should hold an Evaluator instead.
+// workers <= 0 selects parallel.DefaultWorkers().
+
+// ConfidencesBatch computes M(x,θ) for every input, one confidence vector
+// per input (rows of one shared backing array).
 func (n *Network) ConfidencesBatch(xs [][]float64, workers int) [][]float64 {
-	out := make([][]float64, len(xs))
-	n.forEachBatch(len(xs), workers, func(s *BatchScratch, panels []mat.Matrix, lo, hi int) {
-		n.forwardBatch(s, xs[lo:hi], panels, nil)
-		logits := s.Logits()
-		for r := 0; r < hi-lo; r++ {
-			conf := make([]float64, logits.Cols)
-			mat.Softmax(conf, logits.Row(r))
-			out[lo+r] = conf
-		}
-	})
-	return out
+	var conf mat.Matrix
+	NewEvaluator(n, workers).EvaluateInto(&conf, nil, xs)
+	return conf.AppendRows(make([][]float64, 0, len(xs)))
 }
 
-// FeaturesBatch computes M̂(x,θ) for every input, returning one fresh
-// feature vector per input.
+// FeaturesBatch computes M̂(x,θ) for every input, one feature vector per
+// input (rows of one shared backing array).
 func (n *Network) FeaturesBatch(xs [][]float64, workers int) [][]float64 {
-	out := make([][]float64, len(xs))
-	n.forEachBatch(len(xs), workers, func(s *BatchScratch, panels []mat.Matrix, lo, hi int) {
-		n.forwardBatch(s, xs[lo:hi], panels, nil)
-		feats := s.Features()
-		for r := 0; r < hi-lo; r++ {
-			out[lo+r] = append([]float64(nil), feats.Row(r)...)
-		}
-	})
-	return out
+	var feat mat.Matrix
+	NewEvaluator(n, workers).EvaluateInto(nil, &feat, xs)
+	return feat.AppendRows(make([][]float64, 0, len(xs)))
 }
 
-// EvaluateBatch runs one batched forward pass per chunk and returns both the
-// confidence and feature vectors, parallel to xs. Detectors scoring a full
-// shard should prefer this over per-sample Evaluate calls.
+// EvaluateBatch returns both the confidence and feature vectors, parallel to
+// xs. Detectors scoring a full shard should prefer this over per-sample
+// Evaluate calls.
 func (n *Network) EvaluateBatch(xs [][]float64, workers int) (confs, feats [][]float64) {
-	confs = make([][]float64, len(xs))
-	feats = make([][]float64, len(xs))
-	n.forEachBatch(len(xs), workers, func(s *BatchScratch, panels []mat.Matrix, lo, hi int) {
-		n.forwardBatch(s, xs[lo:hi], panels, nil)
-		logits, featm := s.Logits(), s.Features()
-		for r := 0; r < hi-lo; r++ {
-			conf := make([]float64, logits.Cols)
-			mat.Softmax(conf, logits.Row(r))
-			confs[lo+r] = conf
-			feats[lo+r] = append([]float64(nil), featm.Row(r)...)
-		}
-	})
-	return confs, feats
+	var conf, feat mat.Matrix
+	NewEvaluator(n, workers).EvaluateInto(&conf, &feat, xs)
+	return conf.AppendRows(make([][]float64, 0, len(xs))), feat.AppendRows(make([][]float64, 0, len(xs)))
 }
 
 // PredictBatch returns argmax M(x,θ) for every input.
 func (n *Network) PredictBatch(xs [][]float64, workers int) []int {
-	out := make([]int, len(xs))
-	n.forEachBatch(len(xs), workers, func(s *BatchScratch, panels []mat.Matrix, lo, hi int) {
-		n.forwardBatch(s, xs[lo:hi], panels, nil)
-		logits := s.Logits()
-		for r := 0; r < hi-lo; r++ {
-			out[lo+r] = mat.ArgMax(logits.Row(r))
-		}
-	})
-	return out
+	return NewEvaluator(n, workers).PredictInto(nil, xs)
 }
 
 // LossesBatch computes the cross-entropy loss of every (xs[i], targets[i])
 // pair, the batched counterpart of a per-sample Loss loop.
 func (n *Network) LossesBatch(xs, targets [][]float64, workers int) []float64 {
-	out := make([]float64, len(xs))
-	n.forEachBatch(len(xs), workers, func(s *BatchScratch, panels []mat.Matrix, lo, hi int) {
-		n.lossBatch(s, xs[lo:hi], targets[lo:hi], out[lo:hi], panels)
-	})
-	return out
+	return NewEvaluator(n, workers).LossesInto(nil, xs, targets)
 }

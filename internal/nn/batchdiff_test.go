@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"enld/internal/mat"
+	"enld/internal/parallel"
 )
 
 // The differential tests in this file pin the tentpole contract of the blocked
-// GEMM batch kernels: every batched pass — forward, loss, backward, and full
-// training — is bit-identical to the per-sample path it replaced, across
-// ragged batch sizes and worker counts.
+// GEMM batch kernels: every batched pass — forward, loss, backward, the fused
+// per-chunk gradient pass, full training, and inference through a reused
+// Evaluator — is bit-identical to the per-sample path it replaced, across
+// ragged batch sizes and worker counts. The allocation pins at the end keep
+// "steady-state passes allocate nothing" true for every caller.
 
 // diffNet builds a three-hidden-layer network whose layer widths are not
 // multiples of the GEMM register tile, so every pass exercises edge kernels.
@@ -136,6 +139,66 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// fusedBatchSizes straddle the gradChunk (16) and default batch (32)
+// boundaries: one short chunk, exactly one, one plus a 1-row tail, two with
+// a short / full / overflowing second chunk.
+var fusedBatchSizes = []int{1, 7, 16, 17, 31, 32, 33}
+
+// TestFusedChunkPassBitIdentical drives backwardBatchChunked directly: at
+// every batch size × worker count, chunk c's gradient and loss must equal
+// per-sample Backward calls over exactly rows [16c, 16c+16) in row order —
+// the perSample reference's arithmetic — no matter which worker ran the
+// chunk or that forward, loss and backward now share one pool task.
+func TestFusedChunkPassBitIdentical(t *testing.T) {
+	net := diffNet(186)
+	rng := mat.NewRNG(187)
+	var s BatchScratch // reused across sizes and pools: growing, shrinking views
+	for _, bs := range fusedBatchSizes {
+		xs := diffInputs(bs, 188+uint64(bs))
+		targets := make([][]float64, bs)
+		for i := range targets {
+			targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
+		}
+		nChunks := (bs + gradChunk - 1) / gradChunk
+		ref := net.Replica()
+		want := make([]*Grads, nChunks)
+		wantLoss := make([]float64, nChunks)
+		for c := range want {
+			want[c] = net.NewGrads()
+			for r := c * gradChunk; r < min((c+1)*gradChunk, bs); r++ {
+				wantLoss[c] += ref.Backward(want[c], xs[r], targets[r])
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := make([]*Grads, nChunks)
+			for c := range got {
+				got[c] = net.NewGrads()
+				got[c].Weights[0].Data[0] = 99 // the pass must zero stale accumulators
+			}
+			gotLoss := make([]float64, nChunks)
+			net.backwardBatchChunked(&s, got, gotLoss, xs, targets, gradChunk, parallel.New(workers))
+			for c := range want {
+				label := fmt.Sprintf("batch=%d/workers=%d/chunk=%d", bs, workers, c)
+				if gotLoss[c] != wantLoss[c] {
+					t.Fatalf("%s: loss %v != %v", label, gotLoss[c], wantLoss[c])
+				}
+				for l := range want[c].Weights {
+					for i, v := range want[c].Weights[l].Data {
+						if got[c].Weights[l].Data[i] != v {
+							t.Fatalf("%s: weight grad layer %d index %d: %v != %v", label, l, i, got[c].Weights[l].Data[i], v)
+						}
+					}
+					for i, v := range want[c].Biases[l] {
+						if got[c].Biases[l][i] != v {
+							t.Fatalf("%s: bias grad layer %d index %d differs", label, l, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // trainDiff trains a fresh identically-seeded network through either the
 // batched or the per-sample reference gradient path.
 func trainDiff(t *testing.T, perSample bool, workers, batchSize int, mixup bool) *Network {
@@ -155,12 +218,13 @@ func trainDiff(t *testing.T, perSample bool, workers, batchSize int, mixup bool)
 }
 
 // TestTrainerBatchedMatchesPerSampleReference is the training-side tentpole
-// differential test: the batched gradient path must produce bit-identical
-// weights to the per-sample reference path across ragged batch sizes, worker
-// counts 1/2/8, with and without mixup.
+// differential test: the fused gradient path must produce bit-identical
+// weights to the per-sample reference path across ragged batch sizes (120
+// samples, so every size but 1 also ends on a short batch), worker counts
+// 1/2/8, with and without mixup.
 func TestTrainerBatchedMatchesPerSampleReference(t *testing.T) {
 	for _, mixup := range []bool{false, true} {
-		for _, batchSize := range []int{1, 7, 64, 120} {
+		for _, batchSize := range append([]int{64, 120}, fusedBatchSizes...) {
 			ref := trainDiff(t, true, 1, batchSize, mixup)
 			for _, workers := range []int{1, 2, 8} {
 				got := trainDiff(t, false, workers, batchSize, mixup)
@@ -208,4 +272,126 @@ func TestForwardBatchInputLengthPanics(t *testing.T) {
 		}
 	}()
 	net.ForwardBatch(&s, [][]float64{make([]float64, 3)})
+}
+
+// TestEvaluatorMatchesHelpersAndPerSample runs ONE Evaluator per worker count
+// through input sets of growing, shrinking and chunk-straddling sizes, with a
+// weight update in between, and checks every output element against both the
+// one-shot wrapper helpers and the per-sample forward pass. Reusing the
+// workspace must never leak a previous call's rows, panels or sizes.
+func TestEvaluatorMatchesHelpersAndPerSample(t *testing.T) {
+	net := diffNet(201)
+	all := diffInputs(150, 202)
+	rng := mat.NewRNG(203)
+	targets := make([][]float64, len(all))
+	for i := range targets {
+		targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
+	}
+	for _, workers := range []int{1, 2, 8} {
+		ev := NewEvaluator(net, workers)
+		var conf, feat mat.Matrix
+		var preds []int
+		var losses []float64
+		for step, n := range []int{37, 150, 0, 64, 65, 1, 128} {
+			if step == 3 {
+				// Training between calls: the panels must be repacked.
+				net.Weights[0].Data[step] += 0.25
+				net.Biases[1][0] -= 0.5
+			}
+			xs, ts := all[:n], targets[:n]
+			ev.EvaluateInto(&conf, &feat, xs)
+			preds = ev.PredictInto(preds, xs)
+			losses = ev.LossesInto(losses, xs, ts)
+			hConf, hFeat := net.EvaluateBatch(xs, workers)
+			hConfOnly, hFeatOnly := net.ConfidencesBatch(xs, workers), net.FeaturesBatch(xs, workers)
+			hPreds, hLosses := net.PredictBatch(xs, workers), net.LossesBatch(xs, ts, workers)
+			if conf.Rows != n || feat.Rows != n || len(preds) != n || len(losses) != n ||
+				len(hConf) != n || len(hFeat) != n || len(hPreds) != n || len(hLosses) != n {
+				t.Fatalf("workers=%d n=%d: output lengths wrong", workers, n)
+			}
+			for i, x := range xs {
+				label := fmt.Sprintf("workers=%d n=%d sample %d", workers, n, i)
+				wantC, wantF := net.Evaluate(x)
+				for j, v := range wantC {
+					if conf.Row(i)[j] != v || hConf[i][j] != v || hConfOnly[i][j] != v {
+						t.Fatalf("%s: confidence[%d] differs", label, j)
+					}
+				}
+				for j, v := range wantF {
+					if feat.Row(i)[j] != v || hFeat[i][j] != v || hFeatOnly[i][j] != v {
+						t.Fatalf("%s: feature[%d] differs", label, j)
+					}
+				}
+				if want := net.Predict(x); preds[i] != want || hPreds[i] != want {
+					t.Fatalf("%s: prediction differs", label)
+				}
+				if want := net.Loss(x, ts[i]); losses[i] != want || hLosses[i] != want {
+					t.Fatalf("%s: loss differs", label)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorOutputsDoNotAlias pins the ownership rule: outputs live in the
+// caller's buffers, so a later pass over other inputs changes nothing an
+// earlier pass returned into different buffers.
+func TestEvaluatorOutputsDoNotAlias(t *testing.T) {
+	net := diffNet(211)
+	a, b := diffInputs(70, 212), diffInputs(90, 213)
+	ev := NewEvaluator(net, 2)
+	var confA, featA, confB, featB mat.Matrix
+	ev.EvaluateInto(&confA, &featA, a)
+	predsA := ev.PredictInto(nil, a)
+	keepC, keepF := confA.Clone(), featA.Clone()
+	keepP := append([]int(nil), predsA...)
+	ev.EvaluateInto(&confB, &featB, b)
+	ev.PredictInto(nil, b)
+	if !confA.Equal(keepC, 0) || !featA.Equal(keepF, 0) {
+		t.Fatal("a later EvaluateInto disturbed an earlier call's output buffers")
+	}
+	for i := range keepP {
+		if predsA[i] != keepP[i] {
+			t.Fatal("a later PredictInto disturbed an earlier call's predictions")
+		}
+	}
+}
+
+// TestSteadyStateAllocations pins the allocation budget of the hot path.
+// Inference through a warmed Evaluator on same-sized input allocates nothing
+// at workers=1 (wider pools add only their goroutine launches). A warmed
+// Trainer.Run epoch allocates the shuffle permutation, the stats slice and
+// one task closure per mini-batch — 4 batches here, so at most 6; before the
+// fused pass it was three closures per layer per batch.
+func TestSteadyStateAllocations(t *testing.T) {
+	net := diffNet(221)
+	xs := diffInputs(150, 222)
+	ev := NewEvaluator(net, 1)
+	var conf, feat mat.Matrix
+	preds := ev.PredictInto(nil, xs)
+	ev.EvaluateInto(&conf, &feat, xs)
+	if n := testing.AllocsPerRun(10, func() { preds = ev.PredictInto(preds, xs) }); n != 0 {
+		t.Errorf("warmed PredictInto allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { ev.EvaluateInto(&conf, &feat, xs) }); n != 0 {
+		t.Errorf("warmed EvaluateInto allocates %v times per call, want 0", n)
+	}
+
+	examples := make([]Example, 128)
+	for i := range examples {
+		examples[i] = Example{X: xs[i], Target: OneHot(i%net.Classes(), net.Classes())}
+	}
+	tr := NewTrainer(net, NewSGD(0.01, 0.9, 0))
+	cfg := TrainConfig{Epochs: 1, BatchSize: 32, Seed: 5, Workers: 1}
+	if _, err := tr.Run(examples, cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := tr.Run(examples, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 6 {
+		t.Errorf("warmed one-epoch Run (4 mini-batches) allocates %v times, want <= 6", n)
+	}
 }

@@ -13,14 +13,14 @@ import (
 // are reused afterwards, so steady-state batched passes allocate nothing.
 //
 // A BatchScratch belongs to one goroutine at a time *between* passes; during
-// a single pooled pass the forward/backward methods themselves fan disjoint
-// row ranges of the scratch out over workers, which is safe because every
-// row of every matrix is written by exactly one chunk. Concurrent batched
-// passes against the same Network are safe with one scratch per worker: the
-// forward/backward methods only read the network's parameters.
+// the trainer's fused pass (backwardBatchChunked) the gradient chunks work on
+// disjoint row ranges of one scratch concurrently, which is safe because
+// every row of every matrix is written by exactly one chunk. Concurrent
+// batched passes against the same Network are safe with one scratch per
+// worker: the forward/backward methods only read the network's parameters.
 type BatchScratch struct {
-	sizes   []int
-	capRows int
+	sizes                 []int
+	capRows, capDeltaRows int
 
 	// Backing storage at capRows rows; the matrices below are views of the
 	// current batch size into it.
@@ -47,8 +47,9 @@ func (s *BatchScratch) Features() *mat.Matrix { return &s.acts[len(s.acts)-2] }
 
 // ensure sizes the scratch for a rows-sized batch of network n, growing the
 // backing storage only when the architecture changed or rows exceeds every
-// previous batch.
-func (s *BatchScratch) ensure(n *Network, rows int) {
+// previous batch. The delta matrices are only sized when deltas is set:
+// inference-only scratch (an Evaluator's) never pays for them.
+func (s *BatchScratch) ensure(n *Network, rows int, deltas bool) {
 	L := len(n.sizes)
 	same := len(s.sizes) == L
 	if same {
@@ -61,7 +62,7 @@ func (s *BatchScratch) ensure(n *Network, rows int) {
 	}
 	if !same {
 		s.sizes = append(s.sizes[:0], n.sizes...)
-		s.capRows = 0
+		s.capRows, s.capDeltaRows = 0, 0
 		s.actsBack = make([][]float64, L)
 		s.preBack = make([][]float64, L-1)
 		s.deltasBack = make([][]float64, L-1)
@@ -75,16 +76,23 @@ func (s *BatchScratch) ensure(n *Network, rows int) {
 			s.actsBack[i] = make([]float64, rows*size)
 			if i > 0 {
 				s.preBack[i-1] = make([]float64, rows*size)
-				s.deltasBack[i-1] = make([]float64, rows*size)
 			}
 		}
 		s.capRows = rows
+	}
+	if deltas && rows > s.capDeltaRows {
+		for i, size := range s.sizes[1:] {
+			s.deltasBack[i] = make([]float64, rows*size)
+		}
+		s.capDeltaRows = rows
 	}
 	for i, size := range s.sizes {
 		s.acts[i] = mat.Matrix{Rows: rows, Cols: size, Data: s.actsBack[i][:rows*size]}
 		if i > 0 {
 			s.pre[i-1] = mat.Matrix{Rows: rows, Cols: size, Data: s.preBack[i-1][:rows*size]}
-			s.deltas[i-1] = mat.Matrix{Rows: rows, Cols: size, Data: s.deltasBack[i-1][:rows*size]}
+			if deltas {
+				s.deltas[i-1] = mat.Matrix{Rows: rows, Cols: size, Data: s.deltasBack[i-1][:rows*size]}
+			}
 		}
 	}
 	s.rows = rows
@@ -103,23 +111,6 @@ func (n *Network) packPanels(panels *[]mat.Matrix) {
 	}
 }
 
-// fwdRowChunk is the row granularity of the batched forward/backward
-// fan-out: coarse enough that one chunk amortizes its claim, fine enough
-// that a 32-sample training batch still splits four ways.
-const fwdRowChunk = 8
-
-// rowFan fans the row range [0, rows) out over pool in fixed fwdRowChunk
-// pieces, or runs it in one sequential call for nil pools and batches of at
-// most one chunk. The chunk partition depends only on rows, and callers
-// write disjoint rows, so results never depend on the execution strategy.
-func rowFan(pool *parallel.Pool, rows int, fn func(lo, hi int)) {
-	if pool == nil || rows <= fwdRowChunk {
-		fn(0, rows)
-		return
-	}
-	pool.ForEachChunk(rows, fwdRowChunk, func(_, lo, hi int) { fn(lo, hi) })
-}
-
 // ForwardBatch runs the network on every input of xs in one pass: the inputs
 // are packed row-major into a batch matrix, each weight matrix is packed
 // once into a Wᵀ panel, and each layer is one row-blocked GEMM
@@ -131,51 +122,49 @@ func rowFan(pool *parallel.Pool, rows int, fn func(lo, hi int)) {
 //
 // The outputs stay in s: s.Logits() and s.Features() view the last pass.
 func (n *Network) ForwardBatch(s *BatchScratch, xs [][]float64) {
-	n.forwardBatch(s, xs, nil, nil)
+	n.forwardBatch(s, xs, nil)
 }
 
-// forwardBatch is ForwardBatch with two sharing knobs: panels, when non-nil,
-// is a prepacked Wᵀ panel set (one per layer, from packPanels) shared
-// read-only across calls; pool, when non-nil, splits each layer's output
-// rows across workers. Row splits cannot change any output element — each
-// row's accumulation is a self-contained sequential k-loop — so every
-// combination of panels/pool is bit-identical to the plain sequential pass.
-func (n *Network) forwardBatch(s *BatchScratch, xs [][]float64, panels []mat.Matrix, pool *parallel.Pool) {
-	s.ensure(n, len(xs))
-	if len(xs) == 0 {
-		return
-	}
-	in := &s.acts[0]
-	for r, x := range xs {
-		if len(x) != n.sizes[0] {
-			panic(fmt.Sprintf("nn: batch input length %d, want %d", len(x), n.sizes[0]))
-		}
-		copy(in.Row(r), x)
-	}
+// forwardBatch is ForwardBatch over an optional prepacked Wᵀ panel set (one
+// per layer, from packPanels) shared read-only across calls; nil packs the
+// current weights into the scratch's own panels.
+func (n *Network) forwardBatch(s *BatchScratch, xs [][]float64, panels []mat.Matrix) {
+	s.ensure(n, len(xs), false)
 	if panels == nil {
 		n.packPanels(&s.panels)
 		panels = s.panels
 	}
+	n.forwardRows(s, panels, xs, 0, len(xs))
+}
+
+// forwardRows runs rows [lo, hi) of the batch xs through every layer: it
+// packs the inputs into s's input rows and leaves the rows' activations and
+// pre-activations in s, which must already be sized for len(xs) rows. Every
+// operation is row-local — each output element is one row's self-contained
+// sequential k-loop against the read-only panels — so disjoint row ranges
+// may run on different goroutines, in any order and at any granularity,
+// without changing a bit of any row.
+func (n *Network) forwardRows(s *BatchScratch, panels []mat.Matrix, xs [][]float64, lo, hi int) {
+	in := &s.acts[0]
+	for r := lo; r < hi; r++ {
+		if len(xs[r]) != n.sizes[0] {
+			panic(fmt.Sprintf("nn: batch input length %d, want %d", len(xs[r]), n.sizes[0]))
+		}
+		copy(in.Row(r), xs[r])
+	}
 	last := len(n.Weights) - 1
-	rows := len(xs)
 	for l := range n.Weights {
-		bt := &panels[l]
-		out := &s.pre[l]
-		src := &s.acts[l]
-		dst := &s.acts[l+1]
-		bias := n.Biases[l]
-		rowFan(pool, rows, func(lo, hi int) {
-			zeroRows(out, lo, hi)
-			mat.GemmRows(out, src, bt, lo, hi)
-			for r := lo; r < hi; r++ {
-				mat.Axpy(1, bias, out.Row(r))
-			}
-			if l < last {
-				reluRows(dst, out, lo, hi)
-			} else {
-				copyRows(dst, out, lo, hi)
-			}
-		})
+		out, dst := &s.pre[l], &s.acts[l+1]
+		zeroRows(out, lo, hi)
+		mat.GemmRows(out, &s.acts[l], &panels[l], lo, hi)
+		for r := lo; r < hi; r++ {
+			mat.Axpy(1, n.Biases[l], out.Row(r))
+		}
+		if l < last {
+			reluRows(dst, out, lo, hi)
+		} else {
+			copyRows(dst, out, lo, hi)
+		}
 	}
 }
 
@@ -188,145 +177,117 @@ func (n *Network) forwardBatch(s *BatchScratch, xs [][]float64, panels []mat.Mat
 // back-propagation is one row-blocked GEMM (dPrev = delta·W) matching
 // MulVecT's accumulation order.
 func (n *Network) BackwardBatch(s *BatchScratch, g *Grads, xs, targets [][]float64) float64 {
-	if len(xs) == 0 {
-		if len(targets) != 0 {
-			panic("nn: BackwardBatch xs/targets length mismatch")
-		}
-		n.forwardBatch(s, xs, nil, nil)
-		return 0
-	}
-	var loss [1]float64
-	n.backwardBatchChunked(s, []*Grads{g}, loss[:], xs, targets, len(xs), nil, nil, false)
-	return loss[0]
-}
-
-// backwardBatchChunked runs one batch-wide forward pass and computes the
-// gradients of the fixed chunk partition of [0, len(xs)): chunk c covers
-// rows [c·chunk, min((c+1)·chunk, len(xs))), accumulates its gradient into
-// chunkGrads[c] (zeroed here first when zeroGrads is set) and its summed
-// loss into chunkLoss[c]. It is the trainer's gradient engine: the caller
-// reduces the per-chunk gradients and losses in chunk order.
-//
-// Bit-identity with the sequential per-chunk BackwardBatch path (and hence,
-// transitively, with per-sample Backward calls):
-//
-//   - the forward pass is row-independent, so computing the whole batch at
-//     once instead of chunk by chunk changes no activation bit;
-//   - each output delta row is softmax(logits) − target, computed per row
-//     (the softmax is written directly into the delta row — element-for-
-//     element the same values the old per-row probs buffer produced);
-//   - each chunk's weight gradient is a GemmTN over *row views* of the
-//     batch-wide delta/activation matrices covering exactly the chunk's
-//     rows, which walks the same rows in the same order as a GemmTN over a
-//     chunk-sized packed copy;
-//   - each chunk's loss sums its rows in increasing row order;
-//   - the delta back-propagation and ReLU gating are row-independent.
-//
-// Every parallel split is over disjoint rows or distinct chunk accumulators
-// and every chunk partition depends only on len(xs) and chunk, so results
-// are bit-identical at any worker count, including the nil-pool sequential
-// fallback.
-func (n *Network) backwardBatchChunked(s *BatchScratch, chunkGrads []*Grads, chunkLoss []float64, xs, targets [][]float64, chunk int, panels []mat.Matrix, pool *parallel.Pool, zeroGrads bool) {
 	if len(targets) != len(xs) {
 		panic("nn: BackwardBatch xs/targets length mismatch")
 	}
-	if chunk < 1 {
-		panic("nn: backwardBatchChunked with chunk < 1")
+	s.ensure(n, len(xs), true)
+	n.packPanels(&s.panels)
+	n.forwardRows(s, s.panels, xs, 0, len(xs))
+	return n.backwardRows(s, g, targets, 0, len(xs))
+}
+
+// backwardBatchChunked is the trainer's gradient engine: one fused pass per
+// mini-batch over the fixed chunk partition of [0, len(xs)). Chunk c covers
+// rows [c·chunk, min((c+1)·chunk, len(xs))); inside ONE pool task it runs
+// those rows forward through every layer, computes their loss and output
+// deltas, and runs them backward through every layer, leaving the chunk's
+// gradient in chunkGrads[c] (zeroed first) and its summed loss in
+// chunkLoss[c]. The caller reduces both in chunk order. A mini-batch
+// therefore costs one fork-join, not one per layer per direction.
+//
+// Bit-identity with per-sample Backward calls in row order, at any worker
+// count:
+//
+//   - the forward pass, the output deltas softmax(logits) − target, the
+//     delta back-propagation and the ReLU gating are all row-local (see
+//     forwardRows), so running them chunk by chunk instead of batch-wide
+//     changes no activation or delta bit;
+//   - a chunk's weight gradient is a GemmTN over row views of exactly the
+//     chunk's delta/activation rows, walking them in increasing row order
+//     like a sequence of per-sample AddOuter calls, and its bias gradient
+//     and loss sum the same rows in the same order;
+//   - a chunk reads only the shared read-only panels and weights and its
+//     own rows of s, and writes only those rows and its own accumulator, so
+//     chunks cannot observe each other;
+//   - the partition depends only on len(xs) and chunk — never on the pool.
+func (n *Network) backwardBatchChunked(s *BatchScratch, chunkGrads []*Grads, chunkLoss []float64, xs, targets [][]float64, chunk int, pool *parallel.Pool) {
+	if len(targets) != len(xs) {
+		panic("nn: BackwardBatch xs/targets length mismatch")
 	}
-	n.forwardBatch(s, xs, panels, pool)
-	rows := len(xs)
-	if rows == 0 {
-		return
-	}
+	s.ensure(n, len(xs), true)
+	n.packPanels(&s.panels)
+	pool.ForEachChunk(len(xs), chunk, func(_, lo, hi int) {
+		c := lo / chunk
+		chunkGrads[c].Zero()
+		n.forwardRows(s, s.panels, xs, lo, hi)
+		chunkLoss[c] = n.backwardRows(s, chunkGrads[c], targets, lo, hi)
+	})
+}
+
+// backwardRows accumulates into g the cross-entropy gradient of rows
+// [lo, hi), whose forward pass must already be in s, and returns their
+// summed loss. Rows are visited in increasing order throughout, and only
+// rows [lo, hi) of s are written.
+func (n *Network) backwardRows(s *BatchScratch, g *Grads, targets [][]float64, lo, hi int) float64 {
 	classes := n.Classes()
 	last := len(n.Weights) - 1
-	logits := &s.pre[last]
-	dOut := &s.deltas[last]
-
-	// chunkFan runs fn once per gradient chunk, pooled or sequential; the
-	// partition is identical either way.
-	chunkFan := func(fn func(c, lo, hi int)) {
-		if pool == nil {
-			for lo := 0; lo < rows; lo += chunk {
-				fn(lo/chunk, lo, min(lo+chunk, rows))
-			}
-			return
+	logits, dOut := &s.pre[last], &s.deltas[last]
+	var loss float64
+	for r := lo; r < hi; r++ {
+		target := targets[r]
+		if len(target) != classes {
+			panic("nn: BackwardBatch target length mismatch")
 		}
-		pool.ForEachChunk(rows, chunk, func(_, lo, hi int) { fn(lo/chunk, lo, hi) })
+		lrow, drow := logits.Row(r), dOut.Row(r)
+		lse := mat.SoftmaxLSE(drow, lrow)
+		for j, tv := range target {
+			if tv > 0 {
+				loss += tv * (lse - lrow[j])
+			}
+			drow[j] -= tv
+		}
 	}
-
-	chunkFan(func(c, lo, hi int) {
-		if zeroGrads {
-			chunkGrads[c].Zero()
-		}
-		var loss float64
-		for r := lo; r < hi; r++ {
-			target := targets[r]
-			if len(target) != classes {
-				panic("nn: BackwardBatch target length mismatch")
-			}
-			lrow := logits.Row(r)
-			drow := dOut.Row(r)
-			mat.Softmax(drow, lrow)
-			lse := mat.LogSumExp(lrow)
-			for j, tv := range target {
-				if tv > 0 {
-					loss += tv * (lse - lrow[j])
-				}
-				drow[j] -= tv
-			}
-		}
-		chunkLoss[c] = loss
-	})
-
 	for l := last; l >= 0; l-- {
 		delta := &s.deltas[l]
-		acts := &s.acts[l]
-		chunkFan(func(c, lo, hi int) {
-			g := chunkGrads[c]
-			dv := rowView(delta, lo, hi)
-			av := rowView(acts, lo, hi)
-			mat.GemmTN(g.Weights[l], &dv, &av)
-			addColSums(g.Biases[l], delta, lo, hi)
-		})
+		dv := rowView(delta, lo, hi)
+		av := rowView(&s.acts[l], lo, hi)
+		mat.GemmTN(g.Weights[l], &dv, &av)
+		addColSums(g.Biases[l], delta, lo, hi)
 		if l > 0 {
 			prev := &s.deltas[l-1]
-			preAct := &s.pre[l-1]
-			w := n.Weights[l]
-			rowFan(pool, rows, func(lo, hi int) {
-				zeroRows(prev, lo, hi)
-				mat.GemmRows(prev, delta, w, lo, hi)
-				// ReLU derivative gates on the pre-activation of layer l.
-				reluGate(prev, preAct, lo, hi)
-			})
+			zeroRows(prev, lo, hi)
+			mat.GemmRows(prev, delta, n.Weights[l], lo, hi)
+			// ReLU derivative gates on the pre-activation of layer l.
+			reluGate(prev, &s.pre[l-1], lo, hi)
 		}
 	}
+	return loss
 }
 
 // LossBatch computes the per-sample cross-entropy losses of the batch into
 // out (len(xs) entries), bit-identical to per-sample Loss calls.
 func (n *Network) LossBatch(s *BatchScratch, xs, targets [][]float64, out []float64) {
-	n.lossBatch(s, xs, targets, out, nil)
-}
-
-// lossBatch is LossBatch over an optional shared prepacked panel set.
-func (n *Network) lossBatch(s *BatchScratch, xs, targets [][]float64, out []float64, panels []mat.Matrix) {
 	if len(targets) != len(xs) || len(out) != len(xs) {
 		panic("nn: LossBatch length mismatch")
 	}
-	n.forwardBatch(s, xs, panels, nil)
+	n.forwardBatch(s, xs, nil)
 	logits := s.Logits()
 	for r := range xs {
-		lrow := logits.Row(r)
-		lse := mat.LogSumExp(lrow)
-		var loss float64
-		for c, t := range targets[r] {
-			if t > 0 {
-				loss += t * (lse - lrow[c])
-			}
-		}
-		out[r] = loss
+		out[r] = rowLoss(logits.Row(r), targets[r])
 	}
+}
+
+// rowLoss is the cross-entropy of one logits row against its target
+// distribution.
+func rowLoss(lrow, target []float64) float64 {
+	lse := mat.LogSumExp(lrow)
+	var loss float64
+	for c, t := range target {
+		if t > 0 {
+			loss += t * (lse - lrow[c])
+		}
+	}
+	return loss
 }
 
 // rowView returns a matrix viewing rows [lo, hi) of m, sharing its backing

@@ -14,6 +14,11 @@ import (
 // Example is one training example: an input vector and a target distribution
 // over classes. Hard labels are encoded one-hot with OneHot; mixup produces
 // two-hot soft targets.
+//
+// Both slices are read-only to everything that consumes examples. Target in
+// particular may be shared: dataset.ToExamples hands every example of a class
+// the same one-hot row, so writing through one Target would corrupt the
+// others (the trainer mixes into its own buffers, never in place).
 type Example struct {
 	X      []float64
 	Target []float64
@@ -84,19 +89,18 @@ type Trainer struct {
 
 	grads *Grads
 
-	// Data-parallel scratch, (re)built per Run: one batch-wide BatchScratch
-	// (the backward pass itself fans rows out over the pool), packed
-	// batch-wide input/target buffers, one gradient accumulator and loss cell
-	// per batch chunk, and the per-layer Wᵀ panels repacked each batch.
-	// scratchNet tracks which network the cached scratch belongs to so a
-	// swapped Net rebuilds it.
+	// Data-parallel scratch, cached across Run calls: one batch-wide
+	// BatchScratch (the fused pass's gradient chunks work on disjoint row
+	// ranges of it, against its per-batch repacked Wᵀ panels), packed
+	// batch-wide input/target buffers, and one gradient accumulator and loss
+	// cell per batch chunk. scratchNet tracks which network the cached scratch
+	// belongs to so a swapped Net rebuilds it.
 	scratchNet *Network
 	bscratch   *BatchScratch
 	batchXs    [][]float64 // row pointers of the current batch
 	batchTs    [][]float64
 	mixXB      *mat.Matrix // batch-wide packed mixup inputs/targets
 	mixTB      *mat.Matrix
-	panels     []mat.Matrix
 	chunkGrads []*Grads
 	chunkLoss  []float64
 	mixPartner []int
@@ -117,6 +121,11 @@ type Trainer struct {
 	// registry they belong to so a swapped Obs re-interns them.
 	obsm   *trainerObs
 	obsReg *obs.Registry
+
+	// pool caches the instrumented worker pool across Run calls:
+	// fine-grained NLD calls Run once per epoch, and instrumenting a fresh
+	// pool costs two labelled registry lookups each time.
+	pool parallel.PoolCache
 }
 
 // trainerObs holds the trainer's pre-interned metric handles, so the batch
@@ -198,7 +207,7 @@ func (t *Trainer) Run(examples []Example, cfg TrainConfig) ([]EpochStats, error)
 		}
 	}
 	t.ensureObs()
-	pool := parallel.New(cfg.Workers).Instrument(t.Obs, "train")
+	pool := t.pool.Get(cfg.Workers, t.Obs, "train")
 	maxBatch := cfg.BatchSize
 	if maxBatch > len(examples) {
 		maxBatch = len(examples)
@@ -329,7 +338,6 @@ func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64
 func (t *Trainer) ensureScratch(workers, maxBatch int) {
 	if t.scratchNet != t.Net {
 		t.bscratch, t.batchXs, t.batchTs, t.mixXB, t.mixTB = nil, nil, nil, nil, nil
-		t.panels = nil
 		t.replicas, t.chunkGrads, t.mixX, t.mixT = nil, nil, nil, nil
 		t.scratchNet = t.Net
 	}
@@ -369,16 +377,15 @@ func (t *Trainer) ensureScratch(workers, maxBatch int) {
 	}
 }
 
-// epoch runs one pass over the data. Each batch runs one batch-wide
-// backward pass (backwardBatchChunked): the forward layers fan output rows
-// out over the pool against per-batch packed Wᵀ panels, and the gradient
-// accumulates per fixed gradChunk-sized chunk into per-chunk buffers that
-// are then reduced in index order. The result is bit-identical to a
-// one-worker per-sample run: the batched kernels preserve the per-sample
-// accumulation order within a chunk (see backwardBatchChunked), the chunk
-// partition and reduction order never depend on the worker count, and the
-// RNG (shuffle and mixup draws) is consumed sequentially before the
-// parallel section.
+// epoch runs one pass over the data. Each batch is one fused pass
+// (backwardBatchChunked): every fixed gradChunk-sized row range runs forward,
+// loss and backward inside a single pool task against per-batch packed Wᵀ
+// panels, accumulating into its own per-chunk buffer, and the buffers are
+// then reduced in index order. The result is bit-identical to a one-worker
+// per-sample run: the batched kernels preserve the per-sample accumulation
+// order within a chunk (see backwardBatchChunked), the chunk partition and
+// reduction order never depend on the worker count, and the RNG (shuffle
+// and mixup draws) is consumed sequentially before the parallel section.
 //
 // With a non-nil health checker, each batch's reduced loss is validated and
 // the reduced gradient and updated weights are scanned at the configured
@@ -417,8 +424,8 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 			})
 		} else {
 			// Pack the batch's row pointers (mixing into the batch-wide mixup
-			// buffers) sequentially, then run one batch-wide backward pass —
-			// the pass itself fans rows and gradient chunks out over the pool.
+			// buffers) sequentially, then run the fused pass — one pool task
+			// per gradient chunk.
 			xs := t.batchXs[:len(batch)]
 			ts := t.batchTs[:len(batch)]
 			for i, idx := range batch {
@@ -433,8 +440,7 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 					xs[i], ts[i] = ex.X, ex.Target
 				}
 			}
-			t.Net.packPanels(&t.panels)
-			t.Net.backwardBatchChunked(t.bscratch, t.chunkGrads[:nChunks], t.chunkLoss[:nChunks], xs, ts, gradChunk, t.panels, pool, true)
+			t.Net.backwardBatchChunked(t.bscratch, t.chunkGrads, t.chunkLoss, xs, ts, gradChunk, pool)
 		}
 		t.grads.Zero()
 		var batchLoss float64

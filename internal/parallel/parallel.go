@@ -75,6 +75,32 @@ func (p *Pool) Instrument(reg *obs.Registry, name string) *Pool {
 	return p
 }
 
+// PoolCache memoises one instrumented pool for callers that are asked for
+// the same (workers, registry) over and over — the trainer once per epoch,
+// contrastive sampling once per iteration — so the labelled registry lookups
+// of Instrument are paid when the key changes, not per call. The zero value
+// is ready to use; a PoolCache belongs to one goroutine at a time, like the
+// trainer or request that embeds it.
+type PoolCache struct {
+	pool    *Pool
+	workers int
+	reg     *obs.Registry
+}
+
+// Get returns a pool of the given size (non-positive selects DefaultWorkers,
+// resolved at every call so a GOMAXPROCS change is seen) instrumented
+// against reg under name, reusing the previous one when both still match.
+func (c *PoolCache) Get(workers int, reg *obs.Registry, name string) *Pool {
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	if c.pool == nil || c.workers != workers || c.reg != reg {
+		c.pool = New(workers).Instrument(reg, name)
+		c.workers, c.reg = workers, reg
+	}
+	return c.pool
+}
+
 // WorkerPanic is the panic value re-raised by a pool call when one of its
 // workers panicked. Value is the original panic value and Stack the
 // panicking worker's stack trace. When several workers panic, the first

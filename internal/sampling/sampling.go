@@ -30,6 +30,10 @@ import (
 // slices are parallel to their sample sets and must be computed under the
 // *current* model, since fine-grained NLD re-samples after every iteration
 // with updated representations.
+//
+// A caller may refill one Request in place between Select calls (core does,
+// once per iteration), so a strategy must not keep the request or any of its
+// slices after Select returns.
 type Request struct {
 	// Ambiguous is the set A of samples whose predicted label disagrees
 	// with their observed label, with features under the current model.
@@ -78,6 +82,10 @@ type Request struct {
 	// parallel section, each ambiguous sample's neighbors are written to
 	// its own slot, and the result is assembled in input order.
 	Workers int
+
+	// knn caches the instrumented k-NN pool, so a refilled Request pays the
+	// labelled registry lookups once, not per Select.
+	knn parallel.PoolCache
 }
 
 // Validate checks the request's internal consistency.
@@ -228,10 +236,16 @@ func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 			return nil, err
 		}
 	}
-	pool := parallel.New(r.Workers).Instrument(r.Obs, "knn")
+	pool := r.knn.Get(r.Workers, r.Obs, "knn")
 	perSample := make([]dataset.Set, len(r.Ambiguous))
-	scratch := make([]kdtree.Scratch, pool.Workers())
-	annScratch := make([]ann.Scratch, pool.Workers())
+	var scratch []kdtree.Scratch
+	var annScratch []ann.Scratch
+	switch {
+	case c.ANN:
+		annScratch = make([]ann.Scratch, pool.Workers())
+	case !c.Brute:
+		scratch = make([]kdtree.Scratch, pool.Workers())
+	}
 	errs := make([]error, pool.Workers())
 	pool.ForEach(len(r.Ambiguous), func(worker, i int) {
 		if errs[worker] != nil {
