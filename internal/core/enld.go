@@ -127,8 +127,12 @@ type FullResult struct {
 	*detect.Result
 	// Snapshots holds one entry per completed iteration.
 	Snapshots []IterationSnapshot
+	// Iterations is the number of iterations that ran: Config.Iterations,
+	// or fewer when AutoStop ended the loop early.
+	Iterations int
 	// SelectedInventory is S_c: the IDs of inventory (I_c) samples judged
-	// clean in every iteration — input to Algorithm 4's model update.
+	// clean in every iteration that ran — input to Algorithm 4's model
+	// update.
 	SelectedInventory map[int]bool
 	// PseudoLabels maps the ID of each missing-label sample to the label
 	// chosen by majority vote over all steps' predictions (§V-H).
@@ -277,6 +281,7 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 		for _, idx := range run.hqIdx {
 			countC[idx]++
 		}
+		res.Iterations = iter + 1
 		if !cfg.DisableCleanMerge {
 			run.mergeClean(cleanIDs)
 		}
@@ -318,9 +323,10 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 		res.PseudoLabels[d[i].ID] = mat.ArgMax(intsToFloats(votes))
 	}
 	// Data selection of inventory: stringent criterion — judged high-quality
-	// in every iteration (count == t).
+	// in every iteration that ran (count == t, or the iterations AutoStop
+	// left).
 	for i, c := range countC {
-		if c == cfg.Iterations {
+		if c == res.Iterations {
 			res.SelectedInventory[iPrime[i].ID] = true
 		}
 	}

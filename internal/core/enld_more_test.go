@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"enld/internal/dataset"
@@ -194,5 +195,49 @@ func TestENLDAutoStop(t *testing.T) {
 	want := metrics.EvaluateDetection(w.incr, ref.Noisy).F1
 	if got < want-0.05 {
 		t.Fatalf("auto-stop F1 %v well below full F1 %v", got, want)
+	}
+}
+
+// TestENLDAutoStopEqualsFixedIterations: auto-stop changes only where the
+// loop ends, and consumes no randomness, so a run it stops after n
+// iterations equals a fixed Iterations = n run field for field — S_c
+// included, which must select on the iterations that ran.
+func TestENLDAutoStopEqualsFixedIterations(t *testing.T) {
+	w := newWorkload(t, 0.1, false, 90)
+	cfg := DefaultConfig(91)
+	cfg.Iterations = 12
+	cfg.AutoStop = true
+	stopped, err := (&ENLD{Platform: w.platform, Config: cfg}).DetectFull(w.incr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := stopped.Iterations
+	if n >= cfg.Iterations || n != len(stopped.Snapshots) {
+		t.Fatalf("auto-stop ran %d iterations with %d snapshots, want fewer than %d", n, len(stopped.Snapshots), cfg.Iterations)
+	}
+	if len(stopped.SelectedInventory) == 0 {
+		t.Fatal("auto-stop selected no inventory samples (S_c empty)")
+	}
+	t.Logf("auto-stop after %d of %d iterations, |S_c| = %d", n, cfg.Iterations, len(stopped.SelectedInventory))
+	cfg.Iterations, cfg.AutoStop = n, false
+	fixed, err := (&ENLD{Platform: w.platform, Config: cfg}).DetectFull(w.incr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Noisy", stopped.Noisy, fixed.Noisy},
+		{"Clean", stopped.Clean, fixed.Clean},
+		{"Meter", stopped.Meter, fixed.Meter},
+		{"Iterations", stopped.Iterations, fixed.Iterations},
+		{"SelectedInventory", stopped.SelectedInventory, fixed.SelectedInventory},
+		{"PseudoLabels", stopped.PseudoLabels, fixed.PseudoLabels},
+		{"Snapshots", stopped.Snapshots, fixed.Snapshots},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s differs: auto-stop after %d iterations %v, fixed t=%d %v", f.name, n, f.got, n, f.want)
+		}
 	}
 }

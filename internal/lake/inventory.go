@@ -25,7 +25,8 @@ import (
 // format, rewritten atomically on every mutation — simple, compatible,
 // O(world) per save), MemInventory (volatile, for tests and benchmarks) and
 // seglog.Log (append-only CRC-framed segment log with background compaction
-// — the scaling backend).
+// — the scaling backend, whose memory holds frame positions only, so loads
+// read from disk).
 type Inventory interface {
 	// AppendDataset durably appends one incremental dataset arrival and
 	// returns its assigned ID. IDs are unique and increase with append

@@ -2,6 +2,8 @@ package seglog
 
 import (
 	"testing"
+
+	"enld/internal/dataset"
 )
 
 // benchAppend measures one durable dataset append (8 samples per record).
@@ -22,9 +24,10 @@ func benchAppend(b *testing.B, opts Options) {
 }
 
 // BenchmarkSeglogAppend is the storage hot path the CI gate tracks: the
-// nosync variant measures framing + write + in-memory indexing (the code
-// the log adds over the filesystem); the fsync variant adds the per-append
-// durability barrier and is dominated by the disk, so it stays ungated.
+// nosync variant measures framing + write + recording the frame's position
+// (the code the log adds over the filesystem); the fsync variant adds the
+// per-append durability barrier and is dominated by the disk, so it stays
+// ungated.
 func BenchmarkSeglogAppend(b *testing.B) {
 	b.Run("nosync", func(b *testing.B) {
 		benchAppend(b, Options{NoSyncEachAppend: true, AutoCompactRatio: -1})
@@ -40,6 +43,7 @@ func BenchmarkSeglogAppend(b *testing.B) {
 func BenchmarkSeglogRecovery10k(b *testing.B) {
 	dir := b.TempDir()
 	ids := buildTortureLog(b, dir, 10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l, err := Open(dir, Options{SegmentTargetBytes: 64 << 10})
@@ -55,10 +59,36 @@ func BenchmarkSeglogRecovery10k(b *testing.B) {
 	}
 }
 
+// BenchmarkSeglogLoad measures one LoadDataset over the 10k-dataset
+// history: a positioned read of the dataset's frame, its checksum and its
+// gob decode.
+func BenchmarkSeglogLoad(b *testing.B) {
+	dir := b.TempDir()
+	ids := buildTortureLog(b, dir, 10000)
+	l, err := Open(dir, Options{SegmentTargetBytes: 64 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set, err := l.LoadDataset(ids[i%len(ids)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		loadSink = set
+	}
+}
+
+// loadSink keeps BenchmarkSeglogLoad's result alive.
+var loadSink dataset.Set
+
 // BenchmarkSeglogCompact10k measures compacting the 10k-dataset history
 // with half its records dead. Informational (not gated): compaction is a
 // background amortized cost.
 func BenchmarkSeglogCompact10k(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := b.TempDir()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"enld/internal/fsio"
@@ -38,17 +39,18 @@ func (l *Log) maybeCompact() {
 	}()
 }
 
-// Compact rewrites every live record into fresh segments and atomically
-// swaps the manifest to them. Sequence numbers are preserved, so a
-// compacted log replays identically; new segments take never-before-used
-// numbers, so a crash at ANY point leaves either the old manifest (strays
-// swept at next open) or the new one (old segments deleted, or swept if the
-// deletion itself crashed) — never a mix.
+// Compact copies every live frame, byte for byte and checksum re-checked,
+// into fresh segments and atomically swaps the manifest to them; a damaged
+// frame fails it with a *CorruptionError before the manifest changes.
+// Frames keep their sequence numbers, so a compacted log replays
+// identically; new segments take never-before-used numbers, so a crash at
+// ANY point leaves either the old manifest (strays swept at next open) or
+// the new one (old segments deleted, or swept if the deletion itself
+// crashed) — never a mix.
 //
 // Compaction holds the log mutex for the duration. Appends block behind it;
-// with in-memory state this is a bounded pause (the 10k-dataset torture
-// history compacts in well under a second), accepted in exchange for not
-// needing a side-log protocol.
+// this is a bounded pause (BenchmarkSeglogCompact10k: 36–54 ms on a 2-core
+// x86 machine), accepted in exchange for not needing a side-log protocol.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -56,17 +58,24 @@ func (l *Log) Compact() error {
 		return lake.ErrInventoryClosed
 	}
 	began := time.Now()
-	live := l.liveRecords()
+	// Sequence order is also disk order, which recovery requires.
+	live := make([]frameLoc, 0, len(l.datasets)+1)
+	for _, ent := range l.datasets {
+		live = append(live, ent.frameLoc)
+	}
+	if l.platform != nil {
+		live = append(live, *l.platform)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 
 	// Stage 1: write the survivors into fresh segments. Invisible to
 	// recovery until the manifest names them.
 	var (
-		names    []string
-		sizes    = make(map[string]int64)
-		cur      *os.File
-		curName  string
-		curSize  int64
-		newBytes int64
+		names   []string
+		sizes   = make(map[string]int64)
+		cur     *os.File
+		curName string
+		curSize int64
 	)
 	abort := func(err error) error {
 		if cur != nil {
@@ -104,13 +113,16 @@ func (l *Log) Compact() error {
 	if err := open(); err != nil {
 		return abort(err)
 	}
-	newAt := make(map[uint64]int64, len(live)) // seq → framed size
-	for _, rec := range live {
-		frame, err := encodeRecord(rec)
-		if err != nil {
-			return abort(err)
+	moved := make(map[uint64]frameLoc, len(live)) // seq → new position
+	for _, loc := range live {
+		frame, err := l.readFrameBytes(loc)
+		if err == nil {
+			_, _, err = checkFrame(loc.segment, frame, 0)
 		}
-		if curSize > 0 && curSize+int64(len(frame)) > l.opts.SegmentTargetBytes {
+		if err != nil {
+			return abort(loc.damage(err))
+		}
+		if curSize > 0 && curSize+loc.size > l.opts.SegmentTargetBytes {
 			if err := seal(); err != nil {
 				cur = nil
 				return abort(err)
@@ -122,9 +134,8 @@ func (l *Log) Compact() error {
 		if _, err := cur.Write(frame); err != nil {
 			return abort(fmt.Errorf("seglog: compact: write %s: %w", curName, err))
 		}
-		curSize += int64(len(frame))
-		newAt[rec.Seq] = int64(len(frame))
-		newBytes += int64(len(frame))
+		moved[loc.seq] = frameLoc{seq: loc.seq, segment: curName, off: curSize, size: loc.size}
+		curSize += loc.size
 	}
 	if err := seal(); err != nil {
 		cur = nil
@@ -166,18 +177,13 @@ func (l *Log) Compact() error {
 	l.sealedSize = sizes
 	delete(l.sealedSize, activeName)
 	for id, ent := range l.datasets {
-		if sz, ok := newAt[ent.seq]; ok && sz != ent.bytes {
-			ent.bytes = sz
-			l.datasets[id] = ent
-		}
+		ent.frameLoc = moved[ent.seq]
+		l.datasets[id] = ent
 	}
 	if l.platform != nil {
-		if sz, ok := newAt[l.platformSeq]; ok {
-			l.platformBytes = sz
-		}
+		*l.platform = moved[l.platform.seq]
 	}
-	l.liveBytes = newBytes
-	l.deadBytes = 0
+	l.deadBytes = 0 // frame sizes, and so liveBytes, are unchanged
 	l.compactions++
 
 	for _, name := range old {

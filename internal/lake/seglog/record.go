@@ -72,18 +72,19 @@ type record struct {
 	Snapshot []byte
 }
 
-// encodeRecord renders rec as one framed record.
+// encodeRecord renders rec as one framed record. The payload is encoded
+// after room left for the header, so the frame is built in place.
 func encodeRecord(rec record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	buf := bytes.NewBuffer(make([]byte, headerSize))
+	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
 		return nil, fmt.Errorf("seglog: encode record seq %d: %w", rec.Seq, err)
 	}
-	out := make([]byte, headerSize, headerSize+payload.Len())
+	out := buf.Bytes()
 	copy(out, recordMagic)
 	binary.BigEndian.PutUint16(out[6:], recordVersion)
-	binary.BigEndian.PutUint64(out[8:], uint64(payload.Len()))
-	binary.BigEndian.PutUint32(out[16:], crc32.ChecksumIEEE(payload.Bytes()))
-	return append(out, payload.Bytes()...), nil
+	binary.BigEndian.PutUint64(out[8:], uint64(len(out)-headerSize))
+	binary.BigEndian.PutUint32(out[16:], crc32.ChecksumIEEE(out[headerSize:]))
+	return out, nil
 }
 
 // recordAt pairs a decoded record with its frame position.
@@ -132,54 +133,56 @@ func (e *CorruptionError) Error() string {
 // the distinction between "drop leniently" and "fail loudly".
 var errTornFrame = errors.New("torn frame")
 
-// readFrame decodes the frame at data[off:]. A frame that is structurally
-// torn (incomplete header, or payload shorter than declared) or that is the
-// final frame with a checksum/decode failure returns errTornFrame; other
-// damage returns a *CorruptionError.
-func readFrame(segment string, data []byte, off int64) (record, int64, error) {
+// checkFrame checks the frame at data[off:] and returns its payload and
+// framed size. A structurally torn frame (incomplete header, or payload
+// shorter than declared) returns errTornFrame; other damage returns a
+// *CorruptionError, with the framed size once the header was intact.
+func checkFrame(segment string, data []byte, off int64) ([]byte, int64, error) {
 	rem := int64(len(data)) - off
 	if rem < int64(headerSize) {
-		return record{}, 0, fmt.Errorf("%w: %d trailing bytes, need %d for a header", errTornFrame, rem, headerSize)
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes, need %d for a header", errTornFrame, rem, headerSize)
 	}
 	hdr := data[off:]
 	if string(hdr[:len(recordMagic)]) != recordMagic {
-		return record{}, 0, &CorruptionError{Segment: segment, Offset: off, Reason: "bad magic"}
+		return nil, 0, &CorruptionError{Segment: segment, Offset: off, Reason: "bad magic"}
 	}
 	if v := binary.BigEndian.Uint16(hdr[6:]); v != recordVersion {
-		return record{}, 0, &CorruptionError{Segment: segment, Offset: off,
+		return nil, 0, &CorruptionError{Segment: segment, Offset: off,
 			Reason: fmt.Sprintf("unsupported record version %d (this build reads version %d)", v, recordVersion)}
 	}
 	plen := binary.BigEndian.Uint64(hdr[8:])
 	if plen > maxRecordBytes {
-		return record{}, 0, &CorruptionError{Segment: segment, Offset: off,
+		return nil, 0, &CorruptionError{Segment: segment, Offset: off,
 			Reason: fmt.Sprintf("declared payload size %d exceeds the %d-byte limit", plen, int64(maxRecordBytes))}
 	}
 	size := int64(headerSize) + int64(plen)
 	if rem < size {
-		return record{}, 0, fmt.Errorf("%w: frame declares %d payload bytes, only %d present", errTornFrame, plen, rem-int64(headerSize))
+		return nil, 0, fmt.Errorf("%w: frame declares %d payload bytes, only %d present", errTornFrame, plen, rem-int64(headerSize))
 	}
 	payload := data[off+int64(headerSize) : off+size]
-	final := off+size == int64(len(data))
 	if want, got := binary.BigEndian.Uint32(hdr[16:]), crc32.ChecksumIEEE(payload); got != want {
-		reason := fmt.Sprintf("checksum mismatch (header %08x, payload %08x)", want, got)
-		if final {
-			return record{}, 0, fmt.Errorf("%w: final frame %s", errTornFrame, reason)
-		}
-		return record{}, 0, &CorruptionError{Segment: segment, Offset: off, Reason: reason}
+		return nil, size, &CorruptionError{Segment: segment, Offset: off,
+			Reason: fmt.Sprintf("checksum mismatch (header %08x, payload %08x)", want, got)}
+	}
+	return payload, size, nil
+}
+
+// readFrame checks and decodes the frame at data[off:], failing as
+// checkFrame does.
+func readFrame(segment string, data []byte, off int64) (record, int64, error) {
+	payload, size, err := checkFrame(segment, data, off)
+	if err != nil {
+		return record{}, size, err
 	}
 	var rec record
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		reason := fmt.Sprintf("payload decode: %v", err)
-		if final {
-			return record{}, 0, fmt.Errorf("%w: final frame %s", errTornFrame, reason)
-		}
-		return record{}, 0, &CorruptionError{Segment: segment, Offset: off, Reason: reason}
+		return record{}, size, &CorruptionError{Segment: segment, Offset: off, Reason: fmt.Sprintf("payload decode: %v", err)}
 	}
 	return rec, size, nil
 }
 
 // readSegment scans every frame of one segment image. With lenientTail a
-// torn or corrupted final frame is dropped and accounted in the scan;
+// torn frame, or a damaged final one, is dropped and accounted in the scan;
 // without it (sealed segments) any damage is a *CorruptionError. The
 // returned records carry their frame offsets for dead-byte accounting.
 func readSegment(segment string, data []byte, lenientTail bool) ([]recordAt, SegmentScan, error) {
@@ -189,7 +192,8 @@ func readSegment(segment string, data []byte, lenientTail bool) ([]recordAt, Seg
 	for off < int64(len(data)) {
 		rec, size, err := readFrame(segment, data, off)
 		if err != nil {
-			if errors.Is(err, errTornFrame) && lenientTail {
+			torn := errors.Is(err, errTornFrame) || off+size == int64(len(data))
+			if torn && lenientTail {
 				scan.TornTail = true
 				scan.DroppedRecords = 1
 				scan.DroppedBytes = int64(len(data)) - off

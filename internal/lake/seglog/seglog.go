@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,20 +46,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// datasetEntry is the in-memory index of one live dataset.
+// frameLoc locates one live frame on disk. size is the framed length
+// (header + payload), counted dead when the record is superseded.
+type frameLoc struct {
+	seq       uint64
+	segment   string
+	off, size int64
+}
+
+// datasetEntry is the in-memory index of one live dataset: what Datasets
+// and Stats report, and where its frame lives.
 type datasetEntry struct {
 	name    string
-	samples dataset.Set
-	// seq is the record's sequence number; bytes its framed size, counted
-	// dead when the dataset is removed.
-	seq   uint64
-	bytes int64
+	samples int
+	frameLoc
 }
 
 // Log is the append-only segment-log inventory. It implements
-// lake.Inventory. All samples are additionally indexed in memory (like the
-// other backends — the log is the durability layer, not an out-of-core
-// store), so reads never touch disk. It is safe for concurrent use.
+// lake.Inventory. Memory holds only frame positions (plus each dataset's
+// name and sample count), so it grows with datasets, not samples; the
+// frames on disk are the only copy, and loads read, check and decode one.
+// It is safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -79,14 +86,10 @@ type Log struct {
 	activeName string
 	activeSize int64
 
-	// live state.
+	// live state: the index of live frames.
 	order    []uint64
 	datasets map[uint64]datasetEntry
-	platform []byte
-	// platformSeq/platformBytes locate the live platform record for
-	// dead-byte accounting when it is superseded.
-	platformSeq   uint64
-	platformBytes int64
+	platform *frameLoc // nil until a snapshot is saved
 
 	liveBytes int64
 	deadBytes int64
@@ -202,7 +205,7 @@ func initFresh(dir string) (manifest, error) {
 	return m, nil
 }
 
-// recover replays every manifest-named segment into the in-memory state and
+// recover replays every manifest-named segment into the in-memory index and
 // reopens the active segment for appending, truncated past any dropped
 // tail.
 func (l *Log) recover() error {
@@ -259,54 +262,62 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// apply folds one recovered record into the in-memory state.
+// apply folds one recovered record's position into the in-memory index.
 func (l *Log) apply(ra recordAt, segment string) error {
 	rec := ra.rec
+	loc := frameLoc{seq: rec.Seq, segment: segment, off: ra.off, size: ra.size}
 	switch rec.Kind {
 	case kindDataset:
 		if _, dup := l.datasets[rec.ID]; dup {
 			return &CorruptionError{Segment: segment, Offset: ra.off,
 				Reason: fmt.Sprintf("dataset %d appended twice", rec.ID)}
 		}
-		l.datasets[rec.ID] = datasetEntry{name: rec.Name, samples: rec.Samples, seq: rec.Seq, bytes: ra.size}
-		l.order = append(l.order, rec.ID)
-		l.liveBytes += ra.size
-		if rec.ID >= l.nextID {
-			l.nextID = rec.ID + 1
-		}
+		l.addDataset(rec.ID, rec.Name, len(rec.Samples), loc)
 	case kindRemove:
-		ent, ok := l.datasets[rec.ID]
-		if !ok {
+		if _, ok := l.datasets[rec.ID]; !ok {
 			return &CorruptionError{Segment: segment, Offset: ra.off,
 				Reason: fmt.Sprintf("tombstone for unknown dataset %d", rec.ID)}
 		}
-		delete(l.datasets, rec.ID)
-		for i, id := range l.order {
-			if id == rec.ID {
-				l.order = append(l.order[:i], l.order[i+1:]...)
-				break
-			}
-		}
-		// The removed dataset's record and the tombstone itself are both
-		// dead weight now.
-		l.liveBytes -= ent.bytes
-		l.deadBytes += ent.bytes + ra.size
-		if rec.ID >= l.nextID {
-			l.nextID = rec.ID + 1
-		}
+		l.dropDataset(rec.ID, ra.size)
 	case kindPlatform:
-		if l.platform != nil {
-			l.deadBytes += l.platformBytes
-		}
-		l.platform = rec.Snapshot
-		l.platformSeq = rec.Seq
-		l.liveBytes += ra.size - l.platformBytes
-		l.platformBytes = ra.size
+		l.setPlatform(loc)
 	default:
 		return &CorruptionError{Segment: segment, Offset: ra.off,
 			Reason: fmt.Sprintf("unknown record kind %d", rec.Kind)}
 	}
+	// Platform records carry ID 0, below every dataset ID.
+	if rec.ID >= l.nextID {
+		l.nextID = rec.ID + 1
+	}
 	return nil
+}
+
+// addDataset indexes a live dataset frame. Callers hold the mutex.
+func (l *Log) addDataset(id uint64, name string, samples int, loc frameLoc) {
+	l.datasets[id] = datasetEntry{name: name, samples: samples, frameLoc: loc}
+	l.order = append(l.order, id)
+	l.liveBytes += loc.size
+}
+
+// dropDataset unindexes a removed dataset: its frame and the tombstone's
+// tombBytes are both dead weight now. Callers hold the mutex.
+func (l *Log) dropDataset(id uint64, tombBytes int64) {
+	ent := l.datasets[id]
+	delete(l.datasets, id)
+	l.order = slices.DeleteFunc(l.order, func(v uint64) bool { return v == id })
+	l.liveBytes -= ent.size
+	l.deadBytes += ent.size + tombBytes
+}
+
+// setPlatform indexes a new platform snapshot frame; the one it supersedes
+// is dead weight now. Callers hold the mutex.
+func (l *Log) setPlatform(loc frameLoc) {
+	if l.platform != nil {
+		l.liveBytes -= l.platform.size
+		l.deadBytes += l.platform.size
+	}
+	l.platform = &loc
+	l.liveBytes += loc.size
 }
 
 // closeFiles releases the active segment handle (recovery-failure path).
@@ -321,38 +332,86 @@ func (l *Log) closeFiles() {
 // segment if it is full, writes and (by default) fsyncs. Callers hold the
 // mutex. On a write failure the segment is truncated back so a half-written
 // frame never survives into the next append.
-func (l *Log) appendRecord(rec record) (recordAt, error) {
+func (l *Log) appendRecord(rec record) (frameLoc, error) {
 	if l.closed {
-		return recordAt{}, lake.ErrInventoryClosed
+		return frameLoc{}, lake.ErrInventoryClosed
 	}
 	began := time.Now()
 	rec.Seq = l.nextSeq
 	frame, err := encodeRecord(rec)
 	if err != nil {
-		return recordAt{}, err
+		return frameLoc{}, err
 	}
 	if l.activeSize > 0 && l.activeSize+int64(len(frame)) > l.opts.SegmentTargetBytes {
 		if err := l.rotate(); err != nil {
-			return recordAt{}, err
+			return frameLoc{}, err
 		}
 	}
-	off := l.activeSize
+	loc := frameLoc{seq: rec.Seq, segment: l.activeName, off: l.activeSize, size: int64(len(frame))}
 	if _, err := l.active.Write(frame); err != nil {
 		// Cut the possibly half-written frame off; if even that fails the
 		// next open's lenient tail read drops it.
-		l.active.Truncate(off)
-		return recordAt{}, fmt.Errorf("seglog: append to %s: %w", l.activeName, err)
+		l.active.Truncate(loc.off)
+		return frameLoc{}, fmt.Errorf("seglog: append to %s: %w", l.activeName, err)
 	}
 	if !l.opts.NoSyncEachAppend {
 		if err := l.active.Sync(); err != nil {
-			return recordAt{}, fmt.Errorf("seglog: append to %s: %w", l.activeName, err)
+			return frameLoc{}, fmt.Errorf("seglog: append to %s: %w", l.activeName, err)
 		}
 	}
-	l.activeSize += int64(len(frame))
+	l.activeSize += loc.size
 	l.nextSeq++
 	l.appends++
 	l.obs.recordAppend(time.Since(began))
-	return recordAt{rec: rec, off: off, size: int64(len(frame))}, nil
+	return loc, nil
+}
+
+// readFrameBytes reads the raw frame at loc. Callers hold the mutex, which
+// keeps loc current and its segment file in place.
+func (l *Log) readFrameBytes(loc frameLoc) ([]byte, error) {
+	f, err := os.Open(filepath.Join(l.dir, loc.segment))
+	if err == nil {
+		defer f.Close()
+		frame := make([]byte, loc.size)
+		if _, err = f.ReadAt(frame, loc.off); err == nil {
+			return frame, nil
+		}
+	}
+	return nil, loc.damage(err)
+}
+
+// damage reports err, met reading or checking the frame at loc by itself,
+// as a *CorruptionError at the frame's position: reads are never lenient.
+func (loc frameLoc) damage(err error) error {
+	reason := err.Error()
+	var ce *CorruptionError
+	if errors.As(err, &ce) {
+		reason = ce.Reason
+	}
+	return &CorruptionError{Segment: loc.segment, Offset: loc.off, Reason: reason}
+}
+
+// load looks up and reads a frame under the mutex, so compaction cannot
+// move it midway, then checks and decodes it outside the lock.
+func (l *Log) load(locate func() (frameLoc, error)) (record, error) {
+	l.mu.Lock()
+	loc, err := locate()
+	var frame []byte
+	if err == nil {
+		frame, err = l.readFrameBytes(loc)
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return record{}, err
+	}
+	rec, _, err := readFrame(loc.segment, frame, 0)
+	if err == nil && rec.Seq != loc.seq {
+		err = fmt.Errorf("frame holds seq %d, the index expects %d", rec.Seq, loc.seq)
+	}
+	if err != nil {
+		return record{}, loc.damage(err)
+	}
+	return rec, nil
 }
 
 // rotate seals the active segment and starts the next one: fsync + close
@@ -401,16 +460,14 @@ func (l *Log) AppendDataset(name string, set dataset.Set) (uint64, error) {
 	if l.closed {
 		return 0, lake.ErrInventoryClosed
 	}
+	// No clone: the frame on disk is the copy.
 	id := l.nextID
-	clone := set.Clone()
-	ra, err := l.appendRecord(record{Kind: kindDataset, ID: id, Name: name, Samples: clone})
+	loc, err := l.appendRecord(record{Kind: kindDataset, ID: id, Name: name, Samples: set})
 	if err != nil {
 		return 0, err
 	}
 	l.nextID = id + 1
-	l.datasets[id] = datasetEntry{name: name, samples: clone, seq: ra.rec.Seq, bytes: ra.size}
-	l.order = append(l.order, id)
-	l.liveBytes += ra.size
+	l.addDataset(id, name, len(set), loc)
 	l.updateObsGauges()
 	l.maybeCompact()
 	return id, nil
@@ -423,20 +480,22 @@ func (l *Log) Datasets() ([]lake.DatasetMeta, error) {
 	out := make([]lake.DatasetMeta, 0, len(l.order))
 	for _, id := range l.order {
 		ent := l.datasets[id]
-		out = append(out, lake.DatasetMeta{ID: id, Name: ent.name, Size: len(ent.samples)})
+		out = append(out, lake.DatasetMeta{ID: id, Name: ent.name, Size: ent.samples})
 	}
 	return out, nil
 }
 
-// LoadDataset implements lake.Inventory.
+// LoadDataset implements lake.Inventory. A damaged frame is a
+// *CorruptionError naming segment and offset.
 func (l *Log) LoadDataset(id uint64) (dataset.Set, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ent, ok := l.datasets[id]
-	if !ok {
-		return nil, fmt.Errorf("seglog: no dataset %d", id)
-	}
-	return ent.samples.Clone(), nil
+	rec, err := l.load(func() (frameLoc, error) {
+		ent, ok := l.datasets[id]
+		if !ok {
+			return frameLoc{}, fmt.Errorf("seglog: no dataset %d", id)
+		}
+		return ent.frameLoc, nil
+	})
+	return rec.Samples, err
 }
 
 // RemoveDataset implements lake.Inventory.
@@ -446,23 +505,14 @@ func (l *Log) RemoveDataset(id uint64) error {
 	if l.closed {
 		return lake.ErrInventoryClosed
 	}
-	ent, ok := l.datasets[id]
-	if !ok {
+	if _, ok := l.datasets[id]; !ok {
 		return fmt.Errorf("seglog: no dataset %d", id)
 	}
-	ra, err := l.appendRecord(record{Kind: kindRemove, ID: id})
+	loc, err := l.appendRecord(record{Kind: kindRemove, ID: id})
 	if err != nil {
 		return err
 	}
-	delete(l.datasets, id)
-	for i, v := range l.order {
-		if v == id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.liveBytes -= ent.bytes
-	l.deadBytes += ent.bytes + ra.size
+	l.dropDataset(id, loc.size)
 	l.updateObsGauges()
 	l.maybeCompact()
 	return nil
@@ -475,31 +525,25 @@ func (l *Log) SavePlatform(snapshot []byte) error {
 	if l.closed {
 		return lake.ErrInventoryClosed
 	}
-	clone := append([]byte(nil), snapshot...)
-	ra, err := l.appendRecord(record{Kind: kindPlatform, Snapshot: clone})
+	loc, err := l.appendRecord(record{Kind: kindPlatform, Snapshot: snapshot})
 	if err != nil {
 		return err
 	}
-	if l.platform != nil {
-		l.deadBytes += l.platformBytes
-	}
-	l.platform = clone
-	l.platformSeq = ra.rec.Seq
-	l.liveBytes += ra.size - l.platformBytes
-	l.platformBytes = ra.size
+	l.setPlatform(loc)
 	l.updateObsGauges()
 	l.maybeCompact()
 	return nil
 }
 
-// LoadPlatform implements lake.Inventory.
+// LoadPlatform implements lake.Inventory, failing as LoadDataset does.
 func (l *Log) LoadPlatform() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.platform == nil {
-		return nil, lake.ErrNoSnapshot
-	}
-	return append([]byte(nil), l.platform...), nil
+	rec, err := l.load(func() (frameLoc, error) {
+		if l.platform == nil {
+			return frameLoc{}, lake.ErrNoSnapshot
+		}
+		return *l.platform, nil
+	})
+	return rec.Snapshot, err
 }
 
 // Stats implements lake.Inventory.
@@ -517,8 +561,8 @@ func (l *Log) Stats() lake.InventoryStats {
 		Compactions: l.compactions,
 		Recovery:    l.recovery,
 	}
-	for _, id := range l.order {
-		st.Samples += len(l.datasets[id].samples)
+	for _, ent := range l.datasets {
+		st.Samples += ent.samples
 	}
 	return st
 }
@@ -570,18 +614,4 @@ func (l *Log) SetCompactionHook(fn func(stage string)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.compactHook = fn
-}
-
-// liveRecords returns every live record in sequence order — the compaction
-// working set. Callers hold the mutex.
-func (l *Log) liveRecords() []record {
-	out := make([]record, 0, len(l.order)+1)
-	for id, ent := range l.datasets {
-		out = append(out, record{Seq: ent.seq, Kind: kindDataset, ID: id, Name: ent.name, Samples: ent.samples})
-	}
-	if l.platform != nil {
-		out = append(out, record{Seq: l.platformSeq, Kind: kindPlatform, Snapshot: l.platform})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }

@@ -1,10 +1,16 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"enld/internal/dataset"
@@ -496,6 +502,286 @@ func TestLogFreshInitCrashRedone(t *testing.T) {
 	}
 	if _, err := Open(dir2, Options{}); err == nil {
 		t.Fatal("open over unmanifested data succeeded")
+	}
+}
+
+// dirFiles reads every regular file of dir, keyed by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// liveFrames reads every frame the manifest's segments hold, keyed by
+// sequence number.
+func liveFrames(t *testing.T, dir string) map[uint64][]byte {
+	t.Helper()
+	out := make(map[uint64][]byte)
+	for _, name := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := readSegment(name, data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ra := range recs {
+			out[ra.rec.Seq] = frameBytes(data, ra)
+		}
+	}
+	return out
+}
+
+// TestLogReadPathDamageLoud: a live frame damaged while the log is open
+// fails its load and any compaction loudly, with segment and offset — the
+// log never answers from a stale copy — and leaves everything else usable.
+func TestLogReadPathDamageLoud(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{AutoCompactRatio: -1})
+	defer l.Close()
+	keep, err := l.AppendDataset("keep", testSet(0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := l.AppendDataset("bad", testSet(50, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := l.AppendDataset("gone", testSet(80, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SavePlatform([]byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RemoveDataset(gone); err != nil {
+		t.Fatal(err)
+	}
+	loc := l.datasets[bad].frameLoc
+	if err := fault.CorruptFileByte(filepath.Join(dir, loc.segment), loc.off+int64(headerSize)+4); err != nil {
+		t.Fatal(err)
+	}
+	atFrame := func(op string, err error) {
+		t.Helper()
+		var ce *CorruptionError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s err = %v, want CorruptionError", op, err)
+		}
+		if ce.Segment != loc.segment || ce.Offset != loc.off || !strings.Contains(ce.Reason, "checksum") {
+			t.Fatalf("%s corruption context = %+v, want segment %s offset %d", op, ce, loc.segment, loc.off)
+		}
+	}
+
+	_, err = l.LoadDataset(bad)
+	atFrame("load", err)
+
+	before := dirFiles(t, dir)
+	atFrame("compact", l.Compact())
+	after := dirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("failed compaction left %d files, had %d", len(after), len(before))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("failed compaction changed %s", name)
+		}
+	}
+
+	id, err := l.AppendDataset("after", testSet(90, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		id   uint64
+		base int
+	}{{keep, 0}, {id, 90}} {
+		set, err := l.LoadDataset(want.id)
+		if err != nil || set[0].ID != want.base {
+			t.Fatalf("load %d after damage elsewhere: %v, %v", want.id, set, err)
+		}
+	}
+	if snap, err := l.LoadPlatform(); err != nil || string(snap) != "snap" {
+		t.Fatalf("platform after damage elsewhere = %q, %v", snap, err)
+	}
+}
+
+// TestLogDiskCopyIsAuthoritative: the log keeps no reference to what the
+// caller passed in, and every load decodes a fresh copy, so mutating either
+// side never changes what the next load returns.
+func TestLogDiskCopyIsAuthoritative(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	set, snap := testSet(0, 4), []byte("snap")
+	id, err := l.AppendDataset("a", set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SavePlatform(snap); err != nil {
+		t.Fatal(err)
+	}
+	set[0].X[0] = 99
+	set[1] = dataset.Sample{ID: -1}
+	snap[0] = 'X'
+
+	want := testSet(0, 4)
+	for i := 0; i < 2; i++ {
+		got, err := l.LoadDataset(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("load %d = %+v, want %+v", i, got, want)
+		}
+		got[2].X[1] = -5
+	}
+	if got, err := l.LoadPlatform(); err != nil || string(got) != "snap" {
+		t.Fatalf("platform = %q, %v", got, err)
+	}
+}
+
+// TestLogConcurrentLoadAppendCompact: loads racing appends, removes and
+// compactions return the dataset asked for. Under -race it also checks that
+// the index is touched only under the mutex, decoding outside it.
+func TestLogConcurrentLoadAppendCompact(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{SegmentTargetBytes: 2048, NoSyncEachAppend: true, AutoCompactRatio: -1})
+	defer l.Close()
+	var ids []uint64
+	for i := 0; i < 20; i++ {
+		id, err := l.AppendDataset("d", testSet(i*10, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	const readers = 3
+	errs := make(chan error, readers+1) // at most one per goroutine
+	var wg sync.WaitGroup
+	wg.Add(readers + 1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			id, err := l.AppendDataset("w", testSet(1000+i, 3))
+			if err == nil {
+				err = l.RemoveDataset(id)
+			}
+			if err == nil && i%5 == 0 {
+				err = l.Compact()
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (i + r) % len(ids)
+				set, err := l.LoadDataset(ids[k])
+				if err == nil && (len(set) != 3 || set[0].ID != k*10) {
+					err = fmt.Errorf("load of dataset %d returned %+v", ids[k], set)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestLogCompactionCopiesFramesVerbatim: compaction moves frames, it does
+// not rewrite them — every live frame is byte-identical before and after.
+func TestLogCompactionCopiesFramesVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SegmentTargetBytes: 2048, AutoCompactRatio: -1})
+	defer l.Close()
+	for i := 0; i < 12; i++ {
+		id, err := l.AppendDataset("d", testSet(i*10, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := l.RemoveDataset(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%5 == 0 {
+			if err := l.SavePlatform([]byte(strings.Repeat("s", 50+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := liveFrames(t, dir)
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := liveFrames(t, dir)
+	if len(after) != 7 {
+		t.Fatalf("compacted log holds %d frames, want 6 datasets + 1 platform", len(after))
+	}
+	for seq, frame := range after {
+		if !bytes.Equal(frame, before[seq]) {
+			t.Fatalf("frame seq %d changed across compaction", seq)
+		}
+	}
+}
+
+// TestLogIndexHeapPerDataset pins what the index costs: the live heap grows
+// by the same amount per appended dataset whatever its sample count, and by
+// at most 1 KB.
+func TestLogIndexHeapPerDataset(t *testing.T) {
+	const n = 2000
+	liveHeap := func() uint64 {
+		// Twice: the first collection only moves sync.Pool contents to
+		// their victim caches.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perDataset := func(samples int) float64 {
+		l := mustOpen(t, t.TempDir(), Options{NoSyncEachAppend: true, AutoCompactRatio: -1})
+		defer l.Close()
+		set := testSet(0, samples)
+		if _, err := l.AppendDataset("d", set); err != nil { // warm gob's type cache
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		for i := 0; i < n; i++ {
+			if _, err := l.AppendDataset("d", set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return (float64(liveHeap()) - float64(before)) / n
+	}
+	perDataset(200) // first rotation and manifest write fill package caches
+	small, large := perDataset(20), perDataset(200)
+	t.Logf("live heap per dataset: %.1f B at 20 samples, %.1f B at 200", small, large)
+	if large > 1024 || small > 1024 {
+		t.Fatalf("index costs %.1f / %.1f B per dataset, want ≤ 1 KB", small, large)
+	}
+	if math.Abs(large-small) > 0.1*small {
+		t.Fatalf("index cost grows with samples: %.1f B at 20, %.1f B at 200", small, large)
 	}
 }
 
