@@ -485,6 +485,49 @@ func BenchmarkGemm(b *testing.B) {
 			}
 		})
 	}
+	// Ragged tails, shaped like the network: the 26-class output layer's
+	// forward leaves a 2-column tail (26 = 3·8 + 2), a 3-row last mini-batch
+	// leaves a row tail, and the output layer's weight gradient over a
+	// 16-row chunk leaves a 2-row tail. These and the PackNT rows run one
+	// untimed call first: CI times a single iteration, and a cold first call
+	// of a microsecond kernel measures page faults and caches, not the code.
+	for _, bench := range []struct {
+		name    string
+		m, n, k int
+		tn      bool
+	}{
+		{"tail/4x26x64", 4, 26, 64, false},
+		{"tail/3x128x96", 3, 128, 96, false},
+		{"tn/26x64x16", 26, 64, 16, true},
+	} {
+		A, B2 := newM(bench.m, bench.k), newM(bench.k, bench.n)
+		kind := mat.Gemm
+		if bench.tn {
+			A, kind = newM(bench.k, bench.m), mat.GemmTN
+		}
+		C := mat.NewMatrix(bench.m, bench.n)
+		b.Run(bench.name, func(b *testing.B) {
+			kind(C, A, B2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				C.Zero()
+				kind(C, A, B2)
+			}
+		})
+	}
+	// PackNT over the layers' out×in weight shapes: the emnist network
+	// (24 → 128 → 96 → 64 → 26) plus the 100-class cifar100 head.
+	for _, sh := range [][2]int{{128, 24}, {96, 128}, {64, 96}, {26, 64}, {100, 64}} {
+		W := newM(sh[0], sh[1])
+		var panel mat.Matrix
+		b.Run("packnt/"+itoa(sh[0])+"x"+itoa(sh[1]), func(b *testing.B) {
+			mat.PackNT(&panel, W)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mat.PackNT(&panel, W)
+			}
+		})
+	}
 }
 
 // BenchmarkForwardBatch pins the tentpole win at its source: one batched

@@ -173,6 +173,11 @@ var hotPaths = map[string]bool{
 	// the fully stacked fast-path detection run.
 	"BenchmarkGemm/par/workers=1/n=128": true,
 	"BenchmarkDetect/enld-ann-f32":      true,
+	// The ragged-tail kernels: the output layer's column tail, a short last
+	// mini-batch's row tail and the output layer's weight-gradient row tail.
+	"BenchmarkGemm/tail/4x26x64":  true,
+	"BenchmarkGemm/tail/3x128x96": true,
+	"BenchmarkGemm/tn/26x64x16":   true,
 	// Storage-engine budgets: append throughput (the nosync variant — the
 	// fsync one measures the disk, not the code) and recovery time of a
 	// 10k-dataset history.

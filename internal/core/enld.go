@@ -94,6 +94,10 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
+// voteThreshold is the strict majority of an iteration's s steps a labelled
+// sample must agree in to join the clean set.
+func (c Config) voteThreshold() int { return c.Steps/2 + 1 }
+
 // TierLadder returns the ENLD side of the brownout degradation ladder built
 // from c: the config as given (full quality), then with the approximate ANN
 // index, then ANN plus the float32 ranking profile. Each step trades
@@ -130,6 +134,8 @@ type FullResult struct {
 	// Iterations is the number of iterations that ran: Config.Iterations,
 	// or fewer when AutoStop ended the loop early.
 	Iterations int
+	// Stop says why the loop ended after Iterations iterations.
+	Stop StopReason
 	// SelectedInventory is S_c: the IDs of inventory (I_c) samples judged
 	// clean in every iteration that ran — input to Algorithm 4's model
 	// update.
@@ -137,6 +143,25 @@ type FullResult struct {
 	// PseudoLabels maps the ID of each missing-label sample to the label
 	// chosen by majority vote over all steps' predictions (§V-H).
 	PseudoLabels map[int]int
+}
+
+// StopReason says why the iteration loop of a detection ended.
+type StopReason int
+
+const (
+	// StopFixed: the loop ran the fixed t = Config.Iterations iterations.
+	StopFixed StopReason = iota
+	// StopStable: AutoStop ended the loop because the clean set had not
+	// changed for two consecutive iterations.
+	StopStable
+)
+
+// String returns "fixed" or "stable".
+func (s StopReason) String() string {
+	if s == StopStable {
+		return "stable"
+	}
+	return "fixed"
 }
 
 // ENLD is the paper's detector. It is stateless across Detect calls except
@@ -208,9 +233,11 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 		e: e, cfg: cfg, strategy: strategy, rng: rng,
 		d: d, iPrime: iPrime,
 		model: model, trainer: trainer, res: res,
-		obs:     e.Platform.Obs,
-		eval:    nn.NewEvaluator(model, cfg.Workers),
-		targets: make([][]float64, classes),
+		obs:          e.Platform.Obs,
+		eval:         nn.NewEvaluator(model, cfg.Workers),
+		targets:      make([][]float64, classes),
+		classConfSum: make([]float64, classes),
+		classAgree:   make([]int, classes),
 		req: sampling.Request{
 			Cond: e.Platform.Cond, K: cfg.K, RNG: rng,
 			Meter: &res.Meter, Obs: e.Platform.Obs, Workers: cfg.Workers,
@@ -227,12 +254,8 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 	cleanIDs := make(map[int]bool)
 	countC := make([]int, len(iPrime))
 
-	voteThreshold := cfg.Steps/2 + 1
+	voteThreshold := cfg.voteThreshold()
 	stableIters := 0
-	dInputs := make([][]float64, len(d))
-	for i, smp := range d {
-		dInputs[i] = smp.X
-	}
 	count := make([]int, len(d))
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		clear(count)
@@ -241,12 +264,17 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 			if err := run.trainEpoch(); err != nil {
 				return nil, err
 			}
-			// Selection pass: compare predictions with observed labels.
+			// Selection pass: compare predictions with observed labels, for
+			// the samples whose vote can still change an output.
 			voteSpan := run.obs.StartSpan("detect/vote")
-			preds := run.predict(dInputs)
-			res.Meter.ForwardPasses += int64(len(d))
-			for i, smp := range d {
-				pred := preds[i]
+			rows := run.openVotes(cleanIDs, count, cfg.Steps-step)
+			var preds []int
+			if len(rows) > 0 {
+				preds = run.predict(run.voteXS)
+				res.Meter.ForwardPasses += int64(len(rows))
+			}
+			for k, i := range rows {
+				smp, pred := d[i], preds[k]
 				if smp.Observed == dataset.Missing {
 					votes := pseudoVotes[i]
 					if votes == nil {
@@ -305,6 +333,7 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 				stableIters = 0
 			}
 			if stableIters >= 2 {
+				res.Stop = StopStable
 				break
 			}
 		}
@@ -359,6 +388,10 @@ type nldRun struct {
 	// buffer the vote and validation passes take turns with.
 	eval  *nn.Evaluator
 	preds []int
+	// voteIdx and voteXS are openVotes' reused lists of the D rows a vote
+	// pass forwards.
+	voteIdx []int
+	voteXS  [][]float64
 	// dScores and iScores are the re-scoring outputs of D and I′. They are
 	// two buffers, not one, because resample reads both at once; the feature
 	// rows it hands the strategy alias them and are dead by the next resample.
@@ -376,6 +409,11 @@ type nldRun struct {
 	// f32 is the float32 forward snapshot, refreshed from model before each
 	// ranking-only scoring pass when cfg.Float32 is set.
 	f32 nn.Network32
+
+	// classConfSum and classAgree are highQualityFiltered's per-class
+	// confidence sums and counts, cleared and refilled by every resample.
+	classConfSum []float64
+	classAgree   []int
 
 	// Refreshed by resample:
 	ambIdx      []int       // indices of D in the ambiguous set A
@@ -407,7 +445,7 @@ func (r *nldRun) resample() error {
 	}
 
 	r.ambIdx = detect.Ambiguous(r.d, dScores.Predicted)
-	r.hqIdx = highQualityFiltered(r.iPrime, iScores)
+	r.hqIdx = r.highQualityFiltered(iScores)
 	splitSpan.End()
 
 	// Assemble the sampler's view in the reused request. Missing-label
@@ -453,6 +491,37 @@ func (r *nldRun) resample() error {
 	// strategy returned.
 	r.contrastive = append(r.contrastive, c...)
 	return nil
+}
+
+// openVotes refills voteIdx with the indices of D whose vote in the coming
+// step (remaining counts the iteration's steps left, this one included) can
+// still change an output, and voteXS with their features; it returns voteIdx.
+//
+//   - A Missing-label sample is always open: every pass adds a pseudo-vote.
+//   - A member of cleanIDs is never open: the set only ever grows.
+//   - Under majority voting, a sample whose count already reaches the
+//     threshold, or can no longer reach it in the remaining steps, is
+//     decided: count feeds nothing but the end-of-iteration threshold test.
+//
+// Inference is row-local, so a forwarded row's prediction does not depend on
+// which other rows share its batch, and skipping the decided ones leaves
+// every output bit unchanged.
+func (r *nldRun) openVotes(cleanIDs map[int]bool, count []int, remaining int) []int {
+	r.voteIdx, r.voteXS = r.voteIdx[:0], r.voteXS[:0]
+	threshold := r.cfg.voteThreshold()
+	for i, smp := range r.d {
+		if smp.Observed != dataset.Missing {
+			if cleanIDs[smp.ID] {
+				continue
+			}
+			if !r.cfg.DisableMajorityVoting && (count[i] >= threshold || count[i]+remaining < threshold) {
+				continue
+			}
+		}
+		r.voteIdx = append(r.voteIdx, i)
+		r.voteXS = append(r.voteXS, smp.X)
+	}
+	return r.voteIdx
 }
 
 // predict returns argmax predictions for xs under the current model — the
@@ -558,21 +627,22 @@ func (r *nldRun) validationAccuracy() float64 {
 	return float64(agree) / float64(len(r.valXS))
 }
 
-// highQualityFiltered returns the indices of set forming H': samples whose
+// highQualityFiltered returns the indices of I' forming H': samples whose
 // prediction matches their observed label, further filtered to those with
 // confidence at or above the mean of their predicted class (§IV-E's
 // "average predicted probability" criterion for cleaner contrastive
-// samples).
-func highQualityFiltered(set dataset.Set, scores *detect.Scores) []int {
-	agree := detect.Agreeing(set, scores.Predicted)
-	sum := make(map[int]float64)
-	n := make(map[int]int)
+// samples). It refills hqIdx's storage, which no reader needs by then.
+func (r *nldRun) highQualityFiltered(scores *detect.Scores) []int {
+	agree := detect.Agreeing(r.iPrime, scores.Predicted)
+	sum, n := r.classConfSum, r.classAgree
+	clear(sum)
+	clear(n)
 	for _, i := range agree {
 		c := scores.Predicted[i]
 		sum[c] += scores.MaxConf[i]
 		n[c]++
 	}
-	out := make([]int, 0, len(agree))
+	out := r.hqIdx[:0]
 	for _, i := range agree {
 		c := scores.Predicted[i]
 		if scores.MaxConf[i] >= sum[c]/float64(n[c]) {

@@ -201,7 +201,8 @@ func TestENLDAutoStop(t *testing.T) {
 // TestENLDAutoStopEqualsFixedIterations: auto-stop changes only where the
 // loop ends, and consumes no randomness, so a run it stops after n
 // iterations equals a fixed Iterations = n run field for field — S_c
-// included, which must select on the iterations that ran.
+// included, which must select on the iterations that ran — except for the
+// stop reason each reports.
 func TestENLDAutoStopEqualsFixedIterations(t *testing.T) {
 	w := newWorkload(t, 0.1, false, 90)
 	cfg := DefaultConfig(91)
@@ -215,6 +216,9 @@ func TestENLDAutoStopEqualsFixedIterations(t *testing.T) {
 	if n >= cfg.Iterations || n != len(stopped.Snapshots) {
 		t.Fatalf("auto-stop ran %d iterations with %d snapshots, want fewer than %d", n, len(stopped.Snapshots), cfg.Iterations)
 	}
+	if stopped.Stop != StopStable {
+		t.Fatalf("auto-stop after %d iterations reports stop reason %v, want %v", n, stopped.Stop, StopStable)
+	}
 	if len(stopped.SelectedInventory) == 0 {
 		t.Fatal("auto-stop selected no inventory samples (S_c empty)")
 	}
@@ -223,6 +227,9 @@ func TestENLDAutoStopEqualsFixedIterations(t *testing.T) {
 	fixed, err := (&ENLD{Platform: w.platform, Config: cfg}).DetectFull(w.incr)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fixed.Stop != StopFixed {
+		t.Fatalf("fixed t=%d reports stop reason %v, want %v", n, fixed.Stop, StopFixed)
 	}
 	for _, f := range []struct {
 		name      string

@@ -103,6 +103,9 @@ func GemmNT(C, A, B *Matrix) {
 // order — transposition moves bytes, never the order of additions — so
 // PackNT+GemmRows is bit-identical to GemmNT. dst's backing array is reused
 // when it has capacity.
+//
+// B is read four rows at a time, so each p writes four contiguous panel
+// elements instead of one strided one.
 func PackNT(dst, B *Matrix) {
 	if dst == B {
 		panic("mat: PackNT destination aliases operand")
@@ -110,9 +113,18 @@ func PackNT(dst, B *Matrix) {
 	k, n := B.Cols, B.Rows
 	dst.Resize(k, n)
 	dd := dst.Data
-	for j := 0; j < n; j++ {
-		br := B.Row(j)
-		for p, v := range br {
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b0, b1, b2, b3 := B.Row(j)[:k], B.Row(j + 1)[:k], B.Row(j + 2)[:k], B.Row(j + 3)[:k]
+		off := j
+		for p := 0; p < k; p++ {
+			d := dd[off : off+4 : off+4]
+			d[0], d[1], d[2], d[3] = b0[p], b1[p], b2[p], b3[p]
+			off += n
+		}
+	}
+	for ; j < n; j++ {
+		for p, v := range B.Row(j) {
 			dd[p*n+j] = v
 		}
 	}
@@ -159,16 +171,18 @@ func gemmRowsNN(C, A, B *Matrix, i0, i1 int) {
 		gemmRowsNNSIMD(C, A, B, i0, i1)
 		return
 	}
-	for ib := i0; ib < i1; ib += gemmTile {
-		ie := min(ib+gemmTile, i1)
-		for jb := 0; jb < n; jb += gemmTile {
-			je := min(jb+gemmTile, n)
-			if ie-ib == gemmTile && je-jb == gemmTile {
-				gemmTileNN(C, A, B, ib, jb, k)
-			} else {
-				gemmEdgeNN(C, A, B, ib, ie, jb, je, k)
-			}
+	nt := n &^ (gemmTile - 1)
+	i := i0
+	for ; i+gemmTile <= i1; i += gemmTile {
+		for j := 0; j < nt; j += gemmTile {
+			gemmTileNN(C, A, B, i, j, k)
 		}
+		if nt < n {
+			gemmEdgeNN(C, A, B, i, i+gemmTile, nt, n, k)
+		}
+	}
+	if i < i1 {
+		gemmEdgeNN(C, A, B, i, i1, 0, n, k)
 	}
 }
 
@@ -183,16 +197,18 @@ func gemmRowsTN(C, A, B *Matrix, i0, i1 int) {
 		gemmRowsTNSIMD(C, A, B, i0, i1)
 		return
 	}
-	for ib := i0; ib < i1; ib += gemmTile {
-		ie := min(ib+gemmTile, i1)
-		for jb := 0; jb < n; jb += gemmTile {
-			je := min(jb+gemmTile, n)
-			if ie-ib == gemmTile && je-jb == gemmTile {
-				gemmTileTN(C, A, B, ib, jb, k)
-			} else {
-				gemmEdgeTN(C, A, B, ib, ie, jb, je, k)
-			}
+	nt := n &^ (gemmTile - 1)
+	i := i0
+	for ; i+gemmTile <= i1; i += gemmTile {
+		for j := 0; j < nt; j += gemmTile {
+			gemmTileTN(C, A, B, i, j, k)
 		}
+		if nt < n {
+			gemmEdgeTN(C, A, B, i, i+gemmTile, nt, n, k)
+		}
+	}
+	if i < i1 {
+		gemmEdgeTN(C, A, B, i, i1, 0, n, k)
 	}
 }
 
@@ -366,19 +382,75 @@ func gemmTileNN(C, A, B *Matrix, i0, j0, k int) {
 	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 }
 
-// gemmEdgeNN handles partial tiles with a per-element sequential p-loop.
+// gemmEdgeNN computes the partial tiles of C += A·B: rows [i0,i1) ×
+// columns [j0,j1), a block short of the register tile in at least one
+// direction. Every element still adds A[i,p]·B[p,j] in strictly increasing
+// p with one multiply and one add; only which elements advance together
+// differs from a per-element loop, which would be latency-bound on a single
+// add chain:
+//
+//   - a full-height (four-row) column tail runs four columns at a time on
+//     the 4×4 tile, then two at a time on eight independent accumulators,
+//     then an odd last column on four, reading the A rows contiguously;
+//   - a short row tail runs one Axpy per (row, p) over the contiguous
+//     B-row segment.
 func gemmEdgeNN(C, A, B *Matrix, i0, i1, j0, j1, k int) {
 	bd, bc := B.Data, B.Cols
-	for i := i0; i < i1; i++ {
-		ar := A.Row(i)[:k]
-		cr := C.Row(i)
-		for j := j0; j < j1; j++ {
-			s := cr[j]
-			for p := 0; p < k; p++ {
-				s += ar[p] * bd[p*bc+j]
+	if i1-i0 < gemmTile {
+		for i := i0; i < i1; i++ {
+			cr := C.Row(i)[j0:j1]
+			for p, a := range A.Row(i)[:k] {
+				Axpy(a, bd[p*bc+j0:p*bc+j1], cr)
 			}
-			cr[j] = s
 		}
+		return
+	}
+	j := j0
+	for ; j+gemmTile <= j1; j += gemmTile {
+		gemmTileNN(C, A, B, i0, j, k)
+	}
+	a0, a1, a2, a3 := A.Row(i0)[:k], A.Row(i0 + 1)[:k], A.Row(i0 + 2)[:k], A.Row(i0 + 3)[:k]
+	c0, c1, c2, c3 := C.Row(i0), C.Row(i0+1), C.Row(i0+2), C.Row(i0+3)
+	for ; j+1 < j1; j += 2 {
+		s00, s01 := c0[j], c0[j+1]
+		s10, s11 := c1[j], c1[j+1]
+		s20, s21 := c2[j], c2[j+1]
+		s30, s31 := c3[j], c3[j+1]
+		off := j
+		for p := 0; p < k; p++ {
+			bp := bd[off : off+2 : off+2]
+			b0, b1 := bp[0], bp[1]
+			off += bc
+			v := a0[p]
+			s00 += v * b0
+			s01 += v * b1
+			v = a1[p]
+			s10 += v * b0
+			s11 += v * b1
+			v = a2[p]
+			s20 += v * b0
+			s21 += v * b1
+			v = a3[p]
+			s30 += v * b0
+			s31 += v * b1
+		}
+		c0[j], c0[j+1] = s00, s01
+		c1[j], c1[j+1] = s10, s11
+		c2[j], c2[j+1] = s20, s21
+		c3[j], c3[j+1] = s30, s31
+	}
+	if j < j1 {
+		s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
+		off := j
+		for p := 0; p < k; p++ {
+			b := bd[off]
+			off += bc
+			s0 += a0[p] * b
+			s1 += a1[p] * b
+			s2 += a2[p] * b
+			s3 += a3[p] * b
+		}
+		c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 	}
 }
 
@@ -559,19 +631,17 @@ func gemmTileTN(C, A, B *Matrix, i0, j0, k int) {
 	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 }
 
-// gemmEdgeTN handles partial GemmTN tiles with a per-element sequential
-// p-loop.
+// gemmEdgeTN computes the partial tiles of C += Aᵀ·B with one Axpy per
+// (row, p): row i of C adds A[p,i] times the contiguous B-row segment, in
+// strictly increasing p, so every element keeps its sequential one-multiply,
+// one-add chain while the whole segment advances together.
 func gemmEdgeTN(C, A, B *Matrix, i0, i1, j0, j1, k int) {
 	ad, ac := A.Data, A.Cols
 	bd, bc := B.Data, B.Cols
 	for i := i0; i < i1; i++ {
-		cr := C.Row(i)
-		for j := j0; j < j1; j++ {
-			s := cr[j]
-			for p := 0; p < k; p++ {
-				s += ad[p*ac+i] * bd[p*bc+j]
-			}
-			cr[j] = s
+		cr := C.Row(i)[j0:j1]
+		for p := 0; p < k; p++ {
+			Axpy(ad[p*ac+i], bd[p*bc+j0:p*bc+j1], cr)
 		}
 	}
 }

@@ -114,11 +114,12 @@ func TestGemmRowsCoverMatchesFull(t *testing.T) {
 }
 
 // TestPackNT pins the panel layout GemmNT and the forward pass rely on:
-// dst = Bᵀ exactly, with buffer reuse across differently-shaped packs.
+// dst = Bᵀ exactly, with buffer reuse across differently-shaped packs, for
+// every remainder of n mod 4 left by the four-rows-at-a-time loop.
 func TestPackNT(t *testing.T) {
 	rng := NewRNG(31)
 	var panel Matrix
-	for _, sz := range []struct{ n, k int }{{3, 5}, {8, 8}, {1, 7}, {16, 4}} {
+	for _, sz := range []struct{ n, k int }{{3, 5}, {8, 8}, {1, 7}, {16, 4}, {6, 5}, {13, 9}, {26, 64}, {7, 0}} {
 		B := randMatrix(rng, sz.n, sz.k)
 		PackNT(&panel, B)
 		if panel.Rows != sz.k || panel.Cols != sz.n {

@@ -1,6 +1,9 @@
 package mat
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // randMatrix fills a rows×cols matrix with deterministic pseudo-random values.
 func randMatrix(rng *RNG, rows, cols int) *Matrix {
@@ -117,6 +120,126 @@ func TestGemmMatchesMulVecT(t *testing.T) {
 			if C.Data[i] != want.Data[i] {
 				t.Fatalf("Gemm(%dx%dx%d) differs from MulVecT at %d: %v != %v",
 					sz.m, sz.n, sz.k, i, C.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// refEdgeNN and refEdgeTN are the per-element edge loops the tail kernels
+// replaced: each output element a sequential p-loop from its prior value.
+// They are the reference the tail kernels must reproduce bit for bit.
+func refEdgeNN(C, A, B *Matrix, i0, i1, j0, j1, k int) {
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			s := C.At(i, j)
+			for p := 0; p < k; p++ {
+				s += A.At(i, p) * B.At(p, j)
+			}
+			C.Set(i, j, s)
+		}
+	}
+}
+
+func refEdgeTN(C, A, B *Matrix, i0, i1, j0, j1, k int) {
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			s := C.At(i, j)
+			for p := 0; p < k; p++ {
+				s += A.At(p, i) * B.At(p, j)
+			}
+			C.Set(i, j, s)
+		}
+	}
+}
+
+// specialMatrix fills a rows×cols matrix from one of three operand mixes:
+// plain normals; normals laced with ±0, ±Inf, NaN and subnormals; and a
+// finite mix of ±0, subnormals and tiny normals whose products underflow, so
+// signed-zero and gradual-underflow rounding reach the outputs instead of
+// drowning in NaN.
+func specialMatrix(rng *RNG, rows, cols, mix int) *Matrix {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310}
+	tiny := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -3e-311, 1e-160, -2e-160, 1.5, -0.75}
+	m := randMatrix(rng, rows, cols)
+	for i := range m.Data {
+		switch r := rng.Float64(); {
+		case mix == 1 && r < 0.08:
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		case mix == 2:
+			m.Data[i] = tiny[rng.Intn(len(tiny))]
+		}
+	}
+	return m
+}
+
+// sameFloats reports the first index where got and want differ in bits,
+// treating any two NaNs as equal (Go leaves NaN payloads unspecified), or -1.
+func sameFloats(got, want []float64) int {
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGemmEdgeMatchesPerElement pins the tail kernels against the
+// per-element loops they replaced, on the blocks the row drivers hand them:
+// a short row tail (1–3 rows) over a full width whose own column tail runs
+// 0–7, and a full-height (4-row) column tail 1–7 wide, for k ∈ {1, 2, 3,
+// 26, 64}, with the vector kernels on and off, on plain and special operands.
+// The full products run through Gemm and GemmTN as well.
+func TestGemmEdgeMatchesPerElement(t *testing.T) {
+	rng := NewRNG(53)
+	prev := simdGemm
+	defer SetSIMD(prev)
+	for _, simd := range []bool{false, true} {
+		SetSIMD(simd)
+		for mix := 0; mix < 3; mix++ {
+			for _, k := range []int{1, 2, 3, 26, 64} {
+				for rt := 1; rt <= 3; rt++ {
+					for ct := 0; ct <= 7; ct++ {
+						m, n := 4+rt, 16+ct
+						A := specialMatrix(rng, m, k, mix)
+						At := specialMatrix(rng, k, m, mix)
+						B := specialMatrix(rng, k, n, mix)
+						seed := specialMatrix(rng, m, n, mix)
+						blocks := [][4]int{{4, m, 0, n}} // row tail
+						if ct > 0 {
+							blocks = append(blocks, [4]int{0, 4, n - ct, n}) // column tail
+						}
+						for _, bl := range blocks {
+							check := func(name string, kern, ref func(C, A, B *Matrix, i0, i1, j0, j1, k int), A *Matrix) {
+								got, want := seed.Clone(), seed.Clone()
+								kern(got, A, B, bl[0], bl[1], bl[2], bl[3], k)
+								ref(want, A, B, bl[0], bl[1], bl[2], bl[3], k)
+								if i := sameFloats(got.Data, want.Data); i >= 0 {
+									t.Fatalf("%s simd=%v mix=%d k=%d block %v of %dx%d: element %d = %v, per-element loop %v",
+										name, simd, mix, k, bl, m, n, i, got.Data[i], want.Data[i])
+								}
+							}
+							check("gemmEdgeNN", gemmEdgeNN, refEdgeNN, A)
+							check("gemmEdgeTN", gemmEdgeTN, refEdgeTN, At)
+						}
+						for _, v := range []struct {
+							name string
+							run  func(C *Matrix)
+							ref  func(C *Matrix)
+						}{
+							{"Gemm", func(C *Matrix) { Gemm(C, A, B) }, func(C *Matrix) { refEdgeNN(C, A, B, 0, m, 0, n, k) }},
+							{"GemmTN", func(C *Matrix) { GemmTN(C, At, B) }, func(C *Matrix) { refEdgeTN(C, At, B, 0, m, 0, n, k) }},
+						} {
+							got, want := seed.Clone(), seed.Clone()
+							v.run(got)
+							v.ref(want)
+							if i := sameFloats(got.Data, want.Data); i >= 0 {
+								t.Fatalf("%s(%dx%dx%d) simd=%v mix=%d: element %d = %v, per-element loop %v",
+									v.name, m, n, k, simd, mix, i, got.Data[i], want.Data[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}
