@@ -16,7 +16,6 @@ package enld
 import (
 	"testing"
 
-	"enld/internal/ann"
 	"enld/internal/core"
 	"enld/internal/dataset"
 	"enld/internal/experiments"
@@ -95,7 +94,6 @@ func BenchmarkContrastiveIndex(b *testing.B) {
 	for _, strat := range []sampling.Strategy{
 		sampling.Contrastive{},
 		sampling.Contrastive{Brute: true},
-		sampling.Contrastive{ANN: true},
 	} {
 		cfg := wb.ENLDCfg
 		cfg.Strategy = strat
@@ -144,30 +142,6 @@ func BenchmarkDetect(b *testing.B) {
 		cfg.Workers = workers
 		d := &core.ENLD{Platform: wb.Platform, Config: cfg}
 		b.Run("enld-workers="+itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Detect(shard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// Opt-in fast paths (DESIGN.md §4): float32 ranking forwards, the
-	// approximate IVF k-NN index, and both stacked. Guardrail tests bound
-	// each one's accuracy; these pin the speed side of the trade.
-	for _, variant := range []struct {
-		name     string
-		f32, ann bool
-	}{
-		{"enld-f32", true, false},
-		{"enld-ann", false, true},
-		{"enld-ann-f32", true, true},
-	} {
-		cfg := wb.ENLDCfg
-		cfg.Float32 = variant.f32
-		cfg.ANN = variant.ann
-		d := &core.ENLD{Platform: wb.Platform, Config: cfg}
-		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Detect(shard); err != nil {
@@ -236,73 +210,6 @@ func BenchmarkKNN(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				kdtree.BruteKNearest(pts, query, k)
 			}
-		})
-	}
-}
-
-// BenchmarkANN compares the approximate IVF index against the exact KD-tree
-// on the same query stream and reports the achieved recall@k per size, so
-// the speed and accuracy sides of the approximation land in the same
-// BENCH_ci.json row.
-func BenchmarkANN(b *testing.B) {
-	rng := mat.NewRNG(5)
-	const dim, k = 64, 3
-	// Clustered blobs, the shape of per-class feature activations the
-	// contrastive sampler indexes (uniform Gaussian data is IVF's worst
-	// case and not what the pipeline sees).
-	means := make([][]float64, 12)
-	for c := range means {
-		means[c] = rng.NormVec(make([]float64, dim), 0, 4)
-	}
-	for _, n := range []int{256, 1024, 4096} {
-		pts := make([]kdtree.Point, n)
-		for i := range pts {
-			v := rng.NormVec(make([]float64, dim), 0, 1)
-			for d, mv := range means[i%len(means)] {
-				v[d] += mv
-			}
-			pts[i] = kdtree.Point{Vec: v, Payload: i}
-		}
-		query := append([]float64(nil), means[3]...)
-		for d := range query {
-			query[d] += rng.Norm()
-		}
-		idx, err := ann.Build(pts, ann.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("build/n="+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ann.Build(pts, ann.Params{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("query/n="+itoa(n), func(b *testing.B) {
-			var s ann.Scratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.KNearestInto(&s, query, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			var sr ann.Scratch
-			got, err := idx.KNearestInto(&sr, query, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			exact := make(map[int]bool, k)
-			for _, nb := range kdtree.BruteKNearest(pts, query, k) {
-				exact[nb.Point.Payload] = true
-			}
-			hits := 0
-			for _, nb := range got {
-				if exact[nb.Point.Payload] {
-					hits++
-				}
-			}
-			b.ReportMetric(float64(hits)/float64(k), "recall@k")
 		})
 	}
 }

@@ -21,8 +21,10 @@
 // unless -warn-only downgrades that to an annotation too. Where both sides
 // report B/op (b.ReportAllocs or -benchmem), a hot-path benchmark allocating
 // more than 10% more bytes per op fails as well: allocation totals repeat to
-// well under 1% run to run, so that gate needs no noise allowance. The
-// comparison is embedded in the output JSON under "comparisons".
+// well under 1% run to run, so that gate needs no noise allowance. A
+// hot-path benchmark with no fresh row fails the run even under -warn-only:
+// its gate would otherwise be skipped. The comparison is embedded in the
+// output JSON under "comparisons".
 //
 // Speedups are a hardware property: on a single-core runner the workers=4
 // variants measure pure pool overhead and the ratio sits near (or below) 1.
@@ -46,6 +48,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -133,11 +136,6 @@ var speedupPairs = [][3]string{
 	// Row-parallel GEMM: the same 128³ product with output rows fanned over
 	// a 4-worker pool (bit-identical results; speedup needs real cores).
 	{"gemm-parallel", "BenchmarkGemm/par/workers=1/n=128", "BenchmarkGemm/par/workers=4/n=128"},
-	// Opt-in fast paths over the float64-exact default (not parallel pairs):
-	// float32 ranking forwards, the approximate IVF k-NN index, and both.
-	{"detect-f32", "BenchmarkDetect/enld", "BenchmarkDetect/enld-f32"},
-	{"detect-ann", "BenchmarkDetect/enld", "BenchmarkDetect/enld-ann"},
-	{"detect-ann-f32", "BenchmarkDetect/enld", "BenchmarkDetect/enld-ann-f32"},
 }
 
 // overheadPairs lists the (name, base, variant, limit) tuples of the
@@ -169,10 +167,8 @@ var hotPaths = map[string]bool{
 	"BenchmarkTrainEpoch/workers=1":    true,
 	"BenchmarkForward/batch-workers=1": true,
 	"BenchmarkForwardBatch/batched":    true,
-	// New kernels of the perf PR: the row-parallel GEMM's sequential leg and
-	// the fully stacked fast-path detection run.
+	// The row-parallel GEMM's sequential leg.
 	"BenchmarkGemm/par/workers=1/n=128": true,
-	"BenchmarkDetect/enld-ann-f32":      true,
 	// The ragged-tail kernels: the output layer's column tail, a short last
 	// mini-batch's row tail and the output layer's weight-gradient row tail.
 	"BenchmarkGemm/tail/4x26x64":  true,
@@ -246,6 +242,25 @@ func gate(w io.Writer, comparisons []Comparison) (failed bool) {
 		}
 	}
 	return failed
+}
+
+// gateMissing prints an error for every hot path with no fresh row and
+// reports whether any is missing. compare pairs only rows present on both
+// sides, so a renamed or deleted hot-path benchmark would otherwise drop its
+// gate without a word. A missing row is not noise, so -warn-only does not
+// excuse it.
+func gateMissing(w io.Writer, fresh []Entry) (failed bool) {
+	var missing []string
+	for name := range hotPaths {
+		if !slices.ContainsFunc(fresh, func(e Entry) bool { return e.Name == name }) {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "::error::hot-path benchmark %s has no fresh row, so its regression gate cannot run\n", name)
+	}
+	return len(missing) > 0
 }
 
 // gateOverheads prints annotations for overheads above their budget and
@@ -407,6 +422,7 @@ func main() {
 	}
 	summary := summarize(entries)
 	gateFailed := gateOverheads(os.Stdout, summary.Overheads)
+	missingHotPath := false
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
 		if err != nil {
@@ -420,6 +436,7 @@ func main() {
 		}
 		summary.Comparisons = compare(summary.Benchmarks, prior)
 		gateFailed = gate(os.Stdout, summary.Comparisons) || gateFailed
+		missingHotPath = gateMissing(os.Stdout, summary.Benchmarks)
 	}
 	data, err := json.MarshalIndent(summary, "", "  ")
 	if err != nil {
@@ -447,6 +464,9 @@ func main() {
 		fmt.Printf(", overheads: %s", strings.Join(parts, ", "))
 	}
 	fmt.Println()
+	if missingHotPath {
+		os.Exit(1)
+	}
 	if gateFailed {
 		if *warnOnly {
 			fmt.Println("::warning::hot-path regression gate failed but -warn-only is set")

@@ -56,7 +56,7 @@ func TestParse(t *testing.T) {
 func TestParseMemoryColumns(t *testing.T) {
 	entries, err := parse(strings.NewReader(
 		"BenchmarkDetect/enld-workers=1 \t 20\t 52000000 ns/op\t 1936512 B/op\t 1200 allocs/op\n" +
-			"BenchmarkANN/query/n=1024 \t 1000\t 3100 ns/op\t 0.9900 recall@k\t 48 B/op\t 2 allocs/op\n"))
+			"BenchmarkKNN/into/n=1024 \t 1000\t 3100 ns/op\t 0.9900 recall@k\t 48 B/op\t 2 allocs/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +200,33 @@ func TestGateThresholds(t *testing.T) {
 	buf.Reset()
 	if gate(&buf, []Comparison{{Name: "BenchmarkForward/single", BaselineNs: 100, CurrentNs: 105, Ratio: 1.05}}) || buf.Len() != 0 {
 		t.Fatalf("unexpected output for in-noise comparison: %q", buf.String())
+	}
+}
+
+// TestGateMissingHotPath fails the gate, with one error per name, when a
+// hot-path benchmark has no fresh row: compare would skip it silently.
+func TestGateMissingHotPath(t *testing.T) {
+	var all []Entry
+	for name := range hotPaths {
+		all = append(all, Entry{Name: name, NsPerOp: 100})
+	}
+	var buf strings.Builder
+	if gateMissing(&buf, all) || buf.Len() != 0 {
+		t.Fatalf("gate failed or annotated with every hot path present: %q", buf.String())
+	}
+	var fresh []Entry
+	for _, e := range all {
+		if e.Name != "BenchmarkDetect/enld-workers=1" && e.Name != "BenchmarkGemm/tail/4x26x64" {
+			fresh = append(fresh, e)
+		}
+	}
+	if !gateMissing(&buf, fresh) {
+		t.Fatal("gate passed with two hot paths missing")
+	}
+	want := "::error::hot-path benchmark BenchmarkDetect/enld-workers=1 has no fresh row, so its regression gate cannot run\n" +
+		"::error::hot-path benchmark BenchmarkGemm/tail/4x26x64 has no fresh row, so its regression gate cannot run\n"
+	if buf.String() != want {
+		t.Fatalf("annotations:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -34,8 +34,6 @@ func main() {
 		iters      = flag.Int("iters", 0, "ENLD iterations t (0 = paper default)")
 		noise      = flag.String("noise", "pair", "label-noise model: pair (paper) or symmetric")
 		workers    = flag.Int("workers", 0, "data-parallel workers for training/scoring/k-NN (0 = all cores); results are identical at any count")
-		useANN     = flag.Bool("ann", false, "use the approximate IVF k-NN index for ENLD's contrastive sampling (faster; detection quality within the guardrail budget of the exact default)")
-		useF32     = flag.Bool("f32", false, "run ENLD's ranking-only forward passes in float32 (deterministic, but not bit-identical to the float64 default)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime/trace execution trace to this file")
@@ -73,7 +71,6 @@ func main() {
 	cfg := experiments.Config{
 		Seed: *seed, DataScale: *scale, Shards: *shards, Iterations: *iters,
 		Noise: experiments.NoiseKind(*noise), Workers: *workers, Obs: reg,
-		ANN: *useANN, Float32: *useF32,
 	}
 	if *watchdog {
 		cfg.Watchdog = nn.WatchdogConfig{

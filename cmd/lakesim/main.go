@@ -139,8 +139,6 @@ func main() {
 		datasets = flag.Int("datasets", 0, "incremental dataset count (0 = paper count)")
 		workers  = flag.Int("workers", 2, "concurrent detection workers")
 		taskW    = flag.Int("task-workers", 1, "data-parallel workers inside each detection task (0 = all cores); per-task results are identical at any count")
-		useANN   = flag.Bool("ann", false, "use the approximate IVF k-NN index for ENLD's contrastive sampling (faster; detection quality within the guardrail budget of the exact default)")
-		useF32   = flag.Bool("f32", false, "run ENLD's ranking-only forward passes in float32 (deterministic, but not bit-identical to the float64 default)")
 		interval = flag.Duration("interval", 50*time.Millisecond, "arrival pacing between datasets")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall simulation deadline")
 		journal  = flag.String("journal", "", "append an audit journal of detection decisions to this file")
@@ -181,7 +179,7 @@ func main() {
 		// deadline-aware shedding, and the brownout degradation ladder.
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue capacity (0 = legacy unbounded backpressure, nothing is shed)")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "shed tasks whose predicted queue wait exceeds this (0 = only full-queue shedding; needs -queue-depth)")
-		brownoutOn   = flag.Bool("brownout", false, "step detection down the degradation ladder (full ENLD -> ANN -> ANN+f32 -> fallback) under sustained pressure, recovering tier-by-tier")
+		brownoutOn   = flag.Bool("brownout", false, "step detection down the degradation ladder (full ENLD -> fallback) under sustained pressure, recovering tier-by-tier")
 		brQueueHigh  = flag.Int("brownout-queue-high", 0, "queue-depth pressure watermark (0 = half of -queue-depth)")
 		brQueueLow   = flag.Int("brownout-queue-low", 0, "queue-depth calm watermark (0 = a quarter of the high watermark)")
 		brP95High    = flag.Duration("brownout-p95-high", 0, "windowed task-latency p95 pressure watermark (0 = latency signal off)")
@@ -226,7 +224,7 @@ func main() {
 		reg.SetSpanLedger(f)
 	}
 
-	cfg := experiments.Config{Seed: *seed, DataScale: *scale, Shards: *datasets, Workers: *taskW, Obs: reg, ANN: *useANN, Float32: *useF32}
+	cfg := experiments.Config{Seed: *seed, DataScale: *scale, Shards: *datasets, Workers: *taskW, Obs: reg}
 	if *watchdog {
 		cfg.Watchdog = nn.WatchdogConfig{
 			Enabled:      true,

@@ -106,8 +106,10 @@ func runClusterScenario(ctx context.Context, spec workload.Spec, n, killShard in
 			Registry: obs.NewRegistry(),
 		}
 		if spec.Brownout != nil {
-			ladder := experiments.BrownoutLadder(wb)
-			ladder[0].Detector = detector
+			ladder, err := brownoutLadder(wb, spec, detector)
+			if err != nil {
+				return nil, err
+			}
 			wcfg.Ladder = ladder
 			wcfg.Brownout = spec.Brownout.Config()
 		}

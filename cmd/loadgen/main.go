@@ -25,10 +25,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
@@ -107,7 +109,7 @@ func main() {
 			os.Exit(2)
 		}
 		summary.Scenarios = append(summary.Scenarios, *res)
-		report(res)
+		report(os.Stdout, res)
 	}
 
 	if *out != "" {
@@ -201,14 +203,10 @@ func runScenario(ctx context.Context, spec workload.Spec, speed float64, timeout
 		return nil, err
 	}
 	if spec.Brownout != nil {
-		// The ENLD degradation ladder, built on the scenario's platform. Tier
-		// 0 is replaced by the scenario's own method — fault-injector wrap
-		// included — so the ladder degrades from the detector under test. The
-		// injector wraps tier 0 only: the full-quality rung is the one under
-		// chaos, and the cheaper rungs model the clean fast paths the brownout
-		// degrades to.
-		ladder := experiments.BrownoutLadder(wb)
-		ladder[0].Detector = detector
+		ladder, err := brownoutLadder(wb, spec, detector)
+		if err != nil {
+			return nil, err
+		}
 		if err := svc.SetBrownout(ladder, spec.Brownout.Config(), func(from, to int) {
 			fmt.Printf("[%s] brownout: tier %d (%s) -> %d (%s)\n",
 				spec.Name, from, ladder[from].Name, to, ladder[to].Name)
@@ -274,6 +272,43 @@ func runScenario(ctx context.Context, spec workload.Spec, speed float64, timeout
 	return workload.Summarize(spec, played, reg)
 }
 
+// brownoutLadder builds the ENLD degradation ladder on the scenario's
+// platform. Tier 0 is replaced by the scenario's own method — fault-injector
+// wrap included — so the ladder degrades from the detector under test. The
+// injector wraps tier 0 only: the full-quality rung is the one under chaos,
+// and the fallback rung models the clean cheap path the brownout degrades
+// to.
+func brownoutLadder(wb *experiments.Workbench, spec workload.Spec, detector detect.Detector) ([]lake.TierDetector, error) {
+	ladder := experiments.BrownoutLadder(wb)
+	ladder[0].Detector = detector
+	if err := checkTierFloors(spec.SLO.MinTierF1, ladder); err != nil {
+		return nil, err
+	}
+	return ladder, nil
+}
+
+// checkTierFloors rejects a min_tier_f1 floor on a tier the ladder lacks.
+// The SLO skips tiers that served no tasks, so such a floor could never be
+// judged and would pass silently.
+func checkTierFloors(floors map[string]float64, ladder []lake.TierDetector) error {
+	for _, tier := range sortedKeys(floors) {
+		if !slices.ContainsFunc(ladder, func(r lake.TierDetector) bool { return r.Name == tier }) {
+			return fmt.Errorf("min_tier_f1 names tier %q, which the brownout ladder lacks", tier)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // findDetector resolves the spec's method name against the full detector
 // registry, built on the workbench's platform.
 func findDetector(wb *experiments.Workbench, spec workload.Spec) (detect.Detector, error) {
@@ -334,29 +369,28 @@ func writeMetrics(dir, scenario string, reg *obs.Registry) error {
 }
 
 // report prints one scenario's verdict for the run log.
-func report(r *workload.ScenarioResult) {
-	fmt.Printf("[%s] completed=%d/%d offered, %.2f req/s, task p50/p95/p99 = %.3f/%.3f/%.3f s, queued p99 = %.3f s\n",
+func report(w io.Writer, r *workload.ScenarioResult) {
+	fmt.Fprintf(w, "[%s] completed=%d/%d offered, %.2f req/s, task p50/p95/p99 = %.3f/%.3f/%.3f s, queued p99 = %.3f s\n",
 		r.Name, r.Completed, r.Offered, r.ThroughputRPS,
 		r.TaskSeconds.P50, r.TaskSeconds.P95, r.TaskSeconds.P99, r.QueuedSeconds.P99)
-	fmt.Printf("[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d retries=%d breaker_opens=%d max_send_lag=%.3fs\n",
+	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d retries=%d breaker_opens=%d max_send_lag=%.3fs\n",
 		r.Name, r.Outcomes["ok"], r.Outcomes["degraded"], r.Outcomes["dead_letter"],
 		r.Outcomes["shed"], r.Outcomes["abandoned"],
 		r.Retries, r.BreakerOpens, r.MaxSendLagSeconds)
 	if r.TierChanges > 0 || len(r.TierF1) > 0 {
-		fmt.Printf("[%s] brownout: max_tier=%d tier_changes=%d", r.Name, r.BrownoutMaxTier, r.TierChanges)
-		for _, tier := range []string{"full", "ann", "ann-f32", "fallback"} {
-			if q, ok := r.TierF1[tier]; ok {
-				fmt.Printf(" %s: F1=%.3f over %d", tier, q.MeanF1, q.Tasks)
-			}
+		fmt.Fprintf(w, "[%s] brownout: max_tier=%d tier_changes=%d", r.Name, r.BrownoutMaxTier, r.TierChanges)
+		for _, tier := range sortedKeys(r.TierF1) {
+			q := r.TierF1[tier]
+			fmt.Fprintf(w, " %s: F1=%.3f over %d", tier, q.MeanF1, q.Tasks)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if r.Pass {
-		fmt.Printf("[%s] SLO: PASS\n", r.Name)
+		fmt.Fprintf(w, "[%s] SLO: PASS\n", r.Name)
 		return
 	}
-	fmt.Printf("[%s] SLO: FAIL\n", r.Name)
+	fmt.Fprintf(w, "[%s] SLO: FAIL\n", r.Name)
 	for _, v := range r.Violations {
-		fmt.Printf("[%s]   violation: %s\n", r.Name, v)
+		fmt.Fprintf(w, "[%s]   violation: %s\n", r.Name, v)
 	}
 }

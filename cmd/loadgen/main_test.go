@@ -2,8 +2,10 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"enld/internal/lake"
 	"enld/internal/workload"
 )
 
@@ -36,5 +38,42 @@ func TestScenarioFiles(t *testing.T) {
 		if _, err := tr.Hash(); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
+	}
+}
+
+// TestReportPrintsEveryTier pins the run log's per-tier line: every tier the
+// run measured is printed, in sorted order, whatever the rungs are named.
+func TestReportPrintsEveryTier(t *testing.T) {
+	var buf strings.Builder
+	report(&buf, &workload.ScenarioResult{
+		Name:            "s",
+		BrownoutMaxTier: 2,
+		TierChanges:     3,
+		TierF1: map[string]workload.TierF1{
+			"middle":   {MeanF1: 0.5, Tasks: 2},
+			"full":     {MeanF1: 0.9, Tasks: 7},
+			"fallback": {MeanF1: 0.4, Tasks: 3},
+		},
+		Pass: true,
+	})
+	want := "[s] brownout: max_tier=2 tier_changes=3 fallback: F1=0.400 over 3 full: F1=0.900 over 7 middle: F1=0.500 over 2\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("report output:\n%s\nwant line:\n%s", buf.String(), want)
+	}
+}
+
+// TestCheckTierFloors rejects a min_tier_f1 floor on a tier the ladder lacks
+// (the SLO would skip it silently) and accepts floors on a subset of rungs.
+func TestCheckTierFloors(t *testing.T) {
+	ladder := []lake.TierDetector{{Name: lake.TierFull}, {Name: lake.TierFallback}}
+	if err := checkTierFloors(map[string]float64{"full": 0.3}, ladder); err != nil {
+		t.Fatalf("floor on a present rung rejected: %v", err)
+	}
+	if err := checkTierFloors(nil, ladder); err != nil {
+		t.Fatalf("no floors rejected: %v", err)
+	}
+	err := checkTierFloors(map[string]float64{"full": 0.3, "ann": 0.3, "fallback": 0.25}, ladder)
+	if err == nil || !strings.Contains(err.Error(), `"ann"`) {
+		t.Fatalf("floor on a missing rung: err = %v, want one naming \"ann\"", err)
 	}
 }

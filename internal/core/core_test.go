@@ -481,23 +481,3 @@ func TestModelUpdateSwapsHalves(t *testing.T) {
 		}
 	}
 }
-
-func TestTierLadder(t *testing.T) {
-	base := DefaultConfig(7)
-	base.ANN = true // ladder rungs override the base fast-path settings
-	base.Float32 = true
-	ladder := base.TierLadder()
-	if len(ladder) != 3 {
-		t.Fatalf("ladder has %d rungs, want 3", len(ladder))
-	}
-	want := []struct{ ann, f32 bool }{{false, false}, {true, false}, {true, true}}
-	for i, w := range want {
-		if ladder[i].ANN != w.ann || ladder[i].Float32 != w.f32 {
-			t.Errorf("rung %d: ANN=%v Float32=%v, want ANN=%v Float32=%v",
-				i, ladder[i].ANN, ladder[i].Float32, w.ann, w.f32)
-		}
-		if ladder[i].K != base.K || ladder[i].Seed != base.Seed {
-			t.Errorf("rung %d lost base hyperparameters", i)
-		}
-	}
-}

@@ -59,23 +59,6 @@ type Config struct {
 	// at every worker count; see nn.TrainConfig.Workers for the contract.
 	Workers int
 
-	// ANN replaces contrastive sampling's exact per-class KD-trees with the
-	// approximate IVF index of internal/ann. Detection results stay close to
-	// the exact path but are not identical: the ann package pins
-	// recall@k ≥ 0.95, and a core-level guardrail test bounds the detection-F1
-	// gap on seed scenarios. Ignored when Strategy is set explicitly.
-	ANN bool
-
-	// Float32 switches the ranking-only forward passes — the re-scoring that
-	// feeds the ambiguous/high-quality split and sampling, and the per-step
-	// vote predictions — to a float32 snapshot of the fine-tuned model (see
-	// DESIGN.md §4). Training, warmup validation and every gradient
-	// computation stay float64. This is a versioned numeric profile: results
-	// are deterministic at every worker count, but not bit-identical to the
-	// float64 default; the differential tests bound the drift and pin equal
-	// noisy sets on the seed scenarios.
-	Float32 bool
-
 	Seed uint64
 }
 
@@ -97,22 +80,6 @@ func DefaultConfig(seed uint64) Config {
 // voteThreshold is the strict majority of an iteration's s steps a labelled
 // sample must agree in to join the clean set.
 func (c Config) voteThreshold() int { return c.Steps/2 + 1 }
-
-// TierLadder returns the ENLD side of the brownout degradation ladder built
-// from c: the config as given (full quality), then with the approximate ANN
-// index, then ANN plus the float32 ranking profile. Each step trades
-// detection quality headroom for speed; serving layers append a cheap
-// non-ENLD fallback detector as the last rung. The base config's own
-// ANN/Float32 settings are overridden so the rungs are strictly ordered.
-func (c Config) TierLadder() []Config {
-	full := c
-	full.ANN, full.Float32 = false, false
-	ann := full
-	ann.ANN = true
-	annF32 := ann
-	annF32.Float32 = true
-	return []Config{full, ann, annF32}
-}
 
 // IterationSnapshot records the detector's state after one iteration of
 // fine-grained NLD; the Fig. 9 (metric trajectories) and Fig. 13(b)
@@ -208,7 +175,7 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
-		strategy = sampling.Contrastive{ANN: cfg.ANN}
+		strategy = sampling.Contrastive{}
 	}
 
 	sw := cost.StartStopwatch()
@@ -268,13 +235,12 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 			// the samples whose vote can still change an output.
 			voteSpan := run.obs.StartSpan("detect/vote")
 			rows := run.openVotes(cleanIDs, count, cfg.Steps-step)
-			var preds []int
 			if len(rows) > 0 {
-				preds = run.predict(run.voteXS)
+				run.preds = run.eval.PredictInto(run.preds, run.voteXS)
 				res.Meter.ForwardPasses += int64(len(rows))
 			}
 			for k, i := range rows {
-				smp, pred := d[i], preds[k]
+				smp, pred := d[i], run.preds[k]
 				if smp.Observed == dataset.Missing {
 					votes := pseudoVotes[i]
 					if votes == nil {
@@ -406,10 +372,6 @@ type nldRun struct {
 	examples []nn.Example
 	targets  [][]float64
 
-	// f32 is the float32 forward snapshot, refreshed from model before each
-	// ranking-only scoring pass when cfg.Float32 is set.
-	f32 nn.Network32
-
 	// classConfSum and classAgree are highQualityFiltered's per-class
 	// confidence sums and counts, cleared and refilled by every resample.
 	classConfSum []float64
@@ -435,14 +397,8 @@ type nldRun struct {
 func (r *nldRun) resample() error {
 	splitSpan := r.obs.StartSpan("detect/split")
 	dScores, iScores := &r.dScores, &r.iScores
-	if r.cfg.Float32 {
-		r.model.Snapshot32(&r.f32)
-		dScores = detect.ScoreParallel32(&r.f32, r.d, &r.res.Meter, r.cfg.Workers)
-		iScores = detect.ScoreParallel32(&r.f32, r.iPrime, &r.res.Meter, r.cfg.Workers)
-	} else {
-		dScores.Fill(r.eval, r.d, &r.res.Meter)
-		iScores.Fill(r.eval, r.iPrime, &r.res.Meter)
-	}
+	dScores.Fill(r.eval, r.d, &r.res.Meter)
+	iScores.Fill(r.eval, r.iPrime, &r.res.Meter)
 
 	r.ambIdx = detect.Ambiguous(r.d, dScores.Predicted)
 	r.hqIdx = r.highQualityFiltered(iScores)
@@ -522,19 +478,6 @@ func (r *nldRun) openVotes(cleanIDs map[int]bool, count []int, remaining int) []
 		r.voteXS = append(r.voteXS, smp.X)
 	}
 	return r.voteIdx
-}
-
-// predict returns argmax predictions for xs under the current model — the
-// per-step vote pass. With cfg.Float32 it refreshes and uses the float32
-// ranking snapshot; warmup's validation accuracy intentionally stays
-// float64 (it selects a parameter snapshot rather than ranking samples).
-func (r *nldRun) predict(xs [][]float64) []int {
-	if r.cfg.Float32 {
-		r.model.Snapshot32(&r.f32)
-		return r.f32.PredictBatch32(xs, r.cfg.Workers)
-	}
-	r.preds = r.eval.PredictInto(r.preds, xs)
-	return r.preds
 }
 
 // mergeClean appends D's currently selected clean samples to C

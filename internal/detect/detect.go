@@ -98,14 +98,9 @@ func (s *Scores) Fill(ev *nn.Evaluator, d dataset.Set, meter *cost.Meter) {
 	ev.EvaluateInto(&s.conf, &s.feat, s.xs)
 	s.Confidences = s.conf.AppendRows(s.Confidences[:0])
 	s.Features = s.feat.AppendRows(s.Features[:0])
-	s.derive()
 	if meter != nil {
 		meter.ForwardPasses += int64(len(d))
 	}
-}
-
-// derive recomputes the per-sample statistics from Confidences.
-func (s *Scores) derive() {
 	s.Predicted = s.Predicted[:0]
 	s.MaxConf = s.MaxConf[:0]
 	s.Entropy = s.Entropy[:0]
@@ -114,25 +109,6 @@ func (s *Scores) derive() {
 		s.MaxConf = append(s.MaxConf, mat.Max(conf))
 		s.Entropy = append(s.Entropy, mat.Entropy(conf))
 	}
-}
-
-// ScoreParallel32 is ScoreParallel over a float32 forward snapshot: the
-// linear algebra runs in the float32 numeric profile (see DESIGN.md §4) and
-// the derived statistics are computed in float64 from the widened outputs.
-// The caller owns refreshing model32 from the live network. Results are
-// identical at every worker count within the float32 profile.
-func ScoreParallel32(model32 *nn.Network32, d dataset.Set, meter *cost.Meter, workers int) *Scores {
-	s := new(Scores)
-	xs := make([][]float64, len(d))
-	for i, smp := range d {
-		xs[i] = smp.X
-	}
-	s.Confidences, s.Features = model32.EvaluateBatch32(xs, workers)
-	s.derive()
-	if meter != nil {
-		meter.ForwardPasses += int64(len(d))
-	}
-	return s
 }
 
 // Ambiguous returns the indices of d whose predicted label disagrees with

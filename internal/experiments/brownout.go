@@ -7,24 +7,12 @@ import (
 )
 
 // BrownoutLadder builds the lake service's brownout degradation ladder from a
-// prepared workbench: full ENLD, ENLD on the approximate ANN index, ENLD on
-// ANN plus the float32 ranking profile, and the Default baseline as the
-// last-resort fallback rung. Every rung shares the workbench platform's
-// general model, so switching tiers costs no retraining — exactly why these
-// four make a viable brownout ladder: each step down keeps serving real
-// detections, just cheaper ones.
+// prepared workbench: full ENLD with the workbench's config, then the Default
+// baseline as the last-resort fallback rung. Both rungs share the workbench
+// platform's general model, so switching tiers costs no retraining.
 func BrownoutLadder(wb *Workbench) []lake.TierDetector {
-	cfgs := wb.ENLDCfg.TierLadder()
-	names := []string{lake.TierFull, lake.TierANN, lake.TierANNFloat32}
-	ladder := make([]lake.TierDetector, 0, len(cfgs)+1)
-	for i, cfg := range cfgs {
-		ladder = append(ladder, lake.TierDetector{
-			Name:     names[i],
-			Detector: &core.ENLD{Platform: wb.Platform, Config: cfg},
-		})
+	return []lake.TierDetector{
+		{Name: lake.TierFull, Detector: &core.ENLD{Platform: wb.Platform, Config: wb.ENLDCfg}},
+		{Name: lake.TierFallback, Detector: baselines.Default{Model: wb.Platform.Model}},
 	}
-	return append(ladder, lake.TierDetector{
-		Name:     lake.TierFallback,
-		Detector: baselines.Default{Model: wb.Platform.Model},
-	})
 }

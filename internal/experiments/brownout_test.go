@@ -7,38 +7,13 @@ import (
 	"enld/internal/lake"
 )
 
-func TestTierLadderConfigs(t *testing.T) {
-	base := core.DefaultConfig(7)
-	base.ANN = true // overridden: rung 0 must be the exact full-quality path
-	cfgs := base.TierLadder()
-	if len(cfgs) != 3 {
-		t.Fatalf("%d tier configs, want 3", len(cfgs))
-	}
-	if cfgs[0].ANN || cfgs[0].Float32 {
-		t.Fatalf("rung 0 not full quality: %+v", cfgs[0])
-	}
-	if !cfgs[1].ANN || cfgs[1].Float32 {
-		t.Fatalf("rung 1 not ANN-only: %+v", cfgs[1])
-	}
-	if !cfgs[2].ANN || !cfgs[2].Float32 {
-		t.Fatalf("rung 2 not ANN+float32: %+v", cfgs[2])
-	}
-	// Everything else carries over unchanged.
-	for i, cfg := range cfgs {
-		cfg.ANN, cfg.Float32 = base.ANN, base.Float32
-		if cfg != base {
-			t.Fatalf("rung %d changed more than the speed knobs: %+v", i, cfg)
-		}
-	}
-}
-
 func TestBrownoutLadderShape(t *testing.T) {
 	wb, err := BuildWorkbench("emnist", 0.2, quickCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ladder := BrownoutLadder(wb)
-	wantNames := []string{lake.TierFull, lake.TierANN, lake.TierANNFloat32, lake.TierFallback}
+	wantNames := []string{lake.TierFull, lake.TierFallback}
 	if len(ladder) != len(wantNames) {
 		t.Fatalf("%d rungs, want %d", len(ladder), len(wantNames))
 	}
@@ -50,21 +25,17 @@ func TestBrownoutLadderShape(t *testing.T) {
 			t.Fatalf("rung %d has nil detector", i)
 		}
 	}
-	// The ladder must be accepted by the service's validator and each ENLD
-	// rung must carry the right speed profile.
+	// Rung 0 is ENLD exactly as the workbench configured it, and the ladder
+	// must be accepted by the service's validator.
+	e0, ok := ladder[0].Detector.(*core.ENLD)
+	if !ok || e0.Platform != wb.Platform || e0.Config != wb.ENLDCfg {
+		t.Fatalf("full rung misconfigured: %+v", ladder[0].Detector)
+	}
 	svc, err := lake.NewService(ladder[0].Detector, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.SetBrownout(ladder, lake.BrownoutConfig{QueueHigh: 4}, nil); err != nil {
 		t.Fatal(err)
-	}
-	e1, ok := ladder[1].Detector.(*core.ENLD)
-	if !ok || !e1.Config.ANN || e1.Config.Float32 {
-		t.Fatalf("ann rung misconfigured: %+v", ladder[1].Detector)
-	}
-	e2, ok := ladder[2].Detector.(*core.ENLD)
-	if !ok || !e2.Config.ANN || !e2.Config.Float32 {
-		t.Fatalf("ann-f32 rung misconfigured: %+v", ladder[2].Detector)
 	}
 }

@@ -47,14 +47,6 @@ type Config struct {
 	// training/scoring/k-NN hot paths (0 = all cores). Experiment outputs
 	// are identical at every worker count.
 	Workers int
-	// ANN switches ENLD's contrastive sampling to the approximate IVF k-NN
-	// index (core.Config.ANN): faster neighbor queries, detection quality
-	// within the guardrail budget of the exact default.
-	ANN bool
-	// Float32 switches ENLD's ranking-only forward passes to the float32
-	// numeric profile (core.Config.Float32): deterministic, but not
-	// bit-identical to the float64 default.
-	Float32 bool
 	// Watchdog enables the numerical-health watchdog (NaN/Inf detection and
 	// checkpoint rollback) for every training run the platform performs.
 	Watchdog nn.WatchdogConfig

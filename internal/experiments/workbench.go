@@ -129,8 +129,6 @@ func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platf
 	ecfg := core.DefaultConfig(cfg.Seed + 2)
 	ecfg.Iterations = iterations
 	ecfg.Workers = cfg.Workers
-	ecfg.ANN = cfg.ANN
-	ecfg.Float32 = cfg.Float32
 	return &Workbench{
 		Preset:    preset,
 		Eta:       eta,

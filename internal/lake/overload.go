@@ -107,10 +107,8 @@ type TierDetector struct {
 // use other names; these are what the built-in constructors and the
 // workload SLO examples use.
 const (
-	TierFull       = "full"
-	TierANN        = "ann"
-	TierANNFloat32 = "ann-f32"
-	TierFallback   = "fallback"
+	TierFull     = "full"
+	TierFallback = "fallback"
 )
 
 // BrownoutConfig tunes the brownout controller: when the service is

@@ -331,7 +331,7 @@ func TestBrownoutRecoversTierByTier(t *testing.T) {
 	var mu sync.Mutex
 	if err := svc.SetBrownout([]TierDetector{
 		{Name: TierFull, Detector: flagOdd{}},
-		{Name: TierANN, Detector: flagOdd{}},
+		{Name: "middle", Detector: flagOdd{}},
 		{Name: TierFallback, Detector: flagAll{}},
 	}, BrownoutConfig{
 		QueueHigh: 1000, QueueLow: 1,

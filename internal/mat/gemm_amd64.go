@@ -6,7 +6,7 @@ package mat
 // micro-kernels in gemm_amd64.s.
 //
 // One strided kernel shape serves every GEMM variant: it computes a 4-row ×
-// 8-column (16 columns for float32) block of C += A·B where consecutive A
+// 8-column block of C += A·B where consecutive A
 // rows are aRow bytes apart, consecutive p elements of one A row are aP
 // bytes apart, and consecutive p rows of B are bP bytes apart. The NN
 // product uses (aRow, aP) = (A.Cols·8, 8); the TN product reads column i of
@@ -50,12 +50,6 @@ func xgetbv0() (eax, edx uint32)
 //
 //go:noescape
 func gemmKern4x8(c *float64, cStride uintptr, a *float64, aRow, aP uintptr, b *float64, bP uintptr, k uintptr)
-
-// gemmKern4x16f is the float32 variant: a 4×16 block via two 8-lane YMM
-// column vectors per row, separate VMULPS/VADDPS per step.
-//
-//go:noescape
-func gemmKern4x16f(c *float32, cStride uintptr, a *float32, aRow, aP uintptr, b *float32, bP uintptr, k uintptr)
 
 // gemmRowsNNSIMD computes rows [i0,i1) of C += A·B with the AVX2 kernel,
 // delegating partial tiles (rows mod 4, columns mod 8) to the scalar edge
@@ -102,28 +96,5 @@ func gemmRowsTNSIMD(C, A, B *Matrix, i0, i1 int) {
 	}
 	if i < i1 {
 		gemmEdgeTN(C, A, B, i, i1, 0, n, k)
-	}
-}
-
-// gemm32RowsSIMD computes rows [i0,i1) of C += A·B in float32 with the AVX2
-// kernel. Caller guarantees i0 < i1, C.Cols >= simdMinCols32 and A.Cols > 0.
-func gemm32RowsSIMD(C, A, B *Matrix32, i0, i1 int) {
-	n, k := C.Cols, A.Cols
-	nv := n &^ 15
-	cc, ac, bc := C.Cols, A.Cols, B.Cols
-	cs, as, bs := uintptr(cc)*4, uintptr(ac)*4, uintptr(bc)*4
-	i := i0
-	for ; i+gemmTile <= i1; i += gemmTile {
-		crow := i * cc
-		arow := i * ac
-		for j := 0; j < nv; j += 16 {
-			gemmKern4x16f(&C.Data[crow+j], cs, &A.Data[arow], as, 4, &B.Data[j], bs, uintptr(k))
-		}
-		if nv < n {
-			gemm32EdgeNN(C, A, B, i, i+gemmTile, nv, n, k)
-		}
-	}
-	if i < i1 {
-		gemm32EdgeNN(C, A, B, i, i1, 0, n, k)
 	}
 }

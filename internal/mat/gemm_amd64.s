@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 GEMM micro-kernels.
+// AVX2 GEMM micro-kernel.
 //
-// Determinism: both kernels vectorize across output columns j only. For each
+// Determinism: the kernel vectorizes across output columns j only. For each
 // p step a single A element is broadcast and multiplied against a vector of
 // B columns with separate multiply and add instructions (no FMA), so every
 // output element accumulates its products one at a time, in strictly
@@ -126,95 +126,5 @@ kern4x8done:
 	ADDQ R8, DX
 	VMOVUPD Y6, (DX)
 	VMOVUPD Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func gemmKern4x16f(c *float32, cStride uintptr, a *float32, aRow, aP uintptr, b *float32, bP uintptr, k uintptr)
-//
-// float32 variant of gemmKern4x8: 4 rows × 16 columns (two 8-lane YMM per
-// row), same register plan, same single-multiply single-add accumulation
-// order per element.
-TEXT ·gemmKern4x16f(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DI
-	MOVQ cStride+8(FP), R8
-	MOVQ a+16(FP), SI
-	MOVQ aRow+24(FP), R9
-	MOVQ aP+32(FP), R10
-	MOVQ b+40(FP), BX
-	MOVQ bP+48(FP), R11
-	MOVQ k+56(FP), CX
-
-	MOVQ DI, DX
-	VMOVUPS (DX), Y0
-	VMOVUPS 32(DX), Y1
-	ADDQ R8, DX
-	VMOVUPS (DX), Y2
-	VMOVUPS 32(DX), Y3
-	ADDQ R8, DX
-	VMOVUPS (DX), Y4
-	VMOVUPS 32(DX), Y5
-	ADDQ R8, DX
-	VMOVUPS (DX), Y6
-	VMOVUPS 32(DX), Y7
-
-	MOVQ SI, R13
-	ADDQ R9, R13
-	MOVQ R13, R14
-	ADDQ R9, R14
-	MOVQ R14, R15
-	ADDQ R9, R15
-
-	TESTQ CX, CX
-	JZ   kern4x16done
-
-kern4x16loop:
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-
-	VBROADCASTSS (SI), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y0, Y0
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y1, Y1
-
-	VBROADCASTSS (R13), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y2, Y2
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y3, Y3
-
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y4, Y4
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y5, Y5
-
-	VBROADCASTSS (R15), Y10
-	VMULPS Y8, Y10, Y11
-	VADDPS Y11, Y6, Y6
-	VMULPS Y9, Y10, Y11
-	VADDPS Y11, Y7, Y7
-
-	ADDQ R10, SI
-	ADDQ R10, R13
-	ADDQ R10, R14
-	ADDQ R10, R15
-	ADDQ R11, BX
-	DECQ CX
-	JNZ  kern4x16loop
-
-kern4x16done:
-	MOVQ c+0(FP), DX
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	ADDQ R8, DX
-	VMOVUPS Y2, (DX)
-	VMOVUPS Y3, 32(DX)
-	ADDQ R8, DX
-	VMOVUPS Y4, (DX)
-	VMOVUPS Y5, 32(DX)
-	ADDQ R8, DX
-	VMOVUPS Y6, (DX)
-	VMOVUPS Y7, 32(DX)
 	VZEROUPPER
 	RET

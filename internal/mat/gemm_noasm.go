@@ -3,8 +3,8 @@
 package mat
 
 // Stubs for platforms without vector kernels: simdAvailable stays false, so
-// the SIMD drivers below are unreachable (the dispatchers in gemm.go and
-// gemm32.go check simdGemm first).
+// the SIMD functions below are unreachable (the dispatchers in gemm.go check
+// simdGemm first).
 
 var simdAvailable = false
 
@@ -13,9 +13,5 @@ func gemmRowsNNSIMD(C, A, B *Matrix, i0, i1 int) {
 }
 
 func gemmRowsTNSIMD(C, A, B *Matrix, i0, i1 int) {
-	panic("mat: SIMD kernel called without CPU support")
-}
-
-func gemm32RowsSIMD(C, A, B *Matrix32, i0, i1 int) {
 	panic("mat: SIMD kernel called without CPU support")
 }

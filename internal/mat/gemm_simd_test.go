@@ -6,9 +6,9 @@ import (
 	"enld/internal/parallel"
 )
 
-// simdSizes stresses the vector kernels' edge handling: rows mod 4, columns
-// mod 8 (f64) and mod 16 (f32), k parities, and shapes on both sides of the
-// parallel work threshold.
+// simdSizes stresses the vector kernel's edge handling: rows mod 4, columns
+// mod 8, k parities, and shapes on both sides of the parallel work
+// threshold.
 var simdSizes = []struct{ m, n, k int }{
 	{4, 8, 1},
 	{4, 8, 16},

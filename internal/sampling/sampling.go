@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"enld/internal/ann"
 	"enld/internal/cost"
 	"enld/internal/dataset"
 	"enld/internal/kdtree"
@@ -154,12 +153,6 @@ type Contrastive struct {
 	// the O(c·|A|·|H'|) baseline of §IV-D's implementation note, kept for
 	// the complexity-ablation experiment and differential testing.
 	Brute bool
-	// ANN replaces the exact per-class KD-trees with the approximate IVF
-	// index of internal/ann. Neighbor sets may differ from the exact path
-	// (recall@k ≥ 0.95 by the ann package's guardrail test), so detection
-	// results are close but not identical — the end-to-end F1 budget is
-	// pinned by a core-level test. Mutually exclusive with Brute.
-	ANN bool
 }
 
 // Name implements Strategy.
@@ -169,8 +162,6 @@ func (c Contrastive) Name() string {
 		return "contrastive-samelabel"
 	case c.Brute:
 		return "contrastive-brute"
-	case c.ANN:
-		return "contrastive-ann"
 	default:
 		return "contrastive"
 	}
@@ -180,9 +171,6 @@ func (c Contrastive) Name() string {
 func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
-	}
-	if c.Brute && c.ANN {
-		return nil, errors.New("sampling: Contrastive.Brute and ANN are mutually exclusive")
 	}
 	if len(r.Ambiguous) == 0 || len(r.Pool) == 0 {
 		return nil, nil
@@ -213,39 +201,24 @@ func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 		}
 	}
 	estSpan.End()
-	// Build one index per label unless running the brute-force ablation —
-	// exact KD-trees by default, approximate IVF when c.ANN — then fan the
-	// k-NN queries out across workers. Each worker reuses its own scratch
-	// (no per-query allocation) and writes each sample's neighbors to that
-	// sample's slot, so assembly order is fixed.
+	// Build one KD-tree per label unless running the brute-force ablation,
+	// then fan the k-NN queries out across workers. Each worker reuses its
+	// own scratch (no per-query allocation) and writes each sample's
+	// neighbors to that sample's slot, so assembly order is fixed.
 	knnSpan := r.Obs.StartSpan("detect/knn")
 	defer knnSpan.End()
+	pool := r.knn.Get(r.Workers, r.Obs, "knn")
 	var index *kdtree.ClassIndex
-	var annIndex *ann.ClassIndex
-	switch {
-	case c.ANN:
-		var err error
-		annIndex, err = ann.BuildClassIndex(byLabel)
-		if err != nil {
-			return nil, err
-		}
-	case !c.Brute:
+	var scratch []kdtree.Scratch
+	if !c.Brute {
 		var err error
 		index, err = kdtree.BuildClassIndex(byLabel)
 		if err != nil {
 			return nil, err
 		}
-	}
-	pool := r.knn.Get(r.Workers, r.Obs, "knn")
-	perSample := make([]dataset.Set, len(r.Ambiguous))
-	var scratch []kdtree.Scratch
-	var annScratch []ann.Scratch
-	switch {
-	case c.ANN:
-		annScratch = make([]ann.Scratch, pool.Workers())
-	case !c.Brute:
 		scratch = make([]kdtree.Scratch, pool.Workers())
 	}
+	perSample := make([]dataset.Set, len(r.Ambiguous))
 	errs := make([]error, pool.Workers())
 	pool.ForEach(len(r.Ambiguous), func(worker, i int) {
 		if errs[worker] != nil {
@@ -254,12 +227,9 @@ func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 		j := draws[i]
 		var nbrs []kdtree.Neighbor
 		var err error
-		switch {
-		case c.Brute:
+		if c.Brute {
 			nbrs = kdtree.BruteKNearest(byLabel[j], r.AmbiguousFeatures[i], r.K)
-		case c.ANN:
-			nbrs, err = annIndex.KNearestInto(&annScratch[worker], j, r.AmbiguousFeatures[i], r.K)
-		default:
+		} else {
 			nbrs, err = index.KNearestInto(&scratch[worker], j, r.AmbiguousFeatures[i], r.K)
 		}
 		if err != nil {

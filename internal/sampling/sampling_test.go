@@ -327,34 +327,6 @@ func TestContrastiveBruteMatchesKDTree(t *testing.T) {
 	}
 }
 
-func TestContrastiveANNMatchesExactOnSeparatedPool(t *testing.T) {
-	// On the small well-separated pool the IVF index finds the same
-	// neighbors as the exact KD-trees (ten points per label means every
-	// list of the candidate label is scanned), so the selections agree.
-	a, err := Contrastive{}.Select(makeRequest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Contrastive{ANN: true}.Select(makeRequest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Fatalf("selection %d differs: ID %d vs %d", i, a[i].ID, b[i].ID)
-		}
-	}
-}
-
-func TestContrastiveBruteANNExclusive(t *testing.T) {
-	if _, err := (Contrastive{Brute: true, ANN: true}).Select(makeRequest(2)); err == nil {
-		t.Fatal("Brute+ANN accepted")
-	}
-}
-
 func TestContrastiveNames(t *testing.T) {
 	if (Contrastive{}).Name() != "contrastive" {
 		t.Error("default name")
@@ -364,9 +336,6 @@ func TestContrastiveNames(t *testing.T) {
 	}
 	if (Contrastive{Brute: true}).Name() != "contrastive-brute" {
 		t.Error("brute name")
-	}
-	if (Contrastive{ANN: true}).Name() != "contrastive-ann" {
-		t.Error("ann name")
 	}
 }
 
