@@ -23,7 +23,6 @@ import (
 	"enld/internal/mat"
 	"enld/internal/nn"
 	"enld/internal/obs"
-	"enld/internal/parallel"
 	"enld/internal/sampling"
 )
 
@@ -341,31 +340,6 @@ func BenchmarkGemm(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				C.Zero()
 				mat.Gemm(C, A, B)
-			}
-		})
-	}
-	// Parallel variants: output rows fanned over a pool, bit-identical to
-	// the sequential kernel at every worker count. At n=128 the product sits
-	// above parGemmMinWork, so the split actually engages; real speedup
-	// needs real cores (see the native-GOMAXPROCS CI leg).
-	for _, workers := range []int{1, 4} {
-		pool := parallel.New(workers)
-		A, B, C := newM(128, 128), newM(128, 128), mat.NewMatrix(128, 128)
-		b.Run("par/workers="+itoa(workers)+"/n=128", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				C.Zero()
-				mat.ParallelGemm(pool, C, A, B)
-			}
-		})
-	}
-	{
-		pool := parallel.New(4)
-		A, B2 := newM(64, 128), newM(96, 128)
-		C := mat.NewMatrix(64, 96)
-		b.Run("par-nt/workers=4/batch=64-128x96", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				C.Zero()
-				mat.ParallelGemmNT(pool, C, A, B2)
 			}
 		})
 	}

@@ -133,9 +133,6 @@ var speedupPairs = [][3]string{
 	// Batching speedup (not a parallel pair): one blocked-GEMM forward pass
 	// over a chunk versus the same samples through the per-sample path.
 	{"gemm-batching", "BenchmarkForwardBatch/persample", "BenchmarkForwardBatch/batched"},
-	// Row-parallel GEMM: the same 128³ product with output rows fanned over
-	// a 4-worker pool (bit-identical results; speedup needs real cores).
-	{"gemm-parallel", "BenchmarkGemm/par/workers=1/n=128", "BenchmarkGemm/par/workers=4/n=128"},
 }
 
 // overheadPairs lists the (name, base, variant, limit) tuples of the
@@ -167,8 +164,6 @@ var hotPaths = map[string]bool{
 	"BenchmarkTrainEpoch/workers=1":    true,
 	"BenchmarkForward/batch-workers=1": true,
 	"BenchmarkForwardBatch/batched":    true,
-	// The row-parallel GEMM's sequential leg.
-	"BenchmarkGemm/par/workers=1/n=128": true,
 	// The ragged-tail kernels: the output layer's column tail, a short last
 	// mini-batch's row tail and the output layer's weight-gradient row tail.
 	"BenchmarkGemm/tail/4x26x64":  true,

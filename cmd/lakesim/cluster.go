@@ -21,8 +21,9 @@ import (
 )
 
 // clusterFlags carries the flag values the sharded modes need, resolved in
-// main. Single-node-only features (journal/resume, inventory-backed platform
-// snapshots) do not apply here: each shard keeps its own books.
+// main. Single-node-only features (-resume from recorded detection
+// outcomes, inventory-backed platform snapshots) do not apply here: each
+// shard keeps its own books.
 type clusterFlags struct {
 	shards      int    // -shards: in-process cluster size
 	shardAddr   string // -shard-addr: serve one HTTP shard worker

@@ -7,12 +7,12 @@
 // The simulation can be run under deterministic fault injection (transient
 // failures, panics, latency, corrupted shards) with the full resilience
 // stack engaged — per-task deadlines, retry with backoff, a circuit breaker
-// degrading to the default baseline, and journal-based crash recovery:
+// degrading to the default baseline, and crash recovery from the segment
+// log, which records every arrival, the platform and each task's outcome:
 //
 //	lakesim -dataset cifar100 -eta 0.2 -workers 2 -interval 100ms
 //	lakesim -fail-rate 0.2 -panic-rate 0.05 -retries 2 \
-//	        -breaker-threshold 3 -fallback \
-//	        -platform lake.platform -journal lake.journal -resume
+//	        -breaker-threshold 3 -fallback -store-dir /var/lake -resume
 //
 // The stream can also be served by a sharded cluster
 // (internal/lake/cluster): -shards N runs the whole cluster in-process
@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -116,16 +115,8 @@ func openInventory(backend, dir string, reg *obs.Registry) (lake.Inventory, erro
 				rec.DroppedRecords, rec.DroppedBytes, rec.File, rec.Offset)
 		}
 		return lg, nil
-	case "gob":
-		if dir == "" {
-			return nil, nil
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		return lake.OpenGobInventory(filepath.Join(dir, "inventory.gob"))
 	default:
-		return nil, fmt.Errorf("unknown -store backend %q (want seglog, gob or memory)", backend)
+		return nil, fmt.Errorf("unknown -store backend %q (want seglog or memory)", backend)
 	}
 }
 
@@ -141,13 +132,12 @@ func main() {
 		taskW    = flag.Int("task-workers", 1, "data-parallel workers inside each detection task (0 = all cores); per-task results are identical at any count")
 		interval = flag.Duration("interval", 50*time.Millisecond, "arrival pacing between datasets")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall simulation deadline")
-		journal  = flag.String("journal", "", "append an audit journal of detection decisions to this file")
 		httpAddr = flag.String("http", "", "serve JSON status (/statusz) and Prometheus metrics (/metrics) on this address (e.g. :8080)")
 
 		// Sharded cluster modes (internal/lake/cluster). -shards runs the
 		// whole cluster in one process; -shard-addr turns this process into
-		// one HTTP worker; -coordinator fronts remote workers. Journal and
-		// resume are single-node features and do not apply to cluster runs.
+		// one HTTP worker; -coordinator fronts remote workers. Resume is a
+		// single-node feature and does not apply to cluster runs.
 		clusterShards = flag.Int("shards", 0, "run the stream through an in-process cluster of this many shard workers behind a rendezvous-hashing coordinator (0 = single service)")
 		shardAddr     = flag.String("shard-addr", "", "serve this process as one HTTP shard worker on this address (e.g. :9001) until interrupted")
 		shardName     = flag.String("shard-name", "", "cluster-wide name of this shard worker (default: the -shard-addr value)")
@@ -188,12 +178,12 @@ func main() {
 
 		// Crash recovery.
 		platformPath = flag.String("platform", "", "platform snapshot file: loaded if present (skipping setup), saved after setup otherwise; ignored when -store-dir is set")
-		resume       = flag.Bool("resume", false, "skip task IDs already recorded in the -journal file")
+		resume       = flag.Bool("resume", false, "skip task IDs whose outcome the -store-dir segment log already records (needs -store seglog)")
 
 		// Durable inventory storage (internal/lake/seglog): every arriving
-		// dataset and the platform snapshot go through the inventory, so an
-		// accepted arrival survives a crash.
-		storeKind = flag.String("store", "seglog", "inventory storage backend: seglog (crash-safe segment log), gob (atomic blob), memory")
+		// dataset, the platform snapshot and each task's outcome go through
+		// the segment log, so accepted work survives a crash.
+		storeKind = flag.String("store", "seglog", "inventory storage backend: seglog (crash-safe segment log), memory")
 		storeDir  = flag.String("store-dir", "", "directory for durable inventory storage (empty = durable storage off unless -store=memory)")
 
 		// Numerical-health watchdog (internal/nn): NaN/Inf and
@@ -254,8 +244,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lakesim: cluster modes support only -store seglog (got %q)\n", *storeKind)
 			os.Exit(2)
 		}
-		if *journal != "" || *resume {
-			fmt.Fprintln(os.Stderr, "lakesim: -journal/-resume are single-node features; ignored in cluster mode")
+		if *resume {
+			fmt.Fprintln(os.Stderr, "lakesim: -resume is a single-node feature; ignored in cluster mode")
 		}
 		fl.policy = lake.Policy{
 			TaskTimeout:      *taskTimeout,
@@ -316,6 +306,10 @@ func main() {
 		return
 	}
 
+	if *resume && (*storeKind != "seglog" || *storeDir == "") {
+		fmt.Fprintln(os.Stderr, "lakesim: -resume needs -store seglog -store-dir DIR: the segment log records which tasks are done")
+		os.Exit(2)
+	}
 	inv, err := openInventory(*storeKind, *storeDir, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lakesim: storage:", err)
@@ -340,39 +334,19 @@ func main() {
 			h.HealthChecks, h.Rollbacks, h.LastUnhealthyEpoch, h.CheckpointsTaken, h.VerifyFailures)
 	}
 
-	// Recover the journal before serving: the intact prefix tells a
-	// restarted run which tasks are already durable.
-	var jnl *lake.Journal
-	var jrec lake.JournalRecovery
-	done := map[int]bool{}
-	if *journal != "" {
-		var entries []lake.Entry
-		jnl, entries, jrec, err = lake.RecoverJournalFile(*journal)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lakesim: journal:", err)
-			os.Exit(1)
-		}
-		defer jnl.Close()
-		if jrec.Torn {
-			fmt.Fprintf(os.Stderr, "lakesim: journal recovery dropped a torn tail: %d bytes at offset %d of %s\n",
-				jrec.DroppedBytes, jrec.Offset, jrec.File)
-		}
-		if *resume {
-			done = lake.DoneTasks(entries)
-			if len(done) > 0 {
-				fmt.Printf("journal %s: %d entries recovered, skipping %d completed tasks\n",
-					*journal, len(entries), len(done))
-			}
-		}
+	// A segment log also records each task's outcome: the tasks a
+	// restarted run may skip because their result is already durable.
+	outcomes, _ := inv.(*seglog.Log)
+	var done map[int]bool
+	if *resume {
+		done = outcomes.DoneTasks()
+		fmt.Printf("resume: %s records %d completed task(s), skipping them\n", *storeDir, len(done))
 	}
 
 	tracker := lake.NewStatusTracker(nil)
 	tracker.SetKeepRecent(*keepRecent)
 	if inv != nil {
 		tracker.AttachInventory(inv)
-	}
-	if *journal != "" {
-		tracker.SetJournalRecovery(jrec)
 	}
 	if *watchdog {
 		h := wb.Platform.Health
@@ -506,19 +480,20 @@ func main() {
 			})
 		}
 		svc.SkipCompleted(done)
-		// Journal each task as it completes (not after the run), so a crash
-		// mid-run loses at most the in-flight tasks.
+		// Record each task's outcome as it completes (not after the run), so
+		// a crash mid-run loses at most the in-flight tasks.
 		svc.OnReport = func(rep lake.Report) {
 			tracker.Record(rep)
-			if jnl == nil || rep.Err != nil || rep.Result == nil {
+			if outcomes == nil || rep.Err != nil || rep.Result == nil {
 				return
 			}
 			note := "lakesim"
 			if rep.Degraded {
 				note = "lakesim-degraded"
 			}
-			if _, err := jnl.AppendDetection(rep.TaskID, rep.Result.Noisy, rep.Result.Clean, note); err != nil {
-				fmt.Fprintln(os.Stderr, "lakesim: journal:", err)
+			noisy, clean := rep.Result.SortedIDs()
+			if err := outcomes.AppendDetection(rep.TaskID, noisy, clean, note); err != nil {
+				fmt.Fprintf(os.Stderr, "lakesim: storage: recording task %d: %v\n", rep.TaskID, err)
 			}
 		}
 

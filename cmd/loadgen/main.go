@@ -49,7 +49,7 @@ func main() {
 		out        = flag.String("out", "BENCH_load.json", "load summary artifact path")
 		metricsDir = flag.String("metrics-dir", "", "write each scenario's final /metrics exposition to <dir>/<scenario>.metrics.txt")
 		speed      = flag.Float64("speed", 1, "replay time compression: 2 submits twice as fast as the trace prescribes")
-		storeKind  = flag.String("store", "", "durable inventory backend under load: seglog, gob, memory (empty = off)")
+		storeKind  = flag.String("store", "", "durable inventory backend under load: seglog, memory (empty = off)")
 		storeDir   = flag.String("store-dir", "", "directory for durable inventory storage (per-scenario subdirectories)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "per-scenario replay deadline")
 		warnOnly   = flag.Bool("warn-only", false, "report SLO violations without failing the process")
@@ -340,17 +340,8 @@ func openInventory(kind, dir, scenario string, reg *obs.Registry) (lake.Inventor
 		}
 		lg.SetObs(reg)
 		return lg, nil
-	case "gob":
-		if dir == "" {
-			return nil, fmt.Errorf("-store gob needs -store-dir")
-		}
-		sub := filepath.Join(dir, scenario)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, err
-		}
-		return lake.OpenGobInventory(filepath.Join(sub, "inventory.gob"))
 	default:
-		return nil, fmt.Errorf("unknown -store backend %q (want seglog, gob or memory)", kind)
+		return nil, fmt.Errorf("unknown -store backend %q (want seglog or memory)", kind)
 	}
 }
 

@@ -226,10 +226,6 @@ type (
 	// Request and Report are the service's task input and outcome.
 	Request = lake.Request
 	Report  = lake.Report
-	// Journal is the append-only audit log of platform decisions.
-	Journal = lake.Journal
-	// JournalEntry is one journal record.
-	JournalEntry = lake.Entry
 	// StatusTracker aggregates task reports for the HTTP status endpoint.
 	StatusTracker = lake.StatusTracker
 	// Policy configures the service's resilience behaviour: per-task
@@ -262,17 +258,6 @@ var (
 	NewFaultInjector = fault.New
 	// Feed converts shards into a paced request stream.
 	Feed = lake.Feed
-	// NewJournal opens an append-only decision journal.
-	NewJournal = lake.NewJournal
-	// ReadJournal decodes a journal; ReplayJournal applies it to a store.
-	ReadJournal   = lake.ReadJournal
-	ReplayJournal = lake.Replay
-	// ReadJournalLenient tolerates a torn trailing record (crash
-	// mid-append); RecoverJournalFile compacts and reopens a journal file
-	// for appending; DoneTasks extracts the recoverable task-ID set.
-	ReadJournalLenient = lake.ReadJournalLenient
-	RecoverJournalFile = lake.RecoverJournalFile
-	DoneTasks          = lake.DoneTasks
 	// NewStatusTracker creates a status aggregator for live monitoring.
 	NewStatusTracker = lake.NewStatusTracker
 )

@@ -127,9 +127,8 @@ type PlatformStore interface {
 }
 
 // SavePlatformInventory persists p's snapshot into a durable inventory. The
-// backend decides durability mechanics (atomic blob rewrite for gob, an
-// appended CRC-framed record for the segment log); a nil error means the
-// snapshot is durable.
+// backend decides durability mechanics (an appended CRC-framed record for
+// the segment log); a nil error means the snapshot is durable.
 func SavePlatformInventory(p *Platform, inv PlatformStore) error {
 	var buf bytesBuffer
 	if err := p.Save(&buf); err != nil {

@@ -6,6 +6,7 @@
 package detect
 
 import (
+	"slices"
 	"time"
 
 	"enld/internal/cost"
@@ -41,6 +42,21 @@ func (r *Result) MarkNoisy(id int) {
 func (r *Result) MarkClean(id int) {
 	r.Clean[id] = true
 	delete(r.Noisy, id)
+}
+
+// SortedIDs lists the noisy and the clean IDs in ascending order: the
+// deterministic form a result takes on the wire and on disk.
+func (r *Result) SortedIDs() (noisy, clean []int) {
+	return sortedKeys(r.Noisy), sortedKeys(r.Clean)
+}
+
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Detector is a noisy-label detection method: given an incremental dataset

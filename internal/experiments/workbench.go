@@ -51,7 +51,7 @@ func BuildWorkbench(preset string, eta float64, cfg Config) (*Workbench, error) 
 // path: a restarted service resumes serving without retraining the general
 // model. Dataset generation is deterministic from cfg.Seed, so the rebuilt
 // shards are byte-identical to the original run's, which is what makes
-// journal-based task skipping sound. The platform must match the preset's
+// skipping tasks by their recorded outcomes sound. The platform must match the preset's
 // class count and feature dimension.
 func BuildWorkbenchFrom(preset string, eta float64, cfg Config, platform *core.Platform) (*Workbench, error) {
 	if platform == nil {

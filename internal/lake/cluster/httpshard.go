@@ -171,24 +171,9 @@ func encodeReport(rep lake.Report) wireReport {
 		wire.Error = rep.Err.Error()
 	}
 	if rep.Result != nil {
-		wire.NoisyIDs = sortedIDs(rep.Result.Noisy)
-		wire.CleanIDs = sortedIDs(rep.Result.Clean)
+		wire.NoisyIDs, wire.CleanIDs = rep.Result.SortedIDs()
 	}
 	return wire
-}
-
-func sortedIDs(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	// Deterministic wire bytes for identical results.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Handler serves this worker as an HTTP shard: POST /submit, GET /statusz,

@@ -35,7 +35,7 @@ type WorkerConfig struct {
 	// KeepRecent bounds the tracker's recent-report list (default 20).
 	KeepRecent int
 	// OnReport, when set, observes every report the shard files (after the
-	// tracker records it) — the hook for per-shard journals.
+	// tracker records it) — the hook for per-shard outcome recording.
 	OnReport func(lake.Report)
 }
 
@@ -136,8 +136,8 @@ func (w *ShardWorker) Name() string { return w.name }
 // Registry exposes the shard's own metrics registry (scatter/gather input).
 func (w *ShardWorker) Registry() *obs.Registry { return w.reg }
 
-// Tracker exposes the shard's status tracker for extra wiring (journal
-// recovery, training health) before serving.
+// Tracker exposes the shard's status tracker for extra wiring (training
+// health) before serving.
 func (w *ShardWorker) Tracker() *lake.StatusTracker { return w.tracker }
 
 // resolve hands a filed report to the submitter waiting on its task ID.

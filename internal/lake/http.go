@@ -47,9 +47,6 @@ type Status struct {
 	// attached — segment counts, live/dead bytes, and what the last
 	// recovery dropped.
 	Storage *InventoryStats `json:"storage,omitempty"`
-	// JournalRecovery reports what the journal's crash recovery found (and,
-	// on a torn tail, dropped), when a journal recovery has been published.
-	JournalRecovery *JournalRecovery `json:"journal_recovery,omitempty"`
 
 	// KeepRecent is the configured bound of the Recent list.
 	KeepRecent int `json:"keep_recent"`
@@ -114,7 +111,6 @@ type StatusTracker struct {
 	training  *TrainingHealth
 	inventory Inventory
 	service   *Service
-	jrecovery *JournalRecovery
 	reports   []Report
 	// keepRecent bounds the recent-report ring.
 	keepRecent int
@@ -176,14 +172,6 @@ func (t *StatusTracker) AttachService(svc *Service) {
 	t.service = svc
 }
 
-// SetJournalRecovery publishes what the journal's crash recovery found, so
-// a dropped torn tail is visible on /statusz instead of only in logs.
-func (t *StatusTracker) SetJournalRecovery(rec JournalRecovery) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.jrecovery = &rec
-}
-
 // Record adds a processed task report.
 func (t *StatusTracker) Record(rep Report) {
 	t.mu.Lock()
@@ -212,10 +200,6 @@ func (t *StatusTracker) Snapshot() Status {
 	if t.inventory != nil {
 		s := t.inventory.Stats()
 		st.Storage = &s
-	}
-	if t.jrecovery != nil {
-		r := *t.jrecovery
-		st.JournalRecovery = &r
 	}
 	if t.service != nil {
 		ov := t.service.OverloadStatus()

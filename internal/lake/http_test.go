@@ -213,23 +213,19 @@ func TestSnapshotTrainingHealth(t *testing.T) {
 	}
 }
 
-// TestSnapshotStorageAndJournalRecovery: /statusz surfaces the inventory
-// backend's live statistics and the journal's recovery report.
-func TestSnapshotStorageAndJournalRecovery(t *testing.T) {
+// TestSnapshotStorage: /statusz surfaces the inventory backend's live
+// statistics.
+func TestSnapshotStorage(t *testing.T) {
 	tr := NewStatusTracker(nil)
 	inv := NewMemInventory()
 	if _, err := inv.AppendDataset("a", dataset.Set{sample(1, 0), sample(2, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	tr.AttachInventory(inv)
-	tr.SetJournalRecovery(JournalRecovery{Entries: 3, Torn: true, DroppedBytes: 17, Offset: 240, File: "j"})
 
 	st := tr.Snapshot()
 	if st.Storage == nil || st.Storage.Backend != "memory" || st.Storage.Datasets != 1 || st.Storage.Samples != 2 {
 		t.Fatalf("storage section = %+v", st.Storage)
-	}
-	if st.JournalRecovery == nil || !st.JournalRecovery.Torn || st.JournalRecovery.DroppedBytes != 17 {
-		t.Fatalf("journal recovery section = %+v", st.JournalRecovery)
 	}
 
 	// Live re-read: a later append shows up in the next snapshot.
@@ -240,7 +236,7 @@ func TestSnapshotStorageAndJournalRecovery(t *testing.T) {
 		t.Fatalf("snapshot is stale: %+v", st.Storage)
 	}
 
-	// The sections survive the JSON round trip the endpoint serves.
+	// The section survives the JSON round trip the endpoint serves.
 	var decoded Status
 	data, err := json.Marshal(tr.Snapshot())
 	if err != nil {
@@ -249,8 +245,8 @@ func TestSnapshotStorageAndJournalRecovery(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Storage == nil || decoded.Storage.Samples != 3 || decoded.JournalRecovery.Offset != 240 {
-		t.Fatalf("decoded = %+v / %+v", decoded.Storage, decoded.JournalRecovery)
+	if decoded.Storage == nil || decoded.Storage.Samples != 3 {
+		t.Fatalf("decoded = %+v", decoded.Storage)
 	}
 }
 

@@ -1,16 +1,12 @@
 package lake
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
 	"enld/internal/dataset"
-	"enld/internal/fsio"
 )
 
 // Inventory is the platform's durable storage: the incremental dataset
@@ -21,12 +17,10 @@ import (
 // from a mutating call means the mutation is durable, and reopening after a
 // kill yields a consistent prefix of the accepted mutations.
 //
-// Three backends implement it: GobInventory (the original single-blob gob
-// format, rewritten atomically on every mutation — simple, compatible,
-// O(world) per save), MemInventory (volatile, for tests and benchmarks) and
-// seglog.Log (append-only CRC-framed segment log with background compaction
-// — the scaling backend, whose memory holds frame positions only, so loads
-// read from disk).
+// Two backends implement it: MemInventory (volatile, for tests and
+// benchmarks) and seglog.Log (append-only CRC-framed segment log with
+// background compaction, whose memory holds frame positions only, so loads
+// read from disk; it also records detection outcomes for crash-resume).
 type Inventory interface {
 	// AppendDataset durably appends one incremental dataset arrival and
 	// returns its assigned ID. IDs are unique and increase with append
@@ -68,17 +62,17 @@ type DatasetMeta struct {
 }
 
 // InventoryStats reports a backend's storage counters. Fields that a
-// backend has no notion of (segments for the gob blob, bytes for the
-// in-memory store) stay zero.
+// backend has no notion of (segments and bytes for the in-memory store)
+// stay zero.
 type InventoryStats struct {
-	// Backend names the implementation: "gob", "memory" or "seglog".
+	// Backend names the implementation: "memory" or "seglog".
 	Backend string `json:"backend"`
 	// Datasets is the live dataset count; Samples the live sample total.
 	Datasets int `json:"datasets"`
 	Samples  int `json:"samples"`
 	// HasPlatform reports whether a platform snapshot is stored.
 	HasPlatform bool `json:"has_platform"`
-	// Segments is the on-disk segment-file count (1 for the gob blob).
+	// Segments is the on-disk segment-file count.
 	Segments int `json:"segments,omitempty"`
 	// LiveBytes is the on-disk bytes still reachable; DeadBytes the bytes
 	// held by superseded or removed records that compaction can reclaim.
@@ -238,201 +232,6 @@ func (m *MemInventory) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Gob-blob backend.
-
-// GobInventory is the original persistence model kept as the compatibility
-// backend: the whole inventory is one gob blob, atomically rewritten on
-// every mutation. Durable and torn-write-safe (via the shared tmp+rename
-// helper) but O(inventory) per save — the scaling ceiling the segment log
-// removes.
-type GobInventory struct {
-	mu      sync.Mutex
-	path    string
-	blob    gobBlob
-	appends uint64
-	closed  bool
-}
-
-// gobBlob is the gob wire format of the whole inventory.
-type gobBlob struct {
-	NextID   uint64
-	Order    []uint64
-	Names    map[uint64]string
-	Samples  map[uint64]dataset.Set
-	Platform []byte
-}
-
-// OpenGobInventory opens (or creates) a gob-blob inventory at path. A
-// structurally damaged blob is rejected loudly: the atomic writer never
-// leaves a torn file, so damage means external interference, not a crash
-// artifact. Plain gob carries no checksum, so silent bit rot inside values
-// is undetectable here — use the seglog backend when that matters.
-func OpenGobInventory(path string) (*GobInventory, error) {
-	inv := &GobInventory{path: path}
-	f, err := os.Open(path)
-	switch {
-	case err == nil:
-		defer f.Close()
-		if err := gob.NewDecoder(f).Decode(&inv.blob); err != nil {
-			return nil, fmt.Errorf("lake: open gob inventory %s: corrupt blob: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh inventory.
-	default:
-		return nil, fmt.Errorf("lake: open gob inventory %s: %w", path, err)
-	}
-	if inv.blob.Names == nil {
-		inv.blob.Names = make(map[uint64]string)
-	}
-	if inv.blob.Samples == nil {
-		inv.blob.Samples = make(map[uint64]dataset.Set)
-	}
-	return inv, nil
-}
-
-// persist rewrites the whole blob atomically. Callers hold the mutex.
-func (g *GobInventory) persist() error {
-	return fsio.WriteFileAtomic(g.path, func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(g.blob); err != nil {
-			return fmt.Errorf("lake: save gob inventory %s: %w", g.path, err)
-		}
-		return nil
-	})
-}
-
-// AppendDataset implements Inventory.
-func (g *GobInventory) AppendDataset(name string, set dataset.Set) (uint64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return 0, ErrInventoryClosed
-	}
-	g.blob.NextID++
-	id := g.blob.NextID
-	g.blob.Order = append(g.blob.Order, id)
-	g.blob.Names[id] = name
-	g.blob.Samples[id] = set.Clone()
-	if err := g.persist(); err != nil {
-		delete(g.blob.Names, id)
-		delete(g.blob.Samples, id)
-		g.blob.Order = g.blob.Order[:len(g.blob.Order)-1]
-		g.blob.NextID--
-		return 0, err
-	}
-	g.appends++
-	return id, nil
-}
-
-// Datasets implements Inventory.
-func (g *GobInventory) Datasets() ([]DatasetMeta, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]DatasetMeta, 0, len(g.blob.Order))
-	for _, id := range g.blob.Order {
-		out = append(out, DatasetMeta{ID: id, Name: g.blob.Names[id], Size: len(g.blob.Samples[id])})
-	}
-	return out, nil
-}
-
-// LoadDataset implements Inventory.
-func (g *GobInventory) LoadDataset(id uint64) (dataset.Set, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	set, ok := g.blob.Samples[id]
-	if !ok {
-		return nil, fmt.Errorf("lake: inventory has no dataset %d", id)
-	}
-	return set.Clone(), nil
-}
-
-// RemoveDataset implements Inventory.
-func (g *GobInventory) RemoveDataset(id uint64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrInventoryClosed
-	}
-	set, ok := g.blob.Samples[id]
-	if !ok {
-		return fmt.Errorf("lake: inventory has no dataset %d", id)
-	}
-	name := g.blob.Names[id]
-	idx := -1
-	for i, v := range g.blob.Order {
-		if v == id {
-			idx = i
-			break
-		}
-	}
-	delete(g.blob.Samples, id)
-	delete(g.blob.Names, id)
-	g.blob.Order = append(g.blob.Order[:idx], g.blob.Order[idx+1:]...)
-	if err := g.persist(); err != nil {
-		g.blob.Samples[id] = set
-		g.blob.Names[id] = name
-		g.blob.Order = append(g.blob.Order[:idx], append([]uint64{id}, g.blob.Order[idx:]...)...)
-		return err
-	}
-	g.appends++
-	return nil
-}
-
-// SavePlatform implements Inventory.
-func (g *GobInventory) SavePlatform(snapshot []byte) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrInventoryClosed
-	}
-	prev := g.blob.Platform
-	g.blob.Platform = append([]byte(nil), snapshot...)
-	if err := g.persist(); err != nil {
-		g.blob.Platform = prev
-		return err
-	}
-	g.appends++
-	return nil
-}
-
-// LoadPlatform implements Inventory.
-func (g *GobInventory) LoadPlatform() ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.blob.Platform == nil {
-		return nil, ErrNoSnapshot
-	}
-	return append([]byte(nil), g.blob.Platform...), nil
-}
-
-// Stats implements Inventory.
-func (g *GobInventory) Stats() InventoryStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := InventoryStats{
-		Backend:     "gob",
-		Datasets:    len(g.blob.Order),
-		HasPlatform: g.blob.Platform != nil,
-		Segments:    1,
-		Appends:     g.appends,
-	}
-	for _, id := range g.blob.Order {
-		st.Samples += len(g.blob.Samples[id])
-	}
-	if info, err := os.Stat(g.path); err == nil {
-		st.LiveBytes = info.Size()
-	}
-	return st
-}
-
-// Close implements Inventory.
-func (g *GobInventory) Close() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.closed = true
 	return nil
 }
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"enld/internal/dataset"
-	"enld/internal/fault"
 )
 
 // invSet builds a small dataset whose sample IDs start at base.
@@ -20,172 +18,90 @@ func invSet(base, n int) dataset.Set {
 	return out
 }
 
-// openBackends returns one fresh inventory per persistent backend plus the
-// in-memory one, with reopen functions for the durable ones.
-func openBackends(t *testing.T) map[string]Inventory {
-	t.Helper()
-	gobInv, err := OpenGobInventory(filepath.Join(t.TempDir(), "inv.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Inventory{
-		"memory": NewMemInventory(),
-		"gob":    gobInv,
-	}
-}
-
 // TestInventoryContract exercises the Inventory interface semantics every
 // backend must share: append order, ID uniqueness, load round-trips,
 // removal, platform snapshot replacement and closed-state errors.
 func TestInventoryContract(t *testing.T) {
-	for name, inv := range openBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			id1, err := inv.AppendDataset("a", invSet(0, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			id2, err := inv.AppendDataset("b", invSet(100, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id2 <= id1 {
-				t.Fatalf("IDs not increasing: %d then %d", id1, id2)
-			}
-			metas, err := inv.Datasets()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(metas) != 2 || metas[0].Name != "a" || metas[1].Name != "b" || metas[1].Size != 5 {
-				t.Fatalf("metas = %+v", metas)
-			}
-			set, err := inv.LoadDataset(id2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(set) != 5 || set[0].ID != 100 {
-				t.Fatalf("loaded %d samples, first ID %d", len(set), set[0].ID)
-			}
-			if _, err := inv.LoadDataset(9999); err == nil {
-				t.Fatal("loading unknown dataset succeeded")
-			}
+	// seglog.Log, the other backend, imports this package; its tests live
+	// in its own package.
+	t.Run("memory", func(t *testing.T) {
+		inv := NewMemInventory()
+		id1, err := inv.AppendDataset("a", invSet(0, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id2, err := inv.AppendDataset("b", invSet(100, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id2 <= id1 {
+			t.Fatalf("IDs not increasing: %d then %d", id1, id2)
+		}
+		metas, err := inv.Datasets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(metas) != 2 || metas[0].Name != "a" || metas[1].Name != "b" || metas[1].Size != 5 {
+			t.Fatalf("metas = %+v", metas)
+		}
+		set, err := inv.LoadDataset(id2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set) != 5 || set[0].ID != 100 {
+			t.Fatalf("loaded %d samples, first ID %d", len(set), set[0].ID)
+		}
+		if _, err := inv.LoadDataset(9999); err == nil {
+			t.Fatal("loading unknown dataset succeeded")
+		}
 
-			if _, err := inv.LoadPlatform(); !errors.Is(err, ErrNoSnapshot) {
-				t.Fatalf("fresh LoadPlatform err = %v, want ErrNoSnapshot", err)
-			}
-			if err := inv.SavePlatform([]byte("snap-v1")); err != nil {
-				t.Fatal(err)
-			}
-			if err := inv.SavePlatform([]byte("snap-v2")); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := inv.LoadPlatform()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(snap) != "snap-v2" {
-				t.Fatalf("platform snapshot = %q, want snap-v2", snap)
-			}
+		if _, err := inv.LoadPlatform(); !errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("fresh LoadPlatform err = %v, want ErrNoSnapshot", err)
+		}
+		if err := inv.SavePlatform([]byte("snap-v1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.SavePlatform([]byte("snap-v2")); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := inv.LoadPlatform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(snap) != "snap-v2" {
+			t.Fatalf("platform snapshot = %q, want snap-v2", snap)
+		}
 
-			if err := inv.RemoveDataset(id1); err != nil {
-				t.Fatal(err)
-			}
-			if err := inv.RemoveDataset(id1); err == nil {
-				t.Fatal("double remove succeeded")
-			}
-			metas, err = inv.Datasets()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(metas) != 1 || metas[0].ID != id2 {
-				t.Fatalf("after remove, metas = %+v", metas)
-			}
+		if err := inv.RemoveDataset(id1); err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.RemoveDataset(id1); err == nil {
+			t.Fatal("double remove succeeded")
+		}
+		metas, err = inv.Datasets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(metas) != 1 || metas[0].ID != id2 {
+			t.Fatalf("after remove, metas = %+v", metas)
+		}
 
-			st := inv.Stats()
-			if st.Datasets != 1 || st.Samples != 5 || !st.HasPlatform {
-				t.Fatalf("stats = %+v", st)
-			}
+		st := inv.Stats()
+		if st.Datasets != 1 || st.Samples != 5 || !st.HasPlatform {
+			t.Fatalf("stats = %+v", st)
+		}
 
-			if err := inv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := inv.AppendDataset("c", invSet(0, 1)); !errors.Is(err, ErrInventoryClosed) {
-				t.Fatalf("append after close err = %v", err)
-			}
-			if err := inv.SavePlatform(nil); !errors.Is(err, ErrInventoryClosed) {
-				t.Fatalf("save platform after close err = %v", err)
-			}
-		})
-	}
-}
+		if err := inv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inv.AppendDataset("c", invSet(0, 1)); !errors.Is(err, ErrInventoryClosed) {
+			t.Fatalf("append after close err = %v", err)
+		}
+		if err := inv.SavePlatform(nil); !errors.Is(err, ErrInventoryClosed) {
+			t.Fatalf("save platform after close err = %v", err)
+		}
 
-// TestGobInventoryReopen checks the gob backend's durability: a reopened
-// inventory sees every accepted mutation, and appended IDs keep increasing
-// across incarnations.
-func TestGobInventoryReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "inv.gob")
-	inv, err := OpenGobInventory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := inv.AppendDataset("a", invSet(0, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.SavePlatform([]byte("snap")); err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	inv2, err := OpenGobInventory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inv2.Close()
-	id2, err := inv2.AppendDataset("b", invSet(50, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 <= id1 {
-		t.Fatalf("reopened IDs regressed: %d then %d", id1, id2)
-	}
-	set, err := inv2.LoadDataset(id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 4 {
-		t.Fatalf("reloaded dataset has %d samples, want 4", len(set))
-	}
-	snap, err := inv2.LoadPlatform()
-	if err != nil || string(snap) != "snap" {
-		t.Fatalf("reloaded platform = %q, %v", snap, err)
-	}
-	if st := inv2.Stats(); st.Backend != "gob" || st.LiveBytes <= 0 || st.Segments != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestGobInventoryTornBlobRejected: the gob backend writes atomically, so a
-// structurally damaged blob means external interference and must be a loud
-// open error. (Silent single-bit rot is undetectable in plain gob — that
-// detection gap is precisely what the CRC-framed segment log closes.)
-func TestGobInventoryTornBlobRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "inv.gob")
-	inv, err := OpenGobInventory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inv.AppendDataset("a", invSet(0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	inv.Close()
-	if err := fault.TearFile(path, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenGobInventory(path); err == nil {
-		t.Fatal("torn gob blob opened successfully")
-	}
+	})
 }
 
 // TestStorePersistRestoreRoundTrip drives the Store bridge: persist a store

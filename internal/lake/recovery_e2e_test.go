@@ -80,20 +80,21 @@ func e2ePlatform(t *testing.T, seed uint64) *core.Platform {
 }
 
 // TestCrashRecoveryComposesSeglogAndJournal is the storage engine's
-// composed crash scenario: the process dies in the middle of a segment-log
-// compaction (new segments on disk, manifest not yet swapped) AND with a
-// torn record at the journal tail. The restarted incarnation must recover a
-// bit-identical platform snapshot from the log, keep every durably appended
-// arrival, and finish the workload with zero lost tasks — every task
-// covered exactly once across both incarnations.
+// composed crash scenario: arrivals, the platform snapshot and the outcome
+// journal — the detection frames — share one segment log, and the process
+// dies in the middle of its compaction (new segments on disk, manifest not
+// yet swapped) AND with the final detection frame torn. The restarted
+// incarnation must recover a bit-identical platform snapshot, keep every
+// durably appended arrival and every intact outcome, and finish the
+// workload with zero lost tasks — every task covered exactly once across
+// both incarnations.
 func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 	storeDir := t.TempDir()
-	jpath := filepath.Join(t.TempDir(), "journal")
 	ctx := context.Background()
 	allShards := e2eShards(6, 4)
 
-	// First incarnation: platform into the inventory, 3 of 6 tasks served
-	// with durable arrival storage, each journaled.
+	// First incarnation: platform into the log, 3 of 6 tasks served with
+	// durable arrival storage.
 	inv1, err := seglog.Open(storeDir, seglog.Options{SegmentTargetBytes: 2048, AutoCompactRatio: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -106,39 +107,35 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	j1, entries, _, err := lake.RecoverJournalFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("fresh journal has %d entries", len(entries))
-	}
 	svc1, err := lake.NewService(e2eDetector{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc1.SetInventory(inv1)
-	for _, rep := range svc1.Run(ctx, lake.Feed(ctx, allShards[:3], 0)) {
-		if rep.Err != nil {
-			t.Fatalf("task %d: %v", rep.TaskID, rep.Err)
-		}
-		if _, err := j1.AppendDetection(rep.TaskID, rep.Result.Noisy, rep.Result.Clean, "run1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	reports := svc1.Run(ctx, lake.Feed(ctx, allShards[:3], 0))
 
 	// Re-saving the platform supersedes the first snapshot record — the
 	// dead bytes that make compaction do real work.
 	if err := core.SavePlatformInventory(p1, inv1); err != nil {
 		t.Fatal(err)
 	}
+	// Each task's outcome goes into the same log, last.
+	for _, rep := range reports {
+		if rep.Err != nil {
+			t.Fatalf("task %d: %v", rep.TaskID, rep.Err)
+		}
+		noisy, clean := rep.Result.SortedIDs()
+		if err := inv1.AppendDetection(rep.TaskID, noisy, clean, "run1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if done := inv1.DoneTasks(); len(done) != 3 {
+		t.Fatalf("log records %d of 3 outcomes", len(done))
+	}
 
 	// Crash mid-compaction: capture the disk state after the new segments
 	// are written but before the manifest swap commits them.
+	active := filepath.Base(newestSegment(t, storeDir))
 	var crashedStore string
 	inv1.SetCompactionHook(func(stage string) {
 		if stage == "segments-written" {
@@ -153,29 +150,13 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 	}
 	inv1.Close()
 
-	// ...and with a torn journal tail: the crash cut the last record.
-	info, err := os.Stat(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(jpath, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
+	// ...and with the final detection frame torn: the crash cut the last
+	// append of the segment the old manifest still names as active.
+	tearTail(t, filepath.Join(crashedStore, active), 5)
 
-	// Restart on the crashed state. The journal recovers 2 intact entries
-	// and accounts for the torn third...
-	j2, entries, jrec, err := lake.RecoverJournalFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || !jrec.Torn || jrec.DroppedBytes <= 0 {
-		t.Fatalf("journal recovery: %d entries, stats %+v", len(entries), jrec)
-	}
-	defer j2.Close()
-	done := lake.DoneTasks(entries)
-
-	// ...the segment log recovers from the half-finished compaction (the
-	// uncommitted new segments are swept as strays)...
+	// Restart on the crashed state. The segment log recovers from the
+	// half-finished compaction (the uncommitted new segments are swept as
+	// strays)...
 	inv2, err := seglog.Open(crashedStore, seglog.Options{SegmentTargetBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +164,15 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 	defer inv2.Close()
 	if inv2.StraysRemoved() == 0 {
 		t.Fatal("crashed compaction left no strays to sweep")
+	}
+
+	// ...drops the torn outcome, accounts for it and keeps the intact two...
+	if rec := inv2.Stats().Recovery; !rec.TornTail || rec.DroppedRecords != 1 || rec.File != active {
+		t.Fatalf("log recovery stats = %+v", rec)
+	}
+	done := inv2.DoneTasks()
+	if len(done) != 2 || !done[0] || !done[1] {
+		t.Fatalf("recovered outcomes %v, want tasks 0 and 1", done)
 	}
 
 	// ...with the platform snapshot bit-identical to the first
@@ -213,7 +203,7 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 		}
 	}
 
-	// The restarted service skips the journaled tasks and completes the
+	// The restarted service skips the recorded tasks and completes the
 	// rest: zero lost tasks across both incarnations.
 	svc2, err := lake.NewService(e2eDetector{}, 2)
 	if err != nil {
@@ -233,12 +223,62 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 			t.Fatalf("task %d processed twice", rep.TaskID)
 		}
 		covered[rep.TaskID] = true
-		if _, err := j2.AppendDetection(rep.TaskID, rep.Result.Noisy, rep.Result.Clean, "run2"); err != nil {
+		noisy, clean := rep.Result.SortedIDs()
+		if err := inv2.AppendDetection(rep.TaskID, noisy, clean, "run2"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(covered) != 6 {
 		t.Fatalf("covered %d of 6 tasks: %v", len(covered), covered)
+	}
+	if got := inv2.DoneTasks(); len(got) != 6 {
+		t.Fatalf("log records %d of 6 outcomes: %v", len(got), got)
+	}
+}
+
+// TestJournalConcurrentAppend: the service files reports from every worker
+// at once, and each report's outcome appended to the log's outcome journal
+// — its detection frames — from OnReport lands there: all of them, durably,
+// once the log is reopened.
+func TestJournalConcurrentAppend(t *testing.T) {
+	dir := t.TempDir()
+	l, err := seglog.Open(dir, seglog.Options{SegmentTargetBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	svc, err := lake.NewService(e2eDetector{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetInventory(l)
+	svc.OnReport = func(rep lake.Report) {
+		noisy, clean := rep.Result.SortedIDs()
+		if err := l.AppendDetection(rep.TaskID, noisy, clean, "concurrent"); err != nil {
+			t.Error(err)
+		}
+	}
+	ctx := context.Background()
+	if reports := svc.Run(ctx, lake.Feed(ctx, e2eShards(n, 3), 0)); len(reports) != n {
+		t.Fatalf("%d reports, want %d", len(reports), n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = seglog.Open(dir, seglog.Options{SegmentTargetBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := l.DoneTasks()
+	for task := 0; task < n; task++ {
+		if !done[task] {
+			t.Fatalf("outcome of task %d missing after reopen (%d of %d recorded)", task, len(done), n)
+		}
+	}
+	if st := l.Stats(); st.Datasets != n || st.Segments < 2 {
+		t.Fatalf("stats after reopen = %+v, want %d datasets over several segments", st, n)
 	}
 }
 

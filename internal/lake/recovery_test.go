@@ -1,4 +1,4 @@
-package lake
+package lake_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"enld/internal/core"
 	"enld/internal/dataset"
 	"enld/internal/fault"
+	"enld/internal/lake"
+	"enld/internal/lake/seglog"
 	"enld/internal/mat"
 	"enld/internal/nn"
 )
@@ -40,68 +42,66 @@ func buildRecoveryPlatform(t *testing.T, seed uint64) *core.Platform {
 	return p
 }
 
-// TestCrashRecoveryComposesJournalAndCheckpoint extends the journal
-// crash-restart scenario with model-state recovery: the process dies with a
-// torn record at the journal tail AND a torn platform checkpoint on disk.
-// The restarted incarnation must end up with zero lost tasks and a
-// verified-good model — the journal yields the completed work, the
+// TestCrashRecoveryComposesJournalAndCheckpoint extends the crash-restart
+// scenario of the outcome journal — the detection frames of a segment log
+// — with model-state recovery: the process dies with a torn detection frame
+// at the log's tail AND a torn platform checkpoint file on disk. The
+// restarted incarnation must end up with zero lost tasks and a
+// verified-good model — the log yields the completed work, the
 // checkpoint's integrity checking rejects the torn file, and the
 // deterministic rebuild reproduces the original model bit for bit.
 func TestCrashRecoveryComposesJournalAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal")
+	logDir := filepath.Join(dir, "log")
 	ppath := filepath.Join(dir, "platform.gob")
 	ctx := context.Background()
+	allShards := e2eShards(6, 2)
 
-	// First incarnation: train the platform, persist it, journal 3 of the 6
-	// detection tasks.
+	// First incarnation: train the platform, persist it, record 3 of the 6
+	// detection outcomes.
 	p1 := buildRecoveryPlatform(t, 7)
 	if err := core.SavePlatformFile(p1, ppath); err != nil {
 		t.Fatal(err)
 	}
-	j1, entries, jrec, err := RecoverJournalFile(jpath)
+	log1, err := seglog.Open(logDir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 || jrec.Torn {
-		t.Fatalf("fresh journal: %d entries, recovery %+v", len(entries), jrec)
+	if done := log1.DoneTasks(); len(done) != 0 {
+		t.Fatalf("fresh log records outcomes %v", done)
 	}
-	svc, _ := NewService(flagOdd{}, 2)
-	for _, rep := range svc.Run(ctx, Feed(ctx, shards(6, 2)[:3], 0)) {
-		if _, err := j1.AppendDetection(rep.TaskID, map[int]bool{}, nil, "run1"); err != nil {
+	svc, _ := lake.NewService(e2eDetector{}, 2)
+	for _, rep := range svc.Run(ctx, lake.Feed(ctx, allShards[:3], 0)) {
+		noisy, clean := rep.Result.SortedIDs()
+		if err := log1.AppendDetection(rep.TaskID, noisy, clean, "run1"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j1.Close(); err != nil {
+	if err := log1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash: the last journal record is torn mid-write, and the platform
+	// Crash: the last detection frame is torn mid-write, and the platform
 	// checkpoint is torn as well (a non-atomic writer died mid-rewrite).
-	info, err := os.Stat(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(jpath, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
+	tearTail(t, newestSegment(t, logDir), 5)
 	if err := fault.TearFile(ppath, 0.6); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart. The journal recovers its intact prefix and accounts for the
+	// Restart. The log recovers its intact prefix and accounts for the
 	// dropped tail...
-	j2, entries, jrec, err := RecoverJournalFile(jpath)
+	log2, err := seglog.Open(logDir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("recovered %d journal entries, want 2", len(entries))
+	defer log2.Close()
+	done := log2.DoneTasks()
+	if len(done) != 2 {
+		t.Fatalf("recovered %d outcomes, want 2", len(done))
 	}
-	if !jrec.Torn || jrec.Entries != 2 || jrec.DroppedBytes <= 0 || jrec.Offset <= 0 {
-		t.Fatalf("journal recovery stats = %+v", jrec)
+	if rec := log2.Stats().Recovery; !rec.TornTail || rec.DroppedRecords != 1 || rec.DroppedBytes <= 0 || rec.Offset <= 0 {
+		t.Fatalf("log recovery stats = %+v", rec)
 	}
-	done := DoneTasks(entries)
 
 	// ...the torn checkpoint is rejected rather than half-loaded...
 	if _, err := core.LoadPlatformFile(ppath); err == nil {
@@ -128,28 +128,52 @@ func TestCrashRecoveryComposesJournalAndCheckpoint(t *testing.T) {
 		t.Fatalf("re-persisted checkpoint unreadable: %v", err)
 	}
 
-	// The restarted service skips journaled work and finishes the rest:
+	// The restarted service skips recorded work and finishes the rest:
 	// every task is covered exactly once across both incarnations.
-	svc2, _ := NewService(flagOdd{}, 2)
+	svc2, _ := lake.NewService(e2eDetector{}, 2)
 	svc2.SkipCompleted(done)
-	reports := svc2.Run(ctx, Feed(ctx, shards(6, 2), 0))
 	covered := map[int]bool{}
 	for id := range done {
 		covered[id] = true
 	}
-	for _, rep := range reports {
+	for _, rep := range svc2.Run(ctx, lake.Feed(ctx, allShards, 0)) {
 		if covered[rep.TaskID] {
 			t.Fatalf("task %d processed twice", rep.TaskID)
 		}
 		covered[rep.TaskID] = true
-		if _, err := j2.AppendDetection(rep.TaskID, map[int]bool{}, nil, "run2"); err != nil {
+		noisy, clean := rep.Result.SortedIDs()
+		if err := log2.AppendDetection(rep.TaskID, noisy, clean, "run2"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if len(covered) != 6 {
 		t.Fatalf("covered %d of 6 tasks: %v", len(covered), covered)
+	}
+	if got := log2.DoneTasks(); len(got) != 6 {
+		t.Fatalf("log records %d of 6 outcomes: %v", len(got), got)
+	}
+}
+
+// newestSegment returns the path of the highest-numbered segment file of
+// the log in dir: its active segment, unless a compaction is in flight.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v", dir, err)
+	}
+	return segs[len(segs)-1]
+}
+
+// tearTail cuts n bytes off the end of the segment at path: a crash in the
+// middle of its last append.
+func tearTail(t *testing.T, path string, n int64) {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-n); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,9 +59,12 @@ func (l *Log) Compact() error {
 	}
 	began := time.Now()
 	// Sequence order is also disk order, which recovery requires.
-	live := make([]frameLoc, 0, len(l.datasets)+1)
+	live := make([]frameLoc, 0, len(l.datasets)+len(l.detections)+1)
 	for _, ent := range l.datasets {
 		live = append(live, ent.frameLoc)
+	}
+	for _, loc := range l.detections {
+		live = append(live, loc)
 	}
 	if l.platform != nil {
 		live = append(live, *l.platform)
@@ -179,6 +182,9 @@ func (l *Log) Compact() error {
 	for id, ent := range l.datasets {
 		ent.frameLoc = moved[ent.seq]
 		l.datasets[id] = ent
+	}
+	for id, loc := range l.detections {
+		l.detections[id] = moved[loc.seq]
 	}
 	if l.platform != nil {
 		*l.platform = moved[l.platform.seq]

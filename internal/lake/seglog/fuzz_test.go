@@ -9,9 +9,9 @@ import (
 )
 
 // fuzzFrame builds one valid frame for seeding.
-func fuzzFrame(t testing.TB, rec record) []byte {
+func fuzzFrame(t testing.TB, p payload) []byte {
 	t.Helper()
-	frame, err := encodeRecord(rec)
+	frame, err := encodeFrame(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func fuzzFrame(t testing.TB, rec record) []byte {
 //   - a strict scan of the same bytes accepts at least as much as nothing —
 //     it either errors or agrees with the lenient scan record-for-record.
 func FuzzReadSegment(f *testing.F) {
-	one := fuzzFrame(f, record{Seq: 1, Kind: kindDataset, ID: 1, Name: "a",
+	one := fuzzFrame(f, &record{Seq: 1, Kind: kindDataset, ID: 1, Name: "a",
 		Samples: dataset.Set{{ID: 7, X: []float64{1, 2}, Observed: 1, True: 0}}})
-	two := fuzzFrame(f, record{Seq: 2, Kind: kindPlatform, Snapshot: []byte("snap")})
-	tomb := fuzzFrame(f, record{Seq: 3, Kind: kindRemove, ID: 1})
+	two := fuzzFrame(f, &record{Seq: 2, Kind: kindPlatform, Snapshot: []byte("snap")})
+	tomb := fuzzFrame(f, &record{Seq: 3, Kind: kindRemove, ID: 1})
 
 	f.Add([]byte{})
 	f.Add(one)
@@ -59,6 +59,10 @@ func FuzzReadSegment(f *testing.F) {
 	future := append([]byte{}, one...)
 	binary.BigEndian.PutUint16(future[6:], recordVersion+1)
 	f.Add(future)
+	// A detection frame between dataset frames: its payload is a gob type of
+	// its own, which the scanner decodes as a record.
+	det := fuzzFrame(f, &detection{Seq: 2, Kind: kindDetection, ID: 0, Noisy: []int{7}, Clean: []int{8, 9}, Note: "fuzz"})
+	f.Add(append(append(append([]byte{}, one...), det...), tomb...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, scan, err := readSegment("fuzz", data, true)

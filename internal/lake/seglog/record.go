@@ -1,9 +1,10 @@
 // Package seglog implements the lake's append-only segment-log inventory
 // backend: every mutation (dataset arrival, dataset removal, platform
-// snapshot) is one CRC-framed record appended to the active segment file,
-// segments rotate at a size target, a manifest names the live segments, and
-// background compaction folds dead records (removed datasets, superseded
-// platform snapshots) into fresh segments — crash-safely at every step.
+// snapshot, detection outcome) is one CRC-framed record appended to the
+// active segment file, segments rotate at a size target, a manifest names
+// the live segments, and background compaction folds dead records (removed
+// datasets, superseded platform snapshots and detection outcomes) into
+// fresh segments — crash-safely at every step.
 //
 // The record frame reuses the shape of the internal/nn snapshot header
 // (magic, version, length, CRC32 — see nn/snapshot.go), so the same class
@@ -55,7 +56,16 @@ const (
 	kindPlatform recordKind = 2
 	// kindRemove tombstones a dataset.
 	kindRemove recordKind = 3
+	// kindDetection records one detection task's outcome; its payload is a
+	// detection, not a record.
+	kindDetection recordKind = 4
 )
+
+// payload is the gob body of a frame: a *record or a *detection. Both carry
+// the log-wide sequence number, which seq exposes for stamping and checking.
+type payload interface {
+	seq() *uint64
+}
 
 // record is the gob payload of one frame. Every record carries a
 // log-unique, strictly increasing sequence number; recovery rejects
@@ -72,12 +82,32 @@ type record struct {
 	Snapshot []byte
 }
 
-// encodeRecord renders rec as one framed record. The payload is encoded
-// after room left for the header, so the frame is built in place.
-func encodeRecord(rec record) ([]byte, error) {
+// detection is the payload of a kindDetection frame: which samples of one
+// task were judged noisy and which clean. It is a gob type of its own
+// rather than more fields on record because every frame carries its
+// payload type's gob description, so widening record would enlarge and
+// slow every dataset frame. gob matches fields by name: recovery decodes a
+// detection frame as a record — Seq, Kind and the task ID in ID, the slot
+// a record keeps its dataset ID in — and skips the lists it does not index.
+type detection struct {
+	Seq  uint64
+	Kind recordKind
+	// ID is the task ID, converted to uint64.
+	ID    uint64
+	Noisy []int
+	Clean []int
+	Note  string
+}
+
+func (r *record) seq() *uint64    { return &r.Seq }
+func (d *detection) seq() *uint64 { return &d.Seq }
+
+// encodeFrame renders p as one framed record. The payload is encoded after
+// room left for the header, so the frame is built in place.
+func encodeFrame(p payload) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, headerSize))
-	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("seglog: encode record seq %d: %w", rec.Seq, err)
+	if err := gob.NewEncoder(buf).Encode(p); err != nil {
+		return nil, fmt.Errorf("seglog: encode record seq %d: %w", *p.seq(), err)
 	}
 	out := buf.Bytes()
 	copy(out, recordMagic)
@@ -167,18 +197,25 @@ func checkFrame(segment string, data []byte, off int64) ([]byte, int64, error) {
 	return payload, size, nil
 }
 
-// readFrame checks and decodes the frame at data[off:], failing as
+// decodeFrame checks the frame at data[off:] and decodes its payload into
+// p, failing as checkFrame does.
+func decodeFrame(segment string, data []byte, off int64, p payload) (int64, error) {
+	body, size, err := checkFrame(segment, data, off)
+	if err != nil {
+		return size, err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(p); err != nil {
+		return size, &CorruptionError{Segment: segment, Offset: off, Reason: fmt.Sprintf("payload decode: %v", err)}
+	}
+	return size, nil
+}
+
+// readFrame decodes the frame at data[off:] as a record, failing as
 // checkFrame does.
 func readFrame(segment string, data []byte, off int64) (record, int64, error) {
-	payload, size, err := checkFrame(segment, data, off)
-	if err != nil {
-		return record{}, size, err
-	}
 	var rec record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return record{}, size, &CorruptionError{Segment: segment, Offset: off, Reason: fmt.Sprintf("payload decode: %v", err)}
-	}
-	return rec, size, nil
+	size, err := decodeFrame(segment, data, off, &rec)
+	return rec, size, err
 }
 
 // readSegment scans every frame of one segment image. With lenientTail a

@@ -63,8 +63,10 @@ type datasetEntry struct {
 }
 
 // Log is the append-only segment-log inventory. It implements
-// lake.Inventory. Memory holds only frame positions (plus each dataset's
-// name and sample count), so it grows with datasets, not samples; the
+// lake.Inventory, and also keeps the lake's detection outcomes
+// (AppendDetection, DoneTasks) so a restarted run knows which tasks are
+// done. Memory holds only frame positions (plus each dataset's name and
+// sample count), so it grows with datasets and tasks, not samples; the
 // frames on disk are the only copy, and loads read, check and decode one.
 // It is safe for concurrent use.
 type Log struct {
@@ -87,9 +89,10 @@ type Log struct {
 	activeSize int64
 
 	// live state: the index of live frames.
-	order    []uint64
-	datasets map[uint64]datasetEntry
-	platform *frameLoc // nil until a snapshot is saved
+	order      []uint64
+	datasets   map[uint64]datasetEntry
+	platform   *frameLoc // nil until a snapshot is saved
+	detections map[int]frameLoc
 
 	liveBytes int64
 	deadBytes int64
@@ -124,6 +127,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		dir:        dir,
 		opts:       opts,
 		datasets:   make(map[uint64]datasetEntry),
+		detections: make(map[int]frameLoc),
 		sealedSize: make(map[string]int64),
 	}
 
@@ -273,6 +277,9 @@ func (l *Log) apply(ra recordAt, segment string) error {
 				Reason: fmt.Sprintf("dataset %d appended twice", rec.ID)}
 		}
 		l.addDataset(rec.ID, rec.Name, len(rec.Samples), loc)
+		if rec.ID >= l.nextID {
+			l.nextID = rec.ID + 1
+		}
 	case kindRemove:
 		if _, ok := l.datasets[rec.ID]; !ok {
 			return &CorruptionError{Segment: segment, Offset: ra.off,
@@ -281,13 +288,11 @@ func (l *Log) apply(ra recordAt, segment string) error {
 		l.dropDataset(rec.ID, ra.size)
 	case kindPlatform:
 		l.setPlatform(loc)
+	case kindDetection:
+		l.setDetection(int(rec.ID), loc)
 	default:
 		return &CorruptionError{Segment: segment, Offset: ra.off,
 			Reason: fmt.Sprintf("unknown record kind %d", rec.Kind)}
-	}
-	// Platform records carry ID 0, below every dataset ID.
-	if rec.ID >= l.nextID {
-		l.nextID = rec.ID + 1
 	}
 	return nil
 }
@@ -320,6 +325,17 @@ func (l *Log) setPlatform(loc frameLoc) {
 	l.liveBytes += loc.size
 }
 
+// setDetection indexes a task's outcome frame; an earlier outcome of the
+// same task is dead weight now. Callers hold the mutex.
+func (l *Log) setDetection(taskID int, loc frameLoc) {
+	if old, ok := l.detections[taskID]; ok {
+		l.liveBytes -= old.size
+		l.deadBytes += old.size
+	}
+	l.detections[taskID] = loc
+	l.liveBytes += loc.size
+}
+
 // closeFiles releases the active segment handle (recovery-failure path).
 func (l *Log) closeFiles() {
 	if l.active != nil {
@@ -328,17 +344,17 @@ func (l *Log) closeFiles() {
 	}
 }
 
-// appendRecord frames rec, assigns its sequence number, rotates the active
+// appendRecord assigns p its sequence number, frames it, rotates the active
 // segment if it is full, writes and (by default) fsyncs. Callers hold the
 // mutex. On a write failure the segment is truncated back so a half-written
 // frame never survives into the next append.
-func (l *Log) appendRecord(rec record) (frameLoc, error) {
+func (l *Log) appendRecord(p payload) (frameLoc, error) {
 	if l.closed {
 		return frameLoc{}, lake.ErrInventoryClosed
 	}
 	began := time.Now()
-	rec.Seq = l.nextSeq
-	frame, err := encodeRecord(rec)
+	*p.seq() = l.nextSeq
+	frame, err := encodeFrame(p)
 	if err != nil {
 		return frameLoc{}, err
 	}
@@ -347,7 +363,7 @@ func (l *Log) appendRecord(rec record) (frameLoc, error) {
 			return frameLoc{}, err
 		}
 	}
-	loc := frameLoc{seq: rec.Seq, segment: l.activeName, off: l.activeSize, size: int64(len(frame))}
+	loc := frameLoc{seq: l.nextSeq, segment: l.activeName, off: l.activeSize, size: int64(len(frame))}
 	if _, err := l.active.Write(frame); err != nil {
 		// Cut the possibly half-written frame off; if even that fails the
 		// next open's lenient tail read drops it.
@@ -392,8 +408,8 @@ func (loc frameLoc) damage(err error) error {
 }
 
 // load looks up and reads a frame under the mutex, so compaction cannot
-// move it midway, then checks and decodes it outside the lock.
-func (l *Log) load(locate func() (frameLoc, error)) (record, error) {
+// move it midway, then checks and decodes it into p outside the lock.
+func (l *Log) load(locate func() (frameLoc, error), p payload) error {
 	l.mu.Lock()
 	loc, err := locate()
 	var frame []byte
@@ -402,16 +418,16 @@ func (l *Log) load(locate func() (frameLoc, error)) (record, error) {
 	}
 	l.mu.Unlock()
 	if err != nil {
-		return record{}, err
+		return err
 	}
-	rec, _, err := readFrame(loc.segment, frame, 0)
-	if err == nil && rec.Seq != loc.seq {
-		err = fmt.Errorf("frame holds seq %d, the index expects %d", rec.Seq, loc.seq)
+	_, err = decodeFrame(loc.segment, frame, 0, p)
+	if seq := *p.seq(); err == nil && seq != loc.seq {
+		err = fmt.Errorf("frame holds seq %d, the index expects %d", seq, loc.seq)
 	}
 	if err != nil {
-		return record{}, loc.damage(err)
+		return loc.damage(err)
 	}
-	return rec, nil
+	return nil
 }
 
 // rotate seals the active segment and starts the next one: fsync + close
@@ -462,7 +478,7 @@ func (l *Log) AppendDataset(name string, set dataset.Set) (uint64, error) {
 	}
 	// No clone: the frame on disk is the copy.
 	id := l.nextID
-	loc, err := l.appendRecord(record{Kind: kindDataset, ID: id, Name: name, Samples: set})
+	loc, err := l.appendRecord(&record{Kind: kindDataset, ID: id, Name: name, Samples: set})
 	if err != nil {
 		return 0, err
 	}
@@ -488,13 +504,14 @@ func (l *Log) Datasets() ([]lake.DatasetMeta, error) {
 // LoadDataset implements lake.Inventory. A damaged frame is a
 // *CorruptionError naming segment and offset.
 func (l *Log) LoadDataset(id uint64) (dataset.Set, error) {
-	rec, err := l.load(func() (frameLoc, error) {
+	var rec record
+	err := l.load(func() (frameLoc, error) {
 		ent, ok := l.datasets[id]
 		if !ok {
 			return frameLoc{}, fmt.Errorf("seglog: no dataset %d", id)
 		}
 		return ent.frameLoc, nil
-	})
+	}, &rec)
 	return rec.Samples, err
 }
 
@@ -508,7 +525,7 @@ func (l *Log) RemoveDataset(id uint64) error {
 	if _, ok := l.datasets[id]; !ok {
 		return fmt.Errorf("seglog: no dataset %d", id)
 	}
-	loc, err := l.appendRecord(record{Kind: kindRemove, ID: id})
+	loc, err := l.appendRecord(&record{Kind: kindRemove, ID: id})
 	if err != nil {
 		return err
 	}
@@ -525,7 +542,7 @@ func (l *Log) SavePlatform(snapshot []byte) error {
 	if l.closed {
 		return lake.ErrInventoryClosed
 	}
-	loc, err := l.appendRecord(record{Kind: kindPlatform, Snapshot: snapshot})
+	loc, err := l.appendRecord(&record{Kind: kindPlatform, Snapshot: snapshot})
 	if err != nil {
 		return err
 	}
@@ -537,13 +554,44 @@ func (l *Log) SavePlatform(snapshot []byte) error {
 
 // LoadPlatform implements lake.Inventory, failing as LoadDataset does.
 func (l *Log) LoadPlatform() ([]byte, error) {
-	rec, err := l.load(func() (frameLoc, error) {
+	var rec record
+	err := l.load(func() (frameLoc, error) {
 		if l.platform == nil {
 			return frameLoc{}, lake.ErrNoSnapshot
 		}
 		return *l.platform, nil
-	})
+	}, &rec)
 	return rec.Snapshot, err
+}
+
+// AppendDetection durably records the outcome of detection task taskID:
+// the sample IDs judged noisy and clean, and a free-form note (who decided,
+// how). A later outcome for the same task supersedes the earlier one. From
+// its return on, DoneTasks includes taskID, also after a reopen (unless
+// Options.NoSyncEachAppend left the frame unsynced at a crash).
+func (l *Log) AppendDetection(taskID int, noisy, clean []int, note string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	loc, err := l.appendRecord(&detection{Kind: kindDetection, ID: uint64(taskID), Noisy: noisy, Clean: clean, Note: note})
+	if err != nil {
+		return err
+	}
+	l.setDetection(taskID, loc)
+	l.updateObsGauges()
+	l.maybeCompact()
+	return nil
+}
+
+// DoneTasks returns the IDs of the tasks with a recorded outcome: the tasks
+// a restarted run may skip because their result is already durable.
+func (l *Log) DoneTasks() map[int]bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	done := make(map[int]bool, len(l.detections))
+	for id := range l.detections {
+		done[id] = true
+	}
+	return done
 }
 
 // Stats implements lake.Inventory.

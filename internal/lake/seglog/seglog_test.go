@@ -815,3 +815,138 @@ func TestLogStraySweep(t *testing.T) {
 		t.Fatal("stray segment survived the sweep")
 	}
 }
+
+// loadDetection reads task taskID's outcome frame back through the log's
+// own load path.
+func loadDetection(t *testing.T, l *Log, taskID int) detection {
+	t.Helper()
+	var det detection
+	err := l.load(func() (frameLoc, error) {
+		loc, ok := l.detections[taskID]
+		if !ok {
+			return frameLoc{}, fmt.Errorf("no outcome for task %d", taskID)
+		}
+		return loc, nil
+	}, &det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// TestLogDetectionFramesSurviveReopenAndCompact: detection outcomes are
+// live frames like any other. They survive reopen and compaction with their
+// ID lists intact, a later outcome of the same task supersedes the earlier
+// one, and they do not disturb dataset IDs.
+func TestLogDetectionFramesSurviveReopenAndCompact(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SegmentTargetBytes: 512, AutoCompactRatio: -1})
+	want := map[int]detection{
+		0:  {Noisy: []int{1, 3}, Clean: []int{0, 2}, Note: "first"},
+		7:  {Noisy: nil, Clean: []int{70, 71, 72}, Note: "all clean"},
+		-2: {Noisy: []int{5}, Clean: nil, Note: "negative task ID"},
+	}
+	id1, err := l.AppendDataset("a", testSet(0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []int{0, 7, -2} {
+		w := want[task]
+		if err := l.AppendDetection(task, w.Noisy, w.Clean, w.Note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Superseding task 0's outcome leaves the first frame dead.
+	if err := l.AppendDetection(0, []int{9}, []int{8}, "second"); err != nil {
+		t.Fatal(err)
+	}
+	want[0] = detection{Noisy: []int{9}, Clean: []int{8}, Note: "second"}
+	id2, err := l.AppendDataset("b", testSet(10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id2 != id1+1 {
+		t.Fatalf("dataset IDs %d then %d: detection frames took IDs", id1, id2)
+	}
+	if st := l.Stats(); st.DeadBytes == 0 {
+		t.Fatalf("superseded outcome not counted dead: %+v", st)
+	}
+
+	check := func(stage string, l *Log) {
+		t.Helper()
+		if got := l.DoneTasks(); !reflect.DeepEqual(got, map[int]bool{0: true, 7: true, -2: true}) {
+			t.Fatalf("%s: DoneTasks = %v", stage, got)
+		}
+		for task, w := range want {
+			got := loadDetection(t, l, task)
+			if got.Kind != kindDetection || uint64(task) != got.ID || got.Note != w.Note ||
+				!reflect.DeepEqual(got.Noisy, w.Noisy) || !reflect.DeepEqual(got.Clean, w.Clean) {
+				t.Fatalf("%s: task %d outcome = %+v, want %+v", stage, task, got, w)
+			}
+		}
+		if metas, _ := l.Datasets(); len(metas) != 2 {
+			t.Fatalf("%s: %d datasets, want 2", stage, len(metas))
+		}
+	}
+	check("live", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l = mustOpen(t, dir, Options{SegmentTargetBytes: 512, AutoCompactRatio: -1})
+	check("reopened", l)
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.DeadBytes != 0 {
+		t.Fatalf("compaction left dead bytes: %+v", st)
+	}
+	check("compacted", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l = mustOpen(t, dir, Options{SegmentTargetBytes: 512})
+	check("compacted and reopened", l)
+	if id3, err := l.AppendDataset("c", testSet(20, 1)); err != nil || id3 != id2+1 {
+		t.Fatalf("dataset ID after recovery = %d, %v; want %d: recovered outcomes took IDs", id3, err, id2+1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendDetection(1, nil, nil, ""); !errors.Is(err, lake.ErrInventoryClosed) {
+		t.Fatalf("append after close err = %v", err)
+	}
+}
+
+// TestLogDetectionInteriorCorruptionLoud: a flipped byte inside a detection
+// frame that is not the last frame of the log fails the open with its
+// segment and offset. Outcomes are never dropped silently from the middle
+// of the history.
+func TestLogDetectionInteriorCorruptionLoud(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	for task := 0; task < 3; task++ {
+		if err := l.AppendDetection(task, []int{task}, []int{task + 10}, "outcome"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc := l.detections[1]
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int64{4, loc.size - int64(headerSize) - 1} {
+		damaged := copyDir(t, dir)
+		if err := fault.CorruptFileByte(filepath.Join(damaged, loc.segment), loc.off+int64(headerSize)+at); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(damaged, Options{})
+		var ce *CorruptionError
+		if !errors.As(err, &ce) {
+			t.Fatalf("payload byte %d flipped: open err = %v, want CorruptionError", at, err)
+		}
+		if ce.Segment != loc.segment || ce.Offset != loc.off || !strings.Contains(ce.Reason, "checksum") {
+			t.Fatalf("payload byte %d flipped: corruption context = %+v, want offset %d", at, ce, loc.off)
+		}
+	}
+}

@@ -22,10 +22,15 @@ func tortureHistorySize(t testing.TB) int {
 	return 10000
 }
 
+// tortureTask reports whether buildTortureLog records a detection outcome,
+// for task ID i, right after appending dataset i.
+func tortureTask(i int) bool { return i%128 == 63 }
+
 // buildTortureLog appends n one-sample datasets (interleaved with periodic
-// platform snapshots) into dir across many small segments, and returns the
-// appended dataset IDs in order. Per-append fsync is off — torture injects
-// its own damage; it does not need the real thing to be slow.
+// platform snapshots and detection outcomes) into dir across many small
+// segments, and returns the appended dataset IDs in order. Per-append fsync
+// is off — torture injects its own damage; it does not need the real thing
+// to be slow.
 func buildTortureLog(t testing.TB, dir string, n int) []uint64 {
 	t.Helper()
 	l, err := Open(dir, Options{SegmentTargetBytes: 64 << 10, NoSyncEachAppend: true, AutoCompactRatio: -1})
@@ -39,6 +44,11 @@ func buildTortureLog(t testing.TB, dir string, n int) []uint64 {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		if tortureTask(i) {
+			if err := l.AppendDetection(i, []int{i}, []int{i + 1, i + 2}, "torture"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if i%512 == 511 {
 			if err := l.SavePlatform([]byte(fmt.Sprintf("snap-%d", i))); err != nil {
 				t.Fatal(err)
@@ -53,9 +63,10 @@ func buildTortureLog(t testing.TB, dir string, n int) []uint64 {
 
 // verifyPrefixOrLoud is the torture postcondition: after arbitrary damage,
 // opening the log must either fail loudly with segment/offset context, or
-// succeed with a consistent prefix of the original history and accurate
-// dropped-record accounting. Silent corruption — success with a gap, a
-// reordering, or an unaccounted drop — is the one forbidden outcome.
+// succeed with a consistent prefix of the original history — datasets and
+// detection outcomes alike — and accurate dropped-record accounting. Silent
+// corruption — success with a gap, a reordering, or an unaccounted drop —
+// is the one forbidden outcome.
 // It returns "loud" or "recovered" for outcome bookkeeping.
 func verifyPrefixOrLoud(t *testing.T, dir string, ids []uint64, sizeBefore, sizeAfter int64) string {
 	t.Helper()
@@ -88,6 +99,25 @@ func verifyPrefixOrLoud(t *testing.T, dir string, ids []uint64, sizeBefore, size
 		if m.ID != ids[i] {
 			t.Fatalf("recovered dataset %d has ID %d, want prefix ID %d — not a consistent prefix", i, m.ID, ids[i])
 		}
+	}
+	// The outcome of task i was appended between datasets i and i+1, so it
+	// survives exactly when dataset i+1 did, and may or may not when the
+	// recovered prefix ends at dataset i.
+	done := l.DoneTasks()
+	for i := 0; i < len(ids); i++ {
+		if !tortureTask(i) {
+			continue
+		}
+		switch {
+		case i+1 < len(metas) && !done[i]:
+			t.Fatalf("outcome of task %d lost, yet %d later datasets recovered", i, len(metas)-i-1)
+		case i >= len(metas) && done[i]:
+			t.Fatalf("outcome of task %d recovered without dataset %d before it", i, i)
+		}
+		delete(done, i)
+	}
+	if len(done) > 0 {
+		t.Fatalf("recovered outcomes of tasks never recorded: %v", done)
 	}
 	rec := l.Stats().Recovery
 	if len(metas) < len(ids) && !rec.TornTail {
@@ -191,7 +221,7 @@ func TestTortureInjectors(t *testing.T) {
 
 // TestTortureCompactionCrash kills a compaction of the large history (half
 // the datasets removed) at every stage and checks each crash state recovers
-// the exact live set.
+// the exact live set, detection outcomes included.
 func TestTortureCompactionCrash(t *testing.T) {
 	n := tortureHistorySize(t)
 	master := t.TempDir()
@@ -249,6 +279,19 @@ func TestTortureCompactionCrash(t *testing.T) {
 			if m.ID != want[i] {
 				t.Fatalf("crash at %s: dataset %d has ID %d, want %d", stage, i, m.ID, want[i])
 			}
+		}
+		done, recorded := l2.DoneTasks(), 0
+		for i := range ids {
+			if !tortureTask(i) {
+				continue
+			}
+			recorded++
+			if !done[i] {
+				t.Fatalf("crash at %s: outcome of task %d lost", stage, i)
+			}
+		}
+		if len(done) != recorded {
+			t.Fatalf("crash at %s: %d outcomes recovered, %d recorded", stage, len(done), recorded)
 		}
 		l2.Close()
 	}

@@ -94,7 +94,8 @@ type Service struct {
 	retryRNG *mat.RNG
 
 	// skip holds task IDs already completed in a previous incarnation
-	// (recovered from the journal); Run drops them without processing.
+	// (recovered from the segment log's detection outcomes); Run drops
+	// them without processing.
 	skip map[int]bool
 
 	// obs holds the metric handles attached by SetObs; nil means unobserved.
@@ -212,8 +213,9 @@ func (s *Service) OverloadStatus() OverloadStatus {
 // disables it. Callers may observe state and register transition hooks.
 func (s *Service) Breaker() *Breaker { return s.breaker }
 
-// SkipCompleted marks task IDs as already completed (e.g. recovered from a
-// journal after a crash); Run drops matching requests without reprocessing.
+// SkipCompleted marks task IDs as already completed (e.g. a segment log's
+// DoneTasks after a crash); Run drops matching requests without
+// reprocessing.
 // Call before Run.
 func (s *Service) SkipCompleted(ids map[int]bool) {
 	if len(ids) == 0 {

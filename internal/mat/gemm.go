@@ -26,9 +26,9 @@ import (
 //   - Row ranges compose. Output rows never share an accumulator, so
 //     computing C in arbitrary disjoint row ranges ([i0,i1) via GemmRows /
 //     GemmTNRows) produces bit-identical results to one full-matrix call.
-//     That is what licenses splitting the M dimension across the worker pool
-//     (gemm_par.go): each row is single-writer and its k-loop stays
-//     sequential no matter which worker runs it.
+//     That is what licenses the batched passes' row chunks across the worker
+//     pool (nn/forwardbatch.go): each row is single-writer and its k-loop
+//     stays sequential no matter which worker runs it.
 //
 //   - The A·Bᵀ product is computed by repacking Bᵀ once (PackNT) and running
 //     the A·B kernel on the packed panel. Element (i,j) still sums

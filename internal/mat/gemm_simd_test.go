@@ -2,8 +2,6 @@ package mat
 
 import (
 	"testing"
-
-	"enld/internal/parallel"
 )
 
 // simdSizes stresses the vector kernel's edge handling: rows mod 4, columns
@@ -136,65 +134,6 @@ func TestPackNT(t *testing.T) {
 	mustPanic(t, "PackNT aliased", func() { PackNT(&panel, &panel) })
 }
 
-// TestParallelGemmBitIdentical is the tentpole differential test: all three
-// parallel products must be bit-identical to their sequential counterparts
-// at worker counts 1, 2 and 8, on shapes below and above the sequential
-// fallback threshold.
-func TestParallelGemmBitIdentical(t *testing.T) {
-	rng := NewRNG(307)
-	for _, sz := range simdSizes {
-		A := randMatrix(rng, sz.m, sz.k)
-		B := randMatrix(rng, sz.k, sz.n)
-		Bt := randMatrix(rng, sz.n, sz.k)
-		At := randMatrix(rng, sz.k, sz.m)
-		seed := randMatrix(rng, sz.m, sz.n)
-
-		wantNN := seed.Clone()
-		Gemm(wantNN, A, B)
-		wantNT := seed.Clone()
-		GemmNT(wantNT, A, Bt)
-		wantTN := seed.Clone()
-		GemmTN(wantTN, At, B)
-
-		for _, workers := range []int{1, 2, 8} {
-			pool := parallel.New(workers)
-			gotNN := seed.Clone()
-			ParallelGemm(pool, gotNN, A, B)
-			gotNT := seed.Clone()
-			ParallelGemmNT(pool, gotNT, A, Bt)
-			gotTN := seed.Clone()
-			ParallelGemmTN(pool, gotTN, At, B)
-			for i := range gotNN.Data {
-				if gotNN.Data[i] != wantNN.Data[i] {
-					t.Fatalf("ParallelGemm(%dx%dx%d) w=%d differs at %d", sz.m, sz.n, sz.k, workers, i)
-				}
-				if gotNT.Data[i] != wantNT.Data[i] {
-					t.Fatalf("ParallelGemmNT(%dx%dx%d) w=%d differs at %d", sz.m, sz.n, sz.k, workers, i)
-				}
-				if gotTN.Data[i] != wantTN.Data[i] {
-					t.Fatalf("ParallelGemmTN(%dx%dx%d) w=%d differs at %d", sz.m, sz.n, sz.k, workers, i)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelGemmNilPool pins the sequential fallback for a nil pool.
-func TestParallelGemmNilPool(t *testing.T) {
-	rng := NewRNG(401)
-	A := randMatrix(rng, 8, 8)
-	B := randMatrix(rng, 8, 8)
-	want := NewMatrix(8, 8)
-	Gemm(want, A, B)
-	got := NewMatrix(8, 8)
-	ParallelGemm(nil, got, A, B)
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("nil-pool ParallelGemm differs at %d", i)
-		}
-	}
-}
-
 // TestGemmRowsPanics covers the row-range validation.
 func TestGemmRowsPanics(t *testing.T) {
 	a := NewMatrix(4, 4)
@@ -206,7 +145,4 @@ func TestGemmRowsPanics(t *testing.T) {
 	bBad := NewMatrix(5, 2)
 	mustPanic(t, "GemmRows mismatch", func() { GemmRows(c, a, bBad, 0, 4) })
 	mustPanic(t, "GemmTNRows mismatch", func() { GemmTNRows(c, bBad, a, 0, 4) })
-	mustPanic(t, "ParallelGemm mismatch", func() { ParallelGemm(nil, c, a, bBad) })
-	mustPanic(t, "ParallelGemmNT mismatch", func() { ParallelGemmNT(nil, c, a, bBad) })
-	mustPanic(t, "ParallelGemmTN mismatch", func() { ParallelGemmTN(nil, c, bBad, a) })
 }
