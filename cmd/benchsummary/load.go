@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"enld/internal/lake"
 	"enld/internal/workload"
 )
 
@@ -56,14 +58,27 @@ func readLoadSummary(path string) (*workload.LoadSummary, error) {
 }
 
 // saturatedScenario reports whether a run went past its knee: once tasks
-// were shed or the brownout controller moved, latency percentiles and
-// throughput measure the controller's timing-dependent tier mix and the shed
-// fraction, not code speed — on the same machine, back-to-back saturation
-// runs swing task p95 by 3x as the full/fallback population boundary shifts.
-// Such scenarios are held to their absolute SLOs only (always a hard gate);
-// ratio comparisons are recorded but never enforced.
+// were shed or served below full ENLD, latency percentiles and throughput
+// measure admission's timing-dependent tier mix and the shed fraction, not
+// code speed — on the same machine, back-to-back saturation runs swing task
+// p95 by 3x as the full/fallback population boundary shifts. Such scenarios
+// are held to their absolute SLOs only (always a hard gate); ratio
+// comparisons are recorded but never enforced.
 func saturatedScenario(r *workload.ScenarioResult) bool {
-	return r.Outcomes["shed"] > 0 || r.TierChanges > 0
+	return r.Outcomes["shed"] > 0 || len(belowFullTiers(r)) > 0
+}
+
+// belowFullTiers lists the brownout tiers other than full ENLD that served
+// tasks in a run, as "name count" in name order.
+func belowFullTiers(r *workload.ScenarioResult) []string {
+	var out []string
+	for tier, q := range r.TierF1 {
+		if tier != lake.TierFull && q.Tasks > 0 {
+			out = append(out, fmt.Sprintf("%s %d", tier, q.Tasks))
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // compareLoad pairs current scenarios with baseline scenarios by name.
@@ -136,7 +151,7 @@ func gateLoad(w io.Writer, cur *workload.LoadSummary, comps []LoadComparison) (f
 func writeLoadTable(w io.Writer, cur *workload.LoadSummary, comps []LoadComparison) {
 	fmt.Fprintln(w, "## Load / SLO summary")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Scenario | Offered | Throughput | Task p50/p95/p99 | Queued p99 | Dead-letter | Degraded | Shed | Abandoned | Max tier | Breaker opens | SLO |")
+	fmt.Fprintln(w, "| Scenario | Offered | Throughput | Task p50/p95/p99 | Queued p99 | Dead-letter | Degraded | Shed | Abandoned | Below full | Breaker opens | SLO |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|---|")
 	for _, sc := range cur.Scenarios {
 		verdict := "✅ pass"
@@ -144,8 +159,8 @@ func writeLoadTable(w io.Writer, cur *workload.LoadSummary, comps []LoadComparis
 			verdict = "❌ FAIL"
 		}
 		tier := "—"
-		if sc.TierChanges > 0 {
-			tier = fmt.Sprintf("%d (%d moves)", sc.BrownoutMaxTier, sc.TierChanges)
+		if below := belowFullTiers(&sc); len(below) > 0 {
+			tier = strings.Join(below, ", ")
 		}
 		fmt.Fprintf(w, "| %s | %d | %.2f req/s | %s / %s / %s | %s | %d | %d | %d | %d | %s | %d | %s |\n",
 			sc.Name, sc.Offered, sc.ThroughputRPS,

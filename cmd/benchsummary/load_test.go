@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,9 +54,9 @@ func TestCompareLoad(t *testing.T) {
 }
 
 // TestCompareLoadSaturated: a scenario driven past its knee (shed tasks or
-// brownout moves on either side) is never ratio-gated — its percentiles
-// measure the controller's tier mix, not code speed — but the comparisons
-// are still recorded for the table.
+// tasks served below full ENLD on either side) is never ratio-gated — its
+// percentiles measure admission's tier mix, not code speed — but the
+// comparisons are still recorded for the table.
 func TestCompareLoadSaturated(t *testing.T) {
 	base := loadSummaryFixture(true)
 	cur := loadSummaryFixture(true)
@@ -75,14 +76,25 @@ func TestCompareLoadSaturated(t *testing.T) {
 		t.Error("passing saturated scenario failed the gate on a ratio")
 	}
 
-	// Brownout movement alone (no shedding) also marks saturation, and the
-	// baseline side counts too.
+	// Serving only at full ENLD is not saturation: the ratios are gated.
 	cur.Scenarios[0].Outcomes = map[string]int{"ok": 100}
-	base.Scenarios[0].TierChanges = 4
+	base.Scenarios[0].TierF1 = map[string]workload.TierF1{"full": {MeanF1: 0.9, Tasks: 100}}
+	if comps := compareLoad(cur, base); !slices.ContainsFunc(comps, func(c LoadComparison) bool { return c.Gated }) {
+		t.Errorf("full-only scenario left ungated: %+v", comps)
+	}
+
+	// One task at the fallback rung with nothing shed still marks
+	// saturation, and the baseline side counts too.
+	base.Scenarios[0].TierF1["fallback"] = workload.TierF1{MeanF1: 0.5, Tasks: 1}
 	for _, c := range compareLoad(cur, base) {
 		if c.Gated {
-			t.Errorf("comparison gated despite baseline tier changes: %+v", c)
+			t.Errorf("comparison gated despite a fallback-rung task: %+v", c)
 		}
+	}
+	var table strings.Builder
+	writeLoadTable(&table, base, nil)
+	if !strings.Contains(table.String(), "| fallback 1 |") {
+		t.Errorf("table lacks the below-full rung count:\n%s", table.String())
 	}
 }
 

@@ -45,7 +45,6 @@ type clusterFlags struct {
 	fallback bool
 
 	brownout bool
-	brCfg    lake.BrownoutConfig
 
 	faultOn  bool
 	faultCfg fault.Config
@@ -105,7 +104,6 @@ func newShardWorker(wb *experiments.Workbench, fl clusterFlags, shard int, name 
 		ladder := experiments.BrownoutLadder(wb)
 		ladder[0].Detector = det
 		wcfg.Ladder = ladder
-		wcfg.Brownout = fl.brCfg
 	}
 	if fl.storeKind == "seglog" && fl.storeDir != "" {
 		lg, err := seglog.Open(fmt.Sprintf("%s/%s", fl.storeDir, name), seglog.Options{})

@@ -169,12 +169,7 @@ func main() {
 		// deadline-aware shedding, and the brownout degradation ladder.
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue capacity (0 = legacy unbounded backpressure, nothing is shed)")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "shed tasks whose predicted queue wait exceeds this (0 = only full-queue shedding; needs -queue-depth)")
-		brownoutOn   = flag.Bool("brownout", false, "step detection down the degradation ladder (full ENLD -> fallback) under sustained pressure, recovering tier-by-tier")
-		brQueueHigh  = flag.Int("brownout-queue-high", 0, "queue-depth pressure watermark (0 = half of -queue-depth)")
-		brQueueLow   = flag.Int("brownout-queue-low", 0, "queue-depth calm watermark (0 = a quarter of the high watermark)")
-		brP95High    = flag.Duration("brownout-p95-high", 0, "windowed task-latency p95 pressure watermark (0 = latency signal off)")
-		brP95Low     = flag.Duration("brownout-p95-low", 0, "windowed task-latency p95 calm watermark")
-		brInterval   = flag.Duration("brownout-interval", 250*time.Millisecond, "brownout evaluation cadence")
+		brownoutOn   = flag.Bool("brownout", false, "serve each task at full ENLD or at the fallback rung, picked at admission by its predicted queue wait (needs -queue-depth and -max-queue-wait)")
 
 		// Crash recovery.
 		platformPath = flag.String("platform", "", "platform snapshot file: loaded if present (skipping setup), saved after setup otherwise; ignored when -store-dir is set")
@@ -194,6 +189,13 @@ func main() {
 		rollbackMax   = flag.Int("rollback-budget", 0, "max checkpoint rollbacks per training run (0 = default 3)")
 	)
 	flag.Parse()
+	admission := lake.AdmissionConfig{QueueDepth: *queueDepth, MaxQueueWait: *maxQueueWait}
+	if *brownoutOn {
+		if err := admission.ValidateBrownout(); err != nil {
+			fmt.Fprintln(os.Stderr, "lakesim: -brownout:", err)
+			os.Exit(2)
+		}
+	}
 
 	// An interrupt (Ctrl-C) or SIGTERM cancels the simulation and shuts the
 	// status endpoint down gracefully instead of killing mid-task.
@@ -238,6 +240,7 @@ func main() {
 		storeKind:   *storeKind,
 		storeDir:    *storeDir,
 		fallback:    *fallback,
+		brownout:    *brownoutOn,
 	}
 	if fl.clusterMode() {
 		if *storeDir != "" && *storeKind != "seglog" {
@@ -254,29 +257,7 @@ func main() {
 			RetrySeed:        *seed,
 			BreakerThreshold: *breakerN,
 			BreakerCooldown:  *breakerCool,
-			Admission: lake.AdmissionConfig{
-				QueueDepth:   *queueDepth,
-				MaxQueueWait: *maxQueueWait,
-			},
-		}
-		if *brownoutOn {
-			high := *brQueueHigh
-			if high == 0 && *queueDepth > 0 {
-				high = *queueDepth / 2
-				if high < 2 {
-					high = 2
-				}
-			}
-			low := *brQueueLow
-			if low == 0 {
-				low = high / 4
-			}
-			fl.brownout = true
-			fl.brCfg = lake.BrownoutConfig{
-				QueueHigh: high, QueueLow: low,
-				P95High: *brP95High, P95Low: *brP95Low,
-				Interval: *brInterval,
-			}
+			Admission:        admission,
 		}
 		fl.faultOn = *failRate > 0 || *panicRate > 0 || *slowRate > 0 || *corruptRate > 0
 		fl.faultCfg = fault.Config{
@@ -420,10 +401,7 @@ func main() {
 			RetrySeed:        *seed,
 			BreakerThreshold: *breakerN,
 			BreakerCooldown:  *breakerCool,
-			Admission: lake.AdmissionConfig{
-				QueueDepth:   *queueDepth,
-				MaxQueueWait: *maxQueueWait,
-			},
+			Admission:        admission,
 		}
 		if *fallback {
 			policy.Fallback = baselines.Default{Model: wb.Platform.Model}
@@ -442,30 +420,11 @@ func main() {
 			// brownout degrades from exactly what the run is serving.
 			ladder := experiments.BrownoutLadder(wb)
 			ladder[0].Detector = detector
-			high := *brQueueHigh
-			if high == 0 && *queueDepth > 0 {
-				high = *queueDepth / 2
-				if high < 2 {
-					high = 2
-				}
-			}
-			low := *brQueueLow
-			if low == 0 {
-				low = high / 4
-			}
-			bcfg := lake.BrownoutConfig{
-				QueueHigh: high, QueueLow: low,
-				P95High: *brP95High, P95Low: *brP95Low,
-				Interval: *brInterval,
-			}
-			if err := svc.SetBrownout(ladder, bcfg, func(from, to int) {
-				fmt.Printf("brownout: tier %d (%s) -> %d (%s)\n", from, ladder[from].Name, to, ladder[to].Name)
-			}); err != nil {
+			if err := svc.SetBrownout(ladder); err != nil {
 				fmt.Fprintln(os.Stderr, "lakesim:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("brownout on: %d-tier ladder, queue watermarks %d/%d, p95 watermarks %s/%s, interval %s\n",
-				len(ladder), high, low, *brP95High, *brP95Low, *brInterval)
+			fmt.Printf("brownout on: %d-tier ladder, rung picked at admission\n", len(ladder))
 		}
 		svc.SetObs(reg)
 		tracker.AttachService(svc)
@@ -583,13 +542,8 @@ func summarize(reports []lake.Report, total, skipped int, svc *lake.Service) {
 	if retries > 0 {
 		fmt.Printf("transient retries consumed: %d\n", retries)
 	}
-	if ov := svc.OverloadStatus(); ov.QueueCapacity > 0 || ov.BrownoutTier >= 0 {
-		fmt.Printf("overload: shed=%d abandoned=%d ewma_task=%.0fms", ov.TasksShed, ov.TasksAbandoned, ov.EWMATaskSeconds*1000)
-		if ov.BrownoutTier >= 0 {
-			fmt.Printf(" brownout tier=%d (%s) max_tier=%d changes=%d",
-				ov.BrownoutTier, ov.BrownoutTierName, ov.BrownoutMaxTier, ov.TierChanges)
-		}
-		fmt.Println()
+	if ov := svc.OverloadStatus(); ov.QueueCapacity > 0 {
+		fmt.Printf("overload: shed=%d abandoned=%d ewma_task=%.0fms\n", ov.TasksShed, ov.TasksAbandoned, ov.EWMATaskSeconds*1000)
 	}
 	if breaker != nil {
 		fmt.Printf("breaker: state=%s trips=%d\n", breaker.State(), breaker.Trips())

@@ -105,13 +105,12 @@ func runClusterScenario(ctx context.Context, spec workload.Spec, n, killShard in
 			Policy:   policy,
 			Registry: obs.NewRegistry(),
 		}
-		if spec.Brownout != nil {
+		if spec.Brownout {
 			ladder, err := brownoutLadder(wb, spec, detector)
 			if err != nil {
 				return nil, err
 			}
 			wcfg.Ladder = ladder
-			wcfg.Brownout = spec.Brownout.Config()
 		}
 		if storeKind != "" {
 			inv, err := openInventory(storeKind, storeDir, filepath.Join(spec.Name, name), wcfg.Registry)

@@ -90,7 +90,7 @@ func main() {
 			// immediately, so saturation shows up honestly as queued-p99
 			// collapse in the same metrics the protected run is gated on.
 			spec.Name += "-unprotected"
-			spec.Brownout = nil
+			spec.Brownout = false
 			spec.Policy.QueueDepth = 1 << 16
 			spec.Policy.MaxQueueWaitMS = 0
 		}
@@ -202,20 +202,15 @@ func runScenario(ctx context.Context, spec workload.Spec, speed float64, timeout
 	if err != nil {
 		return nil, err
 	}
-	if spec.Brownout != nil {
+	if spec.Brownout {
 		ladder, err := brownoutLadder(wb, spec, detector)
 		if err != nil {
 			return nil, err
 		}
-		if err := svc.SetBrownout(ladder, spec.Brownout.Config(), func(from, to int) {
-			fmt.Printf("[%s] brownout: tier %d (%s) -> %d (%s)\n",
-				spec.Name, from, ladder[from].Name, to, ladder[to].Name)
-		}); err != nil {
+		if err := svc.SetBrownout(ladder); err != nil {
 			return nil, err
 		}
-		fmt.Printf("[%s] brownout on: %d-tier ladder, queue watermarks %d/%d, p95 watermarks %.0f/%.0fms\n",
-			spec.Name, len(ladder), spec.Brownout.QueueHigh, spec.Brownout.QueueLow,
-			spec.Brownout.P95HighMS, spec.Brownout.P95LowMS)
+		fmt.Printf("[%s] brownout on: %d-tier ladder, rung picked at admission\n", spec.Name, len(ladder))
 	}
 	svc.SetObs(reg)
 	lake.ObserveBreaker(svc.Breaker(), reg)
@@ -368,8 +363,8 @@ func report(w io.Writer, r *workload.ScenarioResult) {
 		r.Name, r.Outcomes["ok"], r.Outcomes["degraded"], r.Outcomes["dead_letter"],
 		r.Outcomes["shed"], r.Outcomes["abandoned"],
 		r.Retries, r.BreakerOpens, r.MaxSendLagSeconds)
-	if r.TierChanges > 0 || len(r.TierF1) > 0 {
-		fmt.Fprintf(w, "[%s] brownout: max_tier=%d tier_changes=%d", r.Name, r.BrownoutMaxTier, r.TierChanges)
+	if len(r.TierF1) > 0 {
+		fmt.Fprintf(w, "[%s] brownout:", r.Name)
 		for _, tier := range sortedKeys(r.TierF1) {
 			q := r.TierF1[tier]
 			fmt.Fprintf(w, " %s: F1=%.3f over %d", tier, q.MeanF1, q.Tasks)

@@ -46,9 +46,7 @@ func TestScenarioFiles(t *testing.T) {
 func TestReportPrintsEveryTier(t *testing.T) {
 	var buf strings.Builder
 	report(&buf, &workload.ScenarioResult{
-		Name:            "s",
-		BrownoutMaxTier: 2,
-		TierChanges:     3,
+		Name: "s",
 		TierF1: map[string]workload.TierF1{
 			"middle":   {MeanF1: 0.5, Tasks: 2},
 			"full":     {MeanF1: 0.9, Tasks: 7},
@@ -56,7 +54,7 @@ func TestReportPrintsEveryTier(t *testing.T) {
 		},
 		Pass: true,
 	})
-	want := "[s] brownout: max_tier=2 tier_changes=3 fallback: F1=0.400 over 3 full: F1=0.900 over 7 middle: F1=0.500 over 2\n"
+	want := "[s] brownout: fallback: F1=0.400 over 3 full: F1=0.900 over 7 middle: F1=0.500 over 2\n"
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("report output:\n%s\nwant line:\n%s", buf.String(), want)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"enld/internal/core"
 	"enld/internal/lake"
@@ -31,11 +32,13 @@ func TestBrownoutLadderShape(t *testing.T) {
 	if !ok || e0.Platform != wb.Platform || e0.Config != wb.ENLDCfg {
 		t.Fatalf("full rung misconfigured: %+v", ladder[0].Detector)
 	}
-	svc, err := lake.NewService(ladder[0].Detector, 1)
+	svc, err := lake.NewServiceWithPolicy(ladder[0].Detector, 1, lake.Policy{
+		Admission: lake.AdmissionConfig{QueueDepth: 4, MaxQueueWait: time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.SetBrownout(ladder, lake.BrownoutConfig{QueueHigh: 4}, nil); err != nil {
+	if err := svc.SetBrownout(ladder); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,10 +28,10 @@ type WorkerConfig struct {
 	// Inventory, when set, persists arrivals shard-locally (callers open
 	// one seglog directory per shard).
 	Inventory lake.Inventory
-	// Ladder and Brownout, when a ladder is given, enable shard-local
-	// brownout degradation.
-	Ladder   []lake.TierDetector
-	Brownout lake.BrownoutConfig
+	// Ladder, when given, enables shard-local brownout degradation: the
+	// shard's admission picks each task's rung (needs Policy.Admission
+	// with a queue depth and a max queue wait).
+	Ladder []lake.TierDetector
 	// KeepRecent bounds the tracker's recent-report list (default 20).
 	KeepRecent int
 	// OnReport, when set, observes every report the shard files (after the
@@ -80,7 +80,7 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 		reg = obs.NewRegistry()
 	}
 	if len(cfg.Ladder) > 0 {
-		if err := svc.SetBrownout(cfg.Ladder, cfg.Brownout, nil); err != nil {
+		if err := svc.SetBrownout(cfg.Ladder); err != nil {
 			return nil, fmt.Errorf("cluster: shard %s: %w", cfg.Name, err)
 		}
 	}

@@ -33,8 +33,7 @@ type Status struct {
 	TasksShed      int `json:"tasks_shed"`
 	TasksAbandoned int `json:"tasks_abandoned"`
 	// Overload reports the service's live overload-control state — queue
-	// occupancy, shed counts and the active brownout tier — when a service
-	// is attached.
+	// occupancy and shed counts — when a service is attached.
 	Overload *OverloadStatus `json:"overload,omitempty"`
 	// Breaker reports the circuit breaker, when one is attached.
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
@@ -164,8 +163,8 @@ func (t *StatusTracker) AttachInventory(inv Inventory) {
 
 // AttachService makes snapshots report the service's live overload-control
 // state (Service.OverloadStatus is re-read at every snapshot): admission
-// queue depth and capacity, the shedder's service-time estimate, and the
-// brownout tier. A nil service detaches.
+// queue depth and capacity, the shedder's service-time estimate and the
+// shed/abandoned counts. A nil service detaches.
 func (t *StatusTracker) AttachService(svc *Service) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

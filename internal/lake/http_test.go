@@ -251,7 +251,7 @@ func TestSnapshotStorage(t *testing.T) {
 }
 
 // TestSnapshotOverloadBlock: /statusz surfaces the live overload-control
-// state — queue occupancy, shed/abandoned accounting, brownout tier — and the
+// state — queue occupancy and shed/abandoned accounting — and the
 // JSON wire shape stays stable for dashboards.
 func TestSnapshotOverloadBlock(t *testing.T) {
 	svc, err := NewServiceWithPolicy(flagOdd{}, 2, Policy{
@@ -263,14 +263,14 @@ func TestSnapshotOverloadBlock(t *testing.T) {
 	if err := svc.SetBrownout([]TierDetector{
 		{Name: TierFull, Detector: flagOdd{}},
 		{Name: TierFallback, Detector: flagAll{}},
-	}, BrownoutConfig{QueueHigh: 8, QueueLow: 2}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
 	tr := NewStatusTracker(nil)
 	tr.AttachService(svc)
 	tr.Record(Report{TaskID: 0, Tier: TierFull, Detection: metrics.Detection{F1: 0.9}})
-	tr.Record(Report{TaskID: 1, Tier: TierFull, Shed: true, Err: errFake})
+	tr.Record(Report{TaskID: 1, Shed: true, Err: errFake})
 	tr.Record(Report{TaskID: 2, Tier: TierFull, Abandoned: true, Err: errFake})
 	svc.shed.Add(1)
 	svc.abandoned.Add(1)
@@ -285,9 +285,6 @@ func TestSnapshotOverloadBlock(t *testing.T) {
 	}
 	if st.Overload == nil || st.Overload.QueueCapacity != 16 || st.Overload.TasksShed != 1 {
 		t.Fatalf("overload section = %+v", st.Overload)
-	}
-	if st.Overload.BrownoutTier != 0 || st.Overload.BrownoutTierName != TierFull {
-		t.Fatalf("brownout fields = %+v", st.Overload)
 	}
 
 	// Pin the exact JSON key shape the endpoint serves.
@@ -314,7 +311,6 @@ func TestSnapshotOverloadBlock(t *testing.T) {
 	for _, key := range []string{
 		"queue_depth", "queue_capacity", "ewma_task_seconds",
 		"tasks_shed", "tasks_abandoned",
-		"brownout_tier", "brownout_tier_name", "brownout_max_tier", "tier_changes",
 	} {
 		if _, ok := ov[key]; !ok {
 			t.Fatalf("overload JSON missing %q: %v", key, keysOf(ov))

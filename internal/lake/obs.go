@@ -19,8 +19,6 @@ type lakeObs struct {
 	queuedSeconds  *obs.Histogram
 	inflight       *obs.Gauge
 	queueDepth     *obs.Gauge
-	brownoutTier   *obs.Gauge
-	brownoutMax    *obs.Gauge
 }
 
 // f1Buckets spans the [0, 1] detection-F1 range; the load harness reads
@@ -65,30 +63,15 @@ func (s *Service) SetObs(reg *obs.Registry) {
 			"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay."),
 		queueDepth: reg.Gauge("enld_lake_queue_depth",
 			"Admitted-but-not-started lake tasks in the bounded admission queue (0 without bounded admission)."),
-		brownoutTier: reg.Gauge("enld_lake_brownout_tier",
-			"Active brownout degradation tier (ladder index; 0 is full quality)."),
-		brownoutMax: reg.Gauge("enld_lake_brownout_max_tier",
-			"Deepest brownout tier reached since the service started."),
 	}
-	// Pre-register the brownout transition and per-tier quality series for a
-	// ladder already installed, so scrapes show them at zero from the start.
-	if b := s.brownout; b != nil {
-		s.obs.tierTransitions("down")
-		s.obs.tierTransitions("up")
-		for _, rung := range b.ladder {
-			s.obs.tierTasks(rung.Name)
-			s.obs.tierF1(rung.Name)
+	// Pre-register the per-tier quality series for a ladder already
+	// installed, so scrapes show them at zero from the start.
+	for _, r := range s.rungs {
+		if r.name != "" {
+			s.obs.tierTasks(r.name)
+			s.obs.tierF1(r.name)
 		}
 	}
-}
-
-// tierTransitions interns the brownout transition counter for one direction.
-// Registry interning returns the same handle on every call, so these per-call
-// lookups are safe; they run once per tier change, never per task.
-func (o *lakeObs) tierTransitions(direction string) *obs.Counter {
-	return o.reg.Counter("enld_lake_brownout_transitions_total",
-		"Brownout tier transitions, by direction (down = degrade, up = recover).",
-		obs.Label{Key: "direction", Value: direction})
 }
 
 // tierTasks interns the per-tier completed-task counter.
@@ -104,20 +87,6 @@ func (o *lakeObs) tierF1(tier string) *obs.Histogram {
 	return o.reg.Histogram("enld_lake_detection_f1",
 		"Detection F1 of completed lake tasks scored against ground truth, by brownout tier.",
 		f1Buckets, obs.Label{Key: "tier", Value: tier})
-}
-
-// brownoutTransition records one tier change from the controller goroutine.
-func (o *lakeObs) brownoutTransition(b *brownout, from, to int) {
-	if o == nil {
-		return
-	}
-	direction := "down"
-	if to < from {
-		direction = "up"
-	}
-	o.tierTransitions(direction).Inc()
-	o.brownoutTier.Set(float64(to))
-	o.brownoutMax.Set(float64(b.maxTier.Load()))
 }
 
 // taskStarted/taskFinished bracket one worker's processing of a task for the
@@ -172,11 +141,11 @@ func (o *lakeObs) record(rep Report, elapsed time.Duration) {
 }
 
 // setQueueDepth mirrors the admission-queue occupancy into the gauge.
-func (s *Service) setQueueDepth(n int64) {
+func (s *Service) setQueueDepth() {
 	if s.obs == nil {
 		return
 	}
-	s.obs.queueDepth.Set(float64(n))
+	s.obs.queueDepth.Set(float64(s.queueDepth()))
 }
 
 // ObserveBreaker exports a breaker's behaviour through the registry:

@@ -17,15 +17,18 @@ import (
 // With QueueDepth > 0 the service holds at most QueueDepth admitted-but-not-
 // started tasks. On submit it estimates the new task's queue wait as
 //
-//	predicted = depth × EWMA(service time) / workers
+//	predicted = Σ_r depth_r × EWMA_r(service time) / workers
 //
-// where depth is the current queue length and the EWMA tracks recent task
-// wall-clock times (attempts, backoff and fallback included). A task whose
-// predicted wait exceeds MaxQueueWait — its predicted start would already be
-// past its deadline — is shed immediately (outcome=shed) instead of queued
-// to time out: rejecting early costs the client one round trip; queueing a
-// doomed task costs it the full deadline and poisons every task behind it.
-// A full queue sheds likewise.
+// where depth_r is how many queued tasks were admitted at rung r and EWMA_r
+// tracks that rung's recent task wall-clock times (attempts, backoff and
+// fallback included). Without a brownout ladder there is one rung and this is
+// depth × EWMA / workers. A task whose predicted wait exceeds MaxQueueWait —
+// its predicted start would already be past its deadline — is shed
+// immediately (outcome=shed) instead of queued to time out: rejecting early
+// costs the client one round trip; queueing a doomed task costs it the full
+// deadline and poisons every task behind it. A full queue sheds likewise.
+// With an N-rung ladder the same prediction also picks the rung: the first
+// rung r < N−1 whose budget MaxQueueWait·(r+1)/N covers it, else the last.
 type AdmissionConfig struct {
 	// QueueDepth is the admission queue capacity. 0 disables bounded
 	// admission and shedding entirely.
@@ -36,8 +39,8 @@ type AdmissionConfig struct {
 	// EWMAAlpha is the service-time smoothing factor in (0, 1]; higher
 	// weights recent tasks more. Default 0.2.
 	EWMAAlpha float64
-	// InitialServiceTime seeds the EWMA before any task completes, so the
-	// very first predictions are not zero. Default 50ms.
+	// InitialServiceTime seeds each rung's EWMA before any of its tasks
+	// completes, so the very first predictions are not zero. Default 50ms.
 	InitialServiceTime time.Duration
 }
 
@@ -63,6 +66,17 @@ func (a AdmissionConfig) normalized() (AdmissionConfig, error) {
 func (a AdmissionConfig) Validate() error {
 	_, err := a.normalized()
 	return err
+}
+
+// ValidateBrownout reports whether a brownout ladder can run under this
+// admission config. The ladder's rung is chosen from the predicted queue
+// wait against MaxQueueWait, so both the bounded queue and the wait budget
+// must be set.
+func (a AdmissionConfig) ValidateBrownout() error {
+	if a.QueueDepth <= 0 || a.MaxQueueWait <= 0 {
+		return fmt.Errorf("lake: brownout needs a positive queue depth and max queue wait (got %d, %s)", a.QueueDepth, a.MaxQueueWait)
+	}
+	return nil
 }
 
 // serviceEWMA is a lock-free exponentially weighted moving average of task
@@ -97,7 +111,8 @@ func (e *serviceEWMA) value() float64 {
 // TierDetector is one rung of the brownout degradation ladder: a stable name
 // (the {tier=...} label value in metrics and the key of per-tier SLO floors)
 // and the detector serving that tier. Rung 0 is the full-quality primary;
-// each later rung trades detection quality for speed.
+// each later rung trades detection quality for speed. Admission picks a
+// task's rung once (see AdmissionConfig) and the task keeps it.
 type TierDetector struct {
 	Name     string
 	Detector detect.Detector
@@ -111,188 +126,35 @@ const (
 	TierFallback = "fallback"
 )
 
-// BrownoutConfig tunes the brownout controller: when the service is
-// saturated it steps the active tier down the ladder (cheaper detection)
-// and when pressure clears it recovers tier-by-tier. Pressure is read from
-// two signals — admission queue depth and the p95 of task service time over
-// the last evaluation window — with an explicit hysteresis band between the
-// high and low watermarks so an oscillating load cannot flap the tier.
-type BrownoutConfig struct {
-	// QueueHigh/QueueLow are the queue-depth watermarks: depth ≥ QueueHigh
-	// counts as pressure, depth ≤ QueueLow as calm, anything between holds
-	// the current tier. QueueHigh 0 disables the depth signal.
-	QueueHigh int
-	QueueLow  int
-	// P95High/P95Low are the task-latency watermarks over the last window.
-	// P95High 0 disables the latency signal.
-	P95High time.Duration
-	P95Low  time.Duration
-	// Interval is the evaluation cadence. Default 250ms.
-	Interval time.Duration
-	// EscalateAfter is how many consecutive pressured evaluations trigger
-	// one step down the ladder (default 2); RecoverAfter is how many
-	// consecutive calm evaluations trigger one step back up (default 4 —
-	// recovery is deliberately slower than escalation).
-	EscalateAfter int
-	RecoverAfter  int
+// rung is one admission class of the running service: the detector serving
+// it, its own service-time EWMA, and its admitted-but-not-started count.
+// Without a ladder the service has exactly one unnamed rung.
+type rung struct {
+	name     string
+	detector detect.Detector
+	ewma     *serviceEWMA
+	queued   atomic.Int64
 }
 
-// normalized fills brownout defaults and rejects nonsense.
-func (b BrownoutConfig) normalized() (BrownoutConfig, error) {
-	if b.QueueHigh < 0 || b.QueueLow < 0 || b.P95High < 0 || b.P95Low < 0 {
-		return b, fmt.Errorf("lake: negative brownout watermark: %+v", b)
-	}
-	if b.QueueHigh == 0 && b.P95High == 0 {
-		return b, fmt.Errorf("lake: brownout needs at least one pressure signal (QueueHigh or P95High)")
-	}
-	if b.QueueHigh > 0 && b.QueueLow > b.QueueHigh {
-		return b, fmt.Errorf("lake: brownout queue watermarks inverted (low %d > high %d)", b.QueueLow, b.QueueHigh)
-	}
-	if b.P95High > 0 && b.P95Low > b.P95High {
-		return b, fmt.Errorf("lake: brownout p95 watermarks inverted (low %s > high %s)", b.P95Low, b.P95High)
-	}
-	if b.Interval <= 0 {
-		b.Interval = 250 * time.Millisecond
-	}
-	if b.EscalateAfter <= 0 {
-		b.EscalateAfter = 2
-	}
-	if b.RecoverAfter <= 0 {
-		b.RecoverAfter = 4
-	}
-	return b, nil
-}
-
-// Validate reports whether the brownout config is sound (the check applied
-// by SetBrownout), without filling defaults.
-func (b BrownoutConfig) Validate() error {
-	_, err := b.normalized()
-	return err
-}
-
-// brownoutFSM is the pure tier state machine, separated from clocks and
-// metrics so its transition table is unit-testable. One observe call
-// corresponds to one evaluation tick.
-type brownoutFSM struct {
-	cfg   BrownoutConfig
-	tiers int
-	tier  int
-	hot   int // consecutive pressured ticks
-	cool  int // consecutive calm ticks
-}
-
-func newBrownoutFSM(cfg BrownoutConfig, tiers int) *brownoutFSM {
-	return &brownoutFSM{cfg: cfg, tiers: tiers}
-}
-
-// observe feeds one evaluation window (current queue depth, window p95 task
-// seconds — NaN when no task completed in the window) and returns the active
-// tier plus whether this tick changed it.
-//
-// The hysteresis contract: pressure requires a signal at or above its high
-// watermark; calm requires every enabled signal at or below its low
-// watermark; readings inside the band reset both streaks and hold the tier.
-// Escalation and recovery both move exactly one rung per trigger, and each
-// move resets both streaks, so a sustained condition steps through tiers at
-// EscalateAfter (or RecoverAfter) ticks per rung instead of jumping.
-func (m *brownoutFSM) observe(depth int, p95 float64) (tier int, changed bool) {
-	pressured := (m.cfg.QueueHigh > 0 && depth >= m.cfg.QueueHigh) ||
-		(m.cfg.P95High > 0 && !math.IsNaN(p95) && p95 >= m.cfg.P95High.Seconds())
-	calm := (m.cfg.QueueHigh == 0 || depth <= m.cfg.QueueLow) &&
-		(m.cfg.P95High == 0 || math.IsNaN(p95) || p95 <= m.cfg.P95Low.Seconds())
-
-	switch {
-	case pressured:
-		m.cool = 0
-		m.hot++
-		if m.hot >= m.cfg.EscalateAfter && m.tier < m.tiers-1 {
-			m.tier++
-			m.hot = 0
-			return m.tier, true
-		}
-	case calm:
-		m.hot = 0
-		m.cool++
-		if m.cool >= m.cfg.RecoverAfter && m.tier > 0 {
-			m.tier--
-			m.cool = 0
-			return m.tier, true
-		}
-	default:
-		// Inside the hysteresis band: hold the tier, restart both streaks.
-		m.hot, m.cool = 0, 0
-	}
-	return m.tier, false
-}
-
-// brownout is the controller wired into a running service: the ladder, the
-// FSM, the atomic active tier the feeder stamps tasks with, and transition
-// accounting.
-type brownout struct {
-	ladder []TierDetector
-	cfg    BrownoutConfig
-	fsm    *brownoutFSM
-
-	tier        atomic.Int32
-	maxTier     atomic.Int32
-	tierChanges atomic.Int64
-
-	// OnTierChange, when set, observes every tier transition (from, to are
-	// ladder indexes). Called from the controller goroutine.
-	onTierChange func(from, to int)
-}
-
-func newBrownout(ladder []TierDetector, cfg BrownoutConfig) (*brownout, error) {
+// validateLadder rejects a degradation ladder the admission rule cannot
+// serve: fewer than two rungs, a rung without a detector or a name, or two
+// rungs sharing a name (the name is the {tier=...} label).
+func validateLadder(ladder []TierDetector) error {
 	if len(ladder) < 2 {
-		return nil, fmt.Errorf("lake: brownout ladder needs at least two tiers, got %d", len(ladder))
+		return fmt.Errorf("lake: brownout ladder needs at least two tiers, got %d", len(ladder))
 	}
 	seen := make(map[string]bool, len(ladder))
-	for i, rung := range ladder {
-		if rung.Detector == nil {
-			return nil, fmt.Errorf("lake: brownout tier %d (%q) has a nil detector", i, rung.Name)
+	for i, r := range ladder {
+		if r.Detector == nil {
+			return fmt.Errorf("lake: brownout tier %d (%q) has a nil detector", i, r.Name)
 		}
-		if rung.Name == "" {
-			return nil, fmt.Errorf("lake: brownout tier %d has no name", i)
+		if r.Name == "" {
+			return fmt.Errorf("lake: brownout tier %d has no name", i)
 		}
-		if seen[rung.Name] {
-			return nil, fmt.Errorf("lake: duplicate brownout tier name %q", rung.Name)
+		if seen[r.Name] {
+			return fmt.Errorf("lake: duplicate brownout tier name %q", r.Name)
 		}
-		seen[rung.Name] = true
+		seen[r.Name] = true
 	}
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return &brownout{
-		ladder: append([]TierDetector(nil), ladder...),
-		cfg:    cfg,
-		fsm:    newBrownoutFSM(cfg, len(ladder)),
-	}, nil
-}
-
-// activeTier returns the tier the feeder stamps new admissions with.
-func (b *brownout) activeTier() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.tier.Load())
-}
-
-// step runs one FSM evaluation and publishes a change to the atomic tier.
-// Only the controller goroutine calls it.
-func (b *brownout) step(depth int, p95 float64) (from, to int, changed bool) {
-	from = int(b.tier.Load())
-	to, changed = b.fsm.observe(depth, p95)
-	if !changed {
-		return from, to, false
-	}
-	b.tier.Store(int32(to))
-	if int32(to) > b.maxTier.Load() {
-		b.maxTier.Store(int32(to))
-	}
-	b.tierChanges.Add(1)
-	if b.onTierChange != nil {
-		b.onTierChange(from, to)
-	}
-	return from, to, true
+	return nil
 }

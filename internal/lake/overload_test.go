@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -49,103 +48,6 @@ func TestServiceEWMAConverges(t *testing.T) {
 	}
 }
 
-func TestBrownoutConfigValidation(t *testing.T) {
-	for _, bad := range []BrownoutConfig{
-		{},                          // no pressure signal at all
-		{QueueHigh: -1},             // negative watermark
-		{QueueHigh: 2, QueueLow: 5}, // inverted depth band
-		{P95High: time.Second, P95Low: 2 * time.Second}, // inverted p95 band
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("config %+v accepted", bad)
-		}
-	}
-	if err := (BrownoutConfig{QueueHigh: 4}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	got, err := BrownoutConfig{QueueHigh: 4}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Interval != 250*time.Millisecond || got.EscalateAfter != 2 || got.RecoverAfter != 4 {
-		t.Fatalf("defaults not filled: %+v", got)
-	}
-}
-
-// TestBrownoutFSMTransitions walks the hysteresis contract through the exact
-// boundary readings: escalation needs EscalateAfter consecutive pressured
-// ticks, recovery needs RecoverAfter consecutive calm ones, in-band readings
-// reset both streaks (no flapping), and every move is one rung.
-func TestBrownoutFSMTransitions(t *testing.T) {
-	cfg, err := BrownoutConfig{
-		QueueHigh: 10, QueueLow: 2,
-		P95High: time.Second, P95Low: 200 * time.Millisecond,
-		EscalateAfter: 2, RecoverAfter: 3,
-	}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsm := newBrownoutFSM(cfg, 4)
-	nan := math.NaN()
-
-	steps := []struct {
-		name    string
-		depth   int
-		p95     float64
-		tier    int
-		changed bool
-	}{
-		{"calm baseline", 0, 0.05, 0, false},
-		{"pressure 1/2 (depth at high watermark)", 10, 0.05, 0, false},
-		{"in-band resets the hot streak", 5, 0.5, 0, false},
-		{"pressure 1/2 again", 12, 0.05, 0, false},
-		{"pressure 2/2 → tier 1", 12, 0.05, 1, true},
-		{"pressure 1/2 (streak reset by the move)", 12, 0.05, 1, false},
-		{"pressure 2/2 via p95 alone → tier 2", 0, 1.5, 2, true},
-		{"pressure 1/2", 11, nan, 2, false},
-		{"pressure 2/2 → tier 3", 11, nan, 3, true},
-		{"pressure pinned at bottom tier", 11, 2.0, 3, false},
-		{"pressure still pinned", 11, 2.0, 3, false},
-		{"calm 1/3 (both at low watermarks)", 2, 0.2, 3, false},
-		{"calm 2/3 (NaN p95 counts calm)", 0, nan, 3, false},
-		{"in-band depth resets the cool streak", 5, 0.05, 3, false},
-		{"calm 1/3", 1, 0.05, 3, false},
-		{"calm 2/3", 1, 0.05, 3, false},
-		{"calm 3/3 → tier 2", 1, 0.05, 2, true},
-		{"calm 1/3 (streak reset by the move)", 1, 0.05, 2, false},
-		{"calm 2/3", 1, 0.05, 2, false},
-		{"calm 3/3 → tier 1", 1, 0.05, 1, true},
-		{"calm ×3 → tier 0", 1, 0.05, 1, false},
-		{"...", 1, 0.05, 1, false},
-		{"recovered to full", 1, 0.05, 0, true},
-		{"calm pinned at tier 0", 0, 0.01, 0, false},
-	}
-	for i, st := range steps {
-		tier, changed := fsm.observe(st.depth, st.p95)
-		if tier != st.tier || changed != st.changed {
-			t.Fatalf("step %d (%s): got tier %d changed %v, want tier %d changed %v",
-				i, st.name, tier, changed, st.tier, st.changed)
-		}
-	}
-}
-
-// TestBrownoutFSMNoFlapOnOscillation feeds a load oscillating across the
-// hysteresis band faster than either streak requirement and checks the tier
-// never moves.
-func TestBrownoutFSMNoFlapOnOscillation(t *testing.T) {
-	cfg, _ := BrownoutConfig{QueueHigh: 10, QueueLow: 2, EscalateAfter: 2, RecoverAfter: 2}.normalized()
-	fsm := newBrownoutFSM(cfg, 3)
-	for i := 0; i < 50; i++ {
-		depth := 1
-		if i%2 == 0 {
-			depth = 11
-		}
-		if tier, changed := fsm.observe(depth, math.NaN()); changed || tier != 0 {
-			t.Fatalf("tick %d: oscillating load moved the tier to %d", i, tier)
-		}
-	}
-}
-
 func TestBrownoutLadderValidation(t *testing.T) {
 	det := flagOdd{}
 	for name, ladder := range map[string][]TierDetector{
@@ -154,8 +56,119 @@ func TestBrownoutLadderValidation(t *testing.T) {
 		"unnamed rung": {{Name: TierFull, Detector: det}, {Detector: det}},
 		"duplicate":    {{Name: TierFull, Detector: det}, {Name: TierFull, Detector: det}},
 	} {
-		if _, err := newBrownout(ladder, BrownoutConfig{QueueHigh: 1}); err == nil {
+		if err := validateLadder(ladder); err == nil {
 			t.Errorf("%s ladder accepted", name)
+		}
+	}
+	ladder := []TierDetector{{Name: TierFull, Detector: det}, {Name: TierFallback, Detector: flagAll{}}}
+	if err := validateLadder(ladder); err != nil {
+		t.Fatalf("sound ladder rejected: %v", err)
+	}
+	// The rung is picked from the predicted wait against the wait budget,
+	// so a ladder without bounded admission and a budget is refused.
+	for _, a := range []AdmissionConfig{{}, {QueueDepth: 8}, {MaxQueueWait: time.Second}} {
+		svc, err := NewServiceWithPolicy(det, 1, Policy{Admission: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.SetBrownout(ladder); err == nil {
+			t.Errorf("ladder accepted under admission %+v", a)
+		}
+	}
+}
+
+// TestAdmitPicksRung pins the admission rule on fixed EWMAs and depths, with
+// no clock involved. With one rung it must agree with the plain shedding
+// test depth × EWMA / workers > MaxQueueWait at every grid point; with N
+// rungs the task takes the first rung r < N−1 whose budget
+// MaxQueueWait·(r+1)/N covers the predicted wait, else the last rung within
+// MaxQueueWait, else it is shed.
+func TestAdmitPicksRung(t *testing.T) {
+	// singleRungShed is the one-rung rule as it stood before ladders chose
+	// rungs at admission.
+	singleRungShed := func(depth int64, ewma float64, workers int, a AdmissionConfig) bool {
+		if int(depth) >= a.QueueDepth {
+			return true
+		}
+		if a.MaxQueueWait > 0 {
+			predicted := time.Duration(float64(depth) * ewma / float64(workers) * float64(time.Second))
+			return predicted > a.MaxQueueWait
+		}
+		return false
+	}
+	for _, workers := range []int{1, 2, 3} {
+		for _, wait := range []time.Duration{0, 100 * time.Millisecond, 300 * time.Millisecond} {
+			a := AdmissionConfig{QueueDepth: 12, MaxQueueWait: wait}
+			svc, err := NewServiceWithPolicy(flagOdd{}, workers, Policy{Admission: a})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ewma := range []time.Duration{time.Millisecond, 13 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 333700 * time.Microsecond} {
+				svc.rungs[0].ewma = newServiceEWMA(0.2, ewma)
+				for depth := int64(0); depth <= 13; depth++ {
+					svc.rungs[0].queued.Store(depth)
+					tier, err := svc.admit(a)
+					want := singleRungShed(depth, svc.rungs[0].ewma.value(), workers, a)
+					if (err != nil) != want || tier != 0 {
+						t.Fatalf("workers=%d wait=%s ewma=%s depth=%d: tier %d, shed %v; want tier 0, shed %v",
+							workers, wait, ewma, depth, tier, err != nil, want)
+					}
+				}
+			}
+		}
+	}
+
+	const shed = -1
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		workers int
+		wait    time.Duration
+		ewma    []time.Duration // per rung
+		depth   []int64         // per rung
+		want    int             // rung index, or shed
+	}{
+		// N = 2 over 2 workers, 250ms budget: full while W ≤ 125ms.
+		{"2 rungs idle", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{0, 0}, 0},
+		{"2 rungs full at its budget", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{2, 0}, 0},
+		{"2 rungs past the full budget", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{3, 0}, 1},
+		{"2 rungs fallback work counts", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{2, 1}, 1},
+		{"2 rungs fallback at the whole budget", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{4, 0}, 1},
+		{"2 rungs cheap queue leaves full", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{0, 11}, 0},
+		{"2 rungs past the whole budget", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{4, 1}, shed},
+		{"2 rungs queue full", 2, 250 * ms, []time.Duration{125 * ms, 15625 * time.Microsecond}, []int64{0, 12}, shed},
+		// N = 3 over 1 worker, 300ms budget: rung 0 to 100ms, rung 1 to 200ms.
+		{"3 rungs idle", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{0, 0, 0}, 0},
+		{"3 rungs within the first third", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{0, 1, 0}, 0},
+		{"3 rungs second third", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{1, 0, 0}, 1},
+		{"3 rungs second third, mixed", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{1, 1, 0}, 1},
+		{"3 rungs last third", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{2, 0, 0}, 2},
+		{"3 rungs cheap queue in the second third", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{0, 0, 11}, 1},
+		{"3 rungs past the budget", 1, 300 * ms, []time.Duration{125 * ms, 62500 * time.Microsecond, 15625 * time.Microsecond}, []int64{2, 1, 0}, shed},
+	} {
+		a := AdmissionConfig{QueueDepth: 12, MaxQueueWait: tc.wait}
+		svc, err := NewServiceWithPolicy(flagOdd{}, tc.workers, Policy{Admission: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ladder := make([]TierDetector, len(tc.ewma))
+		for i := range ladder {
+			ladder[i] = TierDetector{Name: string(rune('a' + i)), Detector: flagOdd{}}
+		}
+		if err := svc.SetBrownout(ladder); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range svc.rungs {
+			r.ewma = newServiceEWMA(0.2, tc.ewma[i])
+			r.queued.Store(tc.depth[i])
+		}
+		tier, err := svc.admit(a)
+		got := tier
+		if err != nil {
+			got = shed
+		}
+		if got != tc.want {
+			t.Errorf("%s: admitted at %d (err %v), want %d", tc.name, got, err, tc.want)
 		}
 	}
 }
@@ -200,9 +213,6 @@ func TestServiceShedsOnPredictedWait(t *testing.T) {
 	st := svc.OverloadStatus()
 	if st.TasksShed != shed {
 		t.Fatalf("status reports %d shed, reports carry %d", st.TasksShed, shed)
-	}
-	if st.BrownoutTier != -1 {
-		t.Fatalf("brownout tier = %d without a ladder, want -1", st.BrownoutTier)
 	}
 }
 
@@ -249,14 +259,14 @@ func (f flagAll) Detect(d dataset.Set) (*detect.Result, error) {
 	return res, nil
 }
 
-// TestBrownoutDifferentialTierStamping is the differential check: a task is
-// served by the detector of the tier it was admitted at, even when the
-// controller changes tier while the task waits in the queue. Every report's
-// result must match a fresh run of its stamped tier's detector on the same
-// data — no report may show tier A's label with tier B's output.
-func TestBrownoutDifferentialTierStamping(t *testing.T) {
-	svc, err := NewServiceWithPolicy(flagOdd{delay: 15 * time.Millisecond}, 1, Policy{
-		Admission: AdmissionConfig{QueueDepth: 32},
+// tierStampingService is a two-rung service whose admission rule moves
+// arrivals between rungs: one worker, a 15ms full rung, a 1ms fallback rung
+// and a 60ms wait budget, so the full rung takes a task only while the
+// predicted wait is at most 30ms.
+func tierStampingService(t *testing.T) *Service {
+	t.Helper()
+	svc, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{
+		Admission: AdmissionConfig{QueueDepth: 32, MaxQueueWait: 60 * time.Millisecond, InitialServiceTime: 15 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,24 +274,35 @@ func TestBrownoutDifferentialTierStamping(t *testing.T) {
 	if err := svc.SetBrownout([]TierDetector{
 		{Name: TierFull, Detector: flagOdd{delay: 15 * time.Millisecond}},
 		{Name: TierFallback, Detector: flagAll{delay: time.Millisecond}},
-	}, BrownoutConfig{
-		QueueHigh: 2, QueueLow: 0,
-		Interval:      2 * time.Millisecond,
-		EscalateAfter: 1, RecoverAfter: 1000,
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return svc
+}
+
+// TestBrownoutDifferentialTierStamping is the differential check: a task is
+// served by the detector of the rung it was admitted at. Arrivals every 2ms
+// against the 15ms full rung build the queue past the full rung's budget,
+// so admission stamps tasks on both rungs. Every served report's result must
+// match a fresh run of its stamped rung's detector on the same data — no
+// report may show tier A's label with tier B's output — and a shed report
+// carries no tier.
+func TestBrownoutDifferentialTierStamping(t *testing.T) {
+	svc := tierStampingService(t)
 	ctx := context.Background()
 	data := shards(24, 4)
-	// Pace arrivals: a 2ms cadence against a 15ms tier-0 detector builds the
-	// queue past the watermark while admissions are still flowing, so tasks
-	// get stamped on both sides of the escalation.
 	reports := svc.Run(ctx, Feed(ctx, data, 2*time.Millisecond))
 	if len(reports) != len(data) {
 		t.Fatalf("%d reports for %d arrivals", len(reports), len(data))
 	}
 	tiers := map[string]int{}
 	for _, rep := range reports {
+		if rep.Shed {
+			if rep.Tier != "" || rep.Result != nil {
+				t.Fatalf("shed task %d carries tier %q / a result", rep.TaskID, rep.Tier)
+			}
+			continue
+		}
 		if rep.Err != nil {
 			t.Fatalf("task %d: %v", rep.TaskID, rep.Err)
 		}
@@ -303,10 +324,6 @@ func TestBrownoutDifferentialTierStamping(t *testing.T) {
 	if tiers[TierFull] == 0 || tiers[TierFallback] == 0 {
 		t.Fatalf("both tiers should have served tasks, got %v", tiers)
 	}
-	st := svc.OverloadStatus()
-	if st.BrownoutMaxTier < 1 || st.TierChanges < 1 {
-		t.Fatalf("controller never escalated: %+v", st)
-	}
 }
 
 // tierOracle returns an independent instance of the detector a tier name
@@ -316,59 +333,4 @@ func tierOracle(tier string) detect.Detector {
 		return flagAll{}
 	}
 	return flagOdd{}
-}
-
-// TestBrownoutRecoversTierByTier runs the controller over an idle service and
-// checks a forced deep tier walks back rung by rung rather than jumping.
-func TestBrownoutRecoversTierByTier(t *testing.T) {
-	svc, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{
-		Admission: AdmissionConfig{QueueDepth: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var transitions [][2]int
-	var mu sync.Mutex
-	if err := svc.SetBrownout([]TierDetector{
-		{Name: TierFull, Detector: flagOdd{}},
-		{Name: "middle", Detector: flagOdd{}},
-		{Name: TierFallback, Detector: flagAll{}},
-	}, BrownoutConfig{
-		QueueHigh: 1000, QueueLow: 1,
-		Interval:      time.Millisecond,
-		EscalateAfter: 1, RecoverAfter: 2,
-	}, func(from, to int) {
-		mu.Lock()
-		transitions = append(transitions, [2]int{from, to})
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Force the deepest tier, then let an idle-but-open run recover it.
-	svc.brownout.tier.Store(2)
-	svc.brownout.fsm.tier = 2
-
-	requests := make(chan Request)
-	go func() {
-		requests <- Request{TaskID: 0, Data: shards(1, 2)[0]}
-		// Keep the service alive long enough for the 1ms-cadence controller
-		// to tick through both recovery steps (RecoverAfter=2 each).
-		time.Sleep(40 * time.Millisecond)
-		close(requests)
-	}()
-	svc.Run(context.Background(), requests)
-
-	if got := svc.brownout.activeTier(); got != 0 {
-		t.Fatalf("tier after idle run = %d, want full recovery to 0", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, tr := range transitions {
-		if tr[0]-tr[1] != 1 {
-			t.Fatalf("recovery jumped %d → %d; must move one rung at a time", tr[0], tr[1])
-		}
-	}
-	if len(transitions) != 2 {
-		t.Fatalf("%d transitions recorded, want 2 (2→1, 1→0)", len(transitions))
-	}
 }

@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,11 +15,12 @@ import (
 type Policy struct {
 	// TaskTimeout bounds each detector attempt. A stuck detector becomes a
 	// report error instead of a wedged worker; the abandoned attempt's
-	// goroutine is left to finish in the background. 0 disables.
+	// goroutine is left to finish in the background. A timed-out attempt
+	// is not retried. 0 disables.
 	TaskTimeout time.Duration
 	// MaxRetries is how many extra primary attempts a transient failure
-	// (fault.Error, timeouts) earns before the task degrades or
-	// dead-letters. 0 disables retries.
+	// (fault.Error) earns before the task degrades or dead-letters. 0
+	// disables retries.
 	MaxRetries int
 	// RetryBase is the first backoff delay; each retry doubles it, capped
 	// at RetryMax, plus uniform jitter in [0, RetryBase) drawn from
@@ -78,15 +78,13 @@ func (p Policy) backoff(attempt int) time.Duration {
 	return d
 }
 
-// transientErr reports whether err is worth retrying: either it marks
-// itself transient (fault-injected or network-style hiccups) or it is a
-// per-task deadline expiry (a stuck attempt may succeed on retry).
+// transientErr reports whether err is worth retrying: it marks itself
+// transient (fault-injected or network-style hiccups). A per-task deadline
+// expiry is not: Detect is deterministic for a given input, so a retry would
+// redo the same work beside the abandoned attempt still running.
 func transientErr(err error) bool {
 	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) && tr.Transient() {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
+	return errors.As(err, &tr) && tr.Transient()
 }
 
 // BreakerState is one of the circuit breaker's three states.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,11 +72,17 @@ func (s *switchable) Detect(d dataset.Set) (*detect.Result, error) {
 	return res, nil
 }
 
-// stuck never returns until released.
-type stuck struct{ release chan struct{} }
+// stuck never returns until released, counting its invocations.
+type stuck struct {
+	release chan struct{}
+	calls   *atomic.Int64
+}
 
 func (s stuck) Name() string { return "stuck" }
 func (s stuck) Detect(dataset.Set) (*detect.Result, error) {
+	if s.calls != nil {
+		s.calls.Add(1)
+	}
 	<-s.release
 	return detect.NewResult(), nil
 }
@@ -150,6 +157,35 @@ func TestTaskTimeoutUnwedgesWorker(t *testing.T) {
 		if !errors.Is(rep.Err, context.DeadlineExceeded) {
 			t.Fatalf("timeout not reported: %v", rep.Err)
 		}
+	}
+}
+
+// TestTaskTimeoutNotRetried: a timed-out attempt is final. Detect is
+// deterministic for its input, so a retry would only pile a second live
+// attempt onto the abandoned one; the task goes straight to the fallback.
+func TestTaskTimeoutNotRetried(t *testing.T) {
+	det := stuck{release: make(chan struct{}), calls: new(atomic.Int64)}
+	defer close(det.release)
+	svc, _ := NewServiceWithPolicy(det, 1, Policy{
+		TaskTimeout: 10 * time.Millisecond,
+		MaxRetries:  2,
+		RetryBase:   time.Millisecond,
+		Fallback:    flagOdd{},
+	})
+	ctx := context.Background()
+	const n = 3
+	reports := svc.Run(ctx, Feed(ctx, shards(n, 2), 0))
+	if len(reports) != n {
+		t.Fatalf("%d reports for %d tasks", len(reports), n)
+	}
+	for _, rep := range reports {
+		if rep.Err != nil || !rep.Degraded || rep.Retries != 0 {
+			t.Fatalf("task %d: err=%v degraded=%v retries=%d; want degraded, no retries",
+				rep.TaskID, rep.Err, rep.Degraded, rep.Retries)
+		}
+	}
+	if got := det.calls.Load(); got != n {
+		t.Fatalf("stuck detector invoked %d times for %d tasks, want once per task", got, n)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"enld/internal/detect"
 	"enld/internal/mat"
 	"enld/internal/metrics"
-	"enld/internal/obs"
 	"enld/internal/parallel"
 )
 
@@ -62,9 +61,9 @@ type Report struct {
 	// zero-lost-task audits exact: every admitted task appears in the
 	// reports as ok, degraded, dead-lettered, shed or abandoned.
 	Abandoned bool
-	// Tier names the brownout ladder rung the task was served at, stamped
-	// at admission ("" when brownout is not configured). A task keeps its
-	// admission tier even if the controller moves while it is queued.
+	// Tier names the brownout ladder rung the task was served at, chosen
+	// once at admission ("" when brownout is not configured, and on shed
+	// reports).
 	Tier string
 	// Shard names the cluster shard that finally served (or accounted) the
 	// task; empty outside cluster mode (see internal/lake/cluster).
@@ -84,10 +83,9 @@ var ErrBreakerOpen = errors.New("lake: circuit breaker open")
 // Detect calls (every detector in this repository is: each call clones the
 // shared general model).
 type Service struct {
-	detector detect.Detector
-	workers  int
-	policy   Policy
-	breaker  *Breaker
+	workers int
+	policy  Policy
+	breaker *Breaker
 
 	// retryMu guards retryRNG, the shared jitter source.
 	retryMu  sync.Mutex
@@ -105,14 +103,10 @@ type Service struct {
 	// worker may process it.
 	inventory Inventory
 
-	// Overload control: ewma estimates task service time for the admission
-	// shedder, queueLen tracks admitted-but-not-started tasks, latency feeds
-	// the brownout controller's windowed p95, and brownout (nil when not
-	// configured) holds the degradation ladder and its state machine.
-	ewma      *serviceEWMA
-	queueLen  atomic.Int64
-	latency   *obs.Histogram
-	brownout  *brownout
+	// rungs are the admission classes: one unnamed rung serving the
+	// detector, or one per brownout ladder tier. Each carries the service-
+	// time EWMA and queued-task count the admission rule reads.
+	rungs     []*rung
 	shed      atomic.Int64
 	abandoned atomic.Int64
 
@@ -142,71 +136,67 @@ func NewServiceWithPolicy(detector detect.Detector, workers int, policy Policy) 
 		return nil, err
 	}
 	s := &Service{
-		detector: detector,
 		workers:  workers,
 		policy:   policy,
 		retryRNG: mat.NewRNG(policy.RetrySeed ^ 0xd1b54a32d192ed03),
-		ewma:     newServiceEWMA(policy.Admission.EWMAAlpha, policy.Admission.InitialServiceTime),
-		latency:  obs.NewHistogram(taskBuckets),
 	}
+	s.rungs = []*rung{s.newRung("", detector)}
 	if policy.BreakerThreshold > 0 {
 		s.breaker = NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)
 	}
 	return s, nil
 }
 
-// SetBrownout installs a degradation ladder and enables the brownout
-// controller: during Run a control loop watches queue depth and the p95 of
-// task service time over each evaluation window and steps the active tier
-// down the ladder under pressure (and back up, tier-by-tier, when it
-// clears). Tasks are stamped with the active tier at admission and keep it:
-// a tier change never alters the result of a task already admitted. Call
-// before Run. onChange, when non-nil, observes transitions (ladder indexes).
-func (s *Service) SetBrownout(ladder []TierDetector, cfg BrownoutConfig, onChange func(from, to int)) error {
-	b, err := newBrownout(ladder, cfg)
-	if err != nil {
+// newRung returns an admission class serving det, its EWMA seeded from the
+// admission policy.
+func (s *Service) newRung(name string, det detect.Detector) *rung {
+	a := s.policy.Admission
+	return &rung{name: name, detector: det, ewma: newServiceEWMA(a.EWMAAlpha, a.InitialServiceTime)}
+}
+
+// SetBrownout installs a degradation ladder: admission then serves each task
+// at the highest-quality rung its predicted queue wait allows (see
+// AdmissionConfig) and the task keeps that rung, so a change in load never
+// alters the result of a task already admitted. The ladder needs bounded
+// admission with a wait budget (AdmissionConfig.ValidateBrownout). Call
+// before Run.
+func (s *Service) SetBrownout(ladder []TierDetector) error {
+	if err := validateLadder(ladder); err != nil {
 		return err
 	}
-	b.onTierChange = onChange
-	s.brownout = b
+	if err := s.policy.Admission.ValidateBrownout(); err != nil {
+		return err
+	}
+	rungs := make([]*rung, len(ladder))
+	for i, t := range ladder {
+		rungs[i] = s.newRung(t.Name, t.Detector)
+	}
+	s.rungs = rungs
 	return nil
 }
 
 // OverloadStatus is the live overload-control block of /statusz: admission
-// queue occupancy, shed/abandoned accounting and the brownout tier.
+// queue occupancy and shed/abandoned accounting.
 type OverloadStatus struct {
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
-	// EWMATaskSeconds is the shedder's current service-time estimate.
+	// EWMATaskSeconds is the shedder's current service-time estimate of
+	// the first (full-quality) rung.
 	EWMATaskSeconds float64 `json:"ewma_task_seconds"`
 	TasksShed       int     `json:"tasks_shed"`
 	TasksAbandoned  int     `json:"tasks_abandoned"`
-	// Brownout state; Tier is -1 when no ladder is configured.
-	BrownoutTier     int    `json:"brownout_tier"`
-	BrownoutTierName string `json:"brownout_tier_name,omitempty"`
-	BrownoutMaxTier  int    `json:"brownout_max_tier"`
-	TierChanges      int    `json:"tier_changes"`
 }
 
 // OverloadStatus returns the service's live overload-control state. Safe for
 // concurrent use while Run is active.
 func (s *Service) OverloadStatus() OverloadStatus {
-	st := OverloadStatus{
-		QueueDepth:      int(s.queueLen.Load()),
+	return OverloadStatus{
+		QueueDepth:      int(s.queueDepth()),
 		QueueCapacity:   s.policy.Admission.QueueDepth,
-		EWMATaskSeconds: s.ewma.value(),
+		EWMATaskSeconds: s.rungs[0].ewma.value(),
 		TasksShed:       int(s.shed.Load()),
 		TasksAbandoned:  int(s.abandoned.Load()),
-		BrownoutTier:    -1,
 	}
-	if b := s.brownout; b != nil {
-		tier := b.activeTier()
-		st.BrownoutTier = tier
-		st.BrownoutTierName = b.ladder[tier].Name
-		st.BrownoutMaxTier = int(b.maxTier.Load())
-		st.TierChanges = int(b.tierChanges.Load())
-	}
-	return st
 }
 
 // Breaker returns the service's circuit breaker, or nil when the policy
@@ -239,8 +229,7 @@ func (s *Service) SetInventory(inv Inventory) {
 }
 
 // stamped is one admitted task: the request, its admission time, and the
-// brownout tier it was admitted at (the tier it keeps even if the controller
-// moves while it waits).
+// rung it was admitted at.
 type stamped struct {
 	req     Request
 	arrived time.Time
@@ -290,12 +279,14 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 				if s.skip[req.TaskID] {
 					continue
 				}
-				tier := s.brownout.activeTier()
 				// Reject-early shedding runs before the durable append: a
 				// task the service refuses to serve should not consume a
 				// storage write.
+				tier := 0
 				if admission.QueueDepth > 0 {
-					if rep, shed := s.admit(req, tier, admission); shed {
+					var err error
+					if tier, err = s.admit(admission); err != nil {
+						rep := s.shedReport(req, err)
 						s.obs.record(rep, 0)
 						file(rep)
 						continue
@@ -306,7 +297,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 						rep := Report{
 							TaskID:       req.TaskID,
 							Size:         len(req.Data),
-							Tier:         s.tierName(tier),
+							Tier:         s.rungs[tier].name,
 							DeadLettered: true,
 							Err:          fmt.Errorf("lake: task %d: durable append: %w", req.TaskID, err),
 						}
@@ -317,9 +308,10 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 				}
 				st := stamped{req: req, arrived: time.Now(), tier: tier}
 				if admission.QueueDepth > 0 {
-					// admit reserved the slot: queueLen ≤ QueueDepth bounds
-					// channel occupancy, so this send cannot block.
-					s.setQueueDepth(s.queueLen.Add(1))
+					// admit reserved the slot: the queued total ≤ QueueDepth
+					// bounds channel occupancy, so this send cannot block.
+					s.rungs[tier].queued.Add(1)
+					s.setQueueDepth()
 					work <- st
 					continue
 				}
@@ -337,16 +329,16 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 		}
 	}()
 
-	stopCtl := s.startBrownout()
-
 	pool := parallel.New(s.workers)
 	if s.obs != nil {
 		pool.Instrument(s.obs.reg, "lake")
 	}
 	pool.Run(func(int) {
 		for st := range work {
+			r := s.rungs[st.tier]
 			if admission.QueueDepth > 0 {
-				s.setQueueDepth(s.queueLen.Add(-1))
+				r.queued.Add(-1)
+				s.setQueueDepth()
 			}
 			if ctx.Err() != nil {
 				// Shutting down: drain the queue with accounting instead of
@@ -363,49 +355,70 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 			rep.Queued = queued
 			elapsed := time.Since(began)
 			s.obs.taskFinished()
-			s.ewma.observe(elapsed)
-			s.latency.Observe(elapsed.Seconds())
+			r.ewma.observe(elapsed)
 			s.obs.record(rep, elapsed)
 			file(rep)
 		}
 	})
-	stopCtl()
 
 	sortReports(reports)
 	return reports
 }
 
-// admit runs the deadline-aware shedding decision for one arriving task.
-// It returns (report, true) when the task is shed. Only the feeder
-// goroutine calls it, so the depth read cannot race another admission;
-// workers may decrement depth concurrently, which only makes the estimate
-// conservative (a stale-high depth sheds a borderline task one tick early).
-func (s *Service) admit(req Request, tier int, a AdmissionConfig) (Report, bool) {
-	depth := s.queueLen.Load()
-	if int(depth) >= a.QueueDepth {
-		return s.shedReport(req, tier, fmt.Sprintf("admission queue full (%d tasks)", depth)), true
+// admit picks the rung an arriving task is served at, or returns why it is
+// shed. The predicted queue wait W sums every rung's queued tasks at that
+// rung's service-time EWMA over the workers. With N rungs the task takes the
+// first rung r < N−1 with W ≤ MaxQueueWait·(r+1)/N, else the last rung if
+// W ≤ MaxQueueWait; otherwise, or on a full queue, it is shed. Only the
+// feeder goroutine calls it, so the depth reads cannot race another
+// admission; workers may decrement depths concurrently, which only makes the
+// estimate conservative.
+func (s *Service) admit(a AdmissionConfig) (int, error) {
+	var depth int64
+	var wait float64
+	for _, r := range s.rungs {
+		d := r.queued.Load()
+		depth += d
+		wait += float64(d) * r.ewma.value()
 	}
-	if a.MaxQueueWait > 0 {
-		predicted := time.Duration(float64(depth) * s.ewma.value() / float64(s.workers) * float64(time.Second))
-		if predicted > a.MaxQueueWait {
-			return s.shedReport(req, tier, fmt.Sprintf(
-				"predicted queue wait %s exceeds %s (depth %d, ewma task %s)",
-				predicted.Round(time.Millisecond), a.MaxQueueWait, depth,
-				time.Duration(s.ewma.value()*float64(time.Second)).Round(time.Millisecond))), true
+	if int(depth) >= a.QueueDepth {
+		return 0, fmt.Errorf("admission queue full (%d tasks)", depth)
+	}
+	if a.MaxQueueWait <= 0 {
+		return 0, nil
+	}
+	predicted := time.Duration(wait / float64(s.workers) * float64(time.Second))
+	n := len(s.rungs)
+	for i := 0; i < n-1; i++ {
+		if predicted <= a.MaxQueueWait*time.Duration(i+1)/time.Duration(n) {
+			return i, nil
 		}
 	}
-	return Report{}, false
+	if predicted > a.MaxQueueWait {
+		return 0, fmt.Errorf("predicted queue wait %s exceeds %s (depth %d)",
+			predicted.Round(time.Millisecond), a.MaxQueueWait, depth)
+	}
+	return n - 1, nil
 }
 
-// shedReport builds the outcome=shed report for a rejected task.
-func (s *Service) shedReport(req Request, tier int, reason string) Report {
+// queueDepth returns the admitted-but-not-started task count over all rungs.
+func (s *Service) queueDepth() int64 {
+	var n int64
+	for _, r := range s.rungs {
+		n += r.queued.Load()
+	}
+	return n
+}
+
+// shedReport builds the outcome=shed report for a rejected task. A shed
+// task was never admitted, so it carries no tier.
+func (s *Service) shedReport(req Request, reason error) Report {
 	s.shed.Add(1)
 	return Report{
 		TaskID: req.TaskID,
 		Size:   len(req.Data),
-		Tier:   s.tierName(tier),
 		Shed:   true,
-		Err:    fmt.Errorf("lake: task %d: shed: %s", req.TaskID, reason),
+		Err:    fmt.Errorf("lake: task %d: shed: %w", req.TaskID, reason),
 	}
 }
 
@@ -416,52 +429,9 @@ func (s *Service) abandonReport(st stamped) Report {
 	return Report{
 		TaskID:    st.req.TaskID,
 		Size:      len(st.req.Data),
-		Tier:      s.tierName(st.tier),
+		Tier:      s.rungs[st.tier].name,
 		Abandoned: true,
 		Err:       fmt.Errorf("lake: task %d: abandoned at shutdown before processing", st.req.TaskID),
-	}
-}
-
-// tierName resolves a ladder index to its label value ("" without brownout).
-func (s *Service) tierName(tier int) string {
-	if s.brownout == nil {
-		return ""
-	}
-	return s.brownout.ladder[tier].Name
-}
-
-// startBrownout launches the brownout control loop and returns its stop
-// function (a no-op closure when brownout is not configured).
-func (s *Service) startBrownout() func() {
-	b := s.brownout
-	if b == nil {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(b.cfg.Interval)
-		defer ticker.Stop()
-		prev := s.latency.Snapshot()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				snap := s.latency.Snapshot()
-				win := snap.Sub(prev)
-				prev = snap
-				from, to, changed := b.step(int(s.queueLen.Load()), win.Quantile(0.95))
-				if changed {
-					s.obs.brownoutTransition(b, from, to)
-				}
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		<-done
 	}
 }
 
@@ -469,14 +439,11 @@ func (s *Service) startBrownout() func() {
 // detector (breaker-gated, deadline-bounded, retried on transient errors),
 // then the fallback detector, then the dead-letter report. A panicking
 // detector is contained: the panic becomes an attempt error rather than
-// killing the worker pool. With brownout configured the primary detector is
-// the one serving the task's admission tier.
+// killing the worker pool. The primary detector is the one serving the
+// task's admission rung.
 func (s *Service) process(ctx context.Context, req Request, tier int) Report {
-	rep := Report{TaskID: req.TaskID, Size: len(req.Data), Tier: s.tierName(tier)}
-	primary := s.detector
-	if s.brownout != nil {
-		primary = s.brownout.ladder[tier].Detector
-	}
+	rep := Report{TaskID: req.TaskID, Size: len(req.Data), Tier: s.rungs[tier].name}
+	primary := s.rungs[tier].detector
 
 	primaryErr := ErrBreakerOpen
 	if s.breaker == nil || s.breaker.Allow() {

@@ -122,101 +122,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// NewHistogram returns a standalone histogram with the given finite bucket
-// bounds (strictly increasing; +Inf is implicit), not attached to any
-// registry. Consumers that need histogram mechanics without exposition — the
-// lake service's brownout latency window, for instance — use this instead of
-// inventing a second histogram type.
-func NewHistogram(buckets []float64) *Histogram {
-	buckets = checkBuckets("standalone", buckets)
-	return &Histogram{upper: buckets, counts: make([]uint64, len(buckets)+1)}
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram's state. Counts
-// are per-bucket (non-cumulative), one cell per finite bound plus the +Inf
-// cell last. Two snapshots of the same histogram subtract into the window of
-// observations that arrived between them (Sub), which is how a controller
-// reads "p95 over the last tick" from a cumulative instrument.
-type HistogramSnapshot struct {
-	Upper  []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// Snapshot copies the histogram's current state. Each bucket cell is read
-// with one atomic load; a snapshot taken while writers are active is a
-// consistent-enough window boundary for control loops (cells may disagree by
-// the handful of observations in flight during the copy).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Upper:  h.upper,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    math.Float64frombits(atomic.LoadUint64(&h.sumBits)),
-	}
-	for i := range h.counts {
-		s.Counts[i] = atomic.LoadUint64(&h.counts[i])
-		s.Count += s.Counts[i]
-	}
-	return s
-}
-
-// Sub returns the window between prev (taken earlier from the same
-// histogram) and s: the observations recorded after prev. Mismatched bucket
-// layouts return the zero snapshot; a cell that appears to regress (torn
-// concurrent reads) clamps to zero rather than underflowing.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if len(s.Counts) != len(prev.Counts) && len(prev.Counts) != 0 {
-		return HistogramSnapshot{}
-	}
-	out := HistogramSnapshot{Upper: s.Upper, Counts: make([]uint64, len(s.Counts)), Sum: s.Sum - prev.Sum}
-	for i := range s.Counts {
-		p := uint64(0)
-		if i < len(prev.Counts) {
-			p = prev.Counts[i]
-		}
-		if s.Counts[i] > p {
-			out.Counts[i] = s.Counts[i] - p
-		}
-		out.Count += out.Counts[i]
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile of the snapshot the way Prometheus's
-// histogram_quantile does: locate the bucket holding the target rank, then
-// interpolate linearly inside it. A rank landing in the +Inf bucket returns
-// the largest finite bound (the layout cannot resolve beyond it); an empty
-// snapshot returns NaN.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Upper) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	lower := 0.0
-	for i, upper := range s.Upper {
-		inBucket := s.Counts[i]
-		cum += inBucket
-		if float64(cum) >= rank && inBucket > 0 {
-			prev := cum - inBucket
-			return lower + (upper-lower)*(rank-float64(prev))/float64(inBucket)
-		}
-		lower = upper
-	}
-	// Rank falls in the +Inf cell.
-	return s.Upper[len(s.Upper)-1]
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

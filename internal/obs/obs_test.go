@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -178,102 +177,5 @@ func TestConcurrentExactness(t *testing.T) {
 	spanH := r.Histogram(SpanFamily, spanFamilyHelp, DefBuckets, Label{Key: "span", Value: "concurrent"})
 	if got := spanH.Count(); got != workers*perWorker {
 		t.Fatalf("span histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-// TestHistogramSnapshotQuantile pins the windowed-quantile path the lake
-// brownout controller runs on: snapshot, delta, interpolated quantile.
-func TestHistogramSnapshotQuantile(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.5, 1})
-
-	empty := h.Snapshot()
-	if got := empty.Quantile(0.95); !math.IsNaN(got) {
-		t.Fatalf("empty snapshot quantile = %v, want NaN", got)
-	}
-
-	// First window: 10 fast observations at 0.05s → p95 inside [0, 0.1].
-	for i := 0; i < 10; i++ {
-		h.Observe(0.05)
-	}
-	w1 := h.Snapshot().Sub(empty)
-	if w1.Count != 10 {
-		t.Fatalf("window 1 count = %d, want 10", w1.Count)
-	}
-	if got := w1.Quantile(0.95); got <= 0 || got > 0.1 {
-		t.Fatalf("window 1 p95 = %v, want in (0, 0.1]", got)
-	}
-
-	// Second window: 10 slow observations at 0.75s. The delta against the
-	// first snapshot must see only the slow ones.
-	base := h.Snapshot()
-	for i := 0; i < 10; i++ {
-		h.Observe(0.75)
-	}
-	w2 := h.Snapshot().Sub(base)
-	if w2.Count != 10 {
-		t.Fatalf("window 2 count = %d, want 10", w2.Count)
-	}
-	if got := w2.Quantile(0.95); got <= 0.5 || got > 1 {
-		t.Fatalf("window 2 p95 = %v, want in (0.5, 1]", got)
-	}
-	if got := w2.Sum; math.Abs(got-7.5) > 1e-9 {
-		t.Fatalf("window 2 sum = %v, want 7.5", got)
-	}
-
-	// An observation past every finite bound resolves to the largest bound.
-	h2 := NewHistogram([]float64{1, 2})
-	h2.Observe(50)
-	if got := h2.Snapshot().Quantile(0.99); got != 2 {
-		t.Fatalf("+Inf-bucket quantile = %v, want largest finite bound 2", got)
-	}
-
-	// Snapshot/Quantile agree with the exposition-side ParsedSeries.Quantile
-	// on a mixed layout, so dashboards and the controller read the same p95.
-	h3 := NewHistogram(DefBuckets)
-	for _, v := range []float64{0.0004, 0.003, 0.02, 0.02, 0.3, 0.7, 4, 4, 4, 12} {
-		h3.Observe(v)
-	}
-	snap := h3.Snapshot()
-	reg := NewRegistry()
-	rh := reg.Histogram("test_agree_seconds", "s", DefBuckets)
-	for _, v := range []float64{0.0004, 0.003, 0.02, 0.02, 0.3, 0.7, 4, 4, 4, 12} {
-		rh.Observe(v)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, ok := parsed.Histogram("test_agree_seconds", nil)
-	if !ok {
-		t.Fatal("parsed histogram missing")
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		got, want := snap.Quantile(q), ps.Quantile(q)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("q=%v: snapshot %v vs parsed %v", q, got, want)
-		}
-	}
-}
-
-// TestHistogramSnapshotSubMismatch covers the defensive layout/regression
-// clamps.
-func TestHistogramSnapshotSubMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1}).Snapshot()
-	b := NewHistogram([]float64{1, 2}).Snapshot()
-	if got := b.Sub(a); got.Count != 0 || len(got.Counts) != 0 {
-		t.Fatalf("mismatched layouts subtracted to %+v", got)
-	}
-	// A regressed cell clamps to zero instead of wrapping to 2^64.
-	h := NewHistogram([]float64{1})
-	h.Observe(0.5)
-	later := h.Snapshot()
-	h.Observe(0.5)
-	prev := h.Snapshot()
-	if got := later.Sub(prev); got.Count != 0 {
-		t.Fatalf("regressed window count = %d, want clamp to 0", got.Count)
 	}
 }

@@ -86,33 +86,6 @@ func (p PolicySpec) Admission() lake.AdmissionConfig {
 	}
 }
 
-// BrownoutSpec configures the service's brownout controller
-// (lake.BrownoutConfig) for the scenario. Its presence in a spec enables
-// brownout; replay tooling may still force it off for an unprotected
-// baseline run (loadgen -no-brownout).
-type BrownoutSpec struct {
-	QueueHigh     int     `json:"queue_high,omitempty"`
-	QueueLow      int     `json:"queue_low,omitempty"`
-	P95HighMS     float64 `json:"p95_high_ms,omitempty"`
-	P95LowMS      float64 `json:"p95_low_ms,omitempty"`
-	IntervalMS    float64 `json:"interval_ms,omitempty"`
-	EscalateAfter int     `json:"escalate_after,omitempty"`
-	RecoverAfter  int     `json:"recover_after,omitempty"`
-}
-
-// Config converts the brownout spec to the service config.
-func (b BrownoutSpec) Config() lake.BrownoutConfig {
-	return lake.BrownoutConfig{
-		QueueHigh:     b.QueueHigh,
-		QueueLow:      b.QueueLow,
-		P95High:       time.Duration(b.P95HighMS * float64(time.Millisecond)),
-		P95Low:        time.Duration(b.P95LowMS * float64(time.Millisecond)),
-		Interval:      time.Duration(b.IntervalMS * float64(time.Millisecond)),
-		EscalateAfter: b.EscalateAfter,
-		RecoverAfter:  b.RecoverAfter,
-	}
-}
-
 // Spec is one declarative load scenario. Everything that shapes the
 // workload or the system under test lives here, so a scenario file fully
 // determines a run; environment concerns (storage directory, output paths,
@@ -148,10 +121,12 @@ type Spec struct {
 
 	Fault  FaultSpec  `json:"fault,omitempty"`
 	Policy PolicySpec `json:"policy,omitempty"`
-	// Brownout, when present, installs the degradation-tier controller on
-	// the service under test.
-	Brownout *BrownoutSpec `json:"brownout,omitempty"`
-	SLO      SLO           `json:"slo,omitempty"`
+	// Brownout installs the degradation ladder on the service under test:
+	// admission then serves each task at full ENLD or at the fallback rung
+	// by its predicted queue wait. It needs policy.queue_depth and
+	// policy.max_queue_wait_ms.
+	Brownout bool `json:"brownout,omitempty"`
+	SLO      SLO  `json:"slo,omitempty"`
 }
 
 // LoadSpec reads and validates one scenario spec file.
@@ -227,8 +202,8 @@ func (s Spec) Validate() error {
 	if err := s.Policy.validate(); err != nil {
 		return fmt.Errorf("scenario %s policy: %w", s.Name, err)
 	}
-	if s.Brownout != nil {
-		if err := s.Brownout.Config().Validate(); err != nil {
+	if s.Brownout {
+		if err := s.Policy.Admission().ValidateBrownout(); err != nil {
 			return fmt.Errorf("scenario %s brownout: %w", s.Name, err)
 		}
 	}

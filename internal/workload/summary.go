@@ -39,12 +39,9 @@ type ScenarioResult struct {
 	TaskSeconds   LatencySummary `json:"task_seconds"`
 	QueuedSeconds LatencySummary `json:"queued_seconds"`
 	BreakerOpens  int            `json:"breaker_opens"`
-	// Overload-control outcomes: the deepest brownout tier reached, how many
-	// times the controller moved, and per-tier detection quality. TierF1 is
-	// keyed by tier name; tiers appear only when they served scored tasks.
-	BrownoutMaxTier int               `json:"brownout_max_tier,omitempty"`
-	TierChanges     int               `json:"tier_changes,omitempty"`
-	TierF1          map[string]TierF1 `json:"tier_f1,omitempty"`
+	// TierF1 is the per-tier detection quality of a brownout run, keyed by
+	// tier name; tiers appear only when they served scored tasks.
+	TierF1 map[string]TierF1 `json:"tier_f1,omitempty"`
 	// MaxSendLagSeconds is the generator's worst schedule slip; a large
 	// value taints the latency numbers (see PlayOptions.Obs).
 	MaxSendLagSeconds float64 `json:"max_send_lag_seconds"`
@@ -200,21 +197,6 @@ func summarizeParsed(name string, parsed obs.Parsed) (*ScenarioResult, error) {
 	for _, outcome := range []string{"shed", "abandoned"} {
 		if v, ok := parsed.Counter("enld_lake_tasks_total", map[string]string{"outcome": outcome}); ok {
 			out.Outcomes[outcome] = int(v)
-		}
-	}
-	// In a merged cluster exposition this gauge appears once per shard
-	// (labelled shard="k"); the cluster-level deepest tier is the max.
-	if fam := parsed["enld_lake_brownout_max_tier"]; fam != nil {
-		for _, series := range fam.Series {
-			if int(series.Value) > out.BrownoutMaxTier {
-				out.BrownoutMaxTier = int(series.Value)
-			}
-		}
-	}
-	for _, direction := range []string{"down", "up"} {
-		if v, ok := parsed.Counter("enld_lake_brownout_transitions_total",
-			map[string]string{"direction": direction}); ok {
-			out.TierChanges += int(v)
 		}
 	}
 	// Per-tier detection quality: every {tier=...} series of the F1 family.

@@ -21,7 +21,10 @@ func fakeShardRegistry(ok, degraded uint64, latencies ...float64) *obs.Registry 
 	reg.Counter("enld_lake_tasks_total", "t", obs.Label{Key: "outcome", Value: "ok"}).Add(ok)
 	reg.Counter("enld_lake_tasks_total", "t", obs.Label{Key: "outcome", Value: "degraded"}).Add(degraded)
 	reg.Counter("enld_lake_tasks_total", "t", obs.Label{Key: "outcome", Value: "dead_letter"})
-	reg.Gauge("enld_lake_brownout_max_tier", "g").Set(float64(ok % 3))
+	f1 := reg.Histogram("enld_lake_detection_f1", "f", []float64{0.5, 1}, obs.Label{Key: "tier", Value: "fallback"})
+	for i := uint64(0); i < ok; i++ {
+		f1.Observe(0.5)
+	}
 	task := reg.Histogram("enld_lake_task_seconds", "h", obs.DefBuckets)
 	queued := reg.Histogram("enld_lake_queued_seconds", "h", obs.DefBuckets)
 	for _, v := range latencies {
@@ -34,8 +37,8 @@ func fakeShardRegistry(ok, degraded uint64, latencies ...float64) *obs.Registry 
 // TestSummarizeScrapeMultiEndpoint pins the multi-node scrape path: a
 // comma-separated -scrape-url list is scraped endpoint-by-endpoint, merged
 // under the cluster rules, and reduced by the same code as a single
-// endpoint — counters and histogram counts sum, the max-tier gauge takes
-// the cluster-wide max.
+// endpoint — counters and histogram counts sum, per-tier task counts
+// included.
 func TestSummarizeScrapeMultiEndpoint(t *testing.T) {
 	srvA := httptest.NewServer(fakeShardRegistry(5, 1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6).Handler())
 	defer srvA.Close()
@@ -55,8 +58,8 @@ func TestSummarizeScrapeMultiEndpoint(t *testing.T) {
 	if res.TaskSeconds.Count != 10 {
 		t.Fatalf("merged latency count = %d, want 10", res.TaskSeconds.Count)
 	}
-	if res.BrownoutMaxTier != 2 {
-		t.Fatalf("cluster max tier = %d, want max over shards (2)", res.BrownoutMaxTier)
+	if got := res.TierF1["fallback"].Tasks; got != 9 {
+		t.Fatalf("cluster fallback tasks = %d, want the sum over shards (9)", got)
 	}
 	if res.ThroughputRPS != 1.0 {
 		t.Fatalf("throughput = %v, want 1.0", res.ThroughputRPS)
@@ -67,7 +70,7 @@ func TestSummarizeScrapeMultiEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Completed != 6 || single.TaskSeconds.Count != 6 || single.BrownoutMaxTier != 2 {
+	if single.Completed != 6 || single.TaskSeconds.Count != 6 || single.TierF1["fallback"].Tasks != 5 {
 		t.Fatalf("single scrape regressed: %+v", single)
 	}
 

@@ -3,8 +3,10 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"enld/internal/obs"
@@ -46,6 +48,24 @@ func TestLoadSpecFile(t *testing.T) {
 	if _, err := LoadSpec(write("invalid.json", raw)); err == nil {
 		t.Fatal("spec with no phases accepted")
 	}
+
+	// brownout is a bool: a spec still carrying a watermark object fails
+	// decoding instead of being silently dropped.
+	protected := testSpec()
+	protected.Policy = PolicySpec{QueueDepth: 16, MaxQueueWaitMS: 200}
+	protected.Brownout = true
+	raw, _ = json.Marshal(protected)
+	if got, err := LoadSpec(write("brownout.json", raw)); err != nil || !got.Brownout {
+		t.Fatalf("brownout spec: %+v, %v", got.Brownout, err)
+	}
+	stale := strings.Replace(string(raw), `"brownout":true`, `"brownout":{"queue_high":10,"queue_low":2}`, 1)
+	if stale == string(raw) {
+		t.Fatal("test spec encoding lost its brownout key")
+	}
+	var typeErr *json.UnmarshalTypeError
+	if _, err := LoadSpec(write("stale.json", []byte(stale))); !errors.As(err, &typeErr) {
+		t.Fatalf("watermark brownout object: err = %v, want a JSON type error", err)
+	}
 }
 
 // TestLoadSummaryScenario: name lookup returns a pointer into the slice (so
@@ -81,11 +101,6 @@ func lakeExposition(t *testing.T) *bytes.Buffer {
 		reg.Histogram("enld_lake_task_seconds", "h", buckets).Observe(0.05)
 		reg.Histogram("enld_lake_queued_seconds", "h", buckets).Observe(0.005)
 	}
-	reg.Gauge("enld_lake_brownout_max_tier", "h").Set(2)
-	reg.Counter("enld_lake_brownout_transitions_total", "h",
-		obs.Label{Key: "direction", Value: "down"}).Add(2)
-	reg.Counter("enld_lake_brownout_transitions_total", "h",
-		obs.Label{Key: "direction", Value: "up"}).Add(1)
 	f1 := func(tier string, v float64, n int) {
 		h := reg.Histogram("enld_lake_detection_f1", "h",
 			[]float64{0.5, 0.9, 1}, obs.Label{Key: "tier", Value: tier})
@@ -104,7 +119,7 @@ func lakeExposition(t *testing.T) *bytes.Buffer {
 }
 
 // TestSummarizeReader: the scrape path reduces an exposition stream to a
-// ScenarioResult — outcome taxonomy, brownout tier accounting, per-tier F1,
+// ScenarioResult — outcome taxonomy, per-tier F1,
 // latency percentiles, throughput, and the SLO verdict.
 func TestSummarizeReader(t *testing.T) {
 	slo := SLO{
@@ -126,9 +141,6 @@ func TestSummarizeReader(t *testing.T) {
 	}
 	if sum.Retries != 5 {
 		t.Fatalf("retries = %d, want 5", sum.Retries)
-	}
-	if sum.BrownoutMaxTier != 2 || sum.TierChanges != 3 {
-		t.Fatalf("brownout max=%d changes=%d, want 2/3", sum.BrownoutMaxTier, sum.TierChanges)
 	}
 	if got := sum.TierF1["full"]; got.Tasks != 30 || got.MeanF1 < 0.89 || got.MeanF1 > 0.91 {
 		t.Fatalf("tier full F1 = %+v, want ~0.9 over 30 tasks", got)

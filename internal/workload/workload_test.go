@@ -211,9 +211,9 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Policy.Retries = -1 },
 		func(s *Spec) { s.Policy.QueueDepth = -4 },
 		func(s *Spec) { s.Policy.MaxQueueWaitMS = -10 },
-		func(s *Spec) { s.Brownout = &BrownoutSpec{} }, // no pressure signal
-		func(s *Spec) { s.Brownout = &BrownoutSpec{QueueHigh: 4, QueueLow: 8} },
-		func(s *Spec) { s.Brownout = &BrownoutSpec{P95HighMS: 50, P95LowMS: 80} },
+		func(s *Spec) { s.Brownout = true },                               // no bounded admission
+		func(s *Spec) { s.Brownout, s.Policy.QueueDepth = true, 8 },       // no wait budget
+		func(s *Spec) { s.Brownout, s.Policy.MaxQueueWaitMS = true, 100 }, // no queue bound
 		func(s *Spec) { s.SLO.MaxP99TaskSeconds = -1 },
 		func(s *Spec) { s.SLO.MinCompletedRatio = 2 },
 		func(s *Spec) { s.SLO.MinTierF1 = map[string]float64{"": 0.5} },
@@ -229,10 +229,10 @@ func TestSpecValidate(t *testing.T) {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	// A spec carrying the full overload-control surface must validate: bounded
-	// admission, a sound brownout ladder config, and shed-aware SLOs.
+	// admission with a wait budget, the brownout ladder, and shed-aware SLOs.
 	full := testSpec()
 	full.Policy = PolicySpec{TaskTimeoutSeconds: 2, Retries: 1, QueueDepth: 32, MaxQueueWaitMS: 200}
-	full.Brownout = &BrownoutSpec{QueueHigh: 24, QueueLow: 4, P95HighMS: 400, P95LowMS: 100, IntervalMS: 100}
+	full.Brownout = true
 	full.SLO = SLO{
 		MaxP99TaskSeconds: 1, MinCompletedRatio: 1,
 		MaxShedFraction: floatp(0.3), MaxAbandoned: intp(0),
