@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -34,9 +35,6 @@ type WorkerConfig struct {
 	Ladder []lake.TierDetector
 	// KeepRecent bounds the tracker's recent-report list (default 20).
 	KeepRecent int
-	// OnReport, when set, observes every report the shard files (after the
-	// tracker records it) — the hook for per-shard outcome recording.
-	OnReport func(lake.Report)
 }
 
 // ShardWorker is the in-process Shard: a lake.Service pinned to a
@@ -111,14 +109,10 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 		done:    make(chan struct{}),
 		waiters: map[int]chan lake.Report{},
 	}
-	onReport := cfg.OnReport
 	svc.OnReport = func(rep lake.Report) {
 		rep.Shard = w.name
 		tracker.Record(rep)
 		w.resolve(rep)
-		if onReport != nil {
-			onReport(rep)
-		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -136,8 +130,8 @@ func (w *ShardWorker) Name() string { return w.name }
 // Registry exposes the shard's own metrics registry (scatter/gather input).
 func (w *ShardWorker) Registry() *obs.Registry { return w.reg }
 
-// Tracker exposes the shard's status tracker for extra wiring (training
-// health) before serving.
+// Tracker exposes the shard's status tracker for extra wiring before
+// serving: the stack builder publishes the platform's training health on it.
 func (w *ShardWorker) Tracker() *lake.StatusTracker { return w.tracker }
 
 // resolve hands a filed report to the submitter waiting on its task ID.
@@ -217,19 +211,11 @@ func (w *ShardWorker) Status(context.Context) (lake.Status, error) {
 
 // Metrics implements Shard.
 func (w *ShardWorker) Metrics(context.Context) ([]byte, error) {
-	var buf []byte
-	b := &sliceWriter{buf: &buf}
-	if err := w.reg.WritePrometheus(b); err != nil {
+	var buf bytes.Buffer
+	if err := w.reg.WritePrometheus(&buf); err != nil {
 		return nil, err
 	}
-	return buf, nil
-}
-
-type sliceWriter struct{ buf *[]byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
+	return buf.Bytes(), nil
 }
 
 // stop flips the shard to refusing new submissions and waits until every

@@ -133,7 +133,11 @@ func TestPlaySummarize(t *testing.T) {
 		}
 	}
 
-	sum, err := Summarize(spec, res, reg)
+	var exposition bytes.Buffer
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := SummarizeExposition(spec, res, &exposition)
 	if err != nil {
 		t.Fatal(err)
 	}

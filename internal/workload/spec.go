@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"enld/internal/fault"
 	"enld/internal/lake"
 )
 
@@ -76,6 +77,32 @@ type PolicySpec struct {
 	// unbounded backpressure.
 	QueueDepth     int     `json:"queue_depth,omitempty"`
 	MaxQueueWaitMS float64 `json:"max_queue_wait_ms,omitempty"`
+}
+
+// Config converts the spec to the fault injector's config.
+func (f FaultSpec) Config() fault.Config {
+	return fault.Config{
+		Seed:        f.Seed,
+		FailRate:    f.FailRate,
+		PanicRate:   f.PanicRate,
+		SlowRate:    f.SlowRate,
+		Latency:     time.Duration(f.SlowLatencyMS * float64(time.Millisecond)),
+		CorruptRate: f.CorruptRate,
+	}
+}
+
+// Policy converts the spec to the service's resilience policy. The retry
+// seed and the fallback detector belong to the system under test, which
+// fills them in.
+func (p PolicySpec) Policy() lake.Policy {
+	return lake.Policy{
+		TaskTimeout:      time.Duration(p.TaskTimeoutSeconds * float64(time.Second)),
+		MaxRetries:       p.Retries,
+		RetryBase:        time.Duration(p.RetryBaseMS * float64(time.Millisecond)),
+		BreakerThreshold: p.BreakerThreshold,
+		BreakerCooldown:  time.Duration(p.BreakerCooldownMS * float64(time.Millisecond)),
+		Admission:        p.Admission(),
+	}
 }
 
 // Admission converts the spec's admission fields to the service config.

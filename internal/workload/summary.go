@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -73,23 +74,13 @@ func (s *LoadSummary) Scenario(name string) *ScenarioResult {
 	return nil
 }
 
-// Summarize reduces a replay to its ScenarioResult by scraping the service's
-// metrics out of reg — the same registry svc.SetObs was given — rather than
-// reading the in-process reports: the artifact then measures exactly what
-// the /metrics endpoint exposes, and the one scrape path also serves live
-// HTTP endpoints (SummarizeScrape). The SLO verdict is filled in.
-func Summarize(spec Spec, res *PlayResult, reg *obs.Registry) (*ScenarioResult, error) {
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return SummarizeExposition(spec, res, &buf)
-}
-
-// SummarizeExposition is Summarize over an already-rendered exposition —
-// the cluster path: a coordinator's merged scatter/gather /metrics view
-// flows through the identical reduction a single service's registry does,
-// so one-node and N-node runs are summarized by the same code.
+// SummarizeExposition reduces a replay to its ScenarioResult by reading the
+// system's own metrics exposition — a single service's registry, or a
+// coordinator's merged scatter/gather /metrics view — rather than the
+// in-process reports: the artifact then measures exactly what the /metrics
+// endpoint exposes, one-node and N-node runs are reduced by the same code,
+// and the same reduction also serves live HTTP endpoints (SummarizeScrape).
+// The SLO verdict is filled in.
 func SummarizeExposition(spec Spec, res *PlayResult, r io.Reader) (*ScenarioResult, error) {
 	parsed, err := obs.ParseText(r)
 	if err != nil {
@@ -265,4 +256,38 @@ func finishSLO(r *ScenarioResult, slo SLO) {
 	r.SLO = slo
 	r.Violations = slo.Evaluate(r)
 	r.Pass = len(r.Violations) == 0
+}
+
+// Print writes the scenario's verdict for a run log: throughput and
+// latency, every outcome class, each measured tier's detection quality in
+// tier-name order, and the SLO violations.
+func (r *ScenarioResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "[%s] completed=%d/%d offered, %.2f req/s, task p50/p95/p99 = %.3f/%.3f/%.3f s, queued p99 = %.3f s\n",
+		r.Name, r.Completed, r.Offered, r.ThroughputRPS,
+		r.TaskSeconds.P50, r.TaskSeconds.P95, r.TaskSeconds.P99, r.QueuedSeconds.P99)
+	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d retries=%d breaker_opens=%d max_send_lag=%.3fs\n",
+		r.Name, r.Outcomes["ok"], r.Outcomes["degraded"], r.Outcomes["dead_letter"],
+		r.Outcomes["shed"], r.Outcomes["abandoned"],
+		r.Retries, r.BreakerOpens, r.MaxSendLagSeconds)
+	if len(r.TierF1) > 0 {
+		tiers := make([]string, 0, len(r.TierF1))
+		for tier := range r.TierF1 {
+			tiers = append(tiers, tier)
+		}
+		sort.Strings(tiers)
+		fmt.Fprintf(w, "[%s] brownout:", r.Name)
+		for _, tier := range tiers {
+			q := r.TierF1[tier]
+			fmt.Fprintf(w, " %s: F1=%.3f over %d", tier, q.MeanF1, q.Tasks)
+		}
+		fmt.Fprintln(w)
+	}
+	if r.Pass {
+		fmt.Fprintf(w, "[%s] SLO: PASS\n", r.Name)
+		return
+	}
+	fmt.Fprintf(w, "[%s] SLO: FAIL\n", r.Name)
+	for _, v := range r.Violations {
+		fmt.Fprintf(w, "[%s]   violation: %s\n", r.Name, v)
+	}
 }

@@ -179,3 +179,22 @@ func TestSummarizeReader(t *testing.T) {
 		t.Fatal("exposition without lake families accepted")
 	}
 }
+
+// TestReportPrintsEveryTier pins the run log's per-tier line: every tier the
+// run measured is printed, in sorted order, whatever the rungs are named.
+func TestReportPrintsEveryTier(t *testing.T) {
+	var buf strings.Builder
+	(&ScenarioResult{
+		Name: "s",
+		TierF1: map[string]TierF1{
+			"middle":   {MeanF1: 0.5, Tasks: 2},
+			"full":     {MeanF1: 0.9, Tasks: 7},
+			"fallback": {MeanF1: 0.4, Tasks: 3},
+		},
+		Pass: true,
+	}).Print(&buf)
+	want := "[s] brownout: fallback: F1=0.400 over 3 full: F1=0.900 over 7 middle: F1=0.500 over 2\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("report output:\n%s\nwant line:\n%s", buf.String(), want)
+	}
+}

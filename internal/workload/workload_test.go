@@ -3,9 +3,13 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+
+	"enld/internal/fault"
+	"enld/internal/lake"
 )
 
 // testSpec is the fixed scenario the determinism pin runs on.
@@ -240,5 +244,31 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := full.Validate(); err != nil {
 		t.Errorf("overload-control spec rejected: %v", err)
+	}
+}
+
+// TestSpecConversions pins the spec's unit conversions into the typed
+// configs the stack builder takes: seconds and milliseconds become
+// durations, and nothing the builder owns (retry seed, fallback) is set.
+func TestSpecConversions(t *testing.T) {
+	p := PolicySpec{
+		TaskTimeoutSeconds: 1.5, Retries: 2, RetryBaseMS: 20, BreakerThreshold: 3,
+		BreakerCooldownMS: 500, Fallback: true, QueueDepth: 4, MaxQueueWaitMS: 30,
+	}
+	wantPolicy := lake.Policy{
+		TaskTimeout: 1500 * time.Millisecond, MaxRetries: 2, RetryBase: 20 * time.Millisecond,
+		BreakerThreshold: 3, BreakerCooldown: 500 * time.Millisecond,
+		Admission: lake.AdmissionConfig{QueueDepth: 4, MaxQueueWait: 30 * time.Millisecond},
+	}
+	if got := p.Policy(); !reflect.DeepEqual(got, wantPolicy) {
+		t.Errorf("Policy() = %+v, want %+v", got, wantPolicy)
+	}
+	f := FaultSpec{FailRate: 0.1, PanicRate: 0.2, SlowRate: 0.3, SlowLatencyMS: 2.5, CorruptRate: 0.4, Seed: 9}
+	wantFault := fault.Config{
+		Seed: 9, FailRate: 0.1, PanicRate: 0.2, SlowRate: 0.3,
+		Latency: 2500 * time.Microsecond, CorruptRate: 0.4,
+	}
+	if got := f.Config(); got != wantFault {
+		t.Errorf("Config() = %+v, want %+v", got, wantFault)
 	}
 }
