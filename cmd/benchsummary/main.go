@@ -1,7 +1,7 @@
 // Command benchsummary turns `go test -bench` output into a machine-readable
-// BENCH_ci.json: one entry per benchmark with its ns/op, plus the
-// parallel-scaling speedup pairs the CI perf gate tracks (workers=1 versus
-// workers=4 for the training, detection and batch-inference hot paths).
+// BENCH_ci.json: one entry per benchmark with its ns/op, plus the speedup
+// pairs the CI perf gate tracks (the blocked-GEMM batched forward pass versus
+// the per-sample path).
 //
 // Usage:
 //
@@ -26,8 +26,6 @@
 // its gate would otherwise be skipped. The comparison is embedded in the
 // output JSON under "comparisons".
 //
-// Speedups are a hardware property: on a single-core runner the workers=4
-// variants measure pure pool overhead and the ratio sits near (or below) 1.
 // The committed BENCH_ci.json is the latest recorded run; CI regenerates it
 // per PR and uploads the result as an artifact.
 //
@@ -56,7 +54,7 @@ import (
 // Entry is one parsed benchmark result.
 type Entry struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
-	// e.g. "BenchmarkTrainEpoch/workers=4".
+	// e.g. "BenchmarkTrainEpoch/workers=1".
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
 	// BytesPerOp and AllocsPerOp are present only for benchmarks that report
@@ -66,13 +64,13 @@ type Entry struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Speedup is the ratio of a sequential baseline over its parallel variant.
+// Speedup is the ratio of a baseline over its faster variant.
 type Speedup struct {
 	Name     string `json:"name"`
 	Base     string `json:"base"`
 	Parallel string `json:"parallel"`
-	// Speedup is base ns/op divided by parallel ns/op: >1 means the
-	// parallel variant is faster.
+	// Speedup is base ns/op divided by the variant's ns/op (Parallel names
+	// the variant): >1 means the variant is faster.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -111,7 +109,7 @@ type Overhead struct {
 // Summary is the BENCH_ci.json document.
 type Summary struct {
 	// GoMaxProcs records the parallelism of the machine that produced the
-	// numbers — speedups are meaningless without it.
+	// numbers.
 	GoMaxProcs int       `json:"go_maxprocs"`
 	GoVersion  string    `json:"go_version"`
 	Benchmarks []Entry   `json:"benchmarks"`
@@ -124,14 +122,10 @@ type Summary struct {
 	Comparisons []Comparison `json:"comparisons,omitempty"`
 }
 
-// speedupPairs lists the (base, parallel) benchmark pairs the CI perf gate
-// tracks.
+// speedupPairs lists the (name, base, variant) benchmark pairs the CI perf
+// gate tracks: one blocked-GEMM forward pass over a chunk versus the same
+// samples through the per-sample path.
 var speedupPairs = [][3]string{
-	{"train-epoch", "BenchmarkTrainEpoch/workers=1", "BenchmarkTrainEpoch/workers=4"},
-	{"detect-enld", "BenchmarkDetect/enld-workers=1", "BenchmarkDetect/enld-workers=4"},
-	{"forward-batch", "BenchmarkForward/batch-workers=1", "BenchmarkForward/batch-workers=4"},
-	// Batching speedup (not a parallel pair): one blocked-GEMM forward pass
-	// over a chunk versus the same samples through the per-sample path.
 	{"gemm-batching", "BenchmarkForwardBatch/persample", "BenchmarkForwardBatch/batched"},
 }
 

@@ -9,10 +9,10 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: enld
 BenchmarkTrainEpoch/workers=1-8         	       1	200000000 ns/op
-BenchmarkTrainEpoch/workers=4-8         	       1	100000000 ns/op
+BenchmarkForwardBatch/persample-8       	       1	100000000 ns/op
 BenchmarkDetect/enld-8                  	       1	400000000 ns/op
 BenchmarkDetect/enld-workers=1-8        	       1	300000000 ns/op
-BenchmarkDetect/enld-workers=4-8        	       1	150000000 ns/op
+BenchmarkForwardBatch/batched-8         	       1	 25000000 ns/op
 BenchmarkForward/single-8               	 1000000	      1234 ns/op
 BenchmarkKNN/into/n=1024-8              	  500000	      2500 ns/op	       0 B/op	       0 allocs/op
 PASS
@@ -132,20 +132,13 @@ func TestSummarizeSpeedups(t *testing.T) {
 	if s.GoMaxProcs < 1 || s.GoVersion == "" {
 		t.Fatalf("environment not recorded: %+v", s)
 	}
-	want := map[string]float64{"train-epoch": 2.0, "detect-enld": 2.0}
-	found := map[string]float64{}
-	for _, sp := range s.Speedups {
-		found[sp.Name] = sp.Speedup
+	if len(s.Speedups) != 1 || s.Speedups[0].Name != "gemm-batching" || s.Speedups[0].Speedup != 4.0 {
+		t.Fatalf("speedups %+v, want gemm-batching 4x", s.Speedups)
 	}
-	for name, ratio := range want {
-		if found[name] != ratio {
-			t.Errorf("speedup %s = %v, want %v", name, found[name], ratio)
-		}
-	}
-	// forward-batch has no workers=1/4 pair in the sample; it must be absent
-	// rather than zero or NaN.
-	if _, ok := found["forward-batch"]; ok {
-		t.Error("forward-batch speedup computed from missing data")
+	// Without the batched row the pair must be absent rather than zero or
+	// NaN.
+	if s := summarize(entries[:2]); len(s.Speedups) != 0 {
+		t.Errorf("speedup computed from missing data: %+v", s.Speedups)
 	}
 }
 
@@ -231,7 +224,7 @@ func TestGateMissingHotPath(t *testing.T) {
 }
 
 const watchdogOutput = `BenchmarkTrainEpoch/workers=1-8 	       1	200000000 ns/op
-BenchmarkTrainEpoch/workers=4-8 	       1	100000000 ns/op
+BenchmarkForward/single-8       	       1	     1234 ns/op
 BenchmarkTrainEpoch/watchdog-8  	       1	208000000 ns/op
 `
 

@@ -33,7 +33,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "incremental dataset count (0 = paper count)")
 		iters      = flag.Int("iters", 0, "ENLD iterations t (0 = paper default)")
 		noise      = flag.String("noise", "pair", "label-noise model: pair (paper) or symmetric")
-		workers    = flag.Int("workers", 0, "data-parallel workers for training/scoring/k-NN (0 = all cores); results are identical at any count")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime/trace execution trace to this file")
@@ -70,7 +69,7 @@ func main() {
 
 	cfg := experiments.Config{
 		Seed: *seed, DataScale: *scale, Shards: *shards, Iterations: *iters,
-		Noise: experiments.NoiseKind(*noise), Workers: *workers, Obs: reg,
+		Noise: experiments.NoiseKind(*noise), Obs: reg,
 	}
 	if *watchdog {
 		cfg.Watchdog = nn.WatchdogConfig{

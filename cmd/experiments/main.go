@@ -38,7 +38,6 @@ func main() {
 		noise      = flag.String("noise", "pair", "label-noise model: pair (paper) or symmetric")
 		md         = flag.Bool("md", false, "also print results as Markdown tables")
 		workers    = flag.Int("workers", 1, "experiments run concurrently (0 = all cores); rendered output stays in experiment order")
-		dataW      = flag.Int("data-workers", 1, "data-parallel workers inside each experiment (0 = all cores); results are identical at any count")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime/trace execution trace to this file")
@@ -76,7 +75,6 @@ func main() {
 		PlatformEpochs: *epochs,
 		Iterations:     *iters,
 		Noise:          experiments.NoiseKind(*noise),
-		Workers:        *dataW,
 		Obs:            reg,
 		Out:            os.Stdout,
 	}

@@ -57,7 +57,6 @@ func main() {
 	flag.Float64Var(&cfg.Scale, "scale", 1.0, "dataset size factor")
 	flag.IntVar(&cfg.Datasets, "datasets", 0, "incremental dataset count (0 = paper count)")
 	flag.IntVar(&cfg.Workers, "workers", 2, "concurrent detection workers")
-	flag.IntVar(&cfg.TaskWorkers, "task-workers", 1, "data-parallel workers inside each detection task (0 = all cores); per-task results are identical at any count")
 	var (
 		interval = flag.Duration("interval", 50*time.Millisecond, "arrival pacing between datasets")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall simulation deadline")

@@ -168,27 +168,22 @@ func runScenario(ctx context.Context, spec workload.Spec, o runOptions) (*worklo
 	// Each scenario gets a fresh registry so its scrape measures exactly one
 	// replay — the same isolation a per-run /metrics endpoint would give.
 	reg := obs.NewRegistry()
-	taskWorkers := spec.TaskWorkers
-	if taskWorkers == 0 {
-		taskWorkers = 1
-	}
 	cfg := stack.Config{
-		Preset:      spec.Preset,
-		Eta:         spec.Eta,
-		Scale:       spec.Scale,
-		Seed:        spec.Seed,
-		TaskWorkers: taskWorkers,
-		Method:      spec.Method,
-		Workers:     spec.Workers,
-		Fault:       spec.Fault.Config(),
-		Policy:      spec.Policy.Policy(),
-		Fallback:    spec.Policy.Fallback,
-		Brownout:    spec.Brownout,
-		TierFloors:  spec.SLO.MinTierF1,
-		Store:       o.storeKind,
-		Shards:      o.shards,
-		Registry:    reg,
-		Label:       "[" + spec.Name + "] ",
+		Preset:     spec.Preset,
+		Eta:        spec.Eta,
+		Scale:      spec.Scale,
+		Seed:       spec.Seed,
+		Method:     spec.Method,
+		Workers:    spec.Workers,
+		Fault:      spec.Fault.Config(),
+		Policy:     spec.Policy.Policy(),
+		Fallback:   spec.Policy.Fallback,
+		Brownout:   spec.Brownout,
+		TierFloors: spec.SLO.MinTierF1,
+		Store:      o.storeKind,
+		Shards:     o.shards,
+		Registry:   reg,
+		Label:      "[" + spec.Name + "] ",
 	}
 	if o.storeDir != "" {
 		cfg.StoreDir = filepath.Join(o.storeDir, spec.Name)

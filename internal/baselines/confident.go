@@ -86,7 +86,7 @@ func (c ConfidentLearning) Detect(set dataset.Set) (*detect.Result, error) {
 		calSamples = append(calSamples, smp)
 		calXs = append(calXs, smp.X)
 	}
-	for i, conf := range model.ConfidencesBatch(calXs, 1) {
+	for i, conf := range model.ConfidencesBatch(calXs) {
 		accumulate(calSamples[i], conf)
 		res.Meter.ForwardPasses++
 	}

@@ -217,8 +217,8 @@ func (c CoTeaching) Detect(set dataset.Set) (*detect.Result, error) {
 		finalTs = append(finalTs, nn.OneHot(smp.Observed, c.Classes))
 		finalIDs = append(finalIDs, smp.ID)
 	}
-	finalA := netA.LossesBatch(finalXs, finalTs, 1)
-	finalB := netB.LossesBatch(finalXs, finalTs, 1)
+	finalA := netA.LossesBatch(finalXs, finalTs)
+	finalB := netB.LossesBatch(finalXs, finalTs)
 	res.Meter.ForwardPasses += 2 * int64(len(finalXs))
 	for i, id := range finalIDs {
 		rankedSamples = append(rankedSamples, ranked{id: id, loss: finalA[i] + finalB[i]})

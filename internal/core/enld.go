@@ -54,11 +54,6 @@ type Config struct {
 	// noise regime. Iterations remains the upper bound.
 	AutoStop bool
 
-	// Workers bounds the data-parallel workers used for training, scoring
-	// and the k-NN fan-out (0 = all cores). Detection results are identical
-	// at every worker count; see nn.TrainConfig.Workers for the contract.
-	Workers int
-
 	Seed uint64
 }
 
@@ -201,13 +196,13 @@ func (e *ENLD) detect(d dataset.Set, snapshots bool) (*FullResult, error) {
 		d: d, iPrime: iPrime,
 		model: model, trainer: trainer, res: res,
 		obs:          e.Platform.Obs,
-		eval:         nn.NewEvaluator(model, cfg.Workers),
+		eval:         nn.NewEvaluator(model),
 		targets:      make([][]float64, classes),
 		classConfSum: make([]float64, classes),
 		classAgree:   make([]int, classes),
 		req: sampling.Request{
 			Cond: e.Platform.Cond, K: cfg.K, RNG: rng,
-			Meter: &res.Meter, Obs: e.Platform.Obs, Workers: cfg.Workers,
+			Meter: &res.Meter, Obs: e.Platform.Obs,
 		},
 	}
 	if err := run.resample(); err != nil {
@@ -506,7 +501,6 @@ func (r *nldRun) trainEpoch() error {
 		Epochs:    1,
 		BatchSize: r.cfg.BatchSize,
 		Seed:      r.rng.Uint64(),
-		Workers:   r.cfg.Workers,
 	})
 	ftSpan.End()
 	if err != nil {

@@ -73,7 +73,7 @@ func (p *Platform) ValidationAccuracy(set dataset.Set) float64 {
 		return 0
 	}
 	correct := 0
-	for i, pred := range p.Model.PredictBatch(xs, p.Config.Workers) {
+	for i, pred := range p.Model.PredictBatch(xs, 1) {
 		if pred == labels[i] {
 			correct++
 		}
@@ -93,7 +93,7 @@ func (p *Platform) TrueAccuracy(set dataset.Set) float64 {
 		xs[i] = smp.X
 	}
 	correct := 0
-	for i, pred := range p.Model.PredictBatch(xs, p.Config.Workers) {
+	for i, pred := range p.Model.PredictBatch(xs, 1) {
 		if pred == set[i].True {
 			correct++
 		}

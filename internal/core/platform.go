@@ -43,11 +43,6 @@ type PlatformConfig struct {
 	// 0.2 (applied when positive).
 	MixupAlpha float64
 
-	// Workers bounds the data-parallel gradient workers of general-model
-	// training (0 = all cores); results are bit-identical at every count
-	// (see nn.TrainConfig.Workers).
-	Workers int
-
 	// Watchdog enables the numerical-health watchdog (NaN/Inf and
 	// loss-divergence detection with checkpoint rollback) for every training
 	// run the platform performs — setup and Algorithm-4 model updates alike.
@@ -165,7 +160,6 @@ func (p *Platform) trainGeneral(model *nn.Network, set dataset.Set, seed uint64)
 		Mixup:      p.Config.MixupAlpha > 0,
 		MixupAlpha: p.Config.MixupAlpha,
 		Seed:       seed,
-		Workers:    p.Config.Workers,
 		Watchdog:   p.Config.Watchdog,
 	})
 	if p.Config.Watchdog.Enabled {
@@ -187,7 +181,7 @@ func (p *Platform) trainGeneral(model *nn.Network, set dataset.Set, seed uint64)
 func (p *Platform) estimate() error {
 	sp := p.Obs.StartSpan("platform/estimate")
 	defer sp.End()
-	joint, err := noise.EstimateJointParallel(p.Ic, p.Model, p.Config.Classes, p.Config.Workers)
+	joint, err := noise.EstimateJoint(p.Ic, p.Model, p.Config.Classes)
 	if err != nil {
 		return fmt.Errorf("core: probability estimation: %w", err)
 	}

@@ -90,17 +90,16 @@ type Scores struct {
 // Score runs the model over every sample of d and caches the outputs.
 // It charges one forward pass per sample to meter (if non-nil).
 func Score(model *nn.Network, d dataset.Set, meter *cost.Meter) *Scores {
-	return ScoreParallel(model, d, meter, 1)
+	s := new(Scores)
+	s.Fill(nn.NewEvaluator(model), d, meter)
+	return s
 }
 
-// ScoreParallel is Score with the forward passes fanned out over workers
-// (0 = all cores). Results are identical at every worker count: each sample's
-// outputs land in that sample's slot, and the derived statistics are computed
-// per sample with no cross-sample arithmetic.
+// ScoreParallel is Score. workers has no effect; it stays only because the
+// benchmark harness still calls ScoreParallel, and ROADMAP 1(b) deletes it
+// in the next benchmark change.
 func ScoreParallel(model *nn.Network, d dataset.Set, meter *cost.Meter, workers int) *Scores {
-	s := new(Scores)
-	s.Fill(nn.NewEvaluator(model, workers), d, meter)
-	return s
+	return Score(model, d, meter)
 }
 
 // Fill re-scores d through ev's network into s, reusing every buffer s

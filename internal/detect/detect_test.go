@@ -121,17 +121,17 @@ func TestRestrictToLabels(t *testing.T) {
 // TestScoresFillReuseIsSafe pins the two-buffer rule core relies on: with one
 // Evaluator and two Scores, filling the second (I′) leaves everything read
 // from the first (D) — including row slices handed out earlier — untouched;
-// refilling a Scores matches a fresh ScoreParallel element for element even
+// refilling a Scores matches a fresh Score element for element even
 // after it held a larger set; and a warmed Fill allocates nothing.
 func TestScoresFillReuseIsSafe(t *testing.T) {
 	model, set := testModelAndSet(t)
 	d, inv := set[:5], set[3:]
-	ev := nn.NewEvaluator(model, 2)
+	ev := nn.NewEvaluator(model)
 	var dScores, iScores Scores
 	var meter cost.Meter
 	dScores.Fill(ev, d, &meter)
 	heldFeat, heldConf := dScores.Features[2], dScores.Confidences[2]
-	want := ScoreParallel(model, d, nil, 1)
+	want := Score(model, d, nil)
 	iScores.Fill(ev, inv, &meter)
 	if meter.ForwardPasses != int64(len(d)+len(inv)) {
 		t.Fatalf("meter charged %d forward passes", meter.ForwardPasses)
@@ -147,15 +147,14 @@ func TestScoresFillReuseIsSafe(t *testing.T) {
 			t.Fatal("a confidence row handed out before the second Fill changed")
 		}
 	}
-	sameScores(t, "I′", &iScores, ScoreParallel(model, inv, nil, 1))
+	sameScores(t, "I′", &iScores, Score(model, inv, nil))
 
 	// Shrinking refill: no stale rows or lengths from the larger set.
 	iScores.Fill(ev, d, nil)
 	sameScores(t, "refilled with a smaller set", &iScores, want)
 
-	ev1 := nn.NewEvaluator(model, 1)
-	dScores.Fill(ev1, d, nil)
-	if n := testing.AllocsPerRun(10, func() { dScores.Fill(ev1, d, nil) }); n != 0 {
+	dScores.Fill(ev, d, nil)
+	if n := testing.AllocsPerRun(10, func() { dScores.Fill(ev, d, nil) }); n != 0 {
 		t.Fatalf("warmed Fill allocates %v times per call, want 0", n)
 	}
 }

@@ -43,9 +43,10 @@ type Config struct {
 	// Noise selects the corruption model; empty means the paper's pair
 	// asymmetric noise. Symmetric noise is an extension experiment (ext2).
 	Noise NoiseKind
-	// Workers bounds the data-parallel workers inside each experiment's
-	// training/scoring/k-NN hot paths (0 = all cores). Experiment outputs
-	// are identical at every worker count.
+	// Workers has no effect: every detection task runs on its caller's
+	// goroutine (RunConcurrent's workers run whole experiments). It stays
+	// only because the benchmark harness still sets it; ROADMAP 1(b) deletes
+	// it in the next benchmark change.
 	Workers int
 	// Watchdog enables the numerical-health watchdog (NaN/Inf detection and
 	// checkpoint rollback) for every training run the platform performs.

@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"enld/internal/core"
+)
 
 func TestRunExt1LossTracking(t *testing.T) {
 	fig, err := RunExt1(quickCfg(30))
@@ -80,5 +85,18 @@ func TestUnknownNoiseKindRejected(t *testing.T) {
 	cfg.Noise = "bogus"
 	if _, err := BuildWorkbench("emnist", 0.2, cfg); err == nil {
 		t.Fatal("unknown noise kind accepted")
+	}
+}
+
+// TestMethodNamesMatchAllMethods: the static list callers check a method
+// name against before any setup names exactly the AllMethods detectors, in
+// order.
+func TestMethodNamesMatchAllMethods(t *testing.T) {
+	var got []string
+	for _, d := range AllMethods(&Workbench{Platform: &core.Platform{}}, 1) {
+		got = append(got, d.Name())
+	}
+	if !slices.Equal(got, MethodNames) {
+		t.Fatalf("AllMethods names %v, MethodNames %v", got, MethodNames)
 	}
 }

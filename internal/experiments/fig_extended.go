@@ -5,6 +5,11 @@ import (
 	"enld/internal/detect"
 )
 
+// MethodNames lists the Name() of every AllMethods detector, in AllMethods
+// order, so a method name can be checked, and its detector found, without a
+// workbench.
+var MethodNames = []string{"default", "cl-1", "cl-2", "topofilter", "enld", "losstrack", "incv", "coteaching"}
+
 // AllMethods is StandardMethods plus the extension detectors: loss tracking
 // (O2U-style), iterative cross-validation (INCV-style) and Co-teaching.
 func AllMethods(wb *Workbench, seed uint64) []detect.Detector {

@@ -60,7 +60,12 @@ func BuildWorkbenchFrom(preset string, eta float64, cfg Config, platform *core.P
 	return buildWorkbench(preset, eta, cfg, platform)
 }
 
-func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platform) (*Workbench, error) {
+// BuildData is the data half of BuildWorkbench: it generates the preset's
+// task, applies the noise, splits it into inventory and pool and shards the
+// pool, all deterministically from cfg.Seed, and sets up no platform — the
+// returned Workbench's Platform is nil. A coordinator that only feeds the
+// shards to remote workers needs nothing more.
+func BuildData(preset string, eta float64, cfg Config) (*Workbench, error) {
 	cfg = cfg.normalized()
 	specs := dataset.Presets(cfg.Seed)
 	spec, ok := specs[preset]
@@ -107,13 +112,33 @@ func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platf
 	if err != nil {
 		return nil, err
 	}
+	ecfg := core.DefaultConfig(cfg.Seed + 2)
+	ecfg.Iterations = iterations
+	return &Workbench{
+		Preset:    preset,
+		Eta:       eta,
+		Spec:      spec,
+		Inventory: inventory,
+		Shards:    shards,
+		ENLDCfg:   ecfg,
+	}, nil
+}
 
+// buildWorkbench is BuildData plus the platform half: platform, when
+// non-nil, is checked against the preset and used as is; otherwise one is
+// set up on the inventory.
+func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platform) (*Workbench, error) {
+	cfg = cfg.normalized()
+	wb, err := BuildData(preset, eta, cfg)
+	if err != nil {
+		return nil, err
+	}
+	spec := wb.Spec
 	if platform == nil {
 		pcfg := core.DefaultPlatformConfig(spec.Classes, spec.FeatureDim, cfg.Seed+1)
 		pcfg.Epochs = cfg.PlatformEpochs
-		pcfg.Workers = cfg.Workers
 		pcfg.Watchdog = cfg.Watchdog
-		platform, err = core.NewPlatformObserved(inventory, pcfg, cfg.Obs)
+		platform, err = core.NewPlatformObserved(wb.Inventory, pcfg, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
@@ -125,17 +150,6 @@ func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platf
 		// re-attach the caller's.
 		platform.Obs = cfg.Obs
 	}
-
-	ecfg := core.DefaultConfig(cfg.Seed + 2)
-	ecfg.Iterations = iterations
-	ecfg.Workers = cfg.Workers
-	return &Workbench{
-		Preset:    preset,
-		Eta:       eta,
-		Spec:      spec,
-		Platform:  platform,
-		Inventory: inventory,
-		Shards:    shards,
-		ENLDCfg:   ecfg,
-	}, nil
+	wb.Platform = platform
+	return wb, nil
 }

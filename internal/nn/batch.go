@@ -4,71 +4,62 @@ import (
 	"slices"
 
 	"enld/internal/mat"
-	"enld/internal/parallel"
 )
 
-// batchChunk is the fixed batch-chunk size of batch inference: large enough
-// that each weight matrix is loaded once per 64 samples, small enough that a
-// shard split across a pool keeps every worker busy.
+// batchChunk is the fixed batch-chunk size of batch inference: each weight
+// matrix is loaded once per 64 samples.
 const batchChunk = 64
 
 // Evaluator is a reusable batch-inference workspace bound to one network:
-// a worker pool, one BatchScratch per worker and the per-layer Wᵀ panels.
-// Every call repacks the panels in place from the network's current weights
-// (so the network may be trained between calls), splits the inputs into fixed
-// batchChunk pieces, fans them out over the pool — one blocked-GEMM forward
-// pass per piece through the executing worker's scratch — and writes each
-// input's results into that input's slot of caller-owned flat buffers. The
-// partition depends only on len(xs) and the batched kernels are bit-identical
-// to the per-sample forward pass, so results equal a sequential per-sample
-// loop at any worker count.
+// one BatchScratch and the per-layer Wᵀ panels. Every call repacks the
+// panels in place from the network's current weights (so the network may be
+// trained between calls), splits the inputs into batchChunk pieces, runs one
+// blocked-GEMM forward pass per piece and writes each input's results into
+// that input's slot of caller-owned flat buffers. The batched kernels are
+// bit-identical to the per-sample forward pass, so results equal a
+// per-sample loop.
 //
 // After the first call on a given input size nothing is allocated: the
 // scratch, the panels and the outputs are all reused. What that buys is
-// bounded by the owner's lifetime — an Evaluator holds about 0.4 MB per
-// worker for the default architecture, so callers keep one for a burst of
-// passes over one model (core.ENLD: one Detect call) and drop it.
+// bounded by the owner's lifetime — an Evaluator holds about 0.4 MB for the
+// default architecture, so callers keep one for a burst of passes over one
+// model (core.ENLD: one Detect call) and drop it.
 //
 // An Evaluator is for one goroutine at a time. Outputs never alias its
 // internals: a later call disturbs nothing an earlier call returned, except
 // through output buffers the caller itself passes again.
 type Evaluator struct {
 	net     *Network
-	pool    *parallel.Pool
-	scratch []BatchScratch
+	scratch BatchScratch
 	panels  []mat.Matrix
 
-	// task is e.chunk bound once, so handing it to the pool allocates no
-	// closure per call; the fields below are the current call's arguments,
-	// read by the chunk workers and cleared when the call returns.
-	task       func(worker, lo, hi int)
+	// The current call's arguments, read by chunk and cleared when the call
+	// returns.
 	xs, ts     [][]float64
 	preds      []int
 	losses     []float64
 	conf, feat *mat.Matrix
 }
 
-// NewEvaluator returns an inference workspace for net fanning out over
-// workers goroutines (<= 0 selects parallel.DefaultWorkers()).
-func NewEvaluator(net *Network, workers int) *Evaluator {
-	pool := parallel.New(workers)
-	e := &Evaluator{net: net, pool: pool, scratch: make([]BatchScratch, pool.Workers())}
-	e.task = e.chunk
-	return e
+// NewEvaluator returns an inference workspace for net.
+func NewEvaluator(net *Network) *Evaluator {
+	return &Evaluator{net: net}
 }
 
 // run executes one pass over xs with whatever outputs the caller set.
 func (e *Evaluator) run(xs [][]float64) {
 	e.xs = xs
 	e.net.packPanels(&e.panels)
-	e.pool.ForEachChunk(len(xs), batchChunk, e.task)
+	for lo := 0; lo < len(xs); lo += batchChunk {
+		e.chunk(lo, min(lo+batchChunk, len(xs)))
+	}
 	e.xs, e.ts, e.preds, e.losses, e.conf, e.feat = nil, nil, nil, nil, nil, nil
 }
 
-// chunk forwards inputs [lo, hi) through the worker's scratch and fills the
-// requested outputs for exactly those inputs.
-func (e *Evaluator) chunk(worker, lo, hi int) {
-	s := &e.scratch[worker]
+// chunk forwards inputs [lo, hi) through the scratch and fills the requested
+// outputs for exactly those inputs.
+func (e *Evaluator) chunk(lo, hi int) {
+	s := &e.scratch
 	e.net.forwardBatch(s, e.xs[lo:hi], e.panels)
 	logits, feats := s.Logits(), s.Features()
 	for r := 0; r < hi-lo; r++ {
@@ -127,40 +118,41 @@ func (e *Evaluator) LossesInto(dst []float64, xs, targets [][]float64) []float64
 // The helpers below are the one-shot forms: each runs a single pass through
 // a throwaway Evaluator and returns fresh outputs. Callers making repeated
 // passes over one model should hold an Evaluator instead.
-// workers <= 0 selects parallel.DefaultWorkers().
 
 // ConfidencesBatch computes M(x,θ) for every input, one confidence vector
 // per input (rows of one shared backing array).
-func (n *Network) ConfidencesBatch(xs [][]float64, workers int) [][]float64 {
+func (n *Network) ConfidencesBatch(xs [][]float64) [][]float64 {
 	var conf mat.Matrix
-	NewEvaluator(n, workers).EvaluateInto(&conf, nil, xs)
+	NewEvaluator(n).EvaluateInto(&conf, nil, xs)
 	return conf.AppendRows(make([][]float64, 0, len(xs)))
 }
 
 // FeaturesBatch computes M̂(x,θ) for every input, one feature vector per
 // input (rows of one shared backing array).
-func (n *Network) FeaturesBatch(xs [][]float64, workers int) [][]float64 {
+func (n *Network) FeaturesBatch(xs [][]float64) [][]float64 {
 	var feat mat.Matrix
-	NewEvaluator(n, workers).EvaluateInto(nil, &feat, xs)
+	NewEvaluator(n).EvaluateInto(nil, &feat, xs)
 	return feat.AppendRows(make([][]float64, 0, len(xs)))
 }
 
 // EvaluateBatch returns both the confidence and feature vectors, parallel to
 // xs. Detectors scoring a full shard should prefer this over per-sample
 // Evaluate calls.
-func (n *Network) EvaluateBatch(xs [][]float64, workers int) (confs, feats [][]float64) {
+func (n *Network) EvaluateBatch(xs [][]float64) (confs, feats [][]float64) {
 	var conf, feat mat.Matrix
-	NewEvaluator(n, workers).EvaluateInto(&conf, &feat, xs)
+	NewEvaluator(n).EvaluateInto(&conf, &feat, xs)
 	return conf.AppendRows(make([][]float64, 0, len(xs))), feat.AppendRows(make([][]float64, 0, len(xs)))
 }
 
-// PredictBatch returns argmax M(x,θ) for every input.
+// PredictBatch returns argmax M(x,θ) for every input. workers has no
+// effect; it stays only because the benchmark harness still passes it, and
+// ROADMAP 1(b) deletes it in the next benchmark change.
 func (n *Network) PredictBatch(xs [][]float64, workers int) []int {
-	return NewEvaluator(n, workers).PredictInto(nil, xs)
+	return NewEvaluator(n).PredictInto(nil, xs)
 }
 
 // LossesBatch computes the cross-entropy loss of every (xs[i], targets[i])
 // pair, the batched counterpart of a per-sample Loss loop.
-func (n *Network) LossesBatch(xs, targets [][]float64, workers int) []float64 {
-	return NewEvaluator(n, workers).LossesInto(nil, xs, targets)
+func (n *Network) LossesBatch(xs, targets [][]float64) []float64 {
+	return NewEvaluator(n).LossesInto(nil, xs, targets)
 }

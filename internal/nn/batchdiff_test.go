@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"enld/internal/mat"
-	"enld/internal/parallel"
 )
 
 // The differential tests in this file pin the tentpole contract of the blocked
 // GEMM batch kernels: every batched pass — forward, loss, backward, the fused
 // per-chunk gradient pass, full training, and inference through a reused
 // Evaluator — is bit-identical to the per-sample path it replaced, across
-// ragged batch sizes and worker counts. The allocation pins at the end keep
+// ragged batch sizes. The allocation pins at the end keep
 // "steady-state passes allocate nothing" true for every caller.
 
 // diffNet builds a three-hidden-layer network whose layer widths are not
@@ -66,7 +65,7 @@ func TestForwardBatchRaggedBitIdentical(t *testing.T) {
 }
 
 // TestLossBatchBitIdentical checks batched cross-entropy losses against
-// per-sample Loss calls at ragged batch sizes and several worker counts.
+// per-sample Loss calls at ragged batch sizes and through LossesBatch.
 func TestLossBatchBitIdentical(t *testing.T) {
 	net := diffNet(83)
 	xs := diffInputs(90, 84)
@@ -89,12 +88,9 @@ func TestLossBatchBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got := net.LossesBatch(xs, targets, workers)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: loss[%d] %v != %v", workers, i, got[i], want[i])
-			}
+	for i, got := range net.LossesBatch(xs, targets) {
+		if got != want[i] {
+			t.Fatalf("LossesBatch: loss[%d] %v != %v", i, got, want[i])
 		}
 	}
 }
@@ -145,54 +141,51 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 var fusedBatchSizes = []int{1, 7, 16, 17, 31, 32, 33}
 
 // TestFusedChunkPassBitIdentical drives backwardBatchChunked directly: at
-// every batch size × worker count, chunk c's gradient and loss must equal
-// per-sample Backward calls over exactly rows [16c, 16c+16) in row order —
-// the perSample reference's arithmetic — no matter which worker ran the
-// chunk or that forward, loss and backward now share one pool task.
+// every batch size the reduced gradient and loss must equal the perSample
+// reference's arithmetic — per-sample Backward calls over each chunk's rows
+// [16c, 16c+16) in row order, each chunk accumulated from zero and the chunks
+// summed in order onto a cleared gradient — although the pass accumulates
+// chunk 0 straight into the batch gradient and fuses forward, loss and
+// backward per chunk.
 func TestFusedChunkPassBitIdentical(t *testing.T) {
 	net := diffNet(186)
 	rng := mat.NewRNG(187)
-	var s BatchScratch // reused across sizes and pools: growing, shrinking views
+	var s BatchScratch // reused across sizes: growing, shrinking views
+	tmp := net.NewGrads()
 	for _, bs := range fusedBatchSizes {
 		xs := diffInputs(bs, 188+uint64(bs))
 		targets := make([][]float64, bs)
 		for i := range targets {
 			targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
 		}
-		nChunks := (bs + gradChunk - 1) / gradChunk
 		ref := net.Replica()
-		want := make([]*Grads, nChunks)
-		wantLoss := make([]float64, nChunks)
-		for c := range want {
-			want[c] = net.NewGrads()
-			for r := c * gradChunk; r < min((c+1)*gradChunk, bs); r++ {
-				wantLoss[c] += ref.Backward(want[c], xs[r], targets[r])
+		want := net.NewGrads()
+		var wantLoss float64
+		for lo := 0; lo < bs; lo += gradChunk {
+			c := net.NewGrads()
+			var loss float64
+			for r := lo; r < min(lo+gradChunk, bs); r++ {
+				loss += ref.Backward(c, xs[r], targets[r])
 			}
+			want.Add(c)
+			wantLoss += loss
 		}
-		for _, workers := range []int{1, 2, 8} {
-			got := make([]*Grads, nChunks)
-			for c := range got {
-				got[c] = net.NewGrads()
-				got[c].Weights[0].Data[0] = 99 // the pass must zero stale accumulators
-			}
-			gotLoss := make([]float64, nChunks)
-			net.backwardBatchChunked(&s, got, gotLoss, xs, targets, gradChunk, parallel.New(workers))
-			for c := range want {
-				label := fmt.Sprintf("batch=%d/workers=%d/chunk=%d", bs, workers, c)
-				if gotLoss[c] != wantLoss[c] {
-					t.Fatalf("%s: loss %v != %v", label, gotLoss[c], wantLoss[c])
+		tmp.Weights[0].Data[0] = 99 // the pass must zero a stale chunk accumulator
+		got := net.NewGrads()
+		gotLoss := net.backwardBatchChunked(&s, got, tmp, xs, targets)
+		label := fmt.Sprintf("batch=%d", bs)
+		if gotLoss != wantLoss {
+			t.Fatalf("%s: loss %v != %v", label, gotLoss, wantLoss)
+		}
+		for l := range want.Weights {
+			for i, v := range want.Weights[l].Data {
+				if got.Weights[l].Data[i] != v {
+					t.Fatalf("%s: weight grad layer %d index %d: %v != %v", label, l, i, got.Weights[l].Data[i], v)
 				}
-				for l := range want[c].Weights {
-					for i, v := range want[c].Weights[l].Data {
-						if got[c].Weights[l].Data[i] != v {
-							t.Fatalf("%s: weight grad layer %d index %d: %v != %v", label, l, i, got[c].Weights[l].Data[i], v)
-						}
-					}
-					for i, v := range want[c].Biases[l] {
-						if got[c].Biases[l][i] != v {
-							t.Fatalf("%s: bias grad layer %d index %d differs", label, l, i)
-						}
-					}
+			}
+			for i, v := range want.Biases[l] {
+				if got.Biases[l][i] != v {
+					t.Fatalf("%s: bias grad layer %d index %d differs", label, l, i)
 				}
 			}
 		}
@@ -201,7 +194,7 @@ func TestFusedChunkPassBitIdentical(t *testing.T) {
 
 // trainDiff trains a fresh identically-seeded network through either the
 // batched or the per-sample reference gradient path.
-func trainDiff(t *testing.T, perSample bool, workers, batchSize int, mixup bool) *Network {
+func trainDiff(t *testing.T, perSample bool, batchSize int, mixup bool) *Network {
 	t.Helper()
 	examples := twoBlobs(60, 91)
 	net := NewNetwork([]int{2, 13, 9, 2}, mat.NewRNG(92))
@@ -209,7 +202,7 @@ func trainDiff(t *testing.T, perSample bool, workers, batchSize int, mixup bool)
 	tr.perSample = perSample
 	_, err := tr.Run(examples, TrainConfig{
 		Epochs: 3, BatchSize: batchSize, Mixup: mixup, MixupAlpha: 0.2,
-		Seed: 93, Workers: workers,
+		Seed: 93,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,21 +213,18 @@ func trainDiff(t *testing.T, perSample bool, workers, batchSize int, mixup bool)
 // TestTrainerBatchedMatchesPerSampleReference is the training-side tentpole
 // differential test: the fused gradient path must produce bit-identical
 // weights to the per-sample reference path across ragged batch sizes (120
-// samples, so every size but 1 also ends on a short batch), worker counts
-// 1/2/8, with and without mixup.
+// samples, so every size but 1 also ends on a short batch), with and
+// without mixup.
 func TestTrainerBatchedMatchesPerSampleReference(t *testing.T) {
 	for _, mixup := range []bool{false, true} {
 		for _, batchSize := range append([]int{64, 120}, fusedBatchSizes...) {
-			ref := trainDiff(t, true, 1, batchSize, mixup)
-			for _, workers := range []int{1, 2, 8} {
-				got := trainDiff(t, false, workers, batchSize, mixup)
-				label := "plain"
-				if mixup {
-					label = "mixup"
-				}
-				label = fmt.Sprintf("%s/batch=%d/workers=%d", label, batchSize, workers)
-				sameParams(t, label, ref, got)
+			ref := trainDiff(t, true, batchSize, mixup)
+			got := trainDiff(t, false, batchSize, mixup)
+			label := "plain"
+			if mixup {
+				label = "mixup"
 			}
+			sameParams(t, fmt.Sprintf("%s/batch=%d", label, batchSize), ref, got)
 		}
 	}
 }
@@ -274,11 +264,11 @@ func TestForwardBatchInputLengthPanics(t *testing.T) {
 	net.ForwardBatch(&s, [][]float64{make([]float64, 3)})
 }
 
-// TestEvaluatorMatchesHelpersAndPerSample runs ONE Evaluator per worker count
-// through input sets of growing, shrinking and chunk-straddling sizes, with a
-// weight update in between, and checks every output element against both the
-// one-shot wrapper helpers and the per-sample forward pass. Reusing the
-// workspace must never leak a previous call's rows, panels or sizes.
+// TestEvaluatorMatchesHelpersAndPerSample runs ONE Evaluator through input
+// sets of growing, shrinking and chunk-straddling sizes, with a weight update
+// in between, and checks every output element against both the one-shot
+// wrapper helpers and the per-sample forward pass. Reusing the workspace must
+// never leak a previous call's rows, panels or sizes.
 func TestEvaluatorMatchesHelpersAndPerSample(t *testing.T) {
 	net := diffNet(201)
 	all := diffInputs(150, 202)
@@ -287,47 +277,45 @@ func TestEvaluatorMatchesHelpersAndPerSample(t *testing.T) {
 	for i := range targets {
 		targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
 	}
-	for _, workers := range []int{1, 2, 8} {
-		ev := NewEvaluator(net, workers)
-		var conf, feat mat.Matrix
-		var preds []int
-		var losses []float64
-		for step, n := range []int{37, 150, 0, 64, 65, 1, 128} {
-			if step == 3 {
-				// Training between calls: the panels must be repacked.
-				net.Weights[0].Data[step] += 0.25
-				net.Biases[1][0] -= 0.5
+	ev := NewEvaluator(net)
+	var conf, feat mat.Matrix
+	var preds []int
+	var losses []float64
+	for step, n := range []int{37, 150, 0, 64, 65, 1, 128} {
+		if step == 3 {
+			// Training between calls: the panels must be repacked.
+			net.Weights[0].Data[step] += 0.25
+			net.Biases[1][0] -= 0.5
+		}
+		xs, ts := all[:n], targets[:n]
+		ev.EvaluateInto(&conf, &feat, xs)
+		preds = ev.PredictInto(preds, xs)
+		losses = ev.LossesInto(losses, xs, ts)
+		hConf, hFeat := net.EvaluateBatch(xs)
+		hConfOnly, hFeatOnly := net.ConfidencesBatch(xs), net.FeaturesBatch(xs)
+		hPreds, hLosses := net.PredictBatch(xs, 1), net.LossesBatch(xs, ts)
+		if conf.Rows != n || feat.Rows != n || len(preds) != n || len(losses) != n ||
+			len(hConf) != n || len(hFeat) != n || len(hPreds) != n || len(hLosses) != n {
+			t.Fatalf("n=%d: output lengths wrong", n)
+		}
+		for i, x := range xs {
+			label := fmt.Sprintf("n=%d sample %d", n, i)
+			wantC, wantF := net.Evaluate(x)
+			for j, v := range wantC {
+				if conf.Row(i)[j] != v || hConf[i][j] != v || hConfOnly[i][j] != v {
+					t.Fatalf("%s: confidence[%d] differs", label, j)
+				}
 			}
-			xs, ts := all[:n], targets[:n]
-			ev.EvaluateInto(&conf, &feat, xs)
-			preds = ev.PredictInto(preds, xs)
-			losses = ev.LossesInto(losses, xs, ts)
-			hConf, hFeat := net.EvaluateBatch(xs, workers)
-			hConfOnly, hFeatOnly := net.ConfidencesBatch(xs, workers), net.FeaturesBatch(xs, workers)
-			hPreds, hLosses := net.PredictBatch(xs, workers), net.LossesBatch(xs, ts, workers)
-			if conf.Rows != n || feat.Rows != n || len(preds) != n || len(losses) != n ||
-				len(hConf) != n || len(hFeat) != n || len(hPreds) != n || len(hLosses) != n {
-				t.Fatalf("workers=%d n=%d: output lengths wrong", workers, n)
+			for j, v := range wantF {
+				if feat.Row(i)[j] != v || hFeat[i][j] != v || hFeatOnly[i][j] != v {
+					t.Fatalf("%s: feature[%d] differs", label, j)
+				}
 			}
-			for i, x := range xs {
-				label := fmt.Sprintf("workers=%d n=%d sample %d", workers, n, i)
-				wantC, wantF := net.Evaluate(x)
-				for j, v := range wantC {
-					if conf.Row(i)[j] != v || hConf[i][j] != v || hConfOnly[i][j] != v {
-						t.Fatalf("%s: confidence[%d] differs", label, j)
-					}
-				}
-				for j, v := range wantF {
-					if feat.Row(i)[j] != v || hFeat[i][j] != v || hFeatOnly[i][j] != v {
-						t.Fatalf("%s: feature[%d] differs", label, j)
-					}
-				}
-				if want := net.Predict(x); preds[i] != want || hPreds[i] != want {
-					t.Fatalf("%s: prediction differs", label)
-				}
-				if want := net.Loss(x, ts[i]); losses[i] != want || hLosses[i] != want {
-					t.Fatalf("%s: loss differs", label)
-				}
+			if want := net.Predict(x); preds[i] != want || hPreds[i] != want {
+				t.Fatalf("%s: prediction differs", label)
+			}
+			if want := net.Loss(x, ts[i]); losses[i] != want || hLosses[i] != want {
+				t.Fatalf("%s: loss differs", label)
 			}
 		}
 	}
@@ -339,7 +327,7 @@ func TestEvaluatorMatchesHelpersAndPerSample(t *testing.T) {
 func TestEvaluatorOutputsDoNotAlias(t *testing.T) {
 	net := diffNet(211)
 	a, b := diffInputs(70, 212), diffInputs(90, 213)
-	ev := NewEvaluator(net, 2)
+	ev := NewEvaluator(net)
 	var confA, featA, confB, featB mat.Matrix
 	ev.EvaluateInto(&confA, &featA, a)
 	predsA := ev.PredictInto(nil, a)
@@ -358,15 +346,13 @@ func TestEvaluatorOutputsDoNotAlias(t *testing.T) {
 }
 
 // TestSteadyStateAllocations pins the allocation budget of the hot path.
-// Inference through a warmed Evaluator on same-sized input allocates nothing
-// at workers=1 (wider pools add only their goroutine launches). A warmed
-// Trainer.Run epoch allocates the shuffle permutation, the stats slice and
-// one task closure per mini-batch — 4 batches here, so at most 6; before the
-// fused pass it was three closures per layer per batch.
+// Inference through a warmed Evaluator on same-sized input allocates
+// nothing. A warmed Trainer.Run epoch allocates the shuffle permutation and
+// the stats slice, and nothing per mini-batch — 4 batches here.
 func TestSteadyStateAllocations(t *testing.T) {
 	net := diffNet(221)
 	xs := diffInputs(150, 222)
-	ev := NewEvaluator(net, 1)
+	ev := NewEvaluator(net)
 	var conf, feat mat.Matrix
 	preds := ev.PredictInto(nil, xs)
 	ev.EvaluateInto(&conf, &feat, xs)
@@ -382,7 +368,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		examples[i] = Example{X: xs[i], Target: OneHot(i%net.Classes(), net.Classes())}
 	}
 	tr := NewTrainer(net, NewSGD(0.01, 0.9, 0))
-	cfg := TrainConfig{Epochs: 1, BatchSize: 32, Seed: 5, Workers: 1}
+	cfg := TrainConfig{Epochs: 1, BatchSize: 32, Seed: 5}
 	if _, err := tr.Run(examples, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +377,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 6 {
-		t.Errorf("warmed one-epoch Run (4 mini-batches) allocates %v times, want <= 6", n)
+	if n > 2 {
+		t.Errorf("warmed one-epoch Run (4 mini-batches) allocates %v times, want <= 2", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"enld/internal/mat"
-	"enld/internal/parallel"
 )
 
 // BatchScratch holds the activation, pre-activation and delta matrices of a
@@ -12,12 +11,9 @@ import (
 // The zero value is ready to use; buffers grow to the largest batch seen and
 // are reused afterwards, so steady-state batched passes allocate nothing.
 //
-// A BatchScratch belongs to one goroutine at a time *between* passes; during
-// the trainer's fused pass (backwardBatchChunked) the gradient chunks work on
-// disjoint row ranges of one scratch concurrently, which is safe because
-// every row of every matrix is written by exactly one chunk. Concurrent
-// batched passes against the same Network are safe with one scratch per
-// worker: the forward/backward methods only read the network's parameters.
+// A BatchScratch belongs to one goroutine at a time. Concurrent batched
+// passes against the same Network are safe with one scratch per goroutine:
+// the forward/backward methods only read the network's parameters.
 type BatchScratch struct {
 	sizes                 []int
 	capRows, capDeltaRows int
@@ -100,8 +96,8 @@ func (s *BatchScratch) ensure(n *Network, rows int, deltas bool) {
 
 // packPanels packs Wᵀ for every layer into panels (growing the slice as
 // needed, reusing the panel backing arrays). The panels are read-only during
-// forward passes, so one packed set can be shared across any number of
-// workers and batch chunks while the weights stay fixed.
+// forward passes, so one packed set serves every batch chunk while the
+// weights stay fixed.
 func (n *Network) packPanels(panels *[]mat.Matrix) {
 	for len(*panels) < len(n.Weights) {
 		*panels = append(*panels, mat.Matrix{})
@@ -141,8 +137,8 @@ func (n *Network) forwardBatch(s *BatchScratch, xs [][]float64, panels []mat.Mat
 // packs the inputs into s's input rows and leaves the rows' activations and
 // pre-activations in s, which must already be sized for len(xs) rows. Every
 // operation is row-local — each output element is one row's self-contained
-// sequential k-loop against the read-only panels — so disjoint row ranges
-// may run on different goroutines, in any order and at any granularity,
+// sequential k-loop against the read-only panels — so row ranges may run in
+// any order, at any granularity and at any row offset of the scratch,
 // without changing a bit of any row.
 func (n *Network) forwardRows(s *BatchScratch, panels []mat.Matrix, xs [][]float64, lo, hi int) {
 	in := &s.acts[0]
@@ -186,41 +182,34 @@ func (n *Network) BackwardBatch(s *BatchScratch, g *Grads, xs, targets [][]float
 	return n.backwardRows(s, g, targets, 0, len(xs))
 }
 
-// backwardBatchChunked is the trainer's gradient engine: one fused pass per
-// mini-batch over the fixed chunk partition of [0, len(xs)). Chunk c covers
-// rows [c·chunk, min((c+1)·chunk, len(xs))); inside ONE pool task it runs
-// those rows forward through every layer, computes their loss and output
-// deltas, and runs them backward through every layer, leaving the chunk's
-// gradient in chunkGrads[c] (zeroed first) and its summed loss in
-// chunkLoss[c]. The caller reduces both in chunk order. A mini-batch
-// therefore costs one fork-join, not one per layer per direction.
+// backwardBatchChunked is the trainer's gradient engine: it accumulates into
+// g, which the caller has cleared, the gradient of the batch (xs[r],
+// targets[r]) reduced over the fixed gradChunk partition in chunk order (see
+// reduceChunks), and returns the summed loss. The Wᵀ panels are packed once
+// per batch; each chunk then runs forward through every layer, computes its
+// loss and output deltas and runs backward through every layer in one fused
+// pass over a chunk-sized scratch.
 //
-// Bit-identity with per-sample Backward calls in row order, at any worker
-// count:
+// The result is bit-identical to the perSample reference (per-sample
+// Backward calls in row order, reduced by the same reduceChunks):
 //
 //   - the forward pass, the output deltas softmax(logits) − target, the
 //     delta back-propagation and the ReLU gating are all row-local (see
-//     forwardRows), so running them chunk by chunk instead of batch-wide
-//     changes no activation or delta bit;
-//   - a chunk's weight gradient is a GemmTN over row views of exactly the
-//     chunk's delta/activation rows, walking them in increasing row order
-//     like a sequence of per-sample AddOuter calls, and its bias gradient
-//     and loss sum the same rows in the same order;
-//   - a chunk reads only the shared read-only panels and weights and its
-//     own rows of s, and writes only those rows and its own accumulator, so
-//     chunks cannot observe each other;
-//   - the partition depends only on len(xs) and chunk — never on the pool.
-func (n *Network) backwardBatchChunked(s *BatchScratch, chunkGrads []*Grads, chunkLoss []float64, xs, targets [][]float64, chunk int, pool *parallel.Pool) {
+//     forwardRows), so running them chunk by chunk changes no activation or
+//     delta bit;
+//   - a chunk's weight gradient is a GemmTN over exactly the chunk's
+//     delta/activation rows, walking them in increasing row order like a
+//     sequence of per-sample AddOuter calls, and its bias gradient and loss
+//     sum the same rows in the same order.
+func (n *Network) backwardBatchChunked(s *BatchScratch, g, tmp *Grads, xs, targets [][]float64) float64 {
 	if len(targets) != len(xs) {
 		panic("nn: BackwardBatch xs/targets length mismatch")
 	}
-	s.ensure(n, len(xs), true)
+	s.ensure(n, min(gradChunk, len(xs)), true)
 	n.packPanels(&s.panels)
-	pool.ForEachChunk(len(xs), chunk, func(_, lo, hi int) {
-		c := lo / chunk
-		chunkGrads[c].Zero()
-		n.forwardRows(s, s.panels, xs, lo, hi)
-		chunkLoss[c] = n.backwardRows(s, chunkGrads[c], targets, lo, hi)
+	return reduceChunks(len(xs), g, tmp, func(dst *Grads, lo, hi int) float64 {
+		n.forwardRows(s, s.panels, xs[lo:hi], 0, hi-lo)
+		return n.backwardRows(s, dst, targets[lo:hi], 0, hi-lo)
 	})
 }
 

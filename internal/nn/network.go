@@ -221,9 +221,8 @@ func (g *Grads) Zero() {
 	}
 }
 
-// Add accumulates other into g element-wise. The parallel trainer reduces
-// per-chunk gradient accumulators with Add in fixed chunk order, which keeps
-// the reduction bit-identical at any worker count.
+// Add accumulates other into g element-wise. The trainer reduces each
+// batch's chunk gradients with Add in fixed chunk order.
 func (g *Grads) Add(other *Grads) {
 	for l := range g.Weights {
 		mat.Axpy(1, other.Weights[l].Data, g.Weights[l].Data)
@@ -282,12 +281,12 @@ func (n *Network) Clone() *Network {
 }
 
 // Replica returns a network sharing n's parameter storage but owning private
-// scratch buffers. Replicas make the data-parallel hot paths cheap: forward
-// and backward passes only read parameters (Backward accumulates into the
-// caller's Grads), so any number of replicas may run concurrently as long as
-// nothing mutates the parameters during the parallel section. Parameter
-// updates (Optimizer.Step, CopyFrom) write the shared backing arrays in
-// place, so replicas observe them without re-synchronization.
+// scratch buffers. Forward and backward passes only read parameters
+// (Backward accumulates into the caller's Grads), so passes through a
+// replica leave n's scratch untouched, and replicas may run concurrently as
+// long as nothing mutates the parameters meanwhile. Parameter updates
+// (Optimizer.Step, CopyFrom) write the shared backing arrays in place, so
+// replicas observe them without re-synchronization.
 func (n *Network) Replica() *Network {
 	r := &Network{sizes: n.sizes, Weights: n.Weights, Biases: n.Biases}
 	r.allocScratch()

@@ -6,16 +6,16 @@ import (
 	"enld/internal/mat"
 )
 
-// trainWeights trains a fresh, identically seeded network with the given
-// worker count and returns the resulting parameters.
-func trainWeights(t *testing.T, workers int, mixup bool) *Network {
+// trainWeights trains a fresh, identically seeded network through the
+// batched or the per-sample reference gradient path and returns it.
+func trainWeights(t *testing.T, perSample, mixup bool) *Network {
 	t.Helper()
 	examples := twoBlobs(60, 21)
 	net := NewNetwork([]int{2, 16, 8, 2}, mat.NewRNG(22))
 	tr := NewTrainer(net, NewSGD(0.05, 0.9, 1e-4))
+	tr.perSample = perSample
 	_, err := tr.Run(examples, TrainConfig{
 		Epochs: 4, BatchSize: 12, Mixup: mixup, MixupAlpha: 0.2, Seed: 23,
-		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,72 +41,65 @@ func sameParams(t *testing.T, label string, a, b *Network) {
 	}
 }
 
-// TestTrainerParallelBitIdentical is the tentpole differential test: the
-// trained weights must be bit-identical across worker counts 1, 2 and 8,
-// with and without mixup (mixup exercises the sequential pre-draw of RNG
-// values feeding the parallel section).
+// TestTrainerParallelBitIdentical: the chunked trainer's weights are
+// bit-identical to the per-sample reference's, with and without mixup
+// (mixup exercises the RNG draws made before the gradient pass).
 func TestTrainerParallelBitIdentical(t *testing.T) {
 	for _, mixup := range []bool{false, true} {
-		seq := trainWeights(t, 1, mixup)
-		for _, workers := range []int{2, 8} {
-			par := trainWeights(t, workers, mixup)
-			label := "plain"
-			if mixup {
-				label = "mixup"
-			}
-			sameParams(t, label, seq, par)
+		label := "plain"
+		if mixup {
+			label = "mixup"
 		}
+		sameParams(t, label, trainWeights(t, true, mixup), trainWeights(t, false, mixup))
 	}
 }
 
 // TestTrainerParallelStatsIdentical checks the per-epoch stats (loss sums
-// reduced in chunk order) also match across worker counts.
+// reduced in chunk order) of the chunked trainer match the per-sample
+// reference's.
 func TestTrainerParallelStatsIdentical(t *testing.T) {
-	run := func(workers int) []EpochStats {
+	run := func(perSample bool) []EpochStats {
 		examples := twoBlobs(40, 31)
 		net := NewNetwork([]int{2, 8, 2}, mat.NewRNG(32))
 		tr := NewTrainer(net, NewSGD(0.1, 0.9, 0))
-		stats, err := tr.Run(examples, TrainConfig{Epochs: 3, BatchSize: 10, Seed: 33, Workers: workers})
+		tr.perSample = perSample
+		stats, err := tr.Run(examples, TrainConfig{Epochs: 3, BatchSize: 10, Seed: 33})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return stats
 	}
-	seq := run(1)
-	for _, w := range []int{2, 8} {
-		par := run(w)
-		for e := range seq {
-			if seq[e] != par[e] {
-				t.Fatalf("workers=%d epoch %d stats %+v, want %+v", w, e, par[e], seq[e])
-			}
+	ref, got := run(true), run(false)
+	for e := range ref {
+		if ref[e] != got[e] {
+			t.Fatalf("epoch %d stats %+v, want %+v", e, got[e], ref[e])
 		}
 	}
 }
 
 // TestTrainerReusedAcrossRuns exercises the scratch cache: repeated Run
-// calls (the fine-grained NLD pattern: one epoch per call) with varying
-// worker counts must behave like one sequential trainer.
+// calls on one trainer (the fine-grained NLD pattern: one epoch per call),
+// with batch sizes that grow and shrink the cached buffers mid-flight, must
+// behave like a fresh trainer per call sharing the optimizer.
 func TestTrainerReusedAcrossRuns(t *testing.T) {
 	examples := twoBlobs(30, 41)
-	build := func() *Trainer {
-		return NewTrainer(NewNetwork([]int{2, 6, 2}, mat.NewRNG(42)), NewSGD(0.05, 0.9, 0))
-	}
-	seq, par := build(), build()
-	for epoch := 0; epoch < 4; epoch++ {
-		seed := uint64(50 + epoch)
-		if _, err := seq.Run(examples, TrainConfig{Epochs: 1, BatchSize: 8, Seed: seed, Workers: 1}); err != nil {
+	net := func() *Network { return NewNetwork([]int{2, 6, 2}, mat.NewRNG(42)) }
+	reused := NewTrainer(net(), NewSGD(0.05, 0.9, 0))
+	freshNet, freshOpt := net(), NewSGD(0.05, 0.9, 0)
+	for epoch, batchSize := range []int{8, 20, 5, 33} {
+		cfg := TrainConfig{Epochs: 1, BatchSize: batchSize, Seed: uint64(50 + epoch)}
+		if _, err := reused.Run(examples, cfg); err != nil {
 			t.Fatal(err)
 		}
-		workers := 2 + epoch*2 // 2, 4, 6, 8: grows the replica cache mid-flight
-		if _, err := par.Run(examples, TrainConfig{Epochs: 1, BatchSize: 8, Seed: seed, Workers: workers}); err != nil {
+		if _, err := NewTrainer(freshNet, freshOpt).Run(examples, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sameParams(t, "reused", seq.Net, par.Net)
+	sameParams(t, "reused", freshNet, reused.Net)
 }
 
 // TestBatchInferenceMatchesSequential asserts every batch helper equals its
-// per-sample counterpart at several worker counts.
+// per-sample counterpart.
 func TestBatchInferenceMatchesSequential(t *testing.T) {
 	rng := mat.NewRNG(60)
 	net := NewNetwork([]int{6, 12, 5}, rng)
@@ -114,27 +107,25 @@ func TestBatchInferenceMatchesSequential(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormVec(make([]float64, 6), 0, 1)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		confs := net.ConfidencesBatch(xs, workers)
-		feats := net.FeaturesBatch(xs, workers)
-		eConfs, eFeats := net.EvaluateBatch(xs, workers)
-		preds := net.PredictBatch(xs, workers)
-		for i, x := range xs {
-			wantC := net.Confidences(x)
-			wantF := net.Features(x)
-			for j := range wantC {
-				if confs[i][j] != wantC[j] || eConfs[i][j] != wantC[j] {
-					t.Fatalf("workers=%d sample %d: confidence mismatch", workers, i)
-				}
+	confs := net.ConfidencesBatch(xs)
+	feats := net.FeaturesBatch(xs)
+	eConfs, eFeats := net.EvaluateBatch(xs)
+	preds := net.PredictBatch(xs, 1)
+	for i, x := range xs {
+		wantC := net.Confidences(x)
+		wantF := net.Features(x)
+		for j := range wantC {
+			if confs[i][j] != wantC[j] || eConfs[i][j] != wantC[j] {
+				t.Fatalf("sample %d: confidence mismatch", i)
 			}
-			for j := range wantF {
-				if feats[i][j] != wantF[j] || eFeats[i][j] != wantF[j] {
-					t.Fatalf("workers=%d sample %d: feature mismatch", workers, i)
-				}
+		}
+		for j := range wantF {
+			if feats[i][j] != wantF[j] || eFeats[i][j] != wantF[j] {
+				t.Fatalf("sample %d: feature mismatch", i)
 			}
-			if preds[i] != net.Predict(x) {
-				t.Fatalf("workers=%d sample %d: prediction mismatch", workers, i)
-			}
+		}
+		if preds[i] != net.Predict(x) {
+			t.Fatalf("sample %d: prediction mismatch", i)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"enld/internal/mat"
 	"enld/internal/obs"
-	"enld/internal/parallel"
 )
 
 // Example is one training example: an input vector and a target distribution
@@ -45,11 +44,9 @@ type TrainConfig struct {
 	MixupAlpha float64
 	// Seed drives the shuffle order and mixup draws.
 	Seed uint64
-	// Workers bounds the data-parallel gradient workers per batch
-	// (0 = all cores). Trained weights are bit-identical at every worker
-	// count: gradients accumulate over a fixed chunk partition of each batch
-	// and reduce in chunk order, and all randomness (shuffle, mixup draws)
-	// is consumed sequentially outside the parallel section.
+	// Workers has no effect: every batch runs on the calling goroutine.
+	// It stays only because the benchmark harness still sets it; ROADMAP
+	// 1(b) deletes it in the next benchmark change.
 	Workers int
 	// Watchdog enables the numerical-health watchdog with checkpoint
 	// rollback (see WatchdogConfig). The zero value disables it and leaves
@@ -68,13 +65,11 @@ type TrainConfig struct {
 // DefaultMixupAlpha is the paper's Beta-distribution parameter for mixup.
 const DefaultMixupAlpha = 0.2
 
-// gradChunk is the fixed per-batch gradient chunk size. The partition of a
-// batch into gradChunk-sized chunks depends only on the batch length, so the
-// chunk-order reduction yields the same floating-point sum no matter how
-// many workers processed the chunks. The chunk is also the inner dimension of
-// the weight-gradient GemmTN, so it trades register-tile amortization against
-// intra-batch parallelism: 16 keeps two chunks per default 32-sample batch
-// while giving each GEMM twice the accumulation depth of the previous 8.
+// gradChunk is the fixed per-batch gradient chunk size. Each batch's
+// gradient is the chunk-ordered sum of the gradients of its gradChunk-sized
+// chunks, and that partition depends only on the batch length: it defines
+// the trained bits, and the golden hashes pin it. The chunk is also the
+// inner dimension of the weight-gradient GemmTN.
 const gradChunk = 16
 
 // Trainer runs mini-batch training of a Network with a given optimizer.
@@ -87,32 +82,27 @@ type Trainer struct {
 	// Nil leaves the hot path untouched — no handles, no clock reads.
 	Obs *obs.Registry
 
-	grads *Grads
+	grads *Grads // the batch gradient
 
-	// Data-parallel scratch, cached across Run calls: one batch-wide
-	// BatchScratch (the fused pass's gradient chunks work on disjoint row
-	// ranges of it, against its per-batch repacked Wᵀ panels), packed
-	// batch-wide input/target buffers, and one gradient accumulator and loss
-	// cell per batch chunk. scratchNet tracks which network the cached scratch
-	// belongs to so a swapped Net rebuilds it.
+	// Scratch cached across Run calls: one chunk-sized BatchScratch with its
+	// per-batch repacked Wᵀ panels, packed batch-wide input/target buffers,
+	// and the accumulator every chunk after the first builds its gradient
+	// in. scratchNet tracks which network the cached scratch belongs to so a
+	// swapped Net rebuilds it.
 	scratchNet *Network
 	bscratch   *BatchScratch
 	batchXs    [][]float64 // row pointers of the current batch
 	batchTs    [][]float64
 	mixXB      *mat.Matrix // batch-wide packed mixup inputs/targets
 	mixTB      *mat.Matrix
-	chunkGrads []*Grads
-	chunkLoss  []float64
+	chunkGrad  *Grads
 	mixPartner []int
 	mixLambda  []float64
 
-	// perSample switches the chunk workers back to per-sample Backward calls
-	// on replica networks — the reference path the differential tests compare
-	// the batched kernels against.
+	// perSample switches the chunks back to per-sample Backward calls — the
+	// reference path the differential tests compare the batched kernels
+	// against.
 	perSample bool
-	replicas  []*Network
-	mixX      [][]float64 // per-worker single-sample mixup buffers
-	mixT      [][]float64
 
 	// wstats reports what the watchdog did during the last Run.
 	wstats WatchdogStats
@@ -121,11 +111,6 @@ type Trainer struct {
 	// registry they belong to so a swapped Obs re-interns them.
 	obsm   *trainerObs
 	obsReg *obs.Registry
-
-	// pool caches the instrumented worker pool across Run calls:
-	// fine-grained NLD calls Run once per epoch, and instrumenting a fresh
-	// pool costs two labelled registry lookups each time.
-	pool parallel.PoolCache
 }
 
 // trainerObs holds the trainer's pre-interned metric handles, so the batch
@@ -207,14 +192,9 @@ func (t *Trainer) Run(examples []Example, cfg TrainConfig) ([]EpochStats, error)
 		}
 	}
 	t.ensureObs()
-	pool := t.pool.Get(cfg.Workers, t.Obs, "train")
-	maxBatch := cfg.BatchSize
-	if maxBatch > len(examples) {
-		maxBatch = len(examples)
-	}
-	t.ensureScratch(pool.Workers(), maxBatch)
+	t.ensureScratch(min(cfg.BatchSize, len(examples)))
 	if cfg.Watchdog.Enabled {
-		return t.runWatchdog(examples, cfg, alpha, pool)
+		return t.runWatchdog(examples, cfg, alpha)
 	}
 	t.wstats = WatchdogStats{}
 	rng := mat.NewRNG(cfg.Seed)
@@ -224,7 +204,7 @@ func (t *Trainer) Run(examples []Example, cfg TrainConfig) ([]EpochStats, error)
 		if t.obsm != nil {
 			epochStart = time.Now()
 		}
-		st, _ := t.epoch(examples, cfg, alpha, rng, pool, nil, e)
+		st, _ := t.epoch(examples, cfg, alpha, rng, nil, e)
 		if t.obsm != nil {
 			t.obsm.epochSeconds.Observe(time.Since(epochStart).Seconds())
 		}
@@ -253,11 +233,10 @@ func (t *Trainer) WatchdogStats() WatchdogStats { return t.wstats }
 //     resumes from the checkpoint's epoch — up to MaxRollbacks times before
 //     Run gives up and returns the pending ErrUnhealthy.
 //
-// Recovery is deterministic: the checkpoint carries the RNG state, health
-// decisions depend only on chunk-ordered reductions (bit-identical at every
-// worker count), so the same seed yields the same recovery sequence and the
-// same final weights no matter how many workers ran the batches.
-func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64, pool *parallel.Pool) ([]EpochStats, error) {
+// Recovery is deterministic: the checkpoint carries the RNG state and health
+// decisions depend only on chunk-ordered reductions, so the same seed yields
+// the same recovery sequence and the same final weights.
+func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64) ([]EpochStats, error) {
 	wd := cfg.Watchdog.normalized()
 	h := newHealth(wd.Health)
 	ring := newCheckpointRing(wd.RingSize)
@@ -278,7 +257,7 @@ func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64
 		if t.obsm != nil {
 			epochStart = time.Now()
 		}
-		st, herr := t.epoch(examples, cfg, alpha, rng, pool, h, e)
+		st, herr := t.epoch(examples, cfg, alpha, rng, h, e)
 		if herr == nil {
 			herr = h.observeEpoch(e, st.MeanLoss, t.Net)
 		}
@@ -331,14 +310,13 @@ func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64
 	return stats, nil
 }
 
-// ensureScratch sizes the batch-wide scratch and per-chunk accumulators
-// for batches up to maxBatch samples. Scratch is cached across Run calls (the
-// fine-grained NLD loop calls Run once per epoch) and invalidated when Net
-// is swapped.
-func (t *Trainer) ensureScratch(workers, maxBatch int) {
+// ensureScratch sizes the batch-wide buffers for batches up to maxBatch
+// samples. Scratch is cached across Run calls (the fine-grained NLD loop
+// calls Run once per epoch) and invalidated when Net is swapped.
+func (t *Trainer) ensureScratch(maxBatch int) {
 	if t.scratchNet != t.Net {
 		t.bscratch, t.batchXs, t.batchTs, t.mixXB, t.mixTB = nil, nil, nil, nil, nil
-		t.replicas, t.chunkGrads, t.mixX, t.mixT = nil, nil, nil, nil
+		t.chunkGrad = t.Net.NewGrads()
 		t.scratchNet = t.Net
 	}
 	if t.bscratch == nil {
@@ -350,49 +328,24 @@ func (t *Trainer) ensureScratch(workers, maxBatch int) {
 		t.mixXB = mat.NewMatrix(maxBatch, t.Net.InputDim())
 		t.mixTB = mat.NewMatrix(maxBatch, t.Net.Classes())
 	}
-	if t.perSample {
-		if len(t.replicas) == 0 {
-			// Worker 0 is the network itself, so the single-worker path runs
-			// on exactly the buffers a sequential trainer would use.
-			t.replicas = append(t.replicas, t.Net)
-		}
-		for len(t.replicas) < workers {
-			t.replicas = append(t.replicas, t.Net.Replica())
-		}
-		for len(t.mixX) < workers {
-			t.mixX = append(t.mixX, make([]float64, t.Net.InputDim()))
-			t.mixT = append(t.mixT, make([]float64, t.Net.Classes()))
-		}
-	}
-	maxChunks := (maxBatch + gradChunk - 1) / gradChunk
-	for len(t.chunkGrads) < maxChunks {
-		t.chunkGrads = append(t.chunkGrads, t.Net.NewGrads())
-	}
-	if len(t.chunkLoss) < maxChunks {
-		t.chunkLoss = make([]float64, maxChunks)
-	}
 	if len(t.mixPartner) < maxBatch {
 		t.mixPartner = make([]int, maxBatch)
 		t.mixLambda = make([]float64, maxBatch)
 	}
 }
 
-// epoch runs one pass over the data. Each batch is one fused pass
-// (backwardBatchChunked): every fixed gradChunk-sized row range runs forward,
-// loss and backward inside a single pool task against per-batch packed Wᵀ
-// panels, accumulating into its own per-chunk buffer, and the buffers are
-// then reduced in index order. The result is bit-identical to a one-worker
-// per-sample run: the batched kernels preserve the per-sample accumulation
-// order within a chunk (see backwardBatchChunked), the chunk partition and
-// reduction order never depend on the worker count, and the RNG (shuffle
-// and mixup draws) is consumed sequentially before the parallel section.
+// epoch runs one pass over the data. Each batch's inputs are packed (mixed
+// into the batch-wide mixup buffers when mixup is on), then its gradient is
+// reduced over the fixed gradChunk partition in chunk order (reduceChunks),
+// each chunk one fused forward/loss/backward pass (backwardBatchChunked).
+// The result is bit-identical to the per-sample reference path: the batched
+// kernels preserve the per-sample accumulation order within a chunk, and
+// both paths share the partition and the reduction order.
 //
 // With a non-nil health checker, each batch's reduced loss is validated and
 // the reduced gradient and updated weights are scanned at the configured
 // cadence; the first failed check aborts the epoch with a HealthError.
-// Health decisions read only chunk-ordered reductions, so they are
-// bit-identical at every worker count.
-func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng *mat.RNG, pool *parallel.Pool, h *health, e int) (EpochStats, error) {
+func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng *mat.RNG, h *health, e int) (EpochStats, error) {
 	order := rng.Perm(len(examples))
 	var st EpochStats
 	var lossSum float64
@@ -406,6 +359,8 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 		if t.obsm != nil {
 			batchStart = time.Now()
 		}
+		xs := t.batchXs[:len(batch)]
+		ts := t.batchTs[:len(batch)]
 		if cfg.Mixup {
 			// Mix with a uniformly chosen partner (Eq. 1–2):
 			//   x̂ = λ·x_i + (1−λ)·x_j,  ŷ = λ·y_i + (1−λ)·y_j.
@@ -414,39 +369,30 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 				t.mixLambda[i] = rng.Beta(alpha, alpha)
 			}
 		}
-		nChunks := (len(batch) + gradChunk - 1) / gradChunk
-		if t.perSample {
-			pool.ForEachChunk(len(batch), gradChunk, func(worker, lo, hi int) {
-				c := lo / gradChunk
-				g := t.chunkGrads[c]
-				g.Zero()
-				t.chunkLoss[c] = t.perSampleChunk(g, examples, batch, cfg.Mixup, worker, lo, hi)
-			})
-		} else {
-			// Pack the batch's row pointers (mixing into the batch-wide mixup
-			// buffers) sequentially, then run the fused pass — one pool task
-			// per gradient chunk.
-			xs := t.batchXs[:len(batch)]
-			ts := t.batchTs[:len(batch)]
-			for i, idx := range batch {
-				ex := examples[idx]
-				if cfg.Mixup {
-					partner := examples[t.mixPartner[i]]
-					mx, mt := t.mixXB.Row(i), t.mixTB.Row(i)
-					mat.Lerp(mx, ex.X, partner.X, t.mixLambda[i])
-					mat.Lerp(mt, ex.Target, partner.Target, t.mixLambda[i])
-					xs[i], ts[i] = mx, mt
-				} else {
-					xs[i], ts[i] = ex.X, ex.Target
-				}
+		for i, idx := range batch {
+			ex := examples[idx]
+			if cfg.Mixup {
+				partner := examples[t.mixPartner[i]]
+				mx, mt := t.mixXB.Row(i), t.mixTB.Row(i)
+				mat.Lerp(mx, ex.X, partner.X, t.mixLambda[i])
+				mat.Lerp(mt, ex.Target, partner.Target, t.mixLambda[i])
+				xs[i], ts[i] = mx, mt
+			} else {
+				xs[i], ts[i] = ex.X, ex.Target
 			}
-			t.Net.backwardBatchChunked(t.bscratch, t.chunkGrads, t.chunkLoss, xs, ts, gradChunk, pool)
 		}
 		t.grads.Zero()
 		var batchLoss float64
-		for c := 0; c < nChunks; c++ {
-			t.grads.Add(t.chunkGrads[c])
-			batchLoss += t.chunkLoss[c]
+		if t.perSample {
+			batchLoss = reduceChunks(len(batch), t.grads, t.chunkGrad, func(g *Grads, lo, hi int) float64 {
+				var loss float64
+				for i := lo; i < hi; i++ {
+					loss += t.Net.Backward(g, xs[i], ts[i])
+				}
+				return loss
+			})
+		} else {
+			batchLoss = t.Net.backwardBatchChunked(t.bscratch, t.grads, t.chunkGrad, xs, ts)
 		}
 		lossSum += batchLoss
 		st.SamplesSeen += len(batch)
@@ -468,23 +414,25 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 	return st, nil
 }
 
-// perSampleChunk is the pre-batching reference path: per-sample Backward
-// calls on a replica network, accumulating the chunk's gradient and loss one
-// sample at a time. The differential tests flip Trainer.perSample to prove
-// the batched path reproduces it bit for bit.
-func (t *Trainer) perSampleChunk(g *Grads, examples []Example, batch []int, mixup bool, worker, lo, hi int) float64 {
-	net := t.replicas[worker]
+// reduceChunks accumulates into g, which the caller has cleared, the
+// gradient of rows [0, n) as the chunk-ordered sum over the fixed gradChunk
+// partition, and returns the chunk losses summed in the same order.
+// chunk(dst, lo, hi) adds the gradient of rows [lo, hi) into dst and returns
+// their summed loss. Chunk 0 accumulates straight into g — an accumulator
+// that starts at +0 never reaches −0 under round-to-nearest, so 0 + c₀ equals
+// c₀ bit for bit — and every later chunk accumulates from zero in tmp, which
+// is then added into g.
+func reduceChunks(n int, g, tmp *Grads, chunk func(dst *Grads, lo, hi int) float64) float64 {
 	var loss float64
-	for i := lo; i < hi; i++ {
-		ex := examples[batch[i]]
-		if mixup {
-			partner := examples[t.mixPartner[i]]
-			mat.Lerp(t.mixX[worker], ex.X, partner.X, t.mixLambda[i])
-			mat.Lerp(t.mixT[worker], ex.Target, partner.Target, t.mixLambda[i])
-			loss += net.Backward(g, t.mixX[worker], t.mixT[worker])
-		} else {
-			loss += net.Backward(g, ex.X, ex.Target)
+	for lo := 0; lo < n; lo += gradChunk {
+		hi := min(lo+gradChunk, n)
+		if lo == 0 {
+			loss += chunk(g, lo, hi)
+			continue
 		}
+		tmp.Zero()
+		loss += chunk(tmp, lo, hi)
+		g.Add(tmp)
 	}
 	return loss
 }

@@ -21,18 +21,21 @@ func pokeNaNOnce(at int) func(int, *Network) {
 	}
 }
 
-func watchdogRun(t *testing.T, workers int, hook func(int, *Network)) ([]float64, WatchdogStats, []EpochStats) {
+// watchdogRun trains through the batched or the per-sample reference
+// gradient path with the watchdog on and returns the flattened weights.
+func watchdogRun(t *testing.T, perSample bool, hook func(int, *Network)) ([]float64, WatchdogStats, []EpochStats) {
 	t.Helper()
 	examples := twoBlobs(120, 3)
 	net := NewNetwork([]int{2, 8, 2}, mat.NewRNG(2))
 	tr := NewTrainer(net, NewSGD(0.1, 0.9, 0))
+	tr.perSample = perSample
 	stats, err := tr.Run(examples, TrainConfig{
-		Epochs: 8, BatchSize: 16, Seed: 7, Workers: workers,
+		Epochs: 8, BatchSize: 16, Seed: 7,
 		Watchdog:   WatchdogConfig{Enabled: true},
 		AfterEpoch: hook,
 	})
 	if err != nil {
-		t.Fatalf("watchdog run (workers=%d): %v", workers, err)
+		t.Fatalf("watchdog run (perSample=%v): %v", perSample, err)
 	}
 	var flat []float64
 	for l, w := range net.Weights {
@@ -43,7 +46,7 @@ func watchdogRun(t *testing.T, workers int, hook func(int, *Network)) ([]float64
 }
 
 func TestWatchdogRollsBackFromNaNPoke(t *testing.T) {
-	weights, st, stats := watchdogRun(t, 1, pokeNaNOnce(2))
+	weights, st, stats := watchdogRun(t, false, pokeNaNOnce(2))
 	if st.Rollbacks != 1 {
 		t.Fatalf("rollbacks = %d, want 1", st.Rollbacks)
 	}
@@ -63,18 +66,19 @@ func TestWatchdogRollsBackFromNaNPoke(t *testing.T) {
 }
 
 // TestWatchdogRecoveryDeterministicAcrossWorkers is the acceptance check:
-// the same seed and the same injected fault yield bit-identical recovered
-// weights at every worker count.
+// the same seed and the same injected fault yield the same recovery and
+// bit-identical recovered weights on every run, and the batched gradient
+// path recovers exactly like the per-sample reference.
 func TestWatchdogRecoveryDeterministicAcrossWorkers(t *testing.T) {
-	ref, refStats, _ := watchdogRun(t, 1, pokeNaNOnce(2))
-	for _, workers := range []int{2, 8} {
-		got, st, _ := watchdogRun(t, workers, pokeNaNOnce(2))
+	ref, refStats, _ := watchdogRun(t, true, pokeNaNOnce(2))
+	for run := 0; run < 2; run++ {
+		got, st, _ := watchdogRun(t, false, pokeNaNOnce(2))
 		if st != refStats {
-			t.Fatalf("workers=%d watchdog stats %+v != %+v", workers, st, refStats)
+			t.Fatalf("run %d: watchdog stats %+v != %+v", run, st, refStats)
 		}
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Fatalf("workers=%d weight %d differs: %v != %v", workers, i, got[i], ref[i])
+				t.Fatalf("run %d: weight %d differs: %v != %v", run, i, got[i], ref[i])
 			}
 		}
 	}
@@ -154,7 +158,7 @@ func TestWatchdogBudgetExhaustedSurfacesErrUnhealthy(t *testing.T) {
 }
 
 func TestWatchdogHealthyRunTakesCheckpointsOnly(t *testing.T) {
-	_, st, stats := watchdogRun(t, 1, nil)
+	_, st, stats := watchdogRun(t, false, nil)
 	if st.Rollbacks != 0 || st.VerifyFailures != 0 {
 		t.Fatalf("healthy run recovered: %+v", st)
 	}

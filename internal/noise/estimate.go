@@ -15,7 +15,8 @@ type Classifier interface {
 // BatchClassifier is the batched fast path: models that can predict a whole
 // input slice in one call (internal/nn.Network's blocked-GEMM batch kernels).
 // EstimateJoint prefers it when available; predictions must equal per-sample
-// Predict calls.
+// Predict calls. The int argument is nn.Network.PredictBatch's worker count,
+// which has no effect.
 type BatchClassifier interface {
 	PredictBatch(xs [][]float64, workers int) []int
 }
@@ -29,14 +30,6 @@ type Joint [][]int
 // predicted label and the true label share a distribution. Samples with
 // missing labels are skipped.
 func EstimateJoint(s dataset.Set, model Classifier, classes int) (Joint, error) {
-	return EstimateJointParallel(s, model, classes, 1)
-}
-
-// EstimateJointParallel is EstimateJoint with the model forward passes run in
-// batches over the given worker count (0 = all cores) when the model supports
-// it. Counts are identical at every worker count: predictions land in
-// per-sample slots and the joint is accumulated sequentially.
-func EstimateJointParallel(s dataset.Set, model Classifier, classes, workers int) (Joint, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("noise: estimate with %d classes", classes)
 	}
@@ -58,7 +51,7 @@ func EstimateJointParallel(s dataset.Set, model Classifier, classes, workers int
 	}
 	var preds []int
 	if bc, ok := model.(BatchClassifier); ok {
-		preds = bc.PredictBatch(xs, workers)
+		preds = bc.PredictBatch(xs, 1)
 	} else {
 		preds = make([]int, len(xs))
 		for i, x := range xs {

@@ -69,31 +69,3 @@ func TestBusyGaugeDuringRun(t *testing.T) {
 		t.Fatal("busy gauge never observed a running worker")
 	}
 }
-
-// TestPoolCacheKeyedByWorkersAndRegistry: the cache hands back the same pool
-// while (workers, registry) hold, and a fresh, correctly instrumented one
-// when either changes.
-func TestPoolCacheKeyedByWorkersAndRegistry(t *testing.T) {
-	var c PoolCache
-	regA, regB := obs.NewRegistry(), obs.NewRegistry()
-	p := c.Get(3, regA, "test")
-	if p.Workers() != 3 || c.Get(3, regA, "test") != p {
-		t.Fatal("same key did not return the cached 3-worker pool")
-	}
-	if q := c.Get(2, regA, "test"); q == p || q.Workers() != 2 {
-		t.Fatal("changed worker count kept the old pool")
-	}
-	q := c.Get(2, regB, "test")
-	q.ForEachChunk(10, 5, func(_, _, _ int) {})
-	count := func(reg *obs.Registry) uint64 {
-		return reg.Counter("enld_pool_tasks_total",
-			"Chunks executed by the worker pool, by pool name.",
-			obs.Label{Key: "pool", Value: "test"}).Value()
-	}
-	if count(regB) != 2 || count(regA) != 0 {
-		t.Fatalf("swapped registry not honoured: A=%d B=%d chunks", count(regA), count(regB))
-	}
-	if c.Get(0, nil, "test").Workers() != DefaultWorkers() {
-		t.Fatal("workers <= 0 did not select DefaultWorkers")
-	}
-}

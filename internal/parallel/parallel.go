@@ -1,17 +1,10 @@
-// Package parallel provides the deterministic worker-pool core behind every
-// data-parallel hot path in this repository: mini-batch gradient computation
-// (nn.Trainer), batch inference (nn.Network.EvaluateBatch and friends), the
-// k-NN fan-out of contrastive sampling, concurrent experiment execution and
-// the lake service's task workers.
+// Package parallel provides the worker pool behind this repository's
+// inter-task parallelism: the lake service's task workers and concurrent
+// experiment execution. A detection task itself runs on one goroutine.
 //
-// The central contract is *static chunking*: ForEachChunk partitions an index
-// range into fixed contiguous chunks whose boundaries depend only on the
-// range length and the chunk size — never on the worker count. Callers that
-// accumulate floating-point state per chunk and reduce the chunks in index
-// order therefore obtain bit-identical results at any worker count, which is
-// what makes the parallel training, inference and sampling paths provably
-// equivalent to their sequential counterparts (see the differential tests in
-// internal/nn, internal/sampling and internal/core).
+// ForEachChunk partitions an index range into fixed contiguous chunks whose
+// boundaries depend only on the range length and the chunk size — never on
+// the worker count.
 //
 // Worker panics are captured and re-raised on the calling goroutine as a
 // *WorkerPanic carrying the original value and the worker's stack, so a
@@ -64,7 +57,7 @@ func (p *Pool) Workers() int { return p.workers }
 // body. A nil registry leaves the pool uninstrumented (nil handles are
 // no-ops). Returns the pool for chaining:
 //
-//	pool := parallel.New(workers).Instrument(reg, "train")
+//	pool := parallel.New(workers).Instrument(reg, "lake")
 func (p *Pool) Instrument(reg *obs.Registry, name string) *Pool {
 	p.tasks = reg.Counter("enld_pool_tasks_total",
 		"Chunks executed by the worker pool, by pool name.",
@@ -73,32 +66,6 @@ func (p *Pool) Instrument(reg *obs.Registry, name string) *Pool {
 		"Workers currently executing, by pool name.",
 		obs.Label{Key: "pool", Value: name})
 	return p
-}
-
-// PoolCache memoises one instrumented pool for callers that are asked for
-// the same (workers, registry) over and over — the trainer once per epoch,
-// contrastive sampling once per iteration — so the labelled registry lookups
-// of Instrument are paid when the key changes, not per call. The zero value
-// is ready to use; a PoolCache belongs to one goroutine at a time, like the
-// trainer or request that embeds it.
-type PoolCache struct {
-	pool    *Pool
-	workers int
-	reg     *obs.Registry
-}
-
-// Get returns a pool of the given size (non-positive selects DefaultWorkers,
-// resolved at every call so a GOMAXPROCS change is seen) instrumented
-// against reg under name, reusing the previous one when both still match.
-func (c *PoolCache) Get(workers int, reg *obs.Registry, name string) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if c.pool == nil || c.workers != workers || c.reg != reg {
-		c.pool = New(workers).Instrument(reg, name)
-		c.workers, c.reg = workers, reg
-	}
-	return c.pool
 }
 
 // WorkerPanic is the panic value re-raised by a pool call when one of its
@@ -243,23 +210,6 @@ func (p *Pool) ForEachChunk(n, chunkSize int, fn func(worker, lo, hi int)) {
 				hi = n
 			}
 			fn(id, lo, hi)
-		}
-	})
-}
-
-// ForEach calls fn(worker, i) for every i in [0, n), distributing indices
-// over the pool in contiguous blocks. Unlike ForEachChunk, the block
-// boundaries here DO depend on the worker count, so ForEach is only for
-// per-index independent work (each index writes its own output slot);
-// callers needing order-sensitive reduction must use ForEachChunk.
-func (p *Pool) ForEach(n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	block := (n + p.workers - 1) / p.workers
-	p.ForEachChunk(n, block, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
 		}
 	})
 }

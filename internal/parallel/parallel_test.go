@@ -77,24 +77,6 @@ func TestForEachChunkPartitionIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestForEachCoversEveryIndexOnce is the ForEach analogue of the chunk
-// coverage test.
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 7, 16, 101} {
-		for _, w := range []int{1, 2, 5, 8} {
-			visits := make([]int32, n)
-			New(w).ForEach(n, func(worker, i int) {
-				atomic.AddInt32(&visits[i], 1)
-			})
-			for i, v := range visits {
-				if v != 1 {
-					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, v)
-				}
-			}
-		}
-	}
-}
-
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	if got := New(0).Workers(); got != DefaultWorkers() {
 		t.Fatalf("New(0).Workers() = %d, want %d", got, DefaultWorkers())

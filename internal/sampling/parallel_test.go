@@ -9,10 +9,10 @@ import (
 	"enld/internal/noise"
 )
 
-// bigRequest builds a request with three label clusters, enough ambiguous
-// samples that the parallel fan-out spans several chunks, and a genuinely
-// noisy conditional so the sequential label pre-draws are load-bearing.
-func bigRequest(k int, workers int) *Request {
+// bigRequest builds a request with three label clusters, 33 ambiguous
+// samples and a genuinely noisy conditional, so the label pre-draws are
+// load-bearing.
+func bigRequest(k int) *Request {
 	rng := mat.NewRNG(90)
 	centers := [][]float64{{0, 0}, {8, 0}, {0, 8}}
 	pool := dataset.Set{}
@@ -54,58 +54,64 @@ func bigRequest(k int, workers int) *Request {
 		Cond:              cond,
 		K:                 k,
 		RNG:               mat.NewRNG(91),
-		Workers:           workers,
 	}
 }
 
-// TestContrastiveParallelIdentical is the sampling differential test: the
-// selection (IDs, order) and the cost-meter counts must be identical at
-// worker counts 1, 2 and 8 for every Contrastive variant.
+// sameSelection asserts two selections hold the same samples in the same
+// order.
+func sameSelection(t *testing.T, label string, got, want dataset.Set) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d selections, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Observed != want[i].Observed {
+			t.Fatalf("%s: selection %d is sample %d, want %d", label, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+// TestContrastiveParallelIdentical is the sampling differential test: on a
+// noisy request, every Contrastive variant's selection (IDs, order) and
+// cost-meter counts are reproducible from the seed, and the KD-tree index
+// selects exactly what the brute-force scan selects.
 func TestContrastiveParallelIdentical(t *testing.T) {
-	variants := []Contrastive{{}, {SameLabel: true}, {Brute: true}}
-	for _, c := range variants {
-		run := func(workers int) (dataset.Set, cost.Meter) {
-			r := bigRequest(3, workers)
-			var m cost.Meter
-			r.Meter = &m
-			got, err := c.Select(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got, m
+	run := func(c Contrastive) (dataset.Set, cost.Meter) {
+		r := bigRequest(3)
+		var m cost.Meter
+		r.Meter = &m
+		got, err := c.Select(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, seqMeter := run(1)
-		if len(seq) == 0 {
-			t.Fatalf("%s: sequential run selected nothing", c.Name())
+		return got, m
+	}
+	for _, c := range []Contrastive{{}, {SameLabel: true}, {Brute: true}} {
+		first, firstMeter := run(c)
+		if len(first) == 0 {
+			t.Fatalf("%s: selected nothing", c.Name())
 		}
-		for _, workers := range []int{2, 8} {
-			par, parMeter := run(workers)
-			if len(par) != len(seq) {
-				t.Fatalf("%s workers=%d: %d selections, want %d", c.Name(), workers, len(par), len(seq))
-			}
-			for i := range seq {
-				if par[i].ID != seq[i].ID || par[i].Observed != seq[i].Observed {
-					t.Fatalf("%s workers=%d: selection %d is sample %d, want %d",
-						c.Name(), workers, i, par[i].ID, seq[i].ID)
-				}
-			}
-			if parMeter != seqMeter {
-				t.Fatalf("%s workers=%d: meter %+v, want %+v", c.Name(), workers, parMeter, seqMeter)
-			}
+		again, againMeter := run(c)
+		sameSelection(t, c.Name()+" rerun", again, first)
+		if againMeter != firstMeter {
+			t.Fatalf("%s: rerun meter %+v, want %+v", c.Name(), againMeter, firstMeter)
 		}
+	}
+	kd, kdMeter := run(Contrastive{})
+	brute, bruteMeter := run(Contrastive{Brute: true})
+	sameSelection(t, "kd-tree vs brute", kd, brute)
+	if kdMeter != bruteMeter {
+		t.Fatalf("kd-tree meter %+v, brute %+v", kdMeter, bruteMeter)
 	}
 }
 
-// TestContrastiveParallelEmptyAmbiguous pins the no-op edge case at several
-// worker counts.
+// TestContrastiveParallelEmptyAmbiguous pins the no-op edge case.
 func TestContrastiveParallelEmptyAmbiguous(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		r := bigRequest(2, workers)
-		r.Ambiguous = nil
-		r.AmbiguousFeatures = nil
-		got, err := Contrastive{}.Select(r)
-		if err != nil || got != nil {
-			t.Fatalf("workers=%d: %v, %v", workers, got, err)
-		}
+	r := bigRequest(2)
+	r.Ambiguous = nil
+	r.AmbiguousFeatures = nil
+	got, err := Contrastive{}.Select(r)
+	if err != nil || got != nil {
+		t.Fatalf("%v, %v", got, err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"enld/internal/mat"
 	"enld/internal/noise"
 	"enld/internal/obs"
-	"enld/internal/parallel"
 )
 
 // Request carries everything a strategy may need. Feature and confidence
@@ -71,20 +70,8 @@ type Request struct {
 
 	// Obs, when set, receives phase spans ("detect/estimate" for the
 	// conditional-probability label draws, "detect/knn" for index build and
-	// neighbor queries) and instruments the k-NN worker pool. Nil disables
-	// all of it.
+	// neighbor queries). Nil disables them.
 	Obs *obs.Registry
-
-	// Workers bounds the parallel k-NN fan-out over ambiguous samples
-	// (0 = all cores). Selection is identical at every worker count: the
-	// label draws are consumed from the RNG sequentially before the
-	// parallel section, each ambiguous sample's neighbors are written to
-	// its own slot, and the result is assembled in input order.
-	Workers int
-
-	// knn caches the instrumented k-NN pool, so a refilled Request pays the
-	// labelled registry lookups once, not per Select.
-	knn parallel.PoolCache
 }
 
 // Validate checks the request's internal consistency.
@@ -187,10 +174,9 @@ func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 	for l := range byLabel {
 		poolLabels[l] = true
 	}
-	// Draw every candidate label sequentially first so the RNG stream is
-	// consumed in input order regardless of how the queries are scheduled.
-	// (The index build below consumes no randomness, so drawing before it
-	// leaves the RNG stream unchanged.)
+	// Draw every candidate label first, in input order, so the estimate
+	// span covers exactly the draws. (The index build below consumes no
+	// randomness, so drawing before it leaves the RNG stream unchanged.)
 	estSpan := r.Obs.StartSpan("detect/estimate")
 	draws := make([]int, len(r.Ambiguous))
 	for i, smp := range r.Ambiguous {
@@ -202,59 +188,35 @@ func (c Contrastive) Select(r *Request) (dataset.Set, error) {
 	}
 	estSpan.End()
 	// Build one KD-tree per label unless running the brute-force ablation,
-	// then fan the k-NN queries out across workers. Each worker reuses its
-	// own scratch (no per-query allocation) and writes each sample's
-	// neighbors to that sample's slot, so assembly order is fixed.
+	// then query each ambiguous sample's neighbors in input order through
+	// one reused scratch (no per-query allocation).
 	knnSpan := r.Obs.StartSpan("detect/knn")
 	defer knnSpan.End()
-	pool := r.knn.Get(r.Workers, r.Obs, "knn")
 	var index *kdtree.ClassIndex
-	var scratch []kdtree.Scratch
 	if !c.Brute {
 		var err error
-		index, err = kdtree.BuildClassIndex(byLabel)
-		if err != nil {
+		if index, err = kdtree.BuildClassIndex(byLabel); err != nil {
 			return nil, err
 		}
-		scratch = make([]kdtree.Scratch, pool.Workers())
 	}
-	perSample := make([]dataset.Set, len(r.Ambiguous))
-	errs := make([]error, pool.Workers())
-	pool.ForEach(len(r.Ambiguous), func(worker, i int) {
-		if errs[worker] != nil {
-			return
-		}
-		j := draws[i]
+	var scratch kdtree.Scratch
+	out := make(dataset.Set, 0, r.K*len(r.Ambiguous))
+	for i, j := range draws {
 		var nbrs []kdtree.Neighbor
-		var err error
 		if c.Brute {
 			nbrs = kdtree.BruteKNearest(byLabel[j], r.AmbiguousFeatures[i], r.K)
 		} else {
-			nbrs, err = index.KNearestInto(&scratch[worker], j, r.AmbiguousFeatures[i], r.K)
-		}
-		if err != nil {
-			errs[worker] = err
-			return
-		}
-		if len(nbrs) > 0 {
-			sel := make(dataset.Set, len(nbrs))
-			for n, nb := range nbrs {
-				sel[n] = r.Pool[nb.Point.Payload]
+			var err error
+			if nbrs, err = index.KNearestInto(&scratch, j, r.AmbiguousFeatures[i], r.K); err != nil {
+				return nil, err
 			}
-			perSample[i] = sel
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		for _, nb := range nbrs {
+			out = append(out, r.Pool[nb.Point.Payload])
 		}
 	}
 	if r.Meter != nil {
 		r.Meter.KNNQueries += int64(len(r.Ambiguous))
-	}
-	out := make(dataset.Set, 0, r.K*len(r.Ambiguous))
-	for _, sel := range perSample {
-		out = append(out, sel...)
 	}
 	return out, nil
 }

@@ -35,16 +35,14 @@ import (
 // Config is one system under test.
 type Config struct {
 	// The platform: workload preset, inventory noise rate, dataset size
-	// factor (0 = 1), seed, incremental dataset count (0 = the preset's),
-	// data-parallel workers inside each task (0 = all cores) and the
-	// training watchdog.
-	Preset      string
-	Eta         float64
-	Scale       float64
-	Seed        uint64
-	Datasets    int
-	TaskWorkers int
-	Watchdog    nn.WatchdogConfig
+	// factor (0 = 1), seed, incremental dataset count (0 = the preset's) and
+	// the training watchdog.
+	Preset   string
+	Eta      float64
+	Scale    float64
+	Seed     uint64
+	Datasets int
+	Watchdog nn.WatchdogConfig
 	// PlatformFile, unless a journal store holds the platform, is loaded
 	// instead of running setup when it exists and written after setup
 	// otherwise.
@@ -77,7 +75,9 @@ type Config struct {
 	// Topology: Shards > 0 runs that many in-process shard workers, named
 	// shard-i (or ShardName, when Shards is 1), behind a coordinator;
 	// Remote puts the coordinator over HTTP shard workers at these base
-	// URLs instead. Neither means one bare lake.Service.
+	// URLs instead, and sets up no platform: the coordinator runs no
+	// detector, so it builds only the feed datasets. Neither means one bare
+	// lake.Service.
 	Shards    int
 	ShardName string
 	Remote    []string
@@ -107,8 +107,15 @@ type Stack struct {
 }
 
 // Build stands up the stack cfg describes. On error everything it opened is
-// closed again.
+// closed again. An unknown method or an invalid topology is refused before
+// anything is set up.
 func Build(cfg Config) (_ *Stack, err error) {
+	if !slices.Contains(experiments.MethodNames, cfg.Method) {
+		return nil, fmt.Errorf("unknown method %q (have %v)", cfg.Method, experiments.MethodNames)
+	}
+	if cfg.Shards > 0 && len(cfg.Remote) > 0 {
+		return nil, errors.New("in-process shards and remote shards are exclusive")
+	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
@@ -127,8 +134,27 @@ func Build(cfg Config) (_ *Stack, err error) {
 			s.Close()
 		}
 	}()
+	policy := cfg.Policy
+	policy.RetrySeed = cfg.Seed
+	if a := policy.Admission; a.QueueDepth > 0 {
+		s.printf("admission: queue depth %d, max predicted wait %s", a.QueueDepth, a.MaxQueueWait)
+	}
+	if len(cfg.Remote) > 0 {
+		if s.Workbench, err = experiments.BuildData(cfg.Preset, cfg.Eta, s.experimentsConfig()); err != nil {
+			return nil, err
+		}
+		var shards []cluster.Shard
+		for _, u := range cfg.Remote {
+			shards = append(shards, cluster.NewHTTPShard(u, u))
+		}
+		if err := s.coordinate(shards, policy); err != nil {
+			return nil, err
+		}
+		s.printf("coordinator over %d HTTP shard(s)", len(shards))
+		return s, nil
+	}
 
-	single := cfg.Shards == 0 && len(cfg.Remote) == 0
+	single := cfg.Shards == 0
 	var inv lake.Inventory
 	if single {
 		// Opened before setup: a journal store may hold the platform.
@@ -160,13 +186,8 @@ func Build(cfg Config) (_ *Stack, err error) {
 		}
 	}
 
-	policy := cfg.Policy
-	policy.RetrySeed = cfg.Seed
 	if cfg.Fallback {
 		policy.Fallback = baselines.Default{Model: wb.Platform.Model}
-	}
-	if a := policy.Admission; a.QueueDepth > 0 {
-		s.printf("admission: queue depth %d, max predicted wait %s", a.QueueDepth, a.MaxQueueWait)
 	}
 	if single {
 		if err := s.buildService(policy, inv, health); err != nil {
@@ -176,9 +197,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 	}
 
 	var shards []cluster.Shard
-	for _, u := range cfg.Remote {
-		shards = append(shards, cluster.NewHTTPShard(u, u))
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		name := fmt.Sprintf("shard-%d", i)
 		if cfg.ShardName != "" {
@@ -211,17 +229,23 @@ func Build(cfg Config) (_ *Stack, err error) {
 		s.Workers = append(s.Workers, w)
 		shards = append(shards, w)
 	}
-	if s.Coordinator, err = cluster.New(shards, cluster.Options{Policy: policy}); err != nil {
+	if err := s.coordinate(shards, policy); err != nil {
 		return nil, err
 	}
-	s.Coordinator.SetObs(cfg.Registry)
-	switch {
-	case len(cfg.Remote) > 0:
-		s.printf("coordinator over %d HTTP shard(s)", len(shards))
-	case cfg.ShardName == "":
+	if cfg.ShardName == "" {
 		s.printf("in-process cluster: %d shard(s), rendezvous placement, %d worker(s) each", len(shards), cfg.Workers)
 	}
 	return s, nil
+}
+
+// coordinate puts the rendezvous coordinator, observed into the stack's
+// registry, over shards.
+func (s *Stack) coordinate(shards []cluster.Shard, policy lake.Policy) (err error) {
+	if s.Coordinator, err = cluster.New(shards, cluster.Options{Policy: policy}); err != nil {
+		return err
+	}
+	s.Coordinator.SetObs(s.cfg.Registry)
+	return nil
 }
 
 // buildService wires the single node: one lake.Service observed into the
@@ -296,18 +320,7 @@ func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory, health *lak
 // that detector: the full-quality rung is the one under chaos, and the
 // fallback rung models the clean cheap path the run degrades to.
 func (s *Stack) detector(i int) (detect.Detector, []lake.TierDetector, error) {
-	var det detect.Detector
-	var known []string
-	for _, d := range experiments.AllMethods(s.Workbench, s.cfg.Seed+3) {
-		if d.Name() == s.cfg.Method {
-			det = d
-			break
-		}
-		known = append(known, d.Name())
-	}
-	if det == nil {
-		return nil, nil, fmt.Errorf("unknown method %q (have %v)", s.cfg.Method, known)
-	}
+	det := experiments.AllMethods(s.Workbench, s.cfg.Seed+3)[slices.Index(experiments.MethodNames, s.cfg.Method)]
 	if f := s.cfg.Fault; f.FailRate > 0 || f.PanicRate > 0 || f.SlowRate > 0 || f.CorruptRate > 0 {
 		if i == 0 {
 			s.printf("fault injection on: fail=%.2f panic=%.2f slow=%.2f corrupt=%.2f seed=%d",
@@ -359,8 +372,7 @@ func checkTierFloors(floors map[string]float64, ladder []lake.TierDetector) erro
 // corrupt checkpoint costs a slow start instead of a crash loop.
 func (s *Stack) workbench(journal lake.Inventory) (*experiments.Workbench, error) {
 	c := s.cfg
-	ecfg := experiments.Config{Seed: c.Seed, DataScale: c.Scale, Shards: c.Datasets, Workers: c.TaskWorkers,
-		Obs: c.Registry, Watchdog: c.Watchdog}
+	ecfg := s.experimentsConfig()
 	var p *core.Platform
 	var err error
 	where := c.PlatformFile
@@ -396,6 +408,12 @@ func (s *Stack) workbench(journal lake.Inventory) (*experiments.Workbench, error
 	}
 	s.printf("platform saved to %s", where)
 	return wb, nil
+}
+
+// experimentsConfig is the workbench configuration cfg describes.
+func (s *Stack) experimentsConfig() experiments.Config {
+	c := s.cfg
+	return experiments.Config{Seed: c.Seed, DataScale: c.Scale, Shards: c.Datasets, Obs: c.Registry, Watchdog: c.Watchdog}
 }
 
 // openInventory opens the configured store of the named shard, or of the

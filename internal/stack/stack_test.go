@@ -3,6 +3,7 @@ package stack
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"io"
@@ -26,7 +27,7 @@ func small(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		Preset: "emnist", Eta: 0.2, Scale: 0.1, Seed: 1, Datasets: 3,
-		Method: "default", Workers: 1, TaskWorkers: 1,
+		Method: "default", Workers: 1,
 		Stdout: io.Discard, Stderr: io.Discard,
 	}
 }
@@ -222,6 +223,9 @@ func TestBuildRejects(t *testing.T) {
 		"unknown store":          func(c *Config) { c.Store = "tape" },
 		"seglog without dir":     func(c *Config) { c.Store = "seglog" },
 		"resume without journal": func(c *Config) { c.Resume = true },
+		"remote and shards": func(c *Config) {
+			c.Shards, c.Remote = 1, []string{"http://127.0.0.1:1"}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := small(t)
@@ -231,6 +235,24 @@ func TestBuildRejects(t *testing.T) {
 				t.Fatal("Build succeeded")
 			}
 		})
+	}
+}
+
+// TestUnknownMethodRejectedBeforeSetup: an unknown method fails Build
+// before the platform is set up, so nothing is trained for it.
+func TestUnknownMethodRejectedBeforeSetup(t *testing.T) {
+	cfg := small(t)
+	cfg.Method = "nope"
+	var stdout strings.Builder
+	cfg.Stdout = &stdout
+	if st, err := Build(cfg); err == nil {
+		st.Close()
+		t.Fatal("Build succeeded")
+	} else if !strings.Contains(err.Error(), `unknown method "nope"`) {
+		t.Fatalf("error %q does not name the method", err)
+	}
+	if strings.Contains(stdout.String(), "platform ready") {
+		t.Fatalf("platform set up before the method was checked:\n%s", stdout.String())
 	}
 }
 
@@ -299,23 +321,26 @@ func TestSingleNodeUnderChaos(t *testing.T) {
 
 // TestRemoteCoordinator puts a coordinator over a shard worker served by
 // another stack over HTTP, the two-process lakesim split, and checks the
-// platform file round trip on the way.
+// worker's platform file round trip on the way.
 func TestRemoteCoordinator(t *testing.T) {
 	worker := small(t)
 	worker.Shards, worker.ShardName = 1, "s0"
+	worker.PlatformFile = filepath.Join(t.TempDir(), "platform.snap")
+	var stdout strings.Builder
+	worker.Stdout = &stdout
 	ws, err := Build(worker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Close()
+	if !strings.Contains(stdout.String(), "platform saved to "+worker.PlatformFile) {
+		t.Fatalf("platform not saved:\n%s", stdout.String())
+	}
 	srv := httptest.NewServer(ws.Workers[0].Handler())
 	defer srv.Close()
 
 	cfg := small(t)
 	cfg.Remote = []string{srv.URL}
-	cfg.PlatformFile = filepath.Join(t.TempDir(), "platform.snap")
-	var stdout strings.Builder
-	cfg.Stdout = &stdout
 	st, reports := run(t, cfg)
 	if a := Account(reports, cfg.Datasets, 0); a.Completed != cfg.Datasets {
 		t.Fatalf("accounting %+v", a)
@@ -328,17 +353,51 @@ func TestRemoteCoordinator(t *testing.T) {
 	if body := get(t, st.Handler(), "/metrics"); !strings.Contains(body, "enld_lake_tasks_total") {
 		t.Fatalf("merged /metrics lacks the shard's families:\n%s", body)
 	}
-	if !strings.Contains(stdout.String(), "platform saved to "+cfg.PlatformFile) {
-		t.Fatalf("platform not saved:\n%s", stdout.String())
-	}
 
 	stdout.Reset()
-	again, err := Build(cfg)
+	again, err := Build(worker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	again.Close()
-	if !strings.Contains(stdout.String(), "platform restored from "+cfg.PlatformFile) {
+	if !strings.Contains(stdout.String(), "platform restored from "+worker.PlatformFile) {
 		t.Fatalf("platform not restored:\n%s", stdout.String())
 	}
+}
+
+// TestRemoteBuildsOnlyTheFeed: a coordinator over remote shards sets up no
+// platform, yet feeds datasets byte-identical to a local build's for the
+// same seed.
+func TestRemoteBuildsOnlyTheFeed(t *testing.T) {
+	local, err := Build(small(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.Close()
+
+	cfg := small(t)
+	cfg.Remote = []string{"http://127.0.0.1:1"} // never dialled: nothing is submitted
+	var stdout strings.Builder
+	cfg.Stdout = &stdout
+	remote, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	if remote.Workbench.Platform != nil || strings.Contains(stdout.String(), "platform") {
+		t.Fatalf("the coordinator set up a platform:\n%s", stdout.String())
+	}
+	if got, want := gobBytes(t, remote.Workbench.Shards), gobBytes(t, local.Workbench.Shards); !bytes.Equal(got, want) {
+		t.Fatal("the coordinator's feed differs from a local build's")
+	}
+}
+
+// gobBytes encodes v with encoding/gob.
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -129,7 +129,7 @@ type Spec struct {
 	Scale       float64 `json:"scale,omitempty"`        // dataset size factor (0 = 1.0)
 	Method      string  `json:"method"`                 // detector under load
 	Workers     int     `json:"workers"`                // concurrent service workers
-	TaskWorkers int     `json:"task_workers,omitempty"` // data-parallel workers per task (0 = 1)
+	TaskWorkers int     `json:"task_workers,omitempty"` // no effect; ROADMAP 1(b) deletes it in the next benchmark change
 
 	// Traffic shape.
 	Phases []Phase `json:"phases"`
