@@ -228,7 +228,7 @@ func BenchmarkKDTreeBuild(b *testing.B) {
 // BenchmarkTrainEpoch measures one epoch of the neural substrate — the unit
 // of work both TopoFilter's training and ENLD's fine-tuning are built from.
 // workers=1 keeps the name its committed BENCH_ci.json baseline row and the
-// obs/watchdog ratio gates carry.
+// obs ratio gate carry.
 func BenchmarkTrainEpoch(b *testing.B) {
 	rng := mat.NewRNG(7)
 	net, err := nn.Build(nn.SimResNet110, 48, 100, rng)
@@ -264,21 +264,6 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := trainer.Run(examples, nn.TrainConfig{
 				Epochs: 1, BatchSize: 32, Seed: uint64(i),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Same epoch with the numerical-health watchdog at its
-	// default cadence; benchsummary gates the watchdog/workers=1 ratio to
-	// keep the health checks off the per-sample hot path (< 10% overhead).
-	b.Run("watchdog", func(b *testing.B) {
-		trainer := nn.NewTrainer(net, nn.NewSGD(0.01, 0.9, 1e-4))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := trainer.Run(examples, nn.TrainConfig{
-				Epochs: 1, BatchSize: 32, Seed: uint64(i),
-				Watchdog: nn.WatchdogConfig{Enabled: true},
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -9,10 +9,9 @@
 //	    -benchtime 1x -run '^$' . | benchsummary -out BENCH_ci.json
 //
 // Within-run overhead ratios (see overheadPairs) are gated on every
-// invocation, baseline or no baseline: the numerical-health watchdog has a
-// 10% budget over a plain training epoch (warning above it, hard failure
-// above the 25% noise-proof limit), and the observability registry has a 5%
-// budget (hard failure above 15%).
+// invocation, baseline or no baseline: the observability registry has a 5%
+// budget over a plain training epoch (warning above it, hard failure above
+// the 15% noise-proof limit).
 //
 // With -baseline it is also a soft perf-regression gate: every fresh entry is
 // compared against the committed BENCH_ci.json. Any benchmark more than 10%
@@ -130,15 +129,8 @@ var speedupPairs = [][3]string{
 }
 
 // overheadPairs lists the (name, base, variant, limit) tuples of the
-// within-run overhead gate. The watchdog entry enforces the numerical-health
-// design budget: health checks at the default cadence must cost less than
-// 10% of a plain training epoch.
+// within-run overhead gate.
 var overheadPairs = []Overhead{
-	{
-		Name: "watchdog-overhead",
-		Base: "BenchmarkTrainEpoch/workers=1", Variant: "BenchmarkTrainEpoch/watchdog",
-		Limit: 1.10, HardLimit: failRatio,
-	},
 	{
 		// Observability budget: recording per-batch durations and losses into
 		// lock-free histograms must stay within 5% of an unobserved epoch

@@ -223,13 +223,13 @@ func TestGateMissingHotPath(t *testing.T) {
 	}
 }
 
-const watchdogOutput = `BenchmarkTrainEpoch/workers=1-8 	       1	200000000 ns/op
+const obsOutput = `BenchmarkTrainEpoch/workers=1-8 	       1	200000000 ns/op
 BenchmarkForward/single-8       	       1	     1234 ns/op
-BenchmarkTrainEpoch/watchdog-8  	       1	208000000 ns/op
+BenchmarkTrainEpoch/obs-8       	       1	208000000 ns/op
 `
 
 func TestSummarizeOverheads(t *testing.T) {
-	entries, err := parse(strings.NewReader(watchdogOutput))
+	entries, err := parse(strings.NewReader(obsOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestSummarizeOverheads(t *testing.T) {
 		t.Fatalf("%d overheads: %+v", len(s.Overheads), s.Overheads)
 	}
 	o := s.Overheads[0]
-	if o.Name != "watchdog-overhead" || o.Ratio != 1.04 || o.Limit != 1.10 || o.HardLimit != 1.25 {
+	if o.Name != "obs-overhead" || o.Ratio != 1.04 || o.Limit != 1.05 || o.HardLimit != 1.15 {
 		t.Fatalf("overhead %+v", o)
 	}
 
-	// Without the watchdog variant the overhead must be absent, not zero.
+	// Without the obs variant the overhead must be absent, not zero.
 	s = summarize(entries[:2])
 	if len(s.Overheads) != 0 {
 		t.Fatalf("overhead computed from missing data: %+v", s.Overheads)
@@ -252,7 +252,7 @@ func TestSummarizeOverheads(t *testing.T) {
 func TestGateOverheads(t *testing.T) {
 	var buf strings.Builder
 	// Within budget: silent pass.
-	in := []Overhead{{Name: "watchdog-overhead", Base: "b", Variant: "v", Ratio: 1.04, Limit: 1.10, HardLimit: 1.25}}
+	in := []Overhead{{Name: "obs-overhead", Base: "b", Variant: "v", Ratio: 1.04, Limit: 1.10, HardLimit: 1.25}}
 	if gateOverheads(&buf, in) || buf.Len() != 0 {
 		t.Fatalf("in-budget overhead failed or annotated: %q", buf.String())
 	}

@@ -18,7 +18,6 @@ import (
 	"enld/internal/detect"
 	"enld/internal/experiments"
 	"enld/internal/metrics"
-	"enld/internal/nn"
 	"enld/internal/obs"
 	"enld/internal/prof"
 )
@@ -37,10 +36,6 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "write a runtime/trace execution trace to this file")
 		metricsOut = flag.String("metrics-out", "", "write final metrics in Prometheus text format to this file")
-
-		watchdog      = flag.Bool("watchdog", false, "enable the numerical-health watchdog (NaN/Inf + divergence detection, checkpoint rollback) on platform training")
-		watchdogEvery = flag.Int("watchdog-every", 0, "batch cadence of gradient/weight scans (0 = default 16)")
-		rollbackMax   = flag.Int("rollback-budget", 0, "max checkpoint rollbacks per training run (0 = default 3)")
 	)
 	flag.Parse()
 
@@ -71,13 +66,6 @@ func main() {
 		Seed: *seed, DataScale: *scale, Shards: *shards, Iterations: *iters,
 		Noise: experiments.NoiseKind(*noise), Obs: reg,
 	}
-	if *watchdog {
-		cfg.Watchdog = nn.WatchdogConfig{
-			Enabled:      true,
-			Health:       nn.HealthConfig{CheckEvery: *watchdogEvery},
-			MaxRollbacks: *rollbackMax,
-		}
-	}
 	wb, err := experiments.BuildWorkbench(*preset, *eta, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "enld:", err)
@@ -86,11 +74,6 @@ func main() {
 	fmt.Printf("workload %s eta=%.2f: %d classes, %d incremental datasets, setup %s\n",
 		*preset, *eta, wb.Spec.Classes, len(wb.Shards),
 		wb.Platform.SetupTime.Round(time.Millisecond))
-	if *watchdog {
-		h := wb.Platform.Health
-		fmt.Printf("watchdog: checks=%d rollbacks=%d last-unhealthy-epoch=%d checkpoints=%d verify-failures=%d\n",
-			h.HealthChecks, h.Rollbacks, h.LastUnhealthyEpoch, h.CheckpointsTaken, h.VerifyFailures)
-	}
 
 	detectors := experiments.AllMethods(wb, *seed+3)
 	ran := false

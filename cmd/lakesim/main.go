@@ -4,14 +4,15 @@
 // chosen detector, reporting queueing delay, process time and detection
 // quality per task — the deployment scenario of §I and §IV-A.
 //
-// The simulation can be run under deterministic fault injection (transient
+// The simulation can be run under deterministic fault injection (injected
 // failures, panics, latency, corrupted shards) with the full resilience
-// stack engaged — per-task deadlines, retry with backoff, a circuit breaker
-// degrading to the default baseline, and crash recovery from the segment
-// log, which records every arrival, the platform and each task's outcome:
+// stack engaged — per-task deadlines, a circuit breaker degrading to the
+// default baseline, dead-letter accounting, and crash recovery from the
+// segment log, which records every arrival, the platform and each task's
+// outcome:
 //
 //	lakesim -dataset cifar100 -eta 0.2 -workers 2 -interval 100ms
-//	lakesim -fail-rate 0.2 -panic-rate 0.05 -retries 2 \
+//	lakesim -fail-rate 0.2 -panic-rate 0.05 \
 //	        -breaker-threshold 3 -fallback -store-dir /var/lake -resume
 //
 // The stream can also be served by a sharded cluster
@@ -79,7 +80,7 @@ func main() {
 
 	// Fault injection (internal/fault): deterministic chaos on the chosen
 	// detector.
-	flag.Float64Var(&cfg.Fault.FailRate, "fail-rate", 0, "probability a detection call fails transiently")
+	flag.Float64Var(&cfg.Fault.FailRate, "fail-rate", 0, "probability a detection call fails with an injected error")
 	flag.Float64Var(&cfg.Fault.PanicRate, "panic-rate", 0, "probability a detection call panics")
 	flag.Float64Var(&cfg.Fault.SlowRate, "slow-rate", 0, "probability a detection call is slowed by -slow-latency")
 	flag.DurationVar(&cfg.Fault.Latency, "slow-latency", 200*time.Millisecond, "latency added to slowed calls")
@@ -88,8 +89,6 @@ func main() {
 
 	// Resilience policy (internal/lake).
 	flag.DurationVar(&cfg.Policy.TaskTimeout, "task-timeout", 0, "per-task detector deadline (0 = none)")
-	flag.IntVar(&cfg.Policy.MaxRetries, "retries", 0, "max retries of transient failures per task")
-	flag.DurationVar(&cfg.Policy.RetryBase, "retry-base", 20*time.Millisecond, "first retry backoff (doubles per retry)")
 	flag.IntVar(&cfg.Policy.BreakerThreshold, "breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = no breaker)")
 	flag.DurationVar(&cfg.Policy.BreakerCooldown, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
 	flag.BoolVar(&cfg.Fallback, "fallback", false, "degrade failed tasks to the default baseline detector")
@@ -109,13 +108,6 @@ func main() {
 	// segment log, so accepted work survives a crash.
 	flag.StringVar(&cfg.Store, "store", "seglog", "inventory storage backend: seglog (crash-safe segment log), memory")
 	flag.StringVar(&cfg.StoreDir, "store-dir", "", "directory for durable inventory storage (empty = durable storage off unless -store=memory)")
-
-	// Numerical-health watchdog (internal/nn): NaN/Inf and loss-divergence
-	// detection with checkpoint rollback on every training run the platform
-	// performs.
-	flag.BoolVar(&cfg.Watchdog.Enabled, "watchdog", false, "enable the numerical-health watchdog on platform training")
-	flag.IntVar(&cfg.Watchdog.Health.CheckEvery, "watchdog-every", 0, "batch cadence of gradient/weight scans (0 = default 16)")
-	flag.IntVar(&cfg.Watchdog.MaxRollbacks, "rollback-budget", 0, "max checkpoint rollbacks per training run (0 = default 3)")
 	flag.Parse()
 
 	usage := func(msg string) {
@@ -289,9 +281,6 @@ func summarize(st *stack.Stack, reports []lake.Report) {
 		if rep.Tier != "" && rep.Tier != lake.TierFull {
 			tag += " tier=" + rep.Tier
 		}
-		if rep.Retries > 0 {
-			tag += fmt.Sprintf(" (retries=%d)", rep.Retries)
-		}
 		if rep.Err != nil {
 			what := "DEAD-LETTERED"
 			if rep.Shed {
@@ -337,9 +326,6 @@ func summarize(st *stack.Stack, reports []lake.Report) {
 		if b := st.Service.Breaker(); b != nil {
 			fmt.Printf("breaker: state=%s trips=%d\n", b.State(), b.Trips())
 		}
-	}
-	if a.Retries > 0 {
-		fmt.Printf("transient retries consumed: %d\n", a.Retries)
 	}
 	if len(dets) == 0 {
 		fmt.Println("no tasks completed")

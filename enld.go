@@ -229,8 +229,7 @@ type (
 	// StatusTracker aggregates task reports for the HTTP status endpoint.
 	StatusTracker = lake.StatusTracker
 	// Policy configures the service's resilience behaviour: per-task
-	// deadlines, transient-failure retries, circuit breaking and fallback
-	// degradation.
+	// deadlines, circuit breaking and fallback degradation.
 	Policy = lake.Policy
 	// Breaker is the circuit breaker over the primary detector.
 	Breaker = lake.Breaker
@@ -249,7 +248,7 @@ var (
 	// LoadStore reads a store written with Store.Save.
 	LoadStore = lake.LoadStore
 	// NewService binds a detector to a worker pool; NewServiceWithPolicy
-	// adds resilience behaviour (deadlines, retries, breaker, fallback).
+	// adds resilience behaviour (deadlines, breaker, fallback).
 	NewService           = lake.NewService
 	NewServiceWithPolicy = lake.NewServiceWithPolicy
 	// NewBreaker builds a standalone circuit breaker.

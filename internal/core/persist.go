@@ -24,7 +24,6 @@ type platformSnapshot struct {
 	Ic         dataset.Set
 	Config     PlatformConfig
 	SetupTime  time.Duration
-	Health     nn.WatchdogStats
 }
 
 // Save persists the platform — general model, probability estimate,
@@ -42,7 +41,6 @@ func (p *Platform) Save(w io.Writer) error {
 		Ic:         p.Ic,
 		Config:     p.Config,
 		SetupTime:  p.SetupTime,
-		Health:     p.Health,
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("core: save platform: %w", err)
@@ -72,11 +70,6 @@ func LoadPlatform(r io.Reader) (*Platform, error) {
 	if err := model.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("core: load platform: %w", err)
 	}
-	if snap.Health == (nn.WatchdogStats{}) {
-		// Snapshots written before health accounting (or with the watchdog
-		// off) carry a zero struct; normalize the "never unhealthy" sentinel.
-		snap.Health.LastUnhealthyEpoch = -1
-	}
 	return &Platform{
 		Model:     model,
 		Cond:      snap.Cond,
@@ -84,7 +77,6 @@ func LoadPlatform(r io.Reader) (*Platform, error) {
 		Ic:        snap.Ic,
 		Config:    snap.Config,
 		SetupTime: snap.SetupTime,
-		Health:    snap.Health,
 	}, nil
 }
 

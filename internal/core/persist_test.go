@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"enld/internal/dataset"
 	"enld/internal/fault"
 	"enld/internal/nn"
 )
@@ -22,9 +25,6 @@ func TestSavePlatformFileLoadPlatformFileRoundTrip(t *testing.T) {
 	}
 	if loaded.Config != w.platform.Config {
 		t.Fatal("config not preserved")
-	}
-	if loaded.Health.LastUnhealthyEpoch != -1 {
-		t.Fatalf("health sentinel = %d, want -1", loaded.Health.LastUnhealthyEpoch)
 	}
 	// No temporary files left behind.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -73,7 +73,7 @@ func TestLoadPlatformFileRejectsCorruptedModel(t *testing.T) {
 
 func TestLoadPlatformRejectsNonFiniteModel(t *testing.T) {
 	w := newWorkload(t, 0.2, false, 93)
-	fault.PokeNaN(w.platform.Model, 5)
+	w.platform.Model.Weights[1].Data[5] = math.NaN()
 	path := filepath.Join(t.TempDir(), "platform.gob")
 	if err := SavePlatformFile(w.platform, path); err != nil {
 		t.Fatal(err)
@@ -87,33 +87,29 @@ func TestLoadPlatformRejectsNonFiniteModel(t *testing.T) {
 	}
 }
 
-func TestPlatformHealthAccumulatesAcrossTraining(t *testing.T) {
-	w := newWorkload(t, 0.2, false, 94)
-	if w.platform.Health.LastUnhealthyEpoch != -1 {
-		t.Fatalf("watchdog-off platform health = %+v", w.platform.Health)
+// TestNewPlatformRejectsNaNTraining: a platform whose general model trains
+// to NaN fails at setup instead of serving from poisoned weights.
+func TestNewPlatformRejectsNaNTraining(t *testing.T) {
+	sp := dataset.Spec{
+		Name: "nan", Classes: 4, FeatureDim: 6, PerClass: 30,
+		Separation: 4, Spread: 1, Seed: 95,
 	}
-
-	cfg := DefaultPlatformConfig(8, 10, 97)
-	cfg.Epochs = 6
-	cfg.Watchdog = nn.WatchdogConfig{Enabled: true}
-	inv := append(w.platform.It, w.platform.Ic...)
+	inv, err := sp.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Feature 2 is NaN in every sample, so both inventory halves carry it
+	// whatever the split.
+	for i := range inv {
+		inv[i].X[2] = math.NaN()
+	}
+	cfg := DefaultPlatformConfig(sp.Classes, sp.FeatureDim, 96)
+	cfg.Epochs = 2
 	p, err := NewPlatform(inv, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, nn.ErrUnhealthy) {
+		t.Fatalf("NewPlatform error = %v, want one wrapping nn.ErrUnhealthy", err)
 	}
-	h := p.Health
-	if h.CheckpointsTaken == 0 || h.HealthChecks == 0 {
-		t.Fatalf("setup training recorded no watchdog activity: %+v", h)
-	}
-	// Algorithm-4 retraining accumulates on top of setup.
-	res, err := (&ENLD{Platform: p, Config: DefaultConfig(98)}).DetectFull(w.incr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ModelUpdate(res.SelectedInventory); err != nil {
-		t.Fatal(err)
-	}
-	if p.Health.CheckpointsTaken <= h.CheckpointsTaken {
-		t.Fatalf("model update did not accumulate health stats: %+v vs %+v", p.Health, h)
+	if p != nil {
+		t.Fatal("NewPlatform returned a platform trained to NaN")
 	}
 }

@@ -43,11 +43,6 @@ type PlatformConfig struct {
 	// 0.2 (applied when positive).
 	MixupAlpha float64
 
-	// Watchdog enables the numerical-health watchdog (NaN/Inf and
-	// loss-divergence detection with checkpoint rollback) for every training
-	// run the platform performs — setup and Algorithm-4 model updates alike.
-	Watchdog nn.WatchdogConfig
-
 	Seed uint64
 }
 
@@ -82,11 +77,6 @@ type Platform struct {
 	// the paper's "setup time", shared by Default, CL and ENLD.
 	SetupTime  time.Duration
 	SetupMeter cost.Meter
-
-	// Health accumulates watchdog statistics over every training run the
-	// platform performed (setup plus model updates). It stays zero (with
-	// LastUnhealthyEpoch -1) when Config.Watchdog is disabled.
-	Health nn.WatchdogStats
 
 	// Obs, when set, receives metrics and phase spans from every operation
 	// the platform performs — general-model training, probability
@@ -123,7 +113,7 @@ func NewPlatformObserved(inventory dataset.Set, cfg PlatformConfig, reg *obs.Reg
 		cfg.BatchSize = 32
 	}
 	sw := cost.StartStopwatch()
-	p := &Platform{Config: cfg, Health: nn.WatchdogStats{LastUnhealthyEpoch: -1}, Obs: reg}
+	p := &Platform{Config: cfg, Obs: reg}
 	rng := mat.NewRNG(cfg.Seed)
 
 	var err error
@@ -146,7 +136,8 @@ func NewPlatformObserved(inventory dataset.Set, cfg PlatformConfig, reg *obs.Reg
 }
 
 // trainGeneral trains model on set with the platform's hyperparameters,
-// charging the setup meter.
+// charging the setup meter. A model that trained to NaN or ±Inf is an error
+// wrapping nn.ErrUnhealthy: nothing is served from it.
 func (p *Platform) trainGeneral(model *nn.Network, set dataset.Set, seed uint64) error {
 	examples := dataset.ToExamples(set, p.Config.Classes)
 	if len(examples) == 0 {
@@ -160,12 +151,9 @@ func (p *Platform) trainGeneral(model *nn.Network, set dataset.Set, seed uint64)
 		Mixup:      p.Config.MixupAlpha > 0,
 		MixupAlpha: p.Config.MixupAlpha,
 		Seed:       seed,
-		Watchdog:   p.Config.Watchdog,
 	})
-	if p.Config.Watchdog.Enabled {
-		// Accumulate even on error: a run that exhausted its rollback budget
-		// still counts its checks and rollbacks in the platform's health view.
-		p.Health.Accumulate(trainer.WatchdogStats())
+	if err == nil {
+		err = model.CheckFinite()
 	}
 	if err != nil {
 		return fmt.Errorf("core: general model training: %w", err)

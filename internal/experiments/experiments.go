@@ -17,7 +17,6 @@ import (
 	"enld/internal/dataset"
 	"enld/internal/detect"
 	"enld/internal/metrics"
-	"enld/internal/nn"
 	"enld/internal/obs"
 )
 
@@ -48,9 +47,6 @@ type Config struct {
 	// only because the benchmark harness still sets it; ROADMAP 1(b) deletes
 	// it in the next benchmark change.
 	Workers int
-	// Watchdog enables the numerical-health watchdog (NaN/Inf detection and
-	// checkpoint rollback) for every training run the platform performs.
-	Watchdog nn.WatchdogConfig
 	// Obs, when set, is attached to the workbench platform so every training
 	// run, probability estimation and detection phase reports metrics and
 	// spans into it. Nil (the default) disables observability entirely.

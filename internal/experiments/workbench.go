@@ -137,7 +137,6 @@ func buildWorkbench(preset string, eta float64, cfg Config, platform *core.Platf
 	if platform == nil {
 		pcfg := core.DefaultPlatformConfig(spec.Classes, spec.FeatureDim, cfg.Seed+1)
 		pcfg.Epochs = cfg.PlatformEpochs
-		pcfg.Watchdog = cfg.Watchdog
 		platform, err = core.NewPlatformObserved(wb.Inventory, pcfg, cfg.Obs)
 		if err != nil {
 			return nil, err

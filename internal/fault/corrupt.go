@@ -2,58 +2,13 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"os"
-
-	"enld/internal/mat"
-	"enld/internal/nn"
 )
 
-// Model-state corruption injectors. The lake-serving chaos wrapper above
-// damages detector *inputs*; these damage the *model and its checkpoints* —
-// the failure modes the training stack's numerical-health watchdog and
-// checksummed snapshots exist to survive. All are deterministic from their
-// seed so recovery tests replay exactly.
-
-// pickParam selects a seeded-uniform parameter position across all weight
-// matrices of net.
-func pickParam(n *nn.Network, seed uint64) (layer, index int) {
-	rng := mat.NewRNG(seed)
-	total := 0
-	for _, w := range n.Weights {
-		total += len(w.Data)
-	}
-	flat := rng.Intn(total)
-	for l, w := range n.Weights {
-		if flat < len(w.Data) {
-			return l, flat
-		}
-		flat -= len(w.Data)
-	}
-	panic("fault: pickParam out of range")
-}
-
-// PokeNaN overwrites one seeded-random weight of net with NaN, modelling a
-// poisoned reduction or a hardware fault escaping the kernels. It returns
-// the damaged position.
-func PokeNaN(n *nn.Network, seed uint64) (layer, index int) {
-	layer, index = pickParam(n, seed)
-	n.Weights[layer].Data[index] = math.NaN()
-	return layer, index
-}
-
-// FlipWeightBit flips one seeded-random bit of one seeded-random weight —
-// the classic silent-memory-corruption fault. Depending on the bit this
-// yields anything from an invisible perturbation to an Inf/NaN or a
-// finite-but-huge value that only loss-divergence checks catch.
-func FlipWeightBit(n *nn.Network, seed uint64) (layer, index int, bit uint) {
-	layer, index = pickParam(n, seed)
-	rng := mat.NewRNG(seed ^ 0xd1b54a32d192ed03)
-	bit = uint(rng.Intn(64))
-	w := n.Weights[layer]
-	w.Data[index] = math.Float64frombits(math.Float64bits(w.Data[index]) ^ (1 << bit))
-	return layer, index, bit
-}
+// File corruption injectors. The lake-serving chaos wrapper damages
+// detector *inputs*; these damage *files on disk* — the torn writes, flipped
+// bytes and replayed appends that checksummed snapshots and the segment
+// log's CRCs exist to survive.
 
 // TearFile truncates path to frac of its current size, simulating a crash
 // partway through a non-atomic checkpoint write. frac must be in [0, 1).

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,59 +8,6 @@ import (
 	"enld/internal/mat"
 	"enld/internal/nn"
 )
-
-func TestPokeNaNIsDeterministic(t *testing.T) {
-	a := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-	b := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-	al, ai := PokeNaN(a, 9)
-	bl, bi := PokeNaN(b, 9)
-	if al != bl || ai != bi {
-		t.Fatalf("same seed hit (%d,%d) and (%d,%d)", al, ai, bl, bi)
-	}
-	if !math.IsNaN(a.Weights[al].Data[ai]) {
-		t.Fatalf("weight (%d,%d) = %v, want NaN", al, ai, a.Weights[al].Data[ai])
-	}
-	if err := a.CheckFinite(); err == nil {
-		t.Fatal("poked network still passes CheckFinite")
-	}
-}
-
-func TestPokeNaNCoversAllLayers(t *testing.T) {
-	hit := map[int]bool{}
-	for seed := uint64(0); seed < 64; seed++ {
-		n := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-		l, _ := PokeNaN(n, seed)
-		hit[l] = true
-	}
-	if len(hit) != 2 {
-		t.Fatalf("64 seeds hit layers %v, want both layers", hit)
-	}
-}
-
-func TestFlipWeightBitChangesExactlyOneBit(t *testing.T) {
-	n := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-	orig := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-	l, i, bit := FlipWeightBit(n, 21)
-	if bit > 63 {
-		t.Fatalf("bit = %d out of range", bit)
-	}
-	got := math.Float64bits(n.Weights[l].Data[i])
-	want := math.Float64bits(orig.Weights[l].Data[i])
-	if got^want != 1<<bit {
-		t.Fatalf("weight bits differ by %064b, want bit %d only", got^want, bit)
-	}
-	// Every other parameter is untouched.
-	for ll := range n.Weights {
-		for ii, v := range n.Weights[ll].Data {
-			if ll == l && ii == i {
-				continue
-			}
-			if v != orig.Weights[ll].Data[ii] {
-				t.Fatalf("weight (%d,%d) changed", ll, ii)
-			}
-		}
-	}
-}
 
 func TestTearFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck")

@@ -1,9 +1,10 @@
 // Package fault provides a deterministic, seed-driven chaos wrapper around
 // any detect.Detector. It injects the failure modes a production data-lake
-// service must survive — transient errors, panics, added latency and
+// service must survive — injected errors, panics, added latency and
 // corrupted incremental shards — so every resilience path in internal/lake
-// (retry, deadline, circuit breaker, fallback degradation) is exercisable in
-// tests and in cmd/lakesim without depending on real flakiness.
+// (deadline, circuit breaker, fallback degradation, dead-lettering) is
+// exercisable in tests and in cmd/lakesim without depending on real
+// flakiness.
 //
 // Determinism contract: the fault decisions of call k depend only on the
 // configured seed and k. Every call draws one uniform variate per fault
@@ -31,8 +32,8 @@ type Config struct {
 	// Seed drives all fault decisions; a fixed seed reproduces the fault
 	// sequence exactly.
 	Seed uint64
-	// FailRate is the probability a call returns an injected transient
-	// error instead of invoking the inner detector.
+	// FailRate is the probability a call returns an injected error instead
+	// of invoking the inner detector.
 	FailRate float64
 	// PanicRate is the probability a call panics, exercising the service's
 	// panic containment.
@@ -52,8 +53,9 @@ type Config struct {
 	CorruptFrac float64
 }
 
-// Error is an injected transient failure. It implements the Transient
-// marker the lake service's retry policy looks for.
+// Error is an injected failure. It fails the call it was drawn for, and the
+// lake service attempts each task once, so it takes the same breaker →
+// fallback → dead-letter path as any real detector error.
 type Error struct {
 	// Call is the 1-based injector call index that failed.
 	Call int
@@ -61,11 +63,8 @@ type Error struct {
 
 // Error implements error.
 func (e *Error) Error() string {
-	return fmt.Sprintf("fault: injected transient failure (call %d)", e.Call)
+	return fmt.Sprintf("fault: injected failure (call %d)", e.Call)
 }
-
-// Transient marks the failure as retryable.
-func (e *Error) Transient() bool { return true }
 
 // Stats counts what the injector has done so far.
 type Stats struct {

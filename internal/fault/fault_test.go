@@ -90,15 +90,13 @@ func TestFailRateDeterministic(t *testing.T) {
 	}
 }
 
-func TestInjectedErrorIsTransient(t *testing.T) {
+func TestInjectedErrorNamesItsCall(t *testing.T) {
 	in, _ := New(&echo{}, Config{Seed: 1, FailRate: 1})
+	in.Detect(testShard(3))
 	_, err := in.Detect(testShard(3))
-	if err == nil {
-		t.Fatal("no error at rate 1")
-	}
-	var tr interface{ Transient() bool }
-	if !errors.As(err, &tr) || !tr.Transient() {
-		t.Fatalf("injected error %v not marked transient", err)
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Call != 2 {
+		t.Fatalf("second injected error = %v, want a *fault.Error for call 2", err)
 	}
 }
 

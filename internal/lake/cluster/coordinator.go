@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -20,11 +19,10 @@ type Options struct {
 	// per-shard admission queues are where load control happens.
 	MaxInflight int
 	// Policy is the inter-node fault story, reusing the lake's resilience
-	// vocabulary: MaxRetries/RetryBase/RetryMax/RetrySeed drive transport
-	// retries against one shard before falling back to the rendezvous
-	// runner-up, and BreakerThreshold/BreakerCooldown drive the per-shard
+	// vocabulary: BreakerThreshold/BreakerCooldown drive the per-shard
 	// down-marker (defaults: threshold 1, cooldown 3s — a shard that fails
-	// one submission is down until a probe says otherwise). A task that
+	// one submission is down until a probe says otherwise). A failed
+	// submission moves on to the rendezvous runner-up; a task that
 	// exhausts every shard dead-letters at the coordinator.
 	Policy lake.Policy
 }
@@ -39,11 +37,6 @@ type Coordinator struct {
 	place    *Rendezvous
 	breakers []*lake.Breaker
 	opts     Options
-	retries  int
-	backoffs []time.Duration
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	o   *coordObs
 	reg *obs.Registry
@@ -76,27 +69,9 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 		place:    place,
 		breakers: make([]*lake.Breaker, len(shards)),
 		opts:     opts,
-		retries:  opts.Policy.MaxRetries,
-		rng:      rand.New(rand.NewSource(int64(opts.Policy.RetrySeed) + 1)),
 	}
 	for i := range shards {
 		c.breakers[i] = lake.NewBreaker(threshold, cooldown)
-	}
-	// Precompute the retry backoff ladder from the policy so dispatch
-	// stays allocation-light.
-	base := opts.Policy.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := opts.Policy.RetryMax
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	for d := base; len(c.backoffs) < c.retries; d *= 2 {
-		if d > max {
-			d = max
-		}
-		c.backoffs = append(c.backoffs, d)
 	}
 	return c, nil
 }
@@ -154,11 +129,10 @@ func (c *Coordinator) Run(ctx context.Context, requests <-chan lake.Request) []l
 }
 
 // dispatch routes one task: rendezvous owner first, then each runner-up in
-// rank order as shards prove unavailable. Submission errors against one
-// shard burn the policy's transient retries before moving on; a shard
-// whose breaker is open is skipped outright. When every shard is
-// exhausted the task dead-letters at the coordinator — visibly, in both
-// the report and the cluster metrics.
+// rank order as shards prove unavailable. A submission error against one
+// shard moves on to the next; a shard whose breaker is open is skipped
+// outright. When every shard is exhausted the task dead-letters at the
+// coordinator — visibly, in both the report and the cluster metrics.
 func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Report {
 	order := c.place.Rank(req.TaskID)
 	primary := order[0]
@@ -171,7 +145,7 @@ func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Repor
 			errs = append(errs, fmt.Errorf("shard %s: breaker open", name))
 			continue
 		}
-		rep, err := c.submitShard(ctx, idx, req)
+		rep, err := c.shards[idx].Submit(ctx, req)
 		if err == nil && rep.Abandoned && ctx.Err() == nil {
 			// The shard shut down underneath a queued task. Its own books
 			// say "abandoned"; cluster-wide the task is still ours to
@@ -211,36 +185,4 @@ func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Repor
 		DeadLettered: true,
 		Err:          fmt.Errorf("cluster: task %d: no shard available: %w", req.TaskID, errors.Join(errs...)),
 	}
-}
-
-// submitShard submits to one shard, burning the policy's retry budget on
-// transient (transport-class) failures. ErrShardDown fails immediately —
-// the shard stays down until its breaker half-opens.
-func (c *Coordinator) submitShard(ctx context.Context, idx int, req lake.Request) (lake.Report, error) {
-	var last error
-	for attempt := 0; ; attempt++ {
-		rep, err := c.shards[idx].Submit(ctx, req)
-		if err == nil {
-			rep.Retries += attempt
-			return rep, nil
-		}
-		last = err
-		if attempt >= c.retries || !transient(err) || ctx.Err() != nil {
-			return lake.Report{}, last
-		}
-		c.o.retried(c.place.Name(idx))
-		select {
-		case <-time.After(c.jitter(c.backoffs[attempt])):
-		case <-ctx.Done():
-			return lake.Report{}, last
-		}
-	}
-}
-
-// jitter spreads a backoff over [d/2, d) so synchronized rerouted tasks do
-// not thundering-herd a recovering shard.
-func (c *Coordinator) jitter(d time.Duration) time.Duration {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }

@@ -89,7 +89,6 @@ func mergeStatuses(shards []ShardStatus) lake.Status {
 		agg.TasksFailed += st.TasksFailed
 		agg.TasksDegraded += st.TasksDegraded
 		agg.TasksDeadLetter += st.TasksDeadLetter
-		agg.TotalRetries += st.TotalRetries
 		agg.TasksShed += st.TasksShed
 		agg.TasksAbandoned += st.TasksAbandoned
 		if st.KeepRecent > agg.KeepRecent {

@@ -55,7 +55,6 @@ type wireReport struct {
 	QueuedNS     int64             `json:"queued_ns"`
 	ProcessNS    int64             `json:"process_ns"`
 	Error        string            `json:"error,omitempty"`
-	Retries      int               `json:"retries,omitempty"`
 	Degraded     bool              `json:"degraded,omitempty"`
 	DeadLettered bool              `json:"dead_lettered,omitempty"`
 	Shed         bool              `json:"shed,omitempty"`
@@ -108,7 +107,6 @@ func decodeReport(r io.Reader) (lake.Report, error) {
 		Detection:    wire.Detection,
 		Queued:       time.Duration(wire.QueuedNS),
 		Process:      time.Duration(wire.ProcessNS),
-		Retries:      wire.Retries,
 		Degraded:     wire.Degraded,
 		DeadLettered: wire.DeadLettered,
 		Shed:         wire.Shed,
@@ -159,7 +157,6 @@ func encodeReport(rep lake.Report) wireReport {
 		Detection:    rep.Detection,
 		QueuedNS:     int64(rep.Queued),
 		ProcessNS:    int64(rep.Process),
-		Retries:      rep.Retries,
 		Degraded:     rep.Degraded,
 		DeadLettered: rep.DeadLettered,
 		Shed:         rep.Shed,
@@ -240,11 +237,10 @@ func NewHTTPShard(name, baseURL string) *HTTPShard {
 // Name implements Shard.
 func (s *HTTPShard) Name() string { return s.name }
 
-// Submit implements Shard over POST /submit. Transport and server-side
-// errors come back as transient errors, so the coordinator's retry policy
-// treats an inter-node blip exactly like an in-shard one; a 503 (drained
-// or killed worker) maps to ErrShardDown so the breaker routes around it
-// without burning retries.
+// Submit implements Shard over POST /submit. A transport or server-side
+// error fails the submission, and the coordinator moves on to the
+// rendezvous runner-up; a 503 (drained or killed worker) maps to
+// ErrShardDown.
 func (s *HTTPShard) Submit(ctx context.Context, req lake.Request) (lake.Report, error) {
 	wire := wireRequest{TaskID: req.TaskID, Data: make([]wireSample, len(req.Data))}
 	for i, smp := range req.Data {
@@ -261,7 +257,7 @@ func (s *HTTPShard) Submit(ctx context.Context, req lake.Request) (lake.Report, 
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := s.client.Do(hreq)
 	if err != nil {
-		return lake.Report{}, transportErr{fmt.Errorf("cluster: shard %s: %w", s.name, err)}
+		return lake.Report{}, fmt.Errorf("cluster: shard %s: %w", s.name, err)
 	}
 	defer resp.Body.Close()
 	switch {
@@ -270,12 +266,12 @@ func (s *HTTPShard) Submit(ctx context.Context, req lake.Request) (lake.Report, 
 		return lake.Report{}, fmt.Errorf("cluster: shard %s: %w", s.name, ErrShardDown)
 	case resp.StatusCode != http.StatusOK:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return lake.Report{}, transportErr{fmt.Errorf("cluster: shard %s: submit: %s: %s",
-			s.name, resp.Status, bytes.TrimSpace(msg))}
+		return lake.Report{}, fmt.Errorf("cluster: shard %s: submit: %s: %s",
+			s.name, resp.Status, bytes.TrimSpace(msg))
 	}
 	rep, err := decodeReport(resp.Body)
 	if err != nil {
-		return lake.Report{}, transportErr{fmt.Errorf("cluster: shard %s: %w", s.name, err)}
+		return lake.Report{}, fmt.Errorf("cluster: shard %s: %w", s.name, err)
 	}
 	return rep, nil
 }
@@ -302,7 +298,7 @@ func (s *HTTPShard) Drain(ctx context.Context) error {
 	}
 	resp, err := s.client.Do(hreq)
 	if err != nil {
-		return transportErr{fmt.Errorf("cluster: shard %s: %w", s.name, err)}
+		return fmt.Errorf("cluster: shard %s: %w", s.name, err)
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -319,7 +315,7 @@ func (s *HTTPShard) get(ctx context.Context, path string, limit int64) ([]byte, 
 	}
 	resp, err := s.client.Do(hreq)
 	if err != nil {
-		return nil, transportErr{fmt.Errorf("cluster: shard %s: %w", s.name, err)}
+		return nil, fmt.Errorf("cluster: shard %s: %w", s.name, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

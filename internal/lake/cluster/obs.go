@@ -13,7 +13,6 @@ type coordObs struct {
 	placedC     map[string]*obs.Counter
 	servedC     map[string]*obs.Counter
 	reroutedOut map[string]*obs.Counter
-	retries     map[string]*obs.Counter
 	up          map[string]*obs.Gauge
 	deadLetter  *obs.Counter
 	abandon     *obs.Counter
@@ -28,7 +27,6 @@ func newCoordObs(reg *obs.Registry, place *Rendezvous) *coordObs {
 		placedC:     map[string]*obs.Counter{},
 		servedC:     map[string]*obs.Counter{},
 		reroutedOut: map[string]*obs.Counter{},
-		retries:     map[string]*obs.Counter{},
 		up:          map[string]*obs.Gauge{},
 		deadLetter: reg.Counter("enld_cluster_dead_letter_total",
 			"Tasks dead-lettered at the coordinator because no shard could take them."),
@@ -49,8 +47,6 @@ func newCoordObs(reg *obs.Registry, place *Rendezvous) *coordObs {
 			"Tasks whose final report came from this shard.", label)
 		o.reroutedOut[name] = reg.Counter("enld_cluster_rerouted_total",
 			"Tasks rerouted away from this shard (their owner) to a runner-up.", label)
-		o.retries[name] = reg.Counter("enld_cluster_submit_retries_total",
-			"Transport-level submission retries against this shard.", label)
 		g := reg.Gauge("enld_cluster_shard_up",
 			"1 while the shard's coordinator-side breaker is closed, 0 while it is open or probing.", label)
 		g.Set(1)
@@ -93,13 +89,6 @@ func (o *coordObs) rerouted(owner string) {
 		return
 	}
 	o.reroutedOut[owner].Inc()
-}
-
-func (o *coordObs) retried(name string) {
-	if o == nil {
-		return
-	}
-	o.retries[name].Inc()
 }
 
 func (o *coordObs) deadLettered() {

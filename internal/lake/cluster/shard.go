@@ -36,21 +36,3 @@ type Shard interface {
 	// with ErrShardDown.
 	Drain(ctx context.Context) error
 }
-
-// transportErr wraps an inter-node failure so the coordinator's retry
-// policy classifies it as transient, exactly like an in-shard timeout: the
-// next attempt may reach a recovered shard or a healed network.
-type transportErr struct{ err error }
-
-func (e transportErr) Error() string   { return e.err.Error() }
-func (e transportErr) Unwrap() error   { return e.err }
-func (e transportErr) Transient() bool { return true }
-
-// transient reports whether the coordinator should burn a retry on err
-// before falling back to the rendezvous runner-up. ErrShardDown is
-// deliberately not transient: a down shard stays down until its breaker
-// half-opens, so retrying it only adds latency.
-func transient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}

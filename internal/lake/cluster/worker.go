@@ -13,7 +13,7 @@ import (
 
 // WorkerConfig wires one in-process shard. Every shard owns its full
 // vertical slice: its own lake.Service (admission queue, brownout ladder,
-// breaker, retries), its own obs.Registry, its own StatusTracker, and —
+// breaker), its own obs.Registry, its own StatusTracker, and —
 // when an Inventory is attached — its own durable segment-log directory.
 type WorkerConfig struct {
 	// Name is the shard's placement identity (required, unique per cluster).
@@ -129,10 +129,6 @@ func (w *ShardWorker) Name() string { return w.name }
 
 // Registry exposes the shard's own metrics registry (scatter/gather input).
 func (w *ShardWorker) Registry() *obs.Registry { return w.reg }
-
-// Tracker exposes the shard's status tracker for extra wiring before
-// serving: the stack builder publishes the platform's training health on it.
-func (w *ShardWorker) Tracker() *lake.StatusTracker { return w.tracker }
 
 // resolve hands a filed report to the submitter waiting on its task ID.
 // Reports without a waiter (caller gave up on its context) are dropped

@@ -23,11 +23,9 @@ type Status struct {
 	MeanQueuedSec  float64 `json:"mean_queued_sec"`
 
 	// Resilience statistics: degraded tasks served by the fallback
-	// detector, dead-lettered tasks that exhausted every path, and total
-	// transient-failure retries consumed across all tasks.
+	// detector and dead-lettered tasks that exhausted every path.
 	TasksDegraded   int `json:"tasks_degraded"`
 	TasksDeadLetter int `json:"tasks_dead_lettered"`
-	TotalRetries    int `json:"total_retries"`
 	// Overload statistics: tasks shed at admission (a load-control decision,
 	// counted apart from failures) and tasks abandoned at shutdown.
 	TasksShed      int `json:"tasks_shed"`
@@ -38,10 +36,6 @@ type Status struct {
 	// Breaker reports the circuit breaker, when one is attached.
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
 
-	// Training reports the numerical-health watchdog of the platform's
-	// training stack, when one is wired in.
-	Training *TrainingHealth `json:"training_health,omitempty"`
-
 	// Storage reports the inventory backend's live statistics, when one is
 	// attached — segment counts, live/dead bytes, and what the last
 	// recovery dropped.
@@ -51,24 +45,6 @@ type Status struct {
 	KeepRecent int `json:"keep_recent"`
 	// Recent holds the newest task reports, most recent first.
 	Recent []ReportSummary `json:"recent,omitempty"`
-}
-
-// TrainingHealth is the JSON shape of the training stack's numerical-health
-// watchdog counters (mirrors nn.WatchdogStats without importing it, keeping
-// the serving layer decoupled from the training stack).
-type TrainingHealth struct {
-	// HealthChecks counts executed NaN/Inf/divergence checks.
-	HealthChecks int `json:"health_checks"`
-	// Rollbacks counts checkpoint restorations after a failed check.
-	Rollbacks int `json:"rollbacks"`
-	// LastUnhealthyEpoch is the most recent epoch flagged unhealthy, -1 if
-	// none ever was.
-	LastUnhealthyEpoch int `json:"last_unhealthy_epoch"`
-	// CheckpointsTaken counts good-state checkpoints captured.
-	CheckpointsTaken int `json:"checkpoints_taken"`
-	// CheckpointVerifyFailures counts checkpoints rejected at restore or
-	// load time because their integrity checksum no longer matched.
-	CheckpointVerifyFailures int `json:"checkpoint_verify_failures"`
 }
 
 // BreakerStatus is the JSON shape of the circuit breaker's state.
@@ -89,7 +65,6 @@ type ReportSummary struct {
 	// Error carries the failure cause, not just the Failed bit, so the
 	// status endpoint shows why a task failed.
 	Error        string `json:"error,omitempty"`
-	Retries      int    `json:"retries,omitempty"`
 	Degraded     bool   `json:"degraded,omitempty"`
 	DeadLettered bool   `json:"dead_lettered,omitempty"`
 	Shed         bool   `json:"shed,omitempty"`
@@ -107,7 +82,6 @@ type StatusTracker struct {
 	mu        sync.Mutex
 	store     *Store
 	breaker   *Breaker
-	training  *TrainingHealth
 	inventory Inventory
 	service   *Service
 	reports   []Report
@@ -141,15 +115,6 @@ func (t *StatusTracker) AttachBreaker(b *Breaker) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.breaker = b
-}
-
-// SetTrainingHealth publishes the training stack's watchdog counters into
-// the status JSON. Call it after platform setup and again after any model
-// update; the latest value wins.
-func (t *StatusTracker) SetTrainingHealth(h TrainingHealth) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.training = &h
 }
 
 // AttachInventory makes snapshots report the storage backend's live
@@ -192,10 +157,6 @@ func (t *StatusTracker) Snapshot() Status {
 	if t.breaker != nil {
 		st.Breaker = &BreakerStatus{State: t.breaker.State().String(), Trips: t.breaker.Trips()}
 	}
-	if t.training != nil {
-		h := *t.training
-		st.Training = &h
-	}
 	if t.inventory != nil {
 		s := t.inventory.Stats()
 		st.Storage = &s
@@ -209,7 +170,6 @@ func (t *StatusTracker) Snapshot() Status {
 	ok := 0
 	for _, rep := range t.reports {
 		st.TasksProcessed++
-		st.TotalRetries += rep.Retries
 		if rep.Degraded {
 			st.TasksDegraded++
 		}
@@ -254,7 +214,6 @@ func (t *StatusTracker) Snapshot() Status {
 			ProcessSec:   rep.Process.Seconds(),
 			QueuedSec:    rep.Queued.Seconds(),
 			Failed:       rep.Err != nil && !rep.Shed && !rep.Abandoned,
-			Retries:      rep.Retries,
 			Degraded:     rep.Degraded,
 			DeadLettered: rep.DeadLettered,
 			Shed:         rep.Shed,

@@ -32,7 +32,7 @@ func trackerWithData(t *testing.T) *StatusTracker {
 		Detection: metrics.Detection{F1: 0.8},
 		Process:   100 * time.Millisecond, Queued: 10 * time.Millisecond,
 	})
-	tr.Record(Report{TaskID: 1, Size: 3, Err: errFake, Retries: 2, DeadLettered: true})
+	tr.Record(Report{TaskID: 1, Size: 3, Err: errFake, DeadLettered: true})
 	return tr
 }
 
@@ -67,7 +67,7 @@ func TestSnapshot(t *testing.T) {
 	if st.Recent[1].Error != "" {
 		t.Fatalf("successful summary has error %q", st.Recent[1].Error)
 	}
-	if st.TotalRetries != 2 || st.TasksDeadLetter != 1 || st.TasksDegraded != 0 {
+	if st.TasksDeadLetter != 1 || st.TasksDegraded != 0 {
 		t.Fatalf("resilience stats: %+v", st)
 	}
 }
@@ -165,51 +165,6 @@ func TestRecentBounded(t *testing.T) {
 	}
 	if st.Recent[0].TaskID != 49 {
 		t.Fatalf("most recent = %d", st.Recent[0].TaskID)
-	}
-}
-
-func TestSnapshotTrainingHealth(t *testing.T) {
-	tr := NewStatusTracker(nil)
-	if tr.Snapshot().Training != nil {
-		t.Fatal("training health present before SetTrainingHealth")
-	}
-	tr.SetTrainingHealth(TrainingHealth{
-		HealthChecks: 40, Rollbacks: 2, LastUnhealthyEpoch: 7,
-		CheckpointsTaken: 9, CheckpointVerifyFailures: 1,
-	})
-	st := tr.Snapshot()
-	if st.Training == nil {
-		t.Fatal("training health missing from snapshot")
-	}
-	if st.Training.Rollbacks != 2 || st.Training.LastUnhealthyEpoch != 7 || st.Training.CheckpointVerifyFailures != 1 {
-		t.Fatalf("training health = %+v", st.Training)
-	}
-
-	// The snapshot holds a copy: later mutation does not leak into it.
-	tr.SetTrainingHealth(TrainingHealth{Rollbacks: 99})
-	if st.Training.Rollbacks != 2 {
-		t.Fatal("snapshot aliases tracker state")
-	}
-
-	data, err := json.Marshal(tr.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	th, ok := decoded["training_health"].(map[string]any)
-	if !ok {
-		t.Fatalf("training_health missing from JSON: %s", data)
-	}
-	if th["rollbacks"].(float64) != 99 {
-		t.Fatalf("training_health JSON = %v", th)
-	}
-	for _, key := range []string{"health_checks", "last_unhealthy_epoch", "checkpoints_taken", "checkpoint_verify_failures"} {
-		if _, ok := th[key]; !ok {
-			t.Fatalf("training_health JSON lacks %q: %v", key, th)
-		}
 	}
 }
 

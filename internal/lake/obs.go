@@ -14,7 +14,6 @@ type lakeObs struct {
 	tasksDead      *obs.Counter
 	tasksShed      *obs.Counter
 	tasksAbandoned *obs.Counter
-	retries        *obs.Counter
 	taskSeconds    *obs.Histogram
 	queuedSeconds  *obs.Histogram
 	inflight       *obs.Gauge
@@ -31,8 +30,8 @@ var f1Buckets = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.9
 var taskBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 // SetObs attaches an observability registry to the service: per-outcome task
-// counters (enld_lake_tasks_total{outcome=...}), a retry counter, and task
-// latency / queue-wait histograms. Every outcome series is registered up
+// counters (enld_lake_tasks_total{outcome=...}) and task latency /
+// queue-wait histograms. Every outcome series is registered up
 // front so scrapes show zeros instead of absent series. Call before Run; a
 // nil registry detaches. Metrics are recorded from worker goroutines — the
 // registry's hot path is lock-free, so this adds no serialization.
@@ -53,8 +52,6 @@ func (s *Service) SetObs(reg *obs.Registry) {
 		tasksDead:      outcome("dead_letter"),
 		tasksShed:      outcome("shed"),
 		tasksAbandoned: outcome("abandoned"),
-		retries: reg.Counter("enld_lake_retries_total",
-			"Extra primary detection attempts consumed by transient failures."),
 		taskSeconds: reg.Histogram("enld_lake_task_seconds",
 			"End-to-end processing time of one lake task (queue wait excluded).", taskBuckets),
 		queuedSeconds: reg.Histogram("enld_lake_queued_seconds",
@@ -106,7 +103,7 @@ func (o *lakeObs) taskFinished() {
 }
 
 // record files one finished task. elapsed is the worker's wall-clock
-// processing time (attempts, backoff and fallback included — unlike
+// processing time (primary attempt and fallback included — unlike
 // Report.Process, which only the successful detector call stamps). Shed and
 // abandoned tasks count in the outcome taxonomy but deliberately skip the
 // latency histograms: no detector work ran, and folding their zeros in would
@@ -129,7 +126,6 @@ func (o *lakeObs) record(rep Report, elapsed time.Duration) {
 	default:
 		o.tasksOK.Inc()
 	}
-	o.retries.Add(uint64(rep.Retries))
 	o.taskSeconds.Observe(elapsed.Seconds())
 	o.queuedSeconds.Observe(rep.Queued.Seconds())
 	if rep.Tier != "" {

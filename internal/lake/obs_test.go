@@ -27,15 +27,11 @@ func lakeCounter(reg *obs.Registry, outcome string) *obs.Counter {
 		obs.Label{Key: "outcome", Value: outcome})
 }
 
-// TestServiceObsOutcomes: ok, degraded and dead-letter outcomes land in the
-// right counter series, retries accumulate, and the latency histograms see
-// every task.
+// TestServiceObsOutcomes: ok outcomes land in the right counter series, the
+// other outcome series are registered at zero, and the latency histograms
+// see every task (degraded/dead-letter counts are exercised below).
 func TestServiceObsOutcomes(t *testing.T) {
-	// Primary fails transiently twice then succeeds; with one retry allowed
-	// and a fallback, the task sequence covers all three outcomes is too
-	// intricate — exercise ok + retries here, degraded/dead below.
-	det := &transientFail{n: 2}
-	svc, err := NewServiceWithPolicy(det, 2, fastPolicy())
+	svc, err := NewServiceWithPolicy(flagOdd{}, 2, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +51,6 @@ func TestServiceObsOutcomes(t *testing.T) {
 			t.Fatalf("%s counter = %d, want 0 (pre-registered at zero)", outcome, got)
 		}
 	}
-	retries := reg.Counter("enld_lake_retries_total",
-		"Extra primary detection attempts consumed by transient failures.")
-	if got := retries.Value(); got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
-	}
 	taskSec := reg.Histogram("enld_lake_task_seconds",
 		"End-to-end processing time of one lake task (queue wait excluded).", taskBuckets)
 	if got := taskSec.Count(); got != 3 {
@@ -70,9 +61,7 @@ func TestServiceObsOutcomes(t *testing.T) {
 	if got := queued.Count(); got != 3 {
 		t.Fatalf("queued histogram count = %d, want 3", got)
 	}
-	// The lake pool drains a channel via Run (no chunked fan-out), so its
-	// task counter legitimately stays zero — but Instrument must have
-	// registered both series, and the busy gauge must have returned to zero.
+	// The lake pool's busy gauge must have returned to zero.
 	busy := reg.Gauge("enld_pool_busy_workers",
 		"Workers currently executing, by pool name.",
 		obs.Label{Key: "pool", Value: "lake"})

@@ -20,7 +20,7 @@ import (
 //	predicted = Σ_r depth_r × EWMA_r(service time) / workers
 //
 // where depth_r is how many queued tasks were admitted at rung r and EWMA_r
-// tracks that rung's recent task wall-clock times (attempts, backoff and
+// tracks that rung's recent task wall-clock times (primary attempt and
 // fallback included). Without a brownout ladder there is one rung and this is
 // depth × EWMA / workers. A task whose predicted wait exceeds MaxQueueWait —
 // its predicted start would already be past its deadline — is shed

@@ -17,7 +17,6 @@ import (
 	"enld/internal/lake"
 	"enld/internal/lake/seglog"
 	"enld/internal/mat"
-	"enld/internal/nn"
 )
 
 // e2eDetector marks odd IDs noisy (the workload's ground truth).
@@ -71,7 +70,6 @@ func e2ePlatform(t *testing.T, seed uint64) *core.Platform {
 	}
 	cfg := core.DefaultPlatformConfig(sp.Classes, sp.FeatureDim, seed+3)
 	cfg.Epochs = 4
-	cfg.Watchdog = nn.WatchdogConfig{Enabled: true}
 	p, err := core.NewPlatform(inv, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,9 @@ import (
 	"enld/internal/lake"
 	"enld/internal/lake/seglog"
 	"enld/internal/mat"
-	"enld/internal/nn"
 )
 
-// buildRecoveryPlatform trains a small watchdog-guarded platform; everything
+// buildRecoveryPlatform trains a small platform; everything
 // is deterministic from seed, so a restarted incarnation rebuilds the exact
 // same model when its on-disk checkpoint turns out to be unusable.
 func buildRecoveryPlatform(t *testing.T, seed uint64) *core.Platform {
@@ -34,7 +33,6 @@ func buildRecoveryPlatform(t *testing.T, seed uint64) *core.Platform {
 	}
 	cfg := core.DefaultPlatformConfig(sp.Classes, sp.FeatureDim, seed+3)
 	cfg.Epochs = 6
-	cfg.Watchdog = nn.WatchdogConfig{Enabled: true}
 	p, err := core.NewPlatform(inv, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,24 +9,15 @@ import (
 )
 
 // Policy configures the service's resilience behaviour. The zero value
-// disables everything — no per-task deadline, no retries, no circuit
-// breaker, no fallback — preserving the plain fail-fast path.
+// disables everything — no per-task deadline, no circuit breaker, no
+// fallback — preserving the plain fail-fast path. The primary detector is
+// attempted once per task: Detect is deterministic, so a failure would fail
+// the same way again.
 type Policy struct {
 	// TaskTimeout bounds each detector attempt. A stuck detector becomes a
 	// report error instead of a wedged worker; the abandoned attempt's
-	// goroutine is left to finish in the background. A timed-out attempt
-	// is not retried. 0 disables.
+	// goroutine is left to finish in the background. 0 disables.
 	TaskTimeout time.Duration
-	// MaxRetries is how many extra primary attempts a transient failure
-	// (fault.Error) earns before the task degrades or dead-letters. 0
-	// disables retries.
-	MaxRetries int
-	// RetryBase is the first backoff delay; each retry doubles it, capped
-	// at RetryMax, plus uniform jitter in [0, RetryBase) drawn from
-	// RetrySeed. Defaults: 20ms base, 1s cap.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	RetrySeed uint64
 	// BreakerThreshold trips the circuit breaker after that many
 	// consecutive primary-task failures; BreakerCooldown is how long the
 	// breaker stays open before probing half-open recovery. Threshold 0
@@ -46,45 +36,17 @@ type Policy struct {
 
 // normalized fills policy defaults.
 func (p Policy) normalized() (Policy, error) {
-	if p.TaskTimeout < 0 || p.MaxRetries < 0 || p.BreakerThreshold < 0 {
+	if p.TaskTimeout < 0 || p.BreakerThreshold < 0 {
 		return p, fmt.Errorf("lake: negative policy field: %+v", p)
 	}
 	var err error
 	if p.Admission, err = p.Admission.normalized(); err != nil {
 		return p, err
 	}
-	if p.RetryBase <= 0 {
-		p.RetryBase = 20 * time.Millisecond
-	}
-	if p.RetryMax <= 0 {
-		p.RetryMax = time.Second
-	}
 	if p.BreakerCooldown <= 0 {
 		p.BreakerCooldown = time.Second
 	}
 	return p, nil
-}
-
-// backoff returns the delay before retry attempt (0-based): base·2^attempt
-// capped at max. Jitter is added by the caller.
-func (p Policy) backoff(attempt int) time.Duration {
-	d := p.RetryBase
-	for i := 0; i < attempt && d < p.RetryMax; i++ {
-		d *= 2
-	}
-	if d > p.RetryMax {
-		d = p.RetryMax
-	}
-	return d
-}
-
-// transientErr reports whether err is worth retrying: it marks itself
-// transient (fault-injected or network-style hiccups). A per-task deadline
-// expiry is not: Detect is deterministic for a given input, so a retry would
-// redo the same work beside the abandoned attempt still running.
-func transientErr(err error) bool {
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
 }
 
 // BreakerState is one of the circuit breaker's three states.

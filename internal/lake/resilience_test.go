@@ -14,37 +14,18 @@ import (
 	"enld/internal/fault"
 )
 
-// transientFail errors with a Transient marker for the first n calls, then
-// succeeds by marking everything clean.
-type transientFail struct {
-	mu    sync.Mutex
-	n     int
-	calls int
+// countCalls counts the Detect calls reaching the detector it wraps.
+type countCalls struct {
+	detect.Detector
+	calls atomic.Int64
 }
 
-type transientErrVal struct{}
-
-func (transientErrVal) Error() string   { return "transient boom" }
-func (transientErrVal) Transient() bool { return true }
-
-func (f *transientFail) Name() string { return "transient-fail" }
-
-func (f *transientFail) Detect(d dataset.Set) (*detect.Result, error) {
-	f.mu.Lock()
-	f.calls++
-	fail := f.calls <= f.n
-	f.mu.Unlock()
-	if fail {
-		return nil, transientErrVal{}
-	}
-	res := detect.NewResult()
-	for _, smp := range d {
-		res.MarkClean(smp.ID)
-	}
-	return res, nil
+func (c *countCalls) Detect(d dataset.Set) (*detect.Result, error) {
+	c.calls.Add(1)
+	return c.Detector.Detect(d)
 }
 
-// switchable fails (non-transiently) while broken is set.
+// switchable fails while broken is set.
 type switchable struct {
 	mu     sync.Mutex
 	broken bool
@@ -87,56 +68,62 @@ func (s stuck) Detect(dataset.Set) (*detect.Result, error) {
 	return detect.NewResult(), nil
 }
 
-func fastPolicy() Policy {
-	return Policy{MaxRetries: 3, RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond}
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	det := &transientFail{n: 2}
-	svc, err := NewServiceWithPolicy(det, 1, fastPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	reports := svc.Run(ctx, Feed(ctx, shards(1, 4), 0))
-	if len(reports) != 1 {
-		t.Fatalf("%d reports", len(reports))
-	}
-	rep := reports[0]
-	if rep.Err != nil {
-		t.Fatalf("retried task failed: %v", rep.Err)
-	}
-	if rep.Retries != 2 {
-		t.Fatalf("retries = %d", rep.Retries)
-	}
-	if rep.Degraded || rep.DeadLettered {
-		t.Fatalf("flags = %+v", rep)
-	}
-}
-
-func TestRetryBudgetExhaustedDeadLetters(t *testing.T) {
-	det := &transientFail{n: 100}
-	svc, _ := NewServiceWithPolicy(det, 1, fastPolicy())
-	ctx := context.Background()
-	reports := svc.Run(ctx, Feed(ctx, shards(1, 4), 0))
-	rep := reports[0]
-	if rep.Err == nil || !rep.DeadLettered {
-		t.Fatalf("exhausted task not dead-lettered: %+v", rep)
-	}
-	if rep.Retries != 3 {
-		t.Fatalf("retries = %d", rep.Retries)
+// TestInjectedFailureAttemptedOnce: an injected error fails its task's one
+// primary attempt. With a fallback the task degrades; without one it
+// dead-letters. Either way the primary detector ran exactly once per task.
+func TestInjectedFailureAttemptedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fallback detect.Detector
+	}{
+		{"fallback", flagOdd{}},
+		{"no-fallback", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj, err := fault.New(flagOdd{}, fault.Config{Seed: 3, FailRate: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			primary := &countCalls{Detector: inj}
+			svc, err := NewServiceWithPolicy(primary, 2, Policy{Fallback: tc.fallback})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 5
+			ctx := context.Background()
+			reports := svc.Run(ctx, Feed(ctx, shards(n, 4), 0))
+			if len(reports) != n {
+				t.Fatalf("%d reports for %d tasks", len(reports), n)
+			}
+			for _, rep := range reports {
+				var fe *fault.Error
+				switch {
+				case tc.fallback != nil && (rep.Err != nil || !rep.Degraded):
+					t.Fatalf("task %d: err=%v degraded=%v, want degraded", rep.TaskID, rep.Err, rep.Degraded)
+				case tc.fallback == nil && (!rep.DeadLettered || !errors.As(rep.Err, &fe)):
+					t.Fatalf("task %d: dead-lettered=%v err=%v, want the injected error dead-lettered",
+						rep.TaskID, rep.DeadLettered, rep.Err)
+				}
+			}
+			if got := primary.calls.Load(); got != n {
+				t.Fatalf("primary detector called %d times for %d tasks, want once per task", got, n)
+			}
+		})
 	}
 }
 
 func TestNonTransientErrorNotRetried(t *testing.T) {
 	det := &switchable{}
 	det.set(true)
-	svc, _ := NewServiceWithPolicy(det, 1, fastPolicy())
+	primary := &countCalls{Detector: det}
+	svc, _ := NewServiceWithPolicy(primary, 1, Policy{})
 	ctx := context.Background()
 	reports := svc.Run(ctx, Feed(ctx, shards(1, 4), 0))
-	rep := reports[0]
-	if rep.Err == nil || rep.Retries != 0 {
-		t.Fatalf("hard failure retried: %+v", rep)
+	if rep := reports[0]; rep.Err == nil || !rep.DeadLettered {
+		t.Fatalf("hard failure not dead-lettered: %+v", rep)
+	}
+	if got := primary.calls.Load(); got != 1 {
+		t.Fatalf("hard failure attempted %d times, want once", got)
 	}
 }
 
@@ -161,15 +148,13 @@ func TestTaskTimeoutUnwedgesWorker(t *testing.T) {
 }
 
 // TestTaskTimeoutNotRetried: a timed-out attempt is final. Detect is
-// deterministic for its input, so a retry would only pile a second live
-// attempt onto the abandoned one; the task goes straight to the fallback.
+// deterministic for its input, so a second attempt would only pile a second
+// live call onto the abandoned one; the task goes straight to the fallback.
 func TestTaskTimeoutNotRetried(t *testing.T) {
 	det := stuck{release: make(chan struct{}), calls: new(atomic.Int64)}
 	defer close(det.release)
 	svc, _ := NewServiceWithPolicy(det, 1, Policy{
 		TaskTimeout: 10 * time.Millisecond,
-		MaxRetries:  2,
-		RetryBase:   time.Millisecond,
 		Fallback:    flagOdd{},
 	})
 	ctx := context.Background()
@@ -179,9 +164,8 @@ func TestTaskTimeoutNotRetried(t *testing.T) {
 		t.Fatalf("%d reports for %d tasks", len(reports), n)
 	}
 	for _, rep := range reports {
-		if rep.Err != nil || !rep.Degraded || rep.Retries != 0 {
-			t.Fatalf("task %d: err=%v degraded=%v retries=%d; want degraded, no retries",
-				rep.TaskID, rep.Err, rep.Degraded, rep.Retries)
+		if rep.Err != nil || !rep.Degraded {
+			t.Fatalf("task %d: err=%v degraded=%v; want degraded", rep.TaskID, rep.Err, rep.Degraded)
 		}
 	}
 	if got := det.calls.Load(); got != n {
@@ -410,17 +394,17 @@ func TestServiceCancelMidFeed(t *testing.T) {
 }
 
 func TestPolicyValidation(t *testing.T) {
-	if _, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{MaxRetries: -1}); err == nil {
-		t.Error("negative retries accepted")
+	if _, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{BreakerThreshold: -1}); err == nil {
+		t.Error("negative breaker threshold accepted")
 	}
 	if _, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{TaskTimeout: -time.Second}); err == nil {
 		t.Error("negative timeout accepted")
 	}
 }
 
-// TestChaosZeroLostTasks is the acceptance scenario: 20% transient failures
-// plus occasional panics and slowdowns, served with retries, deadline and a
-// fallback. Every task ID must appear in the final reports as succeeded,
+// TestChaosZeroLostTasks is the acceptance scenario: 20% injected failures
+// plus occasional panics and slowdowns, served with a deadline, a breaker
+// and a fallback. Every task ID must appear in the final reports as succeeded,
 // degraded or dead-lettered — nothing lost, nothing silently relabelled as
 // primary output.
 func TestChaosZeroLostTasks(t *testing.T) {
@@ -436,9 +420,6 @@ func TestChaosZeroLostTasks(t *testing.T) {
 	}
 	policy := Policy{
 		TaskTimeout:      time.Second,
-		MaxRetries:       2,
-		RetryBase:        time.Millisecond,
-		RetryMax:         4 * time.Millisecond,
 		BreakerThreshold: 4,
 		BreakerCooldown:  20 * time.Millisecond,
 		Fallback:         flagOdd{},

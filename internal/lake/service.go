@@ -11,7 +11,6 @@ import (
 
 	"enld/internal/dataset"
 	"enld/internal/detect"
-	"enld/internal/mat"
 	"enld/internal/metrics"
 	"enld/internal/parallel"
 )
@@ -38,17 +37,18 @@ type Report struct {
 	Queued  time.Duration
 	Process time.Duration
 	Err     error
-	// Retries is how many extra primary attempts the task consumed on
-	// transient failures before succeeding, degrading or dead-lettering.
+	// Retries is always 0: the service attempts each detector once. It
+	// stays only because the benchmark harness still reads it; ROADMAP 1(b)
+	// deletes it in the next benchmark change.
 	Retries int
 	// Degraded marks a result produced by the fallback detector after the
 	// primary path failed or was bypassed by an open circuit breaker. A
 	// degraded result is real output, but never ENLD-quality output.
 	Degraded bool
-	// DeadLettered marks a task that exhausted every path — retries and
-	// fallback included — and carries only an error. No task is silently
-	// dropped: it either succeeds, degrades, dead-letters, is shed at
-	// admission, or is abandoned at shutdown.
+	// DeadLettered marks a task that exhausted every path — the primary
+	// detector and the fallback — and carries only an error. No task is
+	// silently dropped: it either succeeds, degrades, dead-letters, is shed
+	// at admission, or is abandoned at shutdown.
 	DeadLettered bool
 	// Shed marks a task rejected at admission by the overload shedder: the
 	// queue was full, or the task's predicted queue wait already exceeded
@@ -86,10 +86,6 @@ type Service struct {
 	workers int
 	policy  Policy
 	breaker *Breaker
-
-	// retryMu guards retryRNG, the shared jitter source.
-	retryMu  sync.Mutex
-	retryRNG *mat.RNG
 
 	// skip holds task IDs already completed in a previous incarnation
 	// (recovered from the segment log's detection outcomes); Run drops
@@ -135,11 +131,7 @@ func NewServiceWithPolicy(detector detect.Detector, workers int, policy Policy) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{
-		workers:  workers,
-		policy:   policy,
-		retryRNG: mat.NewRNG(policy.RetrySeed ^ 0xd1b54a32d192ed03),
-	}
+	s := &Service{workers: workers, policy: policy}
 	s.rungs = []*rung{s.newRung("", detector)}
 	if policy.BreakerThreshold > 0 {
 		s.breaker = NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)
@@ -351,7 +343,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 			queued := time.Since(st.arrived)
 			s.obs.taskStarted()
 			began := time.Now()
-			rep := s.process(ctx, st.req, st.tier)
+			rep := s.process(st.req, st.tier)
 			rep.Queued = queued
 			elapsed := time.Since(began)
 			s.obs.taskFinished()
@@ -436,19 +428,19 @@ func (s *Service) abandonReport(st stamped) Report {
 }
 
 // process runs one request through the full resilience pipeline: primary
-// detector (breaker-gated, deadline-bounded, retried on transient errors),
-// then the fallback detector, then the dead-letter report. A panicking
-// detector is contained: the panic becomes an attempt error rather than
-// killing the worker pool. The primary detector is the one serving the
+// detector (breaker-gated, deadline-bounded, attempted once), then the
+// fallback detector, then the dead-letter report. A panicking detector is
+// contained: the panic becomes an attempt error rather than killing the
+// worker pool. The primary detector is the one serving the
 // task's admission rung.
-func (s *Service) process(ctx context.Context, req Request, tier int) Report {
+func (s *Service) process(req Request, tier int) Report {
 	rep := Report{TaskID: req.TaskID, Size: len(req.Data), Tier: s.rungs[tier].name}
 	primary := s.rungs[tier].detector
 
 	primaryErr := ErrBreakerOpen
 	if s.breaker == nil || s.breaker.Allow() {
 		var res *detect.Result
-		res, rep.Retries, primaryErr = s.attemptWithRetry(ctx, primary, req)
+		res, primaryErr = s.attempt(primary, req)
 		if primaryErr == nil {
 			if s.breaker != nil {
 				s.breaker.Success()
@@ -481,39 +473,6 @@ func fill(rep *Report, req Request, res *detect.Result) {
 	rep.Result = res
 	rep.Process = res.Process
 	rep.Detection = metrics.EvaluateDetection(req.Data, res.Noisy)
-}
-
-// attemptWithRetry runs the primary detector, retrying transient failures
-// up to the policy's budget with exponential backoff and jitter. It returns
-// the retry count actually consumed.
-func (s *Service) attemptWithRetry(ctx context.Context, det detect.Detector, req Request) (*detect.Result, int, error) {
-	var err error
-	for attempt := 0; ; attempt++ {
-		var res *detect.Result
-		res, err = s.attempt(det, req)
-		if err == nil {
-			return res, attempt, nil
-		}
-		if attempt >= s.policy.MaxRetries || !transientErr(err) {
-			return nil, attempt, err
-		}
-		delay := s.policy.backoff(attempt) + s.jitter()
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			// Shutting down: don't burn the backoff budget, report the
-			// last failure.
-			return nil, attempt, err
-		}
-	}
-}
-
-// jitter draws a uniform delay in [0, RetryBase) to decorrelate concurrent
-// workers' retry schedules.
-func (s *Service) jitter() time.Duration {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	return time.Duration(s.retryRNG.Float64() * float64(s.policy.RetryBase))
 }
 
 // attempt runs one deadline-bounded detector call. With no TaskTimeout the

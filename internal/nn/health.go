@@ -6,249 +6,42 @@ import (
 	"math"
 )
 
-// ErrUnhealthy is the sentinel every numerical-health failure wraps. Callers
-// branch on errors.Is(err, ErrUnhealthy) to distinguish "the model state went
-// bad" (NaN/Inf in losses, gradients or weights, or a diverging loss) from
-// ordinary configuration or I/O errors.
+// ErrUnhealthy is the sentinel a non-finite model state wraps. Callers
+// branch on errors.Is(err, ErrUnhealthy) to tell "the weights went bad"
+// from ordinary configuration or I/O errors.
 var ErrUnhealthy = errors.New("nn: unhealthy model state")
 
-// HealthIssue names the class of numerical failure a HealthError reports.
-type HealthIssue string
-
-// Health failure classes.
-const (
-	// IssueLoss: a batch or epoch loss came out NaN or ±Inf.
-	IssueLoss HealthIssue = "loss-non-finite"
-	// IssueGrad: a reduced gradient element is NaN or ±Inf.
-	IssueGrad HealthIssue = "grad-non-finite"
-	// IssueWeight: a parameter is NaN or ±Inf.
-	IssueWeight HealthIssue = "weight-non-finite"
-	// IssueExplosion: the epoch mean loss exceeded the divergence threshold
-	// relative to the best epoch seen so far.
-	IssueExplosion HealthIssue = "loss-explosion"
-)
-
-// HealthError is a typed numerical-health failure. It wraps ErrUnhealthy, so
-// errors.Is(err, ErrUnhealthy) holds for every HealthError.
-type HealthError struct {
-	Issue HealthIssue
-	// Epoch and Batch locate the failing check; Batch is 0 for end-of-epoch
-	// checks.
-	Epoch, Batch int
-	// Value is the offending number (the non-finite loss/gradient/weight, or
-	// the exploding epoch mean loss).
-	Value float64
-	// Layer and Index locate a non-finite parameter or gradient; both are -1
-	// when the issue is loss-level.
+// NonFiniteError locates the first NaN/±Inf parameter of a network. It wraps
+// ErrUnhealthy.
+type NonFiniteError struct {
+	// Layer and Index locate the parameter within the layer's weights, or
+	// within its biases when every weight of the layer is finite.
 	Layer, Index int
+	Value        float64
 }
 
 // Error implements error.
-func (e *HealthError) Error() string {
-	loc := fmt.Sprintf("epoch %d batch %d", e.Epoch, e.Batch)
-	if e.Layer >= 0 {
-		return fmt.Sprintf("nn: unhealthy: %s at %s (layer %d index %d, value %v)",
-			e.Issue, loc, e.Layer, e.Index, e.Value)
-	}
-	return fmt.Sprintf("nn: unhealthy: %s at %s (value %v)", e.Issue, loc, e.Value)
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("nn: unhealthy: non-finite parameter at layer %d index %d (value %v)",
+		e.Layer, e.Index, e.Value)
 }
 
-// Unwrap makes every HealthError match ErrUnhealthy.
-func (e *HealthError) Unwrap() error { return ErrUnhealthy }
+// Unwrap makes every NonFiniteError match ErrUnhealthy.
+func (e *NonFiniteError) Unwrap() error { return ErrUnhealthy }
 
-// HealthConfig tunes the numerical-health checks. The zero value selects the
-// defaults noted per field.
-type HealthConfig struct {
-	// CheckEvery is the batch-update cadence of the gradient and weight
-	// scans (default 16). The per-batch loss check is a single float compare
-	// and always runs; full parameter scans are what the cadence keeps off
-	// the hot path.
-	CheckEvery int
-	// ExplodeFactor flags divergence when an epoch's mean loss exceeds
-	// ExplodeFactor × (best epoch mean so far + 1e-3). Default 4; a negative
-	// value disables the explosion check.
-	ExplodeFactor float64
-	// WarmupEpochs is how many epochs run before explosion checks engage
-	// (default 2) — early training legitimately moves fast.
-	WarmupEpochs int
-}
-
-func (c HealthConfig) normalized() HealthConfig {
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 16
-	}
-	if c.ExplodeFactor == 0 {
-		c.ExplodeFactor = 4
-	}
-	if c.WarmupEpochs <= 0 {
-		c.WarmupEpochs = 2
-	}
-	return c
-}
-
-// WatchdogConfig enables and tunes the trainer's numerical-health watchdog:
-// health checks at the configured cadence, a ring of verified good
-// checkpoints, and rollback-with-LR-decay recovery when a check fails.
-type WatchdogConfig struct {
-	// Enabled turns the watchdog on. The zero value leaves Run's behavior —
-	// including its exact floating-point stream — untouched.
-	Enabled bool
-	// Health tunes the checks (zero value = defaults).
-	Health HealthConfig
-	// CheckpointEvery is the epoch cadence of ring checkpoints (default 1).
-	// Checkpoints are only taken after an epoch that passed every check.
-	CheckpointEvery int
-	// RingSize is how many good checkpoints are retained (default 2).
-	RingSize int
-	// MaxRollbacks bounds recovery attempts per Run (default 3); when the
-	// budget is exhausted Run returns the pending health error.
-	MaxRollbacks int
-	// LRDecay multiplies the optimizer's learning rate on every rollback
-	// (default 0.5), so each retry re-approaches the divergence point more
-	// conservatively.
-	LRDecay float64
-}
-
-func (c WatchdogConfig) normalized() WatchdogConfig {
-	c.Health = c.Health.normalized()
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 2
-	}
-	if c.MaxRollbacks <= 0 {
-		c.MaxRollbacks = 3
-	}
-	if c.LRDecay <= 0 || c.LRDecay >= 1 {
-		c.LRDecay = 0.5
-	}
-	return c
-}
-
-// WatchdogStats reports what the watchdog did during a Run.
-type WatchdogStats struct {
-	// HealthChecks counts executed checks (per-batch loss checks, cadenced
-	// parameter scans and end-of-epoch evaluations).
-	HealthChecks int
-	// Rollbacks counts checkpoint restorations.
-	Rollbacks int
-	// LastUnhealthyEpoch is the most recent epoch flagged unhealthy, or -1.
-	LastUnhealthyEpoch int
-	// CheckpointsTaken counts ring captures (including the initial one).
-	CheckpointsTaken int
-	// VerifyFailures counts checkpoints whose integrity checksum no longer
-	// matched at restore time and were skipped.
-	VerifyFailures int
-}
-
-// Accumulate folds another run's stats into s (the platform accumulates
-// across its general-model training and Algorithm-4 retrains).
-func (s *WatchdogStats) Accumulate(o WatchdogStats) {
-	s.HealthChecks += o.HealthChecks
-	s.Rollbacks += o.Rollbacks
-	s.CheckpointsTaken += o.CheckpointsTaken
-	s.VerifyFailures += o.VerifyFailures
-	if o.LastUnhealthyEpoch >= 0 {
-		s.LastUnhealthyEpoch = o.LastUnhealthyEpoch
-	}
-}
-
-// LRScaler is implemented by optimizers whose learning rate the watchdog can
-// decay in place on rollback.
-type LRScaler interface {
-	// ScaleLR multiplies the learning rate by factor.
-	ScaleLR(factor float64)
-}
-
-// ScaleLR implements LRScaler.
-func (s *SGD) ScaleLR(factor float64) { s.LR *= factor }
-
-// ScaleLR implements LRScaler.
-func (a *Adam) ScaleLR(factor float64) { a.LR *= factor }
-
-// health carries the mutable check state of one watchdog run.
-type health struct {
-	cfg      HealthConfig
-	bestLoss float64
-	haveBest bool
-	epochs   int
-	checks   int
-}
-
-func newHealth(cfg HealthConfig) *health {
-	return &health{cfg: cfg.normalized()}
-}
-
-// findNonFinite returns the first NaN/±Inf in vs.
-func findNonFinite(vs []float64) (idx int, val float64, found bool) {
-	for i, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return i, v, true
-		}
-	}
-	return 0, 0, false
-}
-
-// checkBatch runs the per-batch checks: the (free) summed-loss finiteness
-// check every batch, and full gradient + weight scans every cfg.CheckEvery
-// batch updates. batch is the 1-based update index within the epoch.
-func (h *health) checkBatch(epoch, batch int, loss float64, g *Grads, n *Network) error {
-	h.checks++
-	if math.IsNaN(loss) || math.IsInf(loss, 0) {
-		return &HealthError{Issue: IssueLoss, Epoch: epoch, Batch: batch, Value: loss, Layer: -1, Index: -1}
-	}
-	if batch%h.cfg.CheckEvery != 0 {
-		return nil
-	}
-	for l := range g.Weights {
-		if i, v, bad := findNonFinite(g.Weights[l].Data); bad {
-			return &HealthError{Issue: IssueGrad, Epoch: epoch, Batch: batch, Value: v, Layer: l, Index: i}
-		}
-		if i, v, bad := findNonFinite(g.Biases[l]); bad {
-			return &HealthError{Issue: IssueGrad, Epoch: epoch, Batch: batch, Value: v, Layer: l, Index: i}
-		}
-	}
-	return checkWeights(n, epoch, batch)
-}
-
-// observeEpoch runs the end-of-epoch checks: weight finiteness and loss
-// divergence against the rolling best epoch mean.
-func (h *health) observeEpoch(epoch int, meanLoss float64, n *Network) error {
-	h.checks++
-	if math.IsNaN(meanLoss) || math.IsInf(meanLoss, 0) {
-		return &HealthError{Issue: IssueLoss, Epoch: epoch, Value: meanLoss, Layer: -1, Index: -1}
-	}
-	if err := checkWeights(n, epoch, 0); err != nil {
-		return err
-	}
-	h.epochs++
-	if h.cfg.ExplodeFactor > 0 && h.epochs > h.cfg.WarmupEpochs && h.haveBest &&
-		meanLoss > h.cfg.ExplodeFactor*(h.bestLoss+1e-3) {
-		return &HealthError{Issue: IssueExplosion, Epoch: epoch, Value: meanLoss, Layer: -1, Index: -1}
-	}
-	if !h.haveBest || meanLoss < h.bestLoss {
-		h.bestLoss, h.haveBest = meanLoss, true
-	}
-	return nil
-}
-
-// checkWeights scans every parameter of n for NaN/±Inf.
-func checkWeights(n *Network, epoch, batch int) error {
-	for l := range n.Weights {
-		if i, v, bad := findNonFinite(n.Weights[l].Data); bad {
-			return &HealthError{Issue: IssueWeight, Epoch: epoch, Batch: batch, Value: v, Layer: l, Index: i}
-		}
-		if i, v, bad := findNonFinite(n.Biases[l]); bad {
-			return &HealthError{Issue: IssueWeight, Epoch: epoch, Batch: batch, Value: v, Layer: l, Index: i}
-		}
-	}
-	return nil
-}
-
-// CheckFinite reports whether every parameter of n is finite, returning a
-// HealthError locating the first NaN/±Inf otherwise. Recovery paths use it
-// to verify a restored model before serving from it.
+// CheckFinite returns nil when every parameter of n is finite, and a
+// NonFiniteError locating the first NaN/±Inf otherwise. Platform setup runs
+// it after training and the snapshot loader before serving from a restored
+// model.
 func (n *Network) CheckFinite() error {
-	return checkWeights(n, 0, 0)
+	for l := range n.Weights {
+		for _, vs := range [][]float64{n.Weights[l].Data, n.Biases[l]} {
+			for i, v := range vs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return &NonFiniteError{Layer: l, Index: i, Value: v}
+				}
+			}
+		}
+	}
+	return nil
 }

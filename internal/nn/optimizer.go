@@ -12,8 +12,6 @@ import (
 type Optimizer interface {
 	// Step applies the gradients in g, averaged over batchSize samples, to n.
 	Step(n *Network, g *Grads, batchSize int)
-	// Reset clears optimizer state (momentum/moment buffers).
-	Reset()
 }
 
 // SGD is stochastic gradient descent with classical momentum and optional
@@ -76,12 +74,6 @@ func stepSlice(param, grad, vel []float64, lr, momentum, decay, inv float64) {
 	mat.SGDStep(param, grad, vel, lr, momentum, decay, inv)
 }
 
-// Reset implements Optimizer.
-func (s *SGD) Reset() {
-	s.velW = nil
-	s.velB = nil
-}
-
 // Adam implements the Adam optimizer. The fine-tuning loops of fine-grained
 // noisy label detection converge in very few epochs with Adam, which is how
 // the reproduction keeps per-task process time low while matching the
@@ -141,10 +133,4 @@ func (a *Adam) stepSlice(param, grad, m, v []float64, inv, c1, c2 float64) {
 		vHat := v[i] / c2
 		param[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 	}
-}
-
-// Reset implements Optimizer.
-func (a *Adam) Reset() {
-	a.t = 0
-	a.mW, a.vW, a.mB, a.vB = nil, nil, nil, nil
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -48,18 +47,6 @@ type TrainConfig struct {
 	// It stays only because the benchmark harness still sets it; ROADMAP
 	// 1(b) deletes it in the next benchmark change.
 	Workers int
-	// Watchdog enables the numerical-health watchdog with checkpoint
-	// rollback (see WatchdogConfig). The zero value disables it and leaves
-	// Run's floating-point stream untouched.
-	Watchdog WatchdogConfig
-	// AfterEpoch, when set, is called at the end of each healthy epoch with
-	// the epoch index and the live network — after the watchdog's health
-	// evaluation and checkpoint capture, so anything it perturbs is caught
-	// by the next epoch's checks and rolled back to the clean checkpoint.
-	// Fault-injection tests use it to corrupt state mid-training; it must be
-	// a deterministic function of its arguments for the rollback determinism
-	// contract to hold.
-	AfterEpoch func(epoch int, net *Network)
 }
 
 // DefaultMixupAlpha is the paper's Beta-distribution parameter for mixup.
@@ -78,7 +65,7 @@ type Trainer struct {
 	Opt Optimizer
 
 	// Obs, when set, receives training metrics: epoch/batch duration and
-	// batch-loss histograms plus watchdog trip/rollback/checkpoint counters.
+	// batch-loss histograms.
 	// Nil leaves the hot path untouched — no handles, no clock reads.
 	Obs *obs.Registry
 
@@ -104,9 +91,6 @@ type Trainer struct {
 	// against.
 	perSample bool
 
-	// wstats reports what the watchdog did during the last Run.
-	wstats WatchdogStats
-
 	// obsm caches the metric handles resolved from Obs; obsReg tracks which
 	// registry they belong to so a swapped Obs re-interns them.
 	obsm   *trainerObs
@@ -119,9 +103,6 @@ type trainerObs struct {
 	epochSeconds *obs.Histogram
 	batchSeconds *obs.Histogram
 	batchLoss    *obs.Histogram
-	trips        *obs.Counter
-	rollbacks    *obs.Counter
-	checkpoints  *obs.Counter
 }
 
 // lossBuckets spans the cross-entropy losses seen in practice: from
@@ -144,12 +125,6 @@ func (t *Trainer) ensureObs() {
 			"Wall-clock duration of one mini-batch update.", obs.DefBuckets),
 		batchLoss: t.Obs.Histogram("enld_train_batch_loss",
 			"Mean per-sample cross-entropy loss of each mini-batch.", lossBuckets),
-		trips: t.Obs.Counter("enld_train_watchdog_trips_total",
-			"Failed numerical-health checks during training."),
-		rollbacks: t.Obs.Counter("enld_train_rollbacks_total",
-			"Checkpoint rollbacks performed by the training watchdog."),
-		checkpoints: t.Obs.Counter("enld_train_checkpoints_total",
-			"Verified checkpoints captured by the training watchdog."),
 	}
 	t.obsReg = t.Obs
 }
@@ -193,10 +168,6 @@ func (t *Trainer) Run(examples []Example, cfg TrainConfig) ([]EpochStats, error)
 	}
 	t.ensureObs()
 	t.ensureScratch(min(cfg.BatchSize, len(examples)))
-	if cfg.Watchdog.Enabled {
-		return t.runWatchdog(examples, cfg, alpha)
-	}
-	t.wstats = WatchdogStats{}
 	rng := mat.NewRNG(cfg.Seed)
 	stats := make([]EpochStats, 0, cfg.Epochs)
 	for e := 0; e < cfg.Epochs; e++ {
@@ -204,108 +175,11 @@ func (t *Trainer) Run(examples []Example, cfg TrainConfig) ([]EpochStats, error)
 		if t.obsm != nil {
 			epochStart = time.Now()
 		}
-		st, _ := t.epoch(examples, cfg, alpha, rng, nil, e)
+		st := t.epoch(examples, cfg, alpha, rng)
 		if t.obsm != nil {
 			t.obsm.epochSeconds.Observe(time.Since(epochStart).Seconds())
 		}
-		if cfg.AfterEpoch != nil {
-			cfg.AfterEpoch(e, t.Net)
-		}
 		stats = append(stats, st)
-	}
-	return stats, nil
-}
-
-// WatchdogStats reports what the watchdog did during the last Run. It is
-// zero when the last Run had the watchdog disabled.
-func (t *Trainer) WatchdogStats() WatchdogStats { return t.wstats }
-
-// runWatchdog is Run with the numerical-health watchdog engaged. The epoch
-// loop is wrapped in a detect → rollback → decay-LR → retry cycle:
-//
-//   - every batch, the summed chunk loss (the BackwardBatch reduction
-//     output) is checked for NaN/±Inf, and at the configured cadence the
-//     reduced gradient and the updated weights are scanned;
-//   - after each healthy epoch (at the checkpoint cadence) the parameters
-//     and RNG state go into a checksummed ring of good checkpoints;
-//   - on a failed check the newest verified checkpoint is restored, the
-//     optimizer state is reset and its learning rate decayed, and training
-//     resumes from the checkpoint's epoch — up to MaxRollbacks times before
-//     Run gives up and returns the pending ErrUnhealthy.
-//
-// Recovery is deterministic: the checkpoint carries the RNG state and health
-// decisions depend only on chunk-ordered reductions, so the same seed yields
-// the same recovery sequence and the same final weights.
-func (t *Trainer) runWatchdog(examples []Example, cfg TrainConfig, alpha float64) ([]EpochStats, error) {
-	wd := cfg.Watchdog.normalized()
-	h := newHealth(wd.Health)
-	ring := newCheckpointRing(wd.RingSize)
-	rng := mat.NewRNG(cfg.Seed)
-	t.wstats = WatchdogStats{LastUnhealthyEpoch: -1}
-
-	// The initial checkpoint (epoch -1) guarantees a rollback target even
-	// when training goes bad before the first epoch completes.
-	ring.capture(t.Net, *rng, -1)
-	t.wstats.CheckpointsTaken++
-	if t.obsm != nil {
-		t.obsm.checkpoints.Inc()
-	}
-
-	stats := make([]EpochStats, 0, cfg.Epochs)
-	for e := 0; e < cfg.Epochs; e++ {
-		var epochStart time.Time
-		if t.obsm != nil {
-			epochStart = time.Now()
-		}
-		st, herr := t.epoch(examples, cfg, alpha, rng, h, e)
-		if herr == nil {
-			herr = h.observeEpoch(e, st.MeanLoss, t.Net)
-		}
-		if t.obsm != nil {
-			t.obsm.epochSeconds.Observe(time.Since(epochStart).Seconds())
-		}
-		t.wstats.HealthChecks = h.checks
-		if herr != nil {
-			t.wstats.LastUnhealthyEpoch = e
-			if t.obsm != nil {
-				t.obsm.trips.Inc()
-			}
-			if t.wstats.Rollbacks >= wd.MaxRollbacks {
-				return stats, fmt.Errorf("nn: rollback budget (%d) exhausted: %w", wd.MaxRollbacks, herr)
-			}
-			ck, fails := ring.restore(t.Net)
-			t.wstats.VerifyFailures += fails
-			if ck == nil {
-				return stats, fmt.Errorf("nn: no verified checkpoint to roll back to: %w", herr)
-			}
-			t.wstats.Rollbacks++
-			if t.obsm != nil {
-				t.obsm.rollbacks.Inc()
-			}
-			t.Opt.Reset()
-			if s, ok := t.Opt.(LRScaler); ok {
-				s.ScaleLR(wd.LRDecay)
-			}
-			*rng = ck.rng
-			stats = stats[:ck.epoch+1]
-			e = ck.epoch
-			continue
-		}
-		stats = append(stats, st)
-		if (e+1)%wd.CheckpointEvery == 0 {
-			ring.capture(t.Net, *rng, e)
-			t.wstats.CheckpointsTaken++
-			if t.obsm != nil {
-				t.obsm.checkpoints.Inc()
-			}
-		}
-		// The hook runs after the checkpoint is captured, so any state it
-		// perturbs (fault injection in tests, external weight surgery) is
-		// caught by the next epoch's checks and rolled back to the clean,
-		// training-produced state.
-		if cfg.AfterEpoch != nil {
-			cfg.AfterEpoch(e, t.Net)
-		}
 	}
 	return stats, nil
 }
@@ -341,11 +215,7 @@ func (t *Trainer) ensureScratch(maxBatch int) {
 // The result is bit-identical to the per-sample reference path: the batched
 // kernels preserve the per-sample accumulation order within a chunk, and
 // both paths share the partition and the reduction order.
-//
-// With a non-nil health checker, each batch's reduced loss is validated and
-// the reduced gradient and updated weights are scanned at the configured
-// cadence; the first failed check aborts the epoch with a HealthError.
-func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng *mat.RNG, h *health, e int) (EpochStats, error) {
+func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng *mat.RNG) EpochStats {
 	order := rng.Perm(len(examples))
 	var st EpochStats
 	var lossSum float64
@@ -402,16 +272,11 @@ func (t *Trainer) epoch(examples []Example, cfg TrainConfig, alpha float64, rng 
 			t.obsm.batchSeconds.Observe(time.Since(batchStart).Seconds())
 			t.obsm.batchLoss.Observe(batchLoss / float64(len(batch)))
 		}
-		if h != nil {
-			if err := h.checkBatch(e, st.BatchUpdates, batchLoss, t.grads, t.Net); err != nil {
-				return st, err
-			}
-		}
 	}
 	if st.SamplesSeen > 0 {
 		st.MeanLoss = lossSum / float64(st.SamplesSeen)
 	}
-	return st, nil
+	return st
 }
 
 // reduceChunks accumulates into g, which the caller has cleared, the

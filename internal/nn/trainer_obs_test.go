@@ -59,36 +59,3 @@ func TestTrainerObsMetrics(t *testing.T) {
 		t.Fatal("loss histogram sum not positive")
 	}
 }
-
-// TestTrainerObsWatchdogCounters: watchdog trips, rollbacks and checkpoint
-// captures surface as counters and agree with WatchdogStats.
-func TestTrainerObsWatchdogCounters(t *testing.T) {
-	examples := twoBlobs(120, 3)
-	net := NewNetwork([]int{2, 8, 2}, mat.NewRNG(2))
-	tr := NewTrainer(net, NewSGD(0.1, 0.9, 0))
-	reg := obs.NewRegistry()
-	tr.Obs = reg
-	if _, err := tr.Run(examples, TrainConfig{
-		Epochs: 8, BatchSize: 16, Seed: 7,
-		Watchdog:   WatchdogConfig{Enabled: true},
-		AfterEpoch: pokeNaNOnce(2),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := tr.WatchdogStats()
-	trips := reg.Counter("enld_train_watchdog_trips_total",
-		"Failed numerical-health checks during training.")
-	rollbacks := reg.Counter("enld_train_rollbacks_total",
-		"Checkpoint rollbacks performed by the training watchdog.")
-	checkpoints := reg.Counter("enld_train_checkpoints_total",
-		"Verified checkpoints captured by the training watchdog.")
-	if trips.Value() == 0 {
-		t.Fatal("no watchdog trips recorded")
-	}
-	if got := rollbacks.Value(); got != uint64(st.Rollbacks) {
-		t.Fatalf("rollback counter = %d, want %d", got, st.Rollbacks)
-	}
-	if got := checkpoints.Value(); got != uint64(st.CheckpointsTaken) {
-		t.Fatalf("checkpoint counter = %d, want %d", got, st.CheckpointsTaken)
-	}
-}

@@ -123,20 +123,6 @@ func TestMeanLossAndAccuracyEmpty(t *testing.T) {
 	}
 }
 
-func TestOptimizerReset(t *testing.T) {
-	net := NewNetwork([]int{2, 3, 2}, mat.NewRNG(1))
-	g := net.NewGrads()
-	net.Backward(g, []float64{1, 1}, OneHot(0, 2))
-	sgd := NewSGD(0.1, 0.9, 0)
-	sgd.Step(net, g, 1)
-	sgd.Reset()
-	sgd.Step(net, g, 1) // must not panic after reset
-	adam := NewAdam(0.01)
-	adam.Step(net, g, 1)
-	adam.Reset()
-	adam.Step(net, g, 1)
-}
-
 func TestStepIgnoresEmptyBatch(t *testing.T) {
 	net := NewNetwork([]int{2, 3, 2}, mat.NewRNG(1))
 	before := net.Clone()

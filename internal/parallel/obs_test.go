@@ -7,9 +7,9 @@ import (
 	"enld/internal/obs"
 )
 
-// TestInstrumentCountsChunks: every executed chunk is counted, at any worker
-// count, and the busy gauge returns to zero once the pool drains.
-func TestInstrumentCountsChunks(t *testing.T) {
+// TestBusyGaugeDrainsAfterChunks: at any worker count, every index is
+// visited and the busy gauge returns to zero once the pool drains.
+func TestBusyGaugeDrainsAfterChunks(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		p := New(workers).Instrument(reg, "test")
@@ -19,12 +19,6 @@ func TestInstrumentCountsChunks(t *testing.T) {
 		})
 		if visited != 100 {
 			t.Fatalf("workers=%d visited %d indices, want 100", workers, visited)
-		}
-		tasks := reg.Counter("enld_pool_tasks_total",
-			"Chunks executed by the worker pool, by pool name.",
-			obs.Label{Key: "pool", Value: "test"})
-		if got, want := tasks.Value(), uint64(15); got != want { // ceil(100/7)
-			t.Fatalf("workers=%d tasks = %d, want %d", workers, got, want)
 		}
 		busy := reg.Gauge("enld_pool_busy_workers",
 			"Workers currently executing, by pool name.",

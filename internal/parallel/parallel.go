@@ -29,10 +29,9 @@ import (
 type Pool struct {
 	workers int
 
-	// Observability handles, nil unless Instrument was called. Nil handles
-	// are no-ops, so the uninstrumented hot path pays nothing.
-	tasks *obs.Counter
-	busy  *obs.Gauge
+	// busy is nil unless Instrument was called. A nil handle is a no-op, so
+	// the uninstrumented hot path pays nothing.
+	busy *obs.Gauge
 }
 
 // DefaultWorkers returns the worker count used when none is requested:
@@ -52,16 +51,12 @@ func New(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Instrument attaches observability to the pool under the given pool name:
-// enld_pool_tasks_total{pool=name} counts executed chunks and
 // enld_pool_busy_workers{pool=name} tracks workers currently inside a Run
 // body. A nil registry leaves the pool uninstrumented (nil handles are
 // no-ops). Returns the pool for chaining:
 //
 //	pool := parallel.New(workers).Instrument(reg, "lake")
 func (p *Pool) Instrument(reg *obs.Registry, name string) *Pool {
-	p.tasks = reg.Counter("enld_pool_tasks_total",
-		"Chunks executed by the worker pool, by pool name.",
-		obs.Label{Key: "pool", Value: name})
 	p.busy = reg.Gauge("enld_pool_busy_workers",
 		"Workers currently executing, by pool name.",
 		obs.Label{Key: "pool", Value: name})
@@ -160,7 +155,6 @@ func (p *Pool) ForEachChunk(n, chunkSize int, fn func(worker, lo, hi int)) {
 		return
 	}
 	nChunks := (n + chunkSize - 1) / chunkSize
-	p.tasks.Add(uint64(nChunks))
 	inline := func() {
 		for c := 0; c < nChunks; c++ {
 			lo := c * chunkSize

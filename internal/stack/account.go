@@ -17,7 +17,6 @@ type Accounting struct {
 	Completed, Degraded, Rerouted int
 	Shed, Abandoned, DeadLetter   int
 	Lost                          int
-	Retries                       int
 }
 
 // Account reduces the reports of a run that offered tasks, skipped of them
@@ -25,7 +24,6 @@ type Accounting struct {
 func Account(reports []lake.Report, offered, skipped int) Accounting {
 	a := Accounting{Offered: offered, Skipped: skipped}
 	for _, rep := range reports {
-		a.Retries += rep.Retries
 		switch {
 		case rep.Shed:
 			a.Shed++

@@ -27,7 +27,6 @@ import (
 	"enld/internal/lake"
 	"enld/internal/lake/cluster"
 	"enld/internal/lake/seglog"
-	"enld/internal/nn"
 	"enld/internal/obs"
 	"enld/internal/workload"
 )
@@ -35,22 +34,20 @@ import (
 // Config is one system under test.
 type Config struct {
 	// The platform: workload preset, inventory noise rate, dataset size
-	// factor (0 = 1), seed, incremental dataset count (0 = the preset's) and
-	// the training watchdog.
+	// factor (0 = 1), seed and incremental dataset count (0 = the preset's).
 	Preset   string
 	Eta      float64
 	Scale    float64
 	Seed     uint64
 	Datasets int
-	Watchdog nn.WatchdogConfig
 	// PlatformFile, unless a journal store holds the platform, is loaded
 	// instead of running setup when it exists and written after setup
 	// otherwise.
 	PlatformFile string
 
 	// The service: detector method, worker-pool size of each service, fault
-	// injection (all rates zero = off), resilience policy (its RetrySeed is
-	// Seed and its Fallback is the Default baseline when Fallback is set),
+	// injection (all rates zero = off), resilience policy (its Fallback is
+	// the Default baseline when Fallback is set),
 	// the brownout ladder, the per-tier F1 floors the run is judged on, and
 	// how many recent reports /statusz keeps (0 = default).
 	Method     string
@@ -135,7 +132,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		}
 	}()
 	policy := cfg.Policy
-	policy.RetrySeed = cfg.Seed
 	if a := policy.Admission; a.QueueDepth > 0 {
 		s.printf("admission: queue depth %d, max predicted wait %s", a.QueueDepth, a.MaxQueueWait)
 	}
@@ -172,25 +168,12 @@ func Build(cfg Config) (_ *Stack, err error) {
 	wb := s.Workbench
 	s.printf("platform ready: %s eta=%.2f, inventory=%d, setup=%s",
 		cfg.Preset, cfg.Eta, len(wb.Inventory), wb.Platform.SetupTime.Round(time.Millisecond))
-	var health *lake.TrainingHealth
-	if cfg.Watchdog.Enabled {
-		h := wb.Platform.Health
-		s.printf("watchdog: checks=%d rollbacks=%d last-unhealthy-epoch=%d checkpoints=%d verify-failures=%d",
-			h.HealthChecks, h.Rollbacks, h.LastUnhealthyEpoch, h.CheckpointsTaken, h.VerifyFailures)
-		health = &lake.TrainingHealth{
-			HealthChecks:             h.HealthChecks,
-			Rollbacks:                h.Rollbacks,
-			LastUnhealthyEpoch:       h.LastUnhealthyEpoch,
-			CheckpointsTaken:         h.CheckpointsTaken,
-			CheckpointVerifyFailures: h.VerifyFailures,
-		}
-	}
 
 	if cfg.Fallback {
 		policy.Fallback = baselines.Default{Model: wb.Platform.Model}
 	}
 	if single {
-		if err := s.buildService(policy, inv, health); err != nil {
+		if err := s.buildService(policy, inv); err != nil {
 			return nil, err
 		}
 		return s, nil
@@ -223,9 +206,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		if err != nil {
 			return nil, err
 		}
-		if health != nil {
-			w.Tracker().SetTrainingHealth(*health)
-		}
 		s.Workers = append(s.Workers, w)
 		shards = append(shards, w)
 	}
@@ -252,7 +232,7 @@ func (s *Stack) coordinate(shards []cluster.Shard, policy lake.Policy) (err erro
 // stack's registry and tracked for /statusz. With a journal seglog store,
 // each task's outcome is appended as it completes (not after the run), so a
 // crash loses at most the tasks in flight.
-func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory, health *lake.TrainingHealth) error {
+func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory) error {
 	det, ladder, err := s.detector(0)
 	if err != nil {
 		return err
@@ -271,9 +251,6 @@ func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory, health *lak
 	s.tracker = lake.NewStatusTracker(nil)
 	s.tracker.SetKeepRecent(s.cfg.KeepRecent)
 	s.tracker.AttachService(svc)
-	if health != nil {
-		s.tracker.SetTrainingHealth(*health)
-	}
 	if inv != nil {
 		svc.SetInventory(inv)
 		s.tracker.AttachInventory(inv)
@@ -413,7 +390,7 @@ func (s *Stack) workbench(journal lake.Inventory) (*experiments.Workbench, error
 // experimentsConfig is the workbench configuration cfg describes.
 func (s *Stack) experimentsConfig() experiments.Config {
 	c := s.cfg
-	return experiments.Config{Seed: c.Seed, DataScale: c.Scale, Shards: c.Datasets, Obs: c.Registry, Watchdog: c.Watchdog}
+	return experiments.Config{Seed: c.Seed, DataScale: c.Scale, Shards: c.Datasets, Obs: c.Registry}
 }
 
 // openInventory opens the configured store of the named shard, or of the

@@ -18,7 +18,6 @@ import (
 
 	"enld/internal/fault"
 	"enld/internal/lake"
-	"enld/internal/nn"
 )
 
 // small is the cheapest real stack: a tiny emnist platform (setup takes
@@ -61,14 +60,14 @@ func TestAccount(t *testing.T) {
 			offered: 7,
 			reports: []lake.Report{
 				{},
-				{Degraded: true, Retries: 2},
+				{Degraded: true},
 				{Rerouted: true},
 				{Rerouted: true, Degraded: true},
 				{Shed: true, Err: boom},
 				{Abandoned: true, Err: boom},
-				{DeadLettered: true, Err: boom, Retries: 1},
+				{DeadLettered: true, Err: boom},
 			},
-			want: Accounting{Offered: 7, Completed: 2, Degraded: 1, Rerouted: 2, Shed: 1, Abandoned: 1, DeadLetter: 1, Retries: 3},
+			want: Accounting{Offered: 7, Completed: 2, Degraded: 1, Rerouted: 2, Shed: 1, Abandoned: 1, DeadLetter: 1},
 		},
 		{
 			// An error without a class flag still fails the task.
@@ -163,12 +162,10 @@ func TestTornShardLogWarns(t *testing.T) {
 }
 
 // TestClusterMemoryStore gives every shard its own in-memory inventory, as
-// a single node gets one, and publishes the watchdog's training health on
-// every shard's status.
+// a single node gets one.
 func TestClusterMemoryStore(t *testing.T) {
 	cfg := small(t)
 	cfg.Shards, cfg.Store = 2, "memory"
-	cfg.Watchdog = nn.WatchdogConfig{Enabled: true}
 	st, reports := run(t, cfg)
 	if a := Account(reports, cfg.Datasets, 0); a.Lost != 0 || a.Completed+a.Rerouted != cfg.Datasets {
 		t.Fatalf("accounting %+v", a)
@@ -181,9 +178,6 @@ func TestClusterMemoryStore(t *testing.T) {
 		}
 		if s.Storage == nil || s.Storage.Backend != "memory" {
 			t.Fatalf("%s: storage %+v, want a memory inventory", w.Name(), s.Storage)
-		}
-		if s.Training == nil {
-			t.Fatalf("%s: no training health on /statusz", w.Name())
 		}
 		stored += s.Storage.Datasets
 	}
@@ -268,7 +262,7 @@ func get(t *testing.T, h http.Handler, path string) string {
 }
 
 // TestSingleNodeUnderChaos builds the single node with every serving layer
-// on (fault injection, retries, breaker, fallback, bounded admission and
+// on (fault injection, breaker, fallback, bounded admission and
 // the brownout ladder) and checks that its endpoints and its final stats
 // report the run it served.
 func TestSingleNodeUnderChaos(t *testing.T) {
@@ -276,7 +270,7 @@ func TestSingleNodeUnderChaos(t *testing.T) {
 	cfg.Store = "memory"
 	cfg.Fault = fault.Config{Seed: 7, FailRate: 0.5}
 	cfg.Policy = lake.Policy{
-		MaxRetries: 1, BreakerThreshold: 2, BreakerCooldown: time.Second,
+		BreakerThreshold: 2, BreakerCooldown: time.Second,
 		Admission: lake.AdmissionConfig{QueueDepth: 8, MaxQueueWait: time.Second},
 	}
 	cfg.Fallback, cfg.Brownout = true, true

@@ -67,8 +67,6 @@ type FaultSpec struct {
 // the scenario.
 type PolicySpec struct {
 	TaskTimeoutSeconds float64 `json:"task_timeout_seconds,omitempty"`
-	Retries            int     `json:"retries,omitempty"`
-	RetryBaseMS        float64 `json:"retry_base_ms,omitempty"`
 	BreakerThreshold   int     `json:"breaker_threshold,omitempty"`
 	BreakerCooldownMS  float64 `json:"breaker_cooldown_ms,omitempty"`
 	Fallback           bool    `json:"fallback,omitempty"`
@@ -91,14 +89,11 @@ func (f FaultSpec) Config() fault.Config {
 	}
 }
 
-// Policy converts the spec to the service's resilience policy. The retry
-// seed and the fallback detector belong to the system under test, which
-// fills them in.
+// Policy converts the spec to the service's resilience policy. The fallback
+// detector belongs to the system under test, which fills it in.
 func (p PolicySpec) Policy() lake.Policy {
 	return lake.Policy{
 		TaskTimeout:      time.Duration(p.TaskTimeoutSeconds * float64(time.Second)),
-		MaxRetries:       p.Retries,
-		RetryBase:        time.Duration(p.RetryBaseMS * float64(time.Millisecond)),
 		BreakerThreshold: p.BreakerThreshold,
 		BreakerCooldown:  time.Duration(p.BreakerCooldownMS * float64(time.Millisecond)),
 		Admission:        p.Admission(),
@@ -261,8 +256,8 @@ func (f FaultSpec) validate() error {
 
 // validate rejects resilience-policy settings the service would refuse.
 func (p PolicySpec) validate() error {
-	if p.TaskTimeoutSeconds < 0 || p.Retries < 0 || p.RetryBaseMS < 0 ||
-		p.BreakerThreshold < 0 || p.BreakerCooldownMS < 0 || p.MaxQueueWaitMS < 0 {
+	if p.TaskTimeoutSeconds < 0 || p.BreakerThreshold < 0 || p.BreakerCooldownMS < 0 ||
+		p.MaxQueueWaitMS < 0 {
 		return fmt.Errorf("negative policy field: %+v", p)
 	}
 	return p.Admission().Validate()

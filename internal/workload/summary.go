@@ -36,7 +36,6 @@ type ScenarioResult struct {
 	// time (speed compression undone).
 	ThroughputRPS float64        `json:"throughput_rps"`
 	Outcomes      map[string]int `json:"outcomes"`
-	Retries       int            `json:"retries"`
 	TaskSeconds   LatencySummary `json:"task_seconds"`
 	QueuedSeconds LatencySummary `json:"queued_seconds"`
 	BreakerOpens  int            `json:"breaker_opens"`
@@ -203,9 +202,6 @@ func summarizeParsed(name string, parsed obs.Parsed) (*ScenarioResult, error) {
 			out.TierF1[tier] = TierF1{MeanF1: finite(s.Sum / float64(s.Count)), Tasks: s.Count}
 		}
 	}
-	if v, ok := parsed.Counter("enld_lake_retries_total", nil); ok {
-		out.Retries = int(v)
-	}
 	var err error
 	if out.TaskSeconds, err = latencySummary(parsed, "enld_lake_task_seconds"); err != nil {
 		return nil, err
@@ -265,10 +261,10 @@ func (r *ScenarioResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "[%s] completed=%d/%d offered, %.2f req/s, task p50/p95/p99 = %.3f/%.3f/%.3f s, queued p99 = %.3f s\n",
 		r.Name, r.Completed, r.Offered, r.ThroughputRPS,
 		r.TaskSeconds.P50, r.TaskSeconds.P95, r.TaskSeconds.P99, r.QueuedSeconds.P99)
-	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d retries=%d breaker_opens=%d max_send_lag=%.3fs\n",
+	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d breaker_opens=%d max_send_lag=%.3fs\n",
 		r.Name, r.Outcomes["ok"], r.Outcomes["degraded"], r.Outcomes["dead_letter"],
 		r.Outcomes["shed"], r.Outcomes["abandoned"],
-		r.Retries, r.BreakerOpens, r.MaxSendLagSeconds)
+		r.BreakerOpens, r.MaxSendLagSeconds)
 	if len(r.TierF1) > 0 {
 		tiers := make([]string, 0, len(r.TierF1))
 		for tier := range r.TierF1 {

@@ -95,7 +95,6 @@ func lakeExposition(t *testing.T) *bytes.Buffer {
 	outcome("dead_letter", 1)
 	outcome("shed", 6)
 	outcome("abandoned", 2)
-	reg.Counter("enld_lake_retries_total", "h").Add(5)
 	buckets := []float64{0.01, 0.1, 1, 10}
 	for i := 0; i < 44; i++ {
 		reg.Histogram("enld_lake_task_seconds", "h", buckets).Observe(0.05)
@@ -138,9 +137,6 @@ func TestSummarizeReader(t *testing.T) {
 		if sum.Outcomes[k] != v {
 			t.Fatalf("outcome %s = %d, want %d (all: %v)", k, sum.Outcomes[k], v, sum.Outcomes)
 		}
-	}
-	if sum.Retries != 5 {
-		t.Fatalf("retries = %d, want 5", sum.Retries)
 	}
 	if got := sum.TierF1["full"]; got.Tasks != 30 || got.MeanF1 < 0.89 || got.MeanF1 > 0.91 {
 		t.Fatalf("tier full F1 = %+v, want ~0.9 over 30 tasks", got)

@@ -212,7 +212,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Fault.FailRate = 1.5 },
 		func(s *Spec) { s.Fault.PanicRate = -0.1 },
 		func(s *Spec) { s.Fault.SlowLatencyMS = -5 },
-		func(s *Spec) { s.Policy.Retries = -1 },
+		func(s *Spec) { s.Policy.BreakerThreshold = -1 },
 		func(s *Spec) { s.Policy.QueueDepth = -4 },
 		func(s *Spec) { s.Policy.MaxQueueWaitMS = -10 },
 		func(s *Spec) { s.Brownout = true },                               // no bounded admission
@@ -235,7 +235,7 @@ func TestSpecValidate(t *testing.T) {
 	// A spec carrying the full overload-control surface must validate: bounded
 	// admission with a wait budget, the brownout ladder, and shed-aware SLOs.
 	full := testSpec()
-	full.Policy = PolicySpec{TaskTimeoutSeconds: 2, Retries: 1, QueueDepth: 32, MaxQueueWaitMS: 200}
+	full.Policy = PolicySpec{TaskTimeoutSeconds: 2, QueueDepth: 32, MaxQueueWaitMS: 200}
 	full.Brownout = true
 	full.SLO = SLO{
 		MaxP99TaskSeconds: 1, MinCompletedRatio: 1,
@@ -249,15 +249,14 @@ func TestSpecValidate(t *testing.T) {
 
 // TestSpecConversions pins the spec's unit conversions into the typed
 // configs the stack builder takes: seconds and milliseconds become
-// durations, and nothing the builder owns (retry seed, fallback) is set.
+// durations, and nothing the builder owns (the fallback) is set.
 func TestSpecConversions(t *testing.T) {
 	p := PolicySpec{
-		TaskTimeoutSeconds: 1.5, Retries: 2, RetryBaseMS: 20, BreakerThreshold: 3,
+		TaskTimeoutSeconds: 1.5, BreakerThreshold: 3,
 		BreakerCooldownMS: 500, Fallback: true, QueueDepth: 4, MaxQueueWaitMS: 30,
 	}
 	wantPolicy := lake.Policy{
-		TaskTimeout: 1500 * time.Millisecond, MaxRetries: 2, RetryBase: 20 * time.Millisecond,
-		BreakerThreshold: 3, BreakerCooldown: 500 * time.Millisecond,
+		TaskTimeout: 1500 * time.Millisecond, BreakerThreshold: 3, BreakerCooldown: 500 * time.Millisecond,
 		Admission: lake.AdmissionConfig{QueueDepth: 4, MaxQueueWait: 30 * time.Millisecond},
 	}
 	if got := p.Policy(); !reflect.DeepEqual(got, wantPolicy) {
