@@ -273,8 +273,9 @@ func BenchmarkTrainEpoch(b *testing.B) {
 
 // BenchmarkForward measures inference cost — the unit behind the ambiguous/
 // high-quality re-scoring of each ENLD iteration: one sample at a time
-// (single) and a whole shard-sized batch (batch-workers=1, the name its
-// committed BENCH_ci.json baseline row carries).
+// (single) and a whole shard-sized batch through a fresh nn.Evaluator
+// (batch-workers=1, the name its committed BENCH_ci.json baseline row
+// carries).
 func BenchmarkForward(b *testing.B) {
 	rng := mat.NewRNG(8)
 	net, err := nn.Build(nn.SimResNet110, 48, 100, rng)
@@ -292,8 +293,9 @@ func BenchmarkForward(b *testing.B) {
 		xs[i] = rng.NormVec(make([]float64, 48), 0, 1)
 	}
 	b.Run("batch-workers=1", func(b *testing.B) {
+		var conf, feat mat.Matrix
 		for i := 0; i < b.N; i++ {
-			net.EvaluateBatch(xs)
+			nn.NewEvaluator(net).EvaluateInto(&conf, &feat, xs)
 		}
 	})
 }

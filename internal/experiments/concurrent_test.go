@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunConcurrentMatchesSequential runs the same experiment set through
@@ -84,5 +88,82 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 func TestRunConcurrentUnknownID(t *testing.T) {
 	if _, err := RunConcurrent([]string{"fig4", "nope"}, quickCfg(6), 2); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// TestRunConcurrentPanicBecomesError runs stub experiments at workers = 0
+// (all cores): the panicking one comes back as its own error, and every
+// experiment's output, the panicking one's included, is still flushed in
+// input order.
+func TestRunConcurrentPanicBecomesError(t *testing.T) {
+	ids := []string{"stub-a", "stub-boom", "stub-c", "stub-d", "stub-e"}
+	for _, id := range ids {
+		name := strings.TrimPrefix(id, "stub-")
+		registry[id] = func(c Config) (interface{}, error) {
+			fmt.Fprintf(c.Out, "%s;", name)
+			if name == "boom" {
+				panic("boom")
+			}
+			return name, nil
+		}
+	}
+	t.Cleanup(func() {
+		for _, id := range ids {
+			delete(registry, id)
+		}
+	})
+	var buf bytes.Buffer
+	results, err := RunConcurrent(ids, Config{Out: &buf}, 0)
+	if err == nil || !strings.HasPrefix(err.Error(), "experiments: stub-boom: panic: boom") {
+		t.Fatalf("err = %v, want stub-boom's panic", err)
+	}
+	if got := buf.String(); got != "a;boom;c;d;e;" {
+		t.Fatalf("flushed output %q, want every experiment in input order", got)
+	}
+	for i, want := range []interface{}{"a", nil, "c", "d", "e"} {
+		if results[i] != want {
+			t.Fatalf("result %d = %v, want %v", i, results[i], want)
+		}
+	}
+}
+
+// TestRunConcurrentDefaultsToGOMAXPROCS: workers <= 0 runs GOMAXPROCS
+// experiments at once and a positive count runs exactly that many. Each stub
+// waits until the expected number has started, so too few workers time out
+// and too many show up in the peak.
+func TestRunConcurrentDefaultsToGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, tc := range []struct{ workers, want int }{{0, 3}, {-3, 3}, {2, 2}} {
+		ids := []string{"stub-w0", "stub-w1", "stub-w2", "stub-w3", "stub-w4"}
+		var active, peak, entered atomic.Int64
+		release := make(chan struct{})
+		for _, id := range ids {
+			registry[id] = func(Config) (interface{}, error) {
+				n := active.Add(1)
+				defer active.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if entered.Add(1) == int64(tc.want) {
+					close(release)
+				}
+				select {
+				case <-release:
+					return nil, nil
+				case <-time.After(5 * time.Second):
+					return nil, fmt.Errorf("only %d experiments started", entered.Load())
+				}
+			}
+		}
+		_, err := RunConcurrent(ids, Config{}, tc.workers)
+		for _, id := range ids {
+			delete(registry, id)
+		}
+		if err != nil {
+			t.Fatalf("workers=%d: %v", tc.workers, err)
+		}
+		if got := peak.Load(); got != int64(tc.want) {
+			t.Fatalf("workers=%d: %d experiments ran at once, want %d", tc.workers, got, tc.want)
+		}
 	}
 }

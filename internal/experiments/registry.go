@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
-
-	"enld/internal/parallel"
+	"sync"
 )
 
 // Runner executes one experiment and renders it to cfg.Out. The untyped
@@ -60,9 +61,10 @@ func Run(id string, cfg Config) (interface{}, error) {
 // at a time (0 = all cores). Experiments are independent (each builds its own
 // workbench from cfg.Seed), so running them concurrently changes nothing but
 // wall-clock time: each renders into a private buffer and the buffers are
-// flushed to cfg.Out in input order. Results are parallel to ids. On error
-// the flushed output and the results gathered so far are still returned along
-// with the first failing experiment's error.
+// flushed to cfg.Out in input order. Results are parallel to ids. A panicking
+// experiment becomes its own error. On error the flushed output and the
+// results gathered so far are still returned along with the first failing
+// experiment's error.
 func RunConcurrent(ids []string, cfg Config, workers int) ([]interface{}, error) {
 	for _, id := range ids {
 		if _, ok := registry[id]; !ok {
@@ -73,19 +75,30 @@ func RunConcurrent(ids []string, cfg Config, workers int) ([]interface{}, error)
 	if out == nil {
 		out = io.Discard
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	results := make([]interface{}, len(ids))
 	errs := make([]error, len(ids))
 	bufs := make([]bytes.Buffer, len(ids))
-	pool := parallel.New(workers)
-	// Chunk size 1: workers claim whole experiments dynamically, which
-	// balances the wildly uneven experiment durations.
-	pool.ForEachChunk(len(ids), 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sub := cfg
-			sub.Out = &bufs[i]
-			results[i], errs[i] = registry[ids[i]](sub)
-		}
-	})
+	// Workers claim whole experiments in input order, which balances the
+	// wildly uneven experiment durations.
+	next := make(chan int, len(ids))
+	for i := range ids {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for range min(workers, len(ids)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i], errs[i] = runInto(ids[i], cfg, &bufs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	var firstErr error
 	for i, id := range ids {
 		if _, err := out.Write(bufs[i].Bytes()); err != nil && firstErr == nil {
@@ -96,4 +109,16 @@ func RunConcurrent(ids []string, cfg Config, workers int) ([]interface{}, error)
 		}
 	}
 	return results, firstErr
+}
+
+// runInto runs experiment id rendering into out, turning a panic into the
+// experiment's error.
+func runInto(id string, cfg Config, out io.Writer) (res interface{}, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	cfg.Out = out
+	return registry[id](cfg)
 }

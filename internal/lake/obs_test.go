@@ -3,6 +3,7 @@ package lake
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,18 +62,14 @@ func TestServiceObsOutcomes(t *testing.T) {
 	if got := queued.Count(); got != 3 {
 		t.Fatalf("queued histogram count = %d, want 3", got)
 	}
-	// The lake pool's busy gauge must have returned to zero.
-	busy := reg.Gauge("enld_pool_busy_workers",
-		"Workers currently executing, by pool name.",
-		obs.Label{Key: "pool", Value: "lake"})
-	if got := busy.Value(); got != 0 {
-		t.Fatalf("lake pool busy gauge = %v after drain, want 0", got)
-	}
-	inflight := reg.Gauge("enld_lake_inflight_tasks",
-		"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay.")
-	if got := inflight.Value(); got != 0 {
+	if got := inflightGauge(reg).Value(); got != 0 {
 		t.Fatalf("inflight gauge = %v after drain, want 0", got)
 	}
+}
+
+func inflightGauge(reg *obs.Registry) *obs.Gauge {
+	return reg.Gauge("enld_lake_inflight_tasks",
+		"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay.")
 }
 
 // TestServiceObsInflight: the in-flight gauge rises while a worker holds a
@@ -82,8 +79,7 @@ func TestServiceObsInflight(t *testing.T) {
 	observed := make(chan float64, 1)
 	reg := obs.NewRegistry()
 	det := funcDetector(func() { // blocks until released, sampling the gauge
-		observed <- reg.Gauge("enld_lake_inflight_tasks",
-			"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay.").Value()
+		observed <- inflightGauge(reg).Value()
 		<-release
 	})
 	svc, err := NewService(det, 1)
@@ -100,6 +96,108 @@ func TestServiceObsInflight(t *testing.T) {
 	close(release)
 	if reports := <-done; len(reports) != 1 {
 		t.Fatalf("%d reports", len(reports))
+	}
+}
+
+// TestServiceInflightPeaksAtWorkers: with three workers and a detector that
+// blocks, exactly three tasks are in flight at once, never more, and the
+// gauge returns to zero once Run drains.
+func TestServiceInflightPeaksAtWorkers(t *testing.T) {
+	const workers, tasks = 3, 7
+	reg := obs.NewRegistry()
+	entered := make(chan float64, tasks)
+	release := make(chan struct{})
+	det := funcDetector(func() { // samples the gauge, then blocks until released
+		entered <- inflightGauge(reg).Value()
+		<-release
+	})
+	svc, err := NewService(det, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetObs(reg)
+	ctx := context.Background()
+	done := make(chan []Report, 1)
+	go func() { done <- svc.Run(ctx, Feed(ctx, shards(tasks, 4), 0)) }()
+	peak := 0.0
+	for range workers {
+		peak = max(peak, <-entered)
+	}
+	if got := inflightGauge(reg).Value(); got != workers {
+		t.Fatalf("inflight gauge with every worker blocked = %v, want %d", got, workers)
+	}
+	select {
+	case got := <-entered:
+		t.Fatalf("a task started while all %d workers were blocked (gauge %v)", workers, got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if reports := <-done; len(reports) != tasks {
+		t.Fatalf("%d reports, want %d", len(reports), tasks)
+	}
+	close(entered)
+	for got := range entered {
+		peak = max(peak, got)
+	}
+	if peak != workers {
+		t.Fatalf("inflight gauge peaked at %v, want %d", peak, workers)
+	}
+	if got := inflightGauge(reg).Value(); got != 0 {
+		t.Fatalf("inflight gauge = %v after Run, want 0", got)
+	}
+}
+
+// TestServiceInflightDrainsAfterRun: at one and at several workers, every
+// task is reported and the in-flight gauge returns to zero once Run drains.
+func TestServiceInflightDrainsAfterRun(t *testing.T) {
+	const tasks = 20
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		var calls atomic.Int64
+		svc, err := NewService(funcDetector(func() { calls.Add(1) }), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.SetObs(reg)
+		ctx := context.Background()
+		if reports := svc.Run(ctx, Feed(ctx, shards(tasks, 4), 0)); len(reports) != tasks {
+			t.Fatalf("workers=%d: %d reports, want %d", workers, len(reports), tasks)
+		}
+		if got := calls.Load(); got != tasks {
+			t.Fatalf("workers=%d: detector ran %d times, want %d", workers, got, tasks)
+		}
+		if got := inflightGauge(reg).Value(); got != 0 {
+			t.Fatalf("workers=%d: inflight gauge = %v after Run, want 0", workers, got)
+		}
+	}
+}
+
+// TestServiceRunsEveryTaskOnce: at worker counts below, near and above the
+// task count, each fed task is detected and reported exactly once.
+func TestServiceRunsEveryTaskOnce(t *testing.T) {
+	const tasks = 5
+	for _, workers := range []int{1, 2, 7} {
+		var calls atomic.Int64
+		svc, err := NewService(funcDetector(func() { calls.Add(1) }), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		seen := make([]int, tasks)
+		for _, r := range svc.Run(ctx, Feed(ctx, shards(tasks, 4), 0)) {
+			if r.TaskID < 0 || r.TaskID >= tasks {
+				t.Fatalf("workers=%d: report for unknown task %d", workers, r.TaskID)
+			}
+			seen[r.TaskID]++
+		}
+		for id, n := range seen {
+			if n != 1 {
+				t.Fatalf("workers=%d: task %d reported %d times", workers, id, n)
+			}
+		}
+		if got := calls.Load(); got != tasks {
+			t.Fatalf("workers=%d: detector ran %d times, want %d", workers, got, tasks)
+		}
 	}
 }
 

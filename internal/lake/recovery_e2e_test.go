@@ -208,7 +208,9 @@ func TestCrashRecoveryComposesSeglogAndJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc2.SetInventory(inv2)
-	svc2.SkipCompleted(done)
+	if err := svc2.SkipCompleted(done); err != nil {
+		t.Fatal(err)
+	}
 	covered := map[int]bool{}
 	for id := range done {
 		covered[id] = true

@@ -3,6 +3,8 @@ package lake
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,6 +341,45 @@ func TestSkipCompletedDropsRecoveredTasks(t *testing.T) {
 		if rep.TaskID%2 == 0 {
 			t.Fatalf("skipped task %d was processed", rep.TaskID)
 		}
+	}
+}
+
+// TestSkipCompletedAppendsEachArrivalOnce: a resumed service processes an
+// arrival the inventory already stores (its outcome torn or never written)
+// without appending it again, and appends a new arrival exactly once.
+func TestSkipCompletedAppendsEachArrivalOnce(t *testing.T) {
+	inv := NewMemInventory()
+	data := shards(4, 2)
+	for i := range 3 {
+		if _, err := inv.AppendDataset(fmt.Sprintf("task-%d", i), data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, _ := NewService(flagOdd{}, 2)
+	svc.SetInventory(inv)
+	if err := svc.SkipCompleted(map[int]bool{0: true, 1: true}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reports := svc.Run(ctx, Feed(ctx, data, 0))
+	if len(reports) != 2 || reports[0].TaskID != 2 || reports[1].TaskID != 3 {
+		t.Fatalf("reports %+v, want tasks 2 and 3", reports)
+	}
+	for _, rep := range reports {
+		if rep.Err != nil {
+			t.Fatalf("task %d: %v", rep.TaskID, rep.Err)
+		}
+	}
+	metas, err := inv.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range metas {
+		names = append(names, m.Name)
+	}
+	if want := []string{"task-0", "task-1", "task-2", "task-3"}; !slices.Equal(names, want) {
+		t.Fatalf("inventory holds %v, want %v", names, want)
 	}
 }
 

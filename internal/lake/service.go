@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +14,6 @@ import (
 	"enld/internal/dataset"
 	"enld/internal/detect"
 	"enld/internal/metrics"
-	"enld/internal/parallel"
 )
 
 // Request is one incoming noisy-label detection task.
@@ -87,10 +88,11 @@ type Service struct {
 	policy  Policy
 	breaker *Breaker
 
-	// skip holds task IDs already completed in a previous incarnation
-	// (recovered from the segment log's detection outcomes); Run drops
-	// them without processing.
-	skip map[int]bool
+	// resumed holds, for a resumed run, the task IDs a previous incarnation
+	// already handled: true when its outcome is recorded (Run drops the
+	// task), false when only its arrival is stored (Run processes the task
+	// without appending it again). Nil outside a resume.
+	resumed map[int]bool
 
 	// obs holds the metric handles attached by SetObs; nil means unobserved.
 	obs *lakeObs
@@ -195,21 +197,34 @@ func (s *Service) OverloadStatus() OverloadStatus {
 // disables it. Callers may observe state and register transition hooks.
 func (s *Service) Breaker() *Breaker { return s.breaker }
 
-// SkipCompleted marks task IDs as already completed (e.g. a segment log's
-// DoneTasks after a crash); Run drops matching requests without
-// reprocessing.
-// Call before Run.
-func (s *Service) SkipCompleted(ids map[int]bool) {
-	if len(ids) == 0 {
-		return
-	}
-	s.skip = make(map[int]bool, len(ids))
-	for id, done := range ids {
-		if done {
-			s.skip[id] = true
+// SkipCompleted prepares a resume from a previous incarnation's records:
+// Run drops the task IDs in done (e.g. a segment log's DoneTasks after a
+// crash) without reprocessing, and processes an arrival the attached
+// inventory already stores as task-N without appending it a second time.
+// Call after SetInventory and before Run.
+func (s *Service) SkipCompleted(done map[int]bool) error {
+	s.resumed = make(map[int]bool, len(done))
+	if s.inventory != nil {
+		metas, err := s.inventory.Datasets()
+		if err != nil {
+			return fmt.Errorf("lake: listing stored arrivals: %w", err)
+		}
+		for _, m := range metas {
+			if id, err := strconv.Atoi(strings.TrimPrefix(m.Name, "task-")); err == nil && m.Name == arrivalName(id) {
+				s.resumed[id] = false
+			}
 		}
 	}
+	for id, ok := range done {
+		if ok {
+			s.resumed[id] = true
+		}
+	}
+	return nil
 }
+
+// arrivalName is the inventory name of task id's arriving dataset.
+func arrivalName(id int) string { return fmt.Sprintf("task-%d", id) }
 
 // SetInventory attaches durable storage: every arriving dataset is appended
 // to inv before a worker may process it, so an accepted arrival survives a
@@ -235,12 +250,13 @@ type stamped struct {
 // dropped, so the accounting identity holds: every accepted task appears in
 // the reports exactly once (ok, degraded, dead-lettered, shed or abandoned).
 //
-// The worker pool is the shared parallel.Pool: Run blocks in Pool.Run while
-// a feeder goroutine stamps arrivals onto the work channel; closing the
-// channel releases the workers. With Policy.Admission configured the work
-// channel is the bounded admission queue and the feeder sheds instead of
-// blocking (see AdmissionConfig); otherwise it is an unbuffered hand-off
-// whose backpressure blocks the submitter, exactly the legacy behaviour.
+// Run starts the service's worker goroutines, each draining the work
+// channel one task at a time, and waits for them while a feeder goroutine
+// stamps arrivals onto the channel; closing the channel releases the
+// workers. With Policy.Admission configured the work channel is the bounded
+// admission queue and the feeder sheds instead of blocking (see
+// AdmissionConfig); otherwise it is an unbuffered hand-off whose
+// backpressure blocks the submitter, exactly the legacy behaviour.
 func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 	admission := s.policy.Admission
 	work := make(chan stamped, admission.QueueDepth)
@@ -268,7 +284,8 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 				if !ok {
 					return
 				}
-				if s.skip[req.TaskID] {
+				done, stored := s.resumed[req.TaskID]
+				if done {
 					continue
 				}
 				// Reject-early shedding runs before the durable append: a
@@ -284,8 +301,8 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 						continue
 					}
 				}
-				if s.inventory != nil {
-					if _, err := s.inventory.AppendDataset(fmt.Sprintf("task-%d", req.TaskID), req.Data); err != nil {
+				if s.inventory != nil && !stored {
+					if _, err := s.inventory.AppendDataset(arrivalName(req.TaskID), req.Data); err != nil {
 						rep := Report{
 							TaskID:       req.TaskID,
 							Size:         len(req.Data),
@@ -321,37 +338,40 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 		}
 	}()
 
-	pool := parallel.New(s.workers)
-	if s.obs != nil {
-		pool.Instrument(s.obs.reg, "lake")
-	}
-	pool.Run(func(int) {
-		for st := range work {
-			r := s.rungs[st.tier]
-			if admission.QueueDepth > 0 {
-				r.queued.Add(-1)
-				s.setQueueDepth()
-			}
-			if ctx.Err() != nil {
-				// Shutting down: drain the queue with accounting instead of
-				// either processing doomed tasks or dropping them silently.
-				rep := s.abandonReport(st)
-				s.obs.record(rep, 0)
+	var wg sync.WaitGroup
+	for range s.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for st := range work {
+				r := s.rungs[st.tier]
+				if admission.QueueDepth > 0 {
+					r.queued.Add(-1)
+					s.setQueueDepth()
+				}
+				if ctx.Err() != nil {
+					// Shutting down: drain the queue with accounting instead
+					// of either processing doomed tasks or dropping them
+					// silently.
+					rep := s.abandonReport(st)
+					s.obs.record(rep, 0)
+					file(rep)
+					continue
+				}
+				queued := time.Since(st.arrived)
+				s.obs.taskStarted()
+				began := time.Now()
+				rep := s.process(st.req, st.tier)
+				rep.Queued = queued
+				elapsed := time.Since(began)
+				s.obs.taskFinished()
+				r.ewma.observe(elapsed)
+				s.obs.record(rep, elapsed)
 				file(rep)
-				continue
 			}
-			queued := time.Since(st.arrived)
-			s.obs.taskStarted()
-			began := time.Now()
-			rep := s.process(st.req, st.tier)
-			rep.Queued = queued
-			elapsed := time.Since(began)
-			s.obs.taskFinished()
-			r.ewma.observe(elapsed)
-			s.obs.record(rep, elapsed)
-			file(rep)
-		}
-	})
+		}()
+	}
+	wg.Wait()
 
 	sortReports(reports)
 	return reports

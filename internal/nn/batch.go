@@ -127,23 +127,6 @@ func (n *Network) ConfidencesBatch(xs [][]float64) [][]float64 {
 	return conf.AppendRows(make([][]float64, 0, len(xs)))
 }
 
-// FeaturesBatch computes M̂(x,θ) for every input, one feature vector per
-// input (rows of one shared backing array).
-func (n *Network) FeaturesBatch(xs [][]float64) [][]float64 {
-	var feat mat.Matrix
-	NewEvaluator(n).EvaluateInto(nil, &feat, xs)
-	return feat.AppendRows(make([][]float64, 0, len(xs)))
-}
-
-// EvaluateBatch returns both the confidence and feature vectors, parallel to
-// xs. Detectors scoring a full shard should prefer this over per-sample
-// Evaluate calls.
-func (n *Network) EvaluateBatch(xs [][]float64) (confs, feats [][]float64) {
-	var conf, feat mat.Matrix
-	NewEvaluator(n).EvaluateInto(&conf, &feat, xs)
-	return conf.AppendRows(make([][]float64, 0, len(xs))), feat.AppendRows(make([][]float64, 0, len(xs)))
-}
-
 // PredictBatch returns argmax M(x,θ) for every input. workers has no
 // effect; it stays only because the benchmark harness still passes it, and
 // ROADMAP 1(b) deletes it in the next benchmark change.

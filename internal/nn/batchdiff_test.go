@@ -291,23 +291,22 @@ func TestEvaluatorMatchesHelpersAndPerSample(t *testing.T) {
 		ev.EvaluateInto(&conf, &feat, xs)
 		preds = ev.PredictInto(preds, xs)
 		losses = ev.LossesInto(losses, xs, ts)
-		hConf, hFeat := net.EvaluateBatch(xs)
-		hConfOnly, hFeatOnly := net.ConfidencesBatch(xs), net.FeaturesBatch(xs)
+		hConfOnly := net.ConfidencesBatch(xs)
 		hPreds, hLosses := net.PredictBatch(xs, 1), net.LossesBatch(xs, ts)
 		if conf.Rows != n || feat.Rows != n || len(preds) != n || len(losses) != n ||
-			len(hConf) != n || len(hFeat) != n || len(hPreds) != n || len(hLosses) != n {
+			len(hPreds) != n || len(hLosses) != n {
 			t.Fatalf("n=%d: output lengths wrong", n)
 		}
 		for i, x := range xs {
 			label := fmt.Sprintf("n=%d sample %d", n, i)
 			wantC, wantF := net.Evaluate(x)
 			for j, v := range wantC {
-				if conf.Row(i)[j] != v || hConf[i][j] != v || hConfOnly[i][j] != v {
+				if conf.Row(i)[j] != v || hConfOnly[i][j] != v {
 					t.Fatalf("%s: confidence[%d] differs", label, j)
 				}
 			}
 			for j, v := range wantF {
-				if feat.Row(i)[j] != v || hFeat[i][j] != v || hFeatOnly[i][j] != v {
+				if feat.Row(i)[j] != v {
 					t.Fatalf("%s: feature[%d] differs", label, j)
 				}
 			}

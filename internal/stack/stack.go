@@ -272,7 +272,9 @@ func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory) error {
 		done := outcomes.DoneTasks()
 		s.Skipped = len(done)
 		s.printf("resume: %s records %d completed task(s), skipping them", s.cfg.StoreDir, len(done))
-		svc.SkipCompleted(done)
+		if err := svc.SkipCompleted(done); err != nil {
+			return err
+		}
 	}
 	svc.OnReport = func(rep lake.Report) {
 		s.tracker.Record(rep)

@@ -17,6 +17,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -151,15 +152,23 @@ type Spec struct {
 	SLO      SLO  `json:"slo,omitempty"`
 }
 
-// LoadSpec reads and validates one scenario spec file.
+// LoadSpec reads and validates one scenario spec file. A key the Spec does
+// not know is an error, so a misspelt or retired setting cannot pass as
+// "not set".
 func LoadSpec(path string) (Spec, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Spec{}, err
 	}
+	defer f.Close()
 	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("workload: parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("workload: parsing %s: data after the spec object", path)
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("workload: %s: %w", path, err)

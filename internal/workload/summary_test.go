@@ -68,6 +68,39 @@ func TestLoadSpecFile(t *testing.T) {
 	}
 }
 
+// TestLoadSpecStrict: a key the Spec does not know, such as the deleted
+// policy "retries", fails decoding and names the key; so does data after the
+// spec object.
+func TestLoadSpecStrict(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec()
+	spec.Policy = PolicySpec{QueueDepth: 16}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := strings.Replace(string(raw), `"policy":{`, `"policy":{"retries":2,`, 1)
+	if retired == string(raw) {
+		t.Fatal("test spec encoding lost its policy key")
+	}
+	for name, body := range map[string]string{
+		"retries.json":  retired,
+		"trailing.json": string(raw) + ` {}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSpec(path)
+		if err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if name == "retries.json" && !strings.Contains(err.Error(), `"retries"`) {
+			t.Fatalf("unknown key error does not name it: %v", err)
+		}
+	}
+}
+
 // TestLoadSummaryScenario: name lookup returns a pointer into the slice (so
 // gate code can annotate in place) and nil for unknown names.
 func TestLoadSummaryScenario(t *testing.T) {
