@@ -1,12 +1,9 @@
 package enld
 
 // Integration tests exercising the public API end-to-end, the way the
-// examples and a downstream user would.
+// Example functions and a downstream user would.
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	const seed = 1
@@ -101,31 +98,6 @@ func TestPublicAPIBaselines(t *testing.T) {
 		if det.F1 <= 0.3 {
 			t.Errorf("%s F1 = %v", d.Name(), det.F1)
 		}
-	}
-}
-
-func TestPublicAPIStoreRoundTrip(t *testing.T) {
-	store, err := NewStore(StoreMeta{Name: "api", Classes: 3, FeatureDim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := Set{
-		{ID: 1, X: []float64{1, 2}, Observed: 0, True: 0},
-		{ID: 2, X: []float64{3, 4}, Observed: 1, True: 1},
-	}
-	if err := store.Add(set); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("round trip lost data: %d", loaded.Len())
 	}
 }
 

@@ -52,35 +52,6 @@ func (p *Platform) ModelUpdate(selected map[int]bool) error {
 	return nil
 }
 
-// ValidationAccuracy reports the model's accuracy against the observed
-// labels of set — the metric Table II uses to compare θ and θᵘ on held-out
-// data. (On mostly clean held-out data observed-label accuracy tracks
-// true-label accuracy.)
-func (p *Platform) ValidationAccuracy(set dataset.Set) float64 {
-	if len(set) == 0 {
-		return 0
-	}
-	labels := make([]int, 0, len(set))
-	xs := make([][]float64, 0, len(set))
-	for _, smp := range set {
-		if smp.Observed == dataset.Missing {
-			continue
-		}
-		labels = append(labels, smp.Observed)
-		xs = append(xs, smp.X)
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, pred := range p.Model.PredictBatch(xs, 1) {
-		if pred == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs))
-}
-
 // TrueAccuracy reports accuracy against ground-truth labels — an
 // evaluation-only metric used by the Table II experiment, where the paper
 // measures generalization of θ versus θᵘ.

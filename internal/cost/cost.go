@@ -52,14 +52,6 @@ func (m *Meter) String() string {
 		m.TrainSampleVisits, m.ForwardPasses, m.ParamUpdates, m.KNNQueries)
 }
 
-// Timing separates one-off setup cost from per-request processing cost,
-// matching the paper's "setup time" (model initialization) versus "process
-// time" (waiting time for one incremental dataset's result) split in §V-A3.
-type Timing struct {
-	Setup   time.Duration
-	Process time.Duration
-}
-
 // Stopwatch measures elapsed wall-clock time.
 type Stopwatch struct{ start time.Time }
 

@@ -108,30 +108,6 @@ func (p *PCA) Apply(s Set) (Set, error) {
 	return out, nil
 }
 
-// ExplainedVariance returns, per fitted component, the variance of the data
-// along it — useful for choosing k.
-func (p *PCA) ExplainedVariance(s Set) ([]float64, error) {
-	out := make([]float64, len(p.Components))
-	if len(s) == 0 {
-		return out, nil
-	}
-	centered := make([]float64, len(p.Mean))
-	for _, smp := range s {
-		if len(smp.X) != len(p.Mean) {
-			return nil, errors.New("dataset: explained variance on mismatched vectors")
-		}
-		mat.Sub(centered, smp.X, p.Mean)
-		for i, comp := range p.Components {
-			d := mat.Dot(centered, comp)
-			out[i] += d * d
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(s))
-	}
-	return out, nil
-}
-
 func normalize(v []float64) {
 	if n := mat.Norm2(v); n > 0 {
 		mat.Scale(1/n, v)

@@ -152,15 +152,6 @@ func Agreeing(d dataset.Set, predicted []int) []int {
 	return out
 }
 
-// Subset selects the samples of d at the given indices.
-func Subset(d dataset.Set, idx []int) dataset.Set {
-	out := make(dataset.Set, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, d[i])
-	}
-	return out
-}
-
 // RestrictToLabels returns the samples of d whose observed label is in
 // labels — the H' = {(x, ỹ) : ỹ ∈ label(D)} restriction of Algorithm 1.
 func RestrictToLabels(d dataset.Set, labels map[int]bool) dataset.Set {

@@ -91,17 +91,6 @@ func TestAmbiguousAndAgreeing(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	set := dataset.Set{{ID: 10}, {ID: 11}, {ID: 12}}
-	got := Subset(set, []int{2, 0})
-	if len(got) != 2 || got[0].ID != 12 || got[1].ID != 10 {
-		t.Fatalf("Subset = %v", got)
-	}
-	if s := Subset(set, nil); len(s) != 0 {
-		t.Fatal("empty subset")
-	}
-}
-
 func TestRestrictToLabels(t *testing.T) {
 	set := dataset.Set{
 		{ID: 0, Observed: 1},

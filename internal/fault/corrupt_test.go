@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,27 +115,41 @@ func TestCorruptFileByte(t *testing.T) {
 }
 
 // TestTornSnapshotRejected ties the injectors to the snapshot format: a
-// checkpoint torn or bit-flipped on disk must be refused by nn.LoadFile.
+// checkpoint torn or bit-flipped on disk must be refused by nn.Load.
 func TestTornSnapshotRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.nn")
 	net := nn.NewNetwork([]int{3, 5, 2}, mat.NewRNG(4))
-	if err := net.SaveFile(path); err != nil {
-		t.Fatal(err)
+	save := func() {
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	load := func() error {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = nn.Load(bytes.NewReader(raw))
+		return err
+	}
+
+	save()
 	if err := TearFile(path, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nn.LoadFile(path); err == nil {
+	if load() == nil {
 		t.Fatal("torn snapshot loaded successfully")
 	}
 
-	if err := net.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	save()
 	if err := CorruptFileByte(path, 33); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nn.LoadFile(path); err == nil {
+	if load() == nil {
 		t.Fatal("bit-flipped snapshot loaded successfully")
 	}
 }

@@ -373,3 +373,36 @@ func TestCoordinatorShutdownAbandons(t *testing.T) {
 		t.Fatalf("accounting identity broken at shutdown: %+v", a)
 	}
 }
+
+// TestMergeStatusesSumsStorage: the cluster aggregate sums the shards'
+// inventory counts; a shard without a status adds nothing, and recovery
+// stays in the per-shard view.
+func TestMergeStatusesSumsStorage(t *testing.T) {
+	shards := []ShardStatus{
+		{Name: "a", Up: true, Status: &lake.Status{Storage: &lake.InventoryStats{
+			Backend: "seglog", Datasets: 2, Samples: 17, HasPlatform: true, Segments: 1,
+			LiveBytes: 900, DeadBytes: 100, Appends: 3, Compactions: 1,
+			Recovery: lake.RecoveryStats{TornTail: true, DroppedRecords: 1},
+		}}},
+		{Name: "b", Up: true, Status: &lake.Status{Storage: &lake.InventoryStats{
+			Backend: "seglog", Datasets: 3, Samples: 40, HasPlatform: true, Segments: 2,
+			LiveBytes: 2000, Appends: 4,
+		}}},
+		{Name: "c", Error: "down"},
+	}
+	want := lake.InventoryStats{
+		Backend: "seglog", Datasets: 5, Samples: 57, HasPlatform: true, Segments: 3,
+		LiveBytes: 2900, DeadBytes: 100, Appends: 7, Compactions: 1,
+	}
+	agg := mergeStatuses(shards)
+	if agg.Storage == nil || *agg.Storage != want {
+		t.Fatalf("aggregate storage = %+v, want %+v", agg.Storage, want)
+	}
+	if agg := mergeStatuses(shards[2:]); agg.Storage != nil {
+		t.Fatalf("no shard reported storage, aggregate has %+v", agg.Storage)
+	}
+	shards[1].Status.Storage.Backend, shards[1].Status.Storage.HasPlatform = "memory", false
+	if s := mergeStatuses(shards).Storage; s.Backend != "mixed" || s.HasPlatform {
+		t.Fatalf("disagreeing shards merged to backend %q, has_platform %v", s.Backend, s.HasPlatform)
+	}
+}

@@ -84,7 +84,9 @@ func mergeStatuses(shards []ShardStatus) lake.Status {
 		if st == nil {
 			continue
 		}
-		agg.StoreSamples += st.StoreSamples
+		if st.Storage != nil {
+			addStorage(&agg, st.Storage)
+		}
 		agg.TasksProcessed += st.TasksProcessed
 		agg.TasksFailed += st.TasksFailed
 		agg.TasksDegraded += st.TasksDegraded
@@ -115,8 +117,29 @@ func mergeStatuses(shards []ShardStatus) lake.Status {
 	if agg.KeepRecent > 0 && len(agg.Recent) > agg.KeepRecent {
 		agg.Recent = agg.Recent[:agg.KeepRecent]
 	}
-	agg.StoreName = "cluster"
 	return agg
+}
+
+// addStorage sums one shard's inventory counts into the aggregate. Backend
+// reads "mixed" when shards disagree, HasPlatform holds when every shard has
+// one, and Recovery stays per shard.
+func addStorage(agg *lake.Status, s *lake.InventoryStats) {
+	a := agg.Storage
+	if a == nil {
+		a = &lake.InventoryStats{Backend: s.Backend, HasPlatform: true}
+		agg.Storage = a
+	}
+	if a.Backend != s.Backend {
+		a.Backend = "mixed"
+	}
+	a.HasPlatform = a.HasPlatform && s.HasPlatform
+	a.Datasets += s.Datasets
+	a.Samples += s.Samples
+	a.Segments += s.Segments
+	a.LiveBytes += s.LiveBytes
+	a.DeadBytes += s.DeadBytes
+	a.Appends += s.Appends
+	a.Compactions += s.Compactions
 }
 
 // WriteMetrics renders the merged cluster exposition: every shard's

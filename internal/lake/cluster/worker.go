@@ -90,7 +90,7 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 		svc.SetInventory(cfg.Inventory)
 	}
 
-	tracker := lake.NewStatusTracker(nil)
+	tracker := lake.NewStatusTracker()
 	tracker.SetKeepRecent(cfg.KeepRecent)
 	tracker.AttachService(svc)
 	if svc.Breaker() != nil {

@@ -3,6 +3,7 @@ package lake
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -10,11 +11,6 @@ import (
 
 // Status aggregates a running platform's state for the monitoring endpoint.
 type Status struct {
-	// Store statistics.
-	StoreName    string       `json:"store_name"`
-	StoreSamples int          `json:"store_samples"`
-	Labels       []LabelCount `json:"labels,omitempty"`
-
 	// Task statistics.
 	TasksProcessed int     `json:"tasks_processed"`
 	TasksFailed    int     `json:"tasks_failed"`
@@ -78,28 +74,36 @@ type ReportSummary struct {
 
 // StatusTracker accumulates task reports and serves them over HTTP. It is
 // safe for concurrent use: workers record reports while the endpoint reads.
+// It keeps running counts and sums plus the newest keepRecent summaries, so
+// its size and a snapshot's cost do not grow with the tasks served.
 type StatusTracker struct {
 	mu        sync.Mutex
-	store     *Store
 	breaker   *Breaker
 	inventory Inventory
 	service   *Service
-	reports   []Report
-	// keepRecent bounds the recent-report ring.
+	// tally carries the task counts; ok, f1Sum, procSum and queueSum feed
+	// the means over tasks that produced scored output.
+	tally             Status
+	ok                int
+	f1Sum             float64
+	procSum, queueSum time.Duration
+	// recent holds at most keepRecent summaries, TaskID descending; equal
+	// IDs stay in record order.
+	recent     []ReportSummary
 	keepRecent int
 }
 
 // defaultKeepRecent is the recent-report bound when none is configured.
 const defaultKeepRecent = 20
 
-// NewStatusTracker returns a tracker over an optional store (nil is allowed;
-// store statistics are then omitted).
-func NewStatusTracker(store *Store) *StatusTracker {
-	return &StatusTracker{store: store, keepRecent: defaultKeepRecent}
+// NewStatusTracker returns an empty tracker.
+func NewStatusTracker() *StatusTracker {
+	return &StatusTracker{keepRecent: defaultKeepRecent}
 }
 
 // SetKeepRecent bounds the recent-report list served by Snapshot (default
-// 20). Values below 1 restore the default.
+// 20). Values below 1 restore the default. Set it before recording: a larger
+// bound does not bring back summaries already dropped.
 func (t *StatusTracker) SetKeepRecent(n int) {
 	if n < 1 {
 		n = defaultKeepRecent
@@ -107,6 +111,9 @@ func (t *StatusTracker) SetKeepRecent(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.keepRecent = n
+	if len(t.recent) > n {
+		t.recent = t.recent[:n]
+	}
 }
 
 // AttachBreaker makes snapshots report the circuit breaker's live state and
@@ -140,20 +147,79 @@ func (t *StatusTracker) AttachService(svc *Service) {
 func (t *StatusTracker) Record(rep Report) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.reports = append(t.reports, rep)
+	t.count(rep)
+	// Insert after every summary with an ID at least rep's, so equal IDs
+	// keep record order; a summary that would land past the bound is
+	// dropped.
+	at := sort.Search(len(t.recent), func(i int) bool { return t.recent[i].TaskID < rep.TaskID })
+	if at >= t.keepRecent {
+		return
+	}
+	t.recent = slices.Insert(t.recent, at, summarize(rep))
+	if len(t.recent) > t.keepRecent {
+		t.recent = t.recent[:t.keepRecent]
+	}
+}
+
+// count folds rep into the running counts and sums.
+func (t *StatusTracker) count(rep Report) {
+	c := &t.tally
+	c.TasksProcessed++
+	if rep.Degraded {
+		c.TasksDegraded++
+	}
+	if rep.DeadLettered {
+		c.TasksDeadLetter++
+	}
+	// Shed and abandoned tasks carry an explanatory error but are their own
+	// outcome classes, not detection failures.
+	switch {
+	case rep.Shed:
+		c.TasksShed++
+	case rep.Abandoned:
+		c.TasksAbandoned++
+	case rep.Err != nil:
+		c.TasksFailed++
+	default:
+		t.ok++
+		t.f1Sum += rep.Detection.F1
+		t.procSum += rep.Process
+		t.queueSum += rep.Queued
+	}
+}
+
+// summarize renders one report's JSON summary.
+func summarize(rep Report) ReportSummary {
+	rs := ReportSummary{
+		TaskID:       rep.TaskID,
+		Size:         rep.Size,
+		F1:           rep.Detection.F1,
+		ProcessSec:   rep.Process.Seconds(),
+		QueuedSec:    rep.Queued.Seconds(),
+		Failed:       rep.Err != nil && !rep.Shed && !rep.Abandoned,
+		Degraded:     rep.Degraded,
+		DeadLettered: rep.DeadLettered,
+		Shed:         rep.Shed,
+		Abandoned:    rep.Abandoned,
+		Tier:         rep.Tier,
+		Shard:        rep.Shard,
+		Rerouted:     rep.Rerouted,
+	}
+	if rep.Err != nil {
+		rs.Error = rep.Err.Error()
+	}
+	if rep.Result != nil {
+		rs.Noisy = len(rep.Result.Noisy)
+	}
+	return rs
 }
 
 // Snapshot builds the current status.
 func (t *StatusTracker) Snapshot() Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := Status{KeepRecent: t.keepRecent}
-	if t.store != nil {
-		meta := t.store.Meta()
-		st.StoreName = meta.Name
-		st.StoreSamples = t.store.Len()
-		st.Labels = t.store.LabelHistogram()
-	}
+	st := t.tally
+	st.KeepRecent = t.keepRecent
 	if t.breaker != nil {
 		st.Breaker = &BreakerStatus{State: t.breaker.State().String(), Trips: t.breaker.Trips()}
 	}
@@ -165,71 +231,12 @@ func (t *StatusTracker) Snapshot() Status {
 		ov := t.service.OverloadStatus()
 		st.Overload = &ov
 	}
-	var f1Sum float64
-	var procSum, queueSum time.Duration
-	ok := 0
-	for _, rep := range t.reports {
-		st.TasksProcessed++
-		if rep.Degraded {
-			st.TasksDegraded++
-		}
-		if rep.DeadLettered {
-			st.TasksDeadLetter++
-		}
-		// Shed and abandoned tasks carry an explanatory error but are their
-		// own outcome classes, not detection failures.
-		if rep.Shed {
-			st.TasksShed++
-			continue
-		}
-		if rep.Abandoned {
-			st.TasksAbandoned++
-			continue
-		}
-		if rep.Err != nil {
-			st.TasksFailed++
-			continue
-		}
-		ok++
-		f1Sum += rep.Detection.F1
-		procSum += rep.Process
-		queueSum += rep.Queued
+	if t.ok > 0 {
+		st.MeanF1 = t.f1Sum / float64(t.ok)
+		st.MeanProcessSec = t.procSum.Seconds() / float64(t.ok)
+		st.MeanQueuedSec = t.queueSum.Seconds() / float64(t.ok)
 	}
-	if ok > 0 {
-		st.MeanF1 = f1Sum / float64(ok)
-		st.MeanProcessSec = procSum.Seconds() / float64(ok)
-		st.MeanQueuedSec = queueSum.Seconds() / float64(ok)
-	}
-	// Most recent first, bounded.
-	recent := append([]Report(nil), t.reports...)
-	sort.SliceStable(recent, func(i, j int) bool { return recent[i].TaskID > recent[j].TaskID })
-	if len(recent) > t.keepRecent {
-		recent = recent[:t.keepRecent]
-	}
-	for _, rep := range recent {
-		rs := ReportSummary{
-			TaskID:       rep.TaskID,
-			Size:         rep.Size,
-			F1:           rep.Detection.F1,
-			ProcessSec:   rep.Process.Seconds(),
-			QueuedSec:    rep.Queued.Seconds(),
-			Failed:       rep.Err != nil && !rep.Shed && !rep.Abandoned,
-			Degraded:     rep.Degraded,
-			DeadLettered: rep.DeadLettered,
-			Shed:         rep.Shed,
-			Abandoned:    rep.Abandoned,
-			Tier:         rep.Tier,
-			Shard:        rep.Shard,
-			Rerouted:     rep.Rerouted,
-		}
-		if rep.Err != nil {
-			rs.Error = rep.Err.Error()
-		}
-		if rep.Result != nil {
-			rs.Noisy = len(rep.Result.Noisy)
-		}
-		st.Recent = append(st.Recent, rs)
-	}
+	st.Recent = append([]ReportSummary(nil), t.recent...)
 	return st
 }
 

@@ -2,8 +2,10 @@ package lake
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -11,19 +13,13 @@ import (
 
 	"enld/internal/dataset"
 	"enld/internal/detect"
+	"enld/internal/mat"
 	"enld/internal/metrics"
 )
 
 func trackerWithData(t *testing.T) *StatusTracker {
 	t.Helper()
-	st, err := NewStore(testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(dataset.Set{sample(1, 0), sample(2, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	tr := NewStatusTracker(st)
+	tr := NewStatusTracker()
 	res := detect.NewResult()
 	res.MarkNoisy(5)
 	res.MarkClean(6)
@@ -45,9 +41,6 @@ func (*fakeErr) Error() string { return "fake" }
 func TestSnapshot(t *testing.T) {
 	tr := trackerWithData(t)
 	st := tr.Snapshot()
-	if st.StoreName != "t" || st.StoreSamples != 2 {
-		t.Fatalf("store stats: %+v", st)
-	}
 	if st.TasksProcessed != 2 || st.TasksFailed != 1 {
 		t.Fatalf("task stats: %+v", st)
 	}
@@ -73,7 +66,7 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestSnapshotDegradedAndBreaker(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	tr.Record(Report{TaskID: 0, Degraded: true, Detection: metrics.Detection{F1: 0.5}})
 	b := NewBreaker(1, time.Minute)
 	b.Failure()
@@ -87,14 +80,6 @@ func TestSnapshotDegradedAndBreaker(t *testing.T) {
 	}
 	if !st.Recent[0].Degraded {
 		t.Fatalf("recent = %+v", st.Recent[0])
-	}
-}
-
-func TestSnapshotNilStore(t *testing.T) {
-	tr := NewStatusTracker(nil)
-	st := tr.Snapshot()
-	if st.StoreName != "" || st.StoreSamples != 0 {
-		t.Fatalf("nil store stats: %+v", st)
 	}
 }
 
@@ -124,7 +109,7 @@ func TestHandlerServesJSON(t *testing.T) {
 }
 
 func TestHandlerRejectsPost(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	srv := httptest.NewServer(tr.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL, "text/plain", nil)
@@ -138,7 +123,7 @@ func TestHandlerRejectsPost(t *testing.T) {
 }
 
 func TestTrackerConcurrent(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
@@ -155,7 +140,7 @@ func TestTrackerConcurrent(t *testing.T) {
 }
 
 func TestRecentBounded(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	for i := 0; i < 50; i++ {
 		tr.Record(Report{TaskID: i})
 	}
@@ -168,10 +153,111 @@ func TestRecentBounded(t *testing.T) {
 	}
 }
 
+// TestTrackerMatchesAllReports: the running counts and the bounded recent
+// list give the same snapshot as a computation over every report ever
+// recorded, while the tracker keeps at most keepRecent summaries.
+func TestTrackerMatchesAllReports(t *testing.T) {
+	rng := mat.NewRNG(9)
+	reports := make([]Report, 1000)
+	for i, id := range rng.Perm(len(reports)) {
+		rep := Report{
+			TaskID:    id % 700, // repeated IDs exercise the record-order tie break
+			Size:      1 + rng.Intn(50),
+			Process:   time.Duration(rng.Intn(1e9)),
+			Queued:    time.Duration(rng.Intn(1e8)),
+			Detection: metrics.Detection{F1: rng.Float64()},
+			Shard:     fmt.Sprint("s", i%3),
+		}
+		switch rng.Intn(6) {
+		case 0:
+			rep.Shed, rep.Err = true, errFake
+		case 1:
+			rep.Abandoned, rep.Err = true, errFake
+		case 2:
+			rep.DeadLettered, rep.Err = true, errFake
+		case 3:
+			rep.Degraded, rep.Tier = true, TierFallback
+		default:
+			rep.Result = detect.NewResult()
+			rep.Result.MarkNoisy(i)
+		}
+		reports[i] = rep
+	}
+	for _, keep := range []int{1, 20, 2000} {
+		tr := NewStatusTracker()
+		tr.SetKeepRecent(keep)
+		for _, rep := range reports {
+			tr.Record(rep)
+			if len(tr.recent) > keep {
+				t.Fatalf("keep=%d: tracker holds %d summaries", keep, len(tr.recent))
+			}
+		}
+		if got, want := tr.Snapshot(), allReportsStatus(reports, keep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("keep=%d: snapshot differs from the all-reports computation\ngot  %+v\nwant %+v", keep, got, want)
+		}
+	}
+}
+
+// allReportsStatus is the reference: counts and means over every report,
+// and the newest keep summaries by a stable sort on TaskID.
+func allReportsStatus(reports []Report, keep int) Status {
+	st := Status{KeepRecent: keep}
+	var f1Sum float64
+	var procSum, queueSum time.Duration
+	ok := 0
+	for _, rep := range reports {
+		st.TasksProcessed++
+		if rep.Degraded {
+			st.TasksDegraded++
+		}
+		if rep.DeadLettered {
+			st.TasksDeadLetter++
+		}
+		switch {
+		case rep.Shed:
+			st.TasksShed++
+		case rep.Abandoned:
+			st.TasksAbandoned++
+		case rep.Err != nil:
+			st.TasksFailed++
+		default:
+			ok++
+			f1Sum += rep.Detection.F1
+			procSum += rep.Process
+			queueSum += rep.Queued
+		}
+	}
+	if ok > 0 {
+		st.MeanF1 = f1Sum / float64(ok)
+		st.MeanProcessSec = procSum.Seconds() / float64(ok)
+		st.MeanQueuedSec = queueSum.Seconds() / float64(ok)
+	}
+	recent := append([]Report(nil), reports...)
+	sort.SliceStable(recent, func(i, j int) bool { return recent[i].TaskID > recent[j].TaskID })
+	for _, rep := range recent[:min(keep, len(recent))] {
+		rs := ReportSummary{
+			TaskID: rep.TaskID, Size: rep.Size, F1: rep.Detection.F1,
+			ProcessSec: rep.Process.Seconds(), QueuedSec: rep.Queued.Seconds(),
+			Failed:   rep.Err != nil && !rep.Shed && !rep.Abandoned,
+			Degraded: rep.Degraded, DeadLettered: rep.DeadLettered,
+			Shed: rep.Shed, Abandoned: rep.Abandoned, Tier: rep.Tier,
+			Shard: rep.Shard, Rerouted: rep.Rerouted,
+		}
+		if rep.Err != nil {
+			rs.Error = rep.Err.Error()
+		}
+		if rep.Result != nil {
+			rs.Noisy = len(rep.Result.Noisy)
+		}
+		st.Recent = append(st.Recent, rs)
+	}
+	return st
+}
+
 // TestSnapshotStorage: /statusz surfaces the inventory backend's live
 // statistics.
 func TestSnapshotStorage(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	inv := NewMemInventory()
 	if _, err := inv.AppendDataset("a", dataset.Set{sample(1, 0), sample(2, 1)}); err != nil {
 		t.Fatal(err)
@@ -222,7 +308,7 @@ func TestSnapshotOverloadBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	tr.AttachService(svc)
 	tr.Record(Report{TaskID: 0, Tier: TierFull, Detection: metrics.Detection{F1: 0.9}})
 	tr.Record(Report{TaskID: 1, Shed: true, Err: errFake})

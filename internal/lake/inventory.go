@@ -3,7 +3,6 @@ package lake
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"enld/internal/dataset"
@@ -233,75 +232,4 @@ func (m *MemInventory) Close() error {
 	defer m.mu.Unlock()
 	m.closed = true
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Store bridging.
-
-// StoreFromInventory rebuilds an in-memory Store working set from the live
-// datasets of inv, in append order. Datasets sharing a name supersede each
-// other — only the newest copy is loaded. That rule is what makes
-// PersistStore crash-safe: its append-new-then-remove-old sequence can die
-// between the two steps, and the restart then sees both copies but loads
-// only the newer one. Duplicate sample IDs across *differently named*
-// datasets are still rejected by Store.Add, surfacing ingestion bugs
-// instead of masking them.
-func StoreFromInventory(inv Inventory, meta StoreMeta) (*Store, error) {
-	st, err := NewStore(meta)
-	if err != nil {
-		return nil, err
-	}
-	metas, err := inv.Datasets()
-	if err != nil {
-		return nil, err
-	}
-	SortDatasetMetas(metas)
-	newest := make(map[string]uint64, len(metas))
-	for _, dm := range metas {
-		newest[dm.Name] = dm.ID
-	}
-	for _, dm := range metas {
-		if newest[dm.Name] != dm.ID {
-			continue // superseded by a later same-name dataset
-		}
-		set, err := inv.LoadDataset(dm.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.Add(set); err != nil {
-			return nil, fmt.Errorf("lake: restoring dataset %d (%s): %w", dm.ID, dm.Name, err)
-		}
-	}
-	return st, nil
-}
-
-// PersistStore durably writes the store's current samples to inv as one
-// dataset under name, superseding any previous dataset of that name. The
-// new copy is appended before the old ones are removed, so a crash at any
-// point leaves at least one complete copy; StoreFromInventory's
-// newest-name-wins rule picks the right one on restart, and the next
-// PersistStore sweeps leftover older copies.
-func PersistStore(st *Store, inv Inventory, name string) (uint64, error) {
-	id, err := inv.AppendDataset(name, st.All())
-	if err != nil {
-		return 0, err
-	}
-	metas, err := inv.Datasets()
-	if err != nil {
-		return id, err
-	}
-	for _, dm := range metas {
-		if dm.Name == name && dm.ID != id {
-			if err := inv.RemoveDataset(dm.ID); err != nil {
-				return id, err
-			}
-		}
-	}
-	return id, nil
-}
-
-// SortDatasetMetas orders metas by ID (append order); helper for callers
-// that aggregate across backends.
-func SortDatasetMetas(metas []DatasetMeta) {
-	sort.Slice(metas, func(i, j int) bool { return metas[i].ID < metas[j].ID })
 }

@@ -104,58 +104,6 @@ func TestInventoryContract(t *testing.T) {
 	})
 }
 
-// TestStorePersistRestoreRoundTrip drives the Store bridge: persist a store
-// into an inventory, restore it, and confirm supersede-by-name semantics
-// (the crash-window artifact of PersistStore: two same-name copies resolve
-// to the newest).
-func TestStorePersistRestoreRoundTrip(t *testing.T) {
-	inv := NewMemInventory()
-	meta := StoreMeta{Name: "t", Classes: 2, FeatureDim: 2}
-	st, err := NewStore(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(invSet(0, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PersistStore(st, inv, "store"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mutate and persist again: the old copy must be superseded.
-	if err := st.Add(invSet(100, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PersistStore(st, inv, "store"); err != nil {
-		t.Fatal(err)
-	}
-	metas, _ := inv.Datasets()
-	if len(metas) != 1 {
-		t.Fatalf("after re-persist, %d datasets live, want 1", len(metas))
-	}
-
-	got, err := StoreFromInventory(inv, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 8 {
-		t.Fatalf("restored store has %d samples, want 8", got.Len())
-	}
-
-	// Simulate the PersistStore crash window: a stale same-name copy left
-	// behind. Restore must pick the newest, not fail or double-count.
-	if _, err := inv.AppendDataset("store", st.All()); err != nil {
-		t.Fatal(err)
-	}
-	got, err = StoreFromInventory(inv, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 8 {
-		t.Fatalf("restored store has %d samples after crash artifact, want 8", got.Len())
-	}
-}
-
 // TestServiceDurableAppend: with an inventory attached, every arrival is
 // durably recorded before processing — the storage layer sees one dataset
 // per task.

@@ -1,7 +1,6 @@
 package lake
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -14,132 +13,8 @@ import (
 	"enld/internal/nn"
 )
 
-func testMeta() StoreMeta {
-	return StoreMeta{Name: "t", Classes: 3, FeatureDim: 2}
-}
-
 func sample(id, label int) dataset.Sample {
 	return dataset.Sample{ID: id, X: []float64{1, 2}, Observed: label, True: label}
-}
-
-func TestNewStoreValidation(t *testing.T) {
-	if _, err := NewStore(StoreMeta{Classes: 1, FeatureDim: 2}); err == nil {
-		t.Error("1-class store accepted")
-	}
-	if _, err := NewStore(StoreMeta{Classes: 3, FeatureDim: 0}); err == nil {
-		t.Error("0-dim store accepted")
-	}
-}
-
-func TestStoreAddAndQuery(t *testing.T) {
-	st, err := NewStore(testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(dataset.Set{sample(1, 0), sample(2, 1), sample(3, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	got, ok := st.Get(2)
-	if !ok || got.Observed != 1 {
-		t.Fatalf("Get(2) = %+v, %v", got, ok)
-	}
-	if _, ok := st.Get(99); ok {
-		t.Fatal("Get(99) found")
-	}
-	if byLabel := st.ByLabel(1); len(byLabel) != 2 {
-		t.Fatalf("ByLabel(1) = %d", len(byLabel))
-	}
-	hist := st.LabelHistogram()
-	if len(hist) != 2 || hist[0].Label != 0 || hist[0].Count != 1 || hist[1].Count != 2 {
-		t.Fatalf("histogram = %v", hist)
-	}
-}
-
-func TestStoreAddRejections(t *testing.T) {
-	st, _ := NewStore(testMeta())
-	if err := st.Add(dataset.Set{{ID: 1, X: []float64{1}, Observed: 0}}); err == nil {
-		t.Error("wrong dim accepted")
-	}
-	if err := st.Add(dataset.Set{{ID: 1, X: []float64{1, 2}, Observed: 9}}); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-	if err := st.Add(dataset.Set{sample(1, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(dataset.Set{sample(1, 1)}); err == nil {
-		t.Error("duplicate ID accepted")
-	}
-	// Atomicity: a batch with one bad sample must not be partially applied.
-	if err := st.Add(dataset.Set{sample(5, 0), {ID: 6, X: []float64{1}, Observed: 0}}); err == nil {
-		t.Error("bad batch accepted")
-	}
-	if _, ok := st.Get(5); ok {
-		t.Error("partial batch applied")
-	}
-	// Missing labels are allowed.
-	if err := st.Add(dataset.Set{{ID: 7, X: []float64{1, 2}, Observed: dataset.Missing}}); err != nil {
-		t.Errorf("missing label rejected: %v", err)
-	}
-}
-
-func TestStoreRelabelAndRemove(t *testing.T) {
-	st, _ := NewStore(testMeta())
-	if err := st.Add(dataset.Set{sample(1, 0), sample(2, 1), sample(3, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Relabel(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := st.Get(2)
-	if got.Observed != 2 {
-		t.Fatal("relabel lost")
-	}
-	if err := st.Relabel(2, 9); err == nil {
-		t.Error("out-of-range relabel accepted")
-	}
-	if err := st.Relabel(99, 0); err == nil {
-		t.Error("unknown relabel accepted")
-	}
-	if n := st.Remove(map[int]bool{1: true, 99: true}); n != 1 {
-		t.Fatalf("Remove = %d", n)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("Len after remove = %d", st.Len())
-	}
-	if _, ok := st.Get(1); ok {
-		t.Fatal("removed sample still present")
-	}
-	// Index rebuilt correctly.
-	if got, ok := st.Get(3); !ok || got.Observed != 2 {
-		t.Fatal("index corrupted after remove")
-	}
-	if n := st.Remove(nil); n != 0 {
-		t.Fatal("Remove(nil) != 0")
-	}
-}
-
-func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	st, _ := NewStore(testMeta())
-	if err := st.Add(dataset.Set{sample(1, 0), sample(2, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 || loaded.Meta() != st.Meta() {
-		t.Fatal("round trip lost data")
-	}
-	if _, err := LoadStore(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
 }
 
 // flagOdd is a trivial detector marking odd IDs noisy.

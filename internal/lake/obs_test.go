@@ -342,7 +342,7 @@ func TestObserveBreakerTransitions(t *testing.T) {
 // TestKeepRecentConfigurable: SetKeepRecent bounds the recent list and is
 // reported in the snapshot.
 func TestKeepRecentConfigurable(t *testing.T) {
-	tr := NewStatusTracker(nil)
+	tr := NewStatusTracker()
 	tr.SetKeepRecent(3)
 	for i := 0; i < 10; i++ {
 		tr.Record(Report{TaskID: i, Size: 4})

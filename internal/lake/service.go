@@ -1,3 +1,8 @@
+// Package lake simulates the data-platform side of the paper's deployment
+// scenario (§I, §IV-A): an inventory holding the platform's labelled data, a
+// stream of incremental datasets arriving over time, and a service that runs
+// a noisy-label detector over each arrival while recording the
+// setup-versus-process timing split of §V-A3.
 package lake
 
 import (

@@ -1,7 +1,5 @@
 package mat
 
-import "os"
-
 // SIMD dispatch state for the GEMM kernels.
 //
 // The AVX2 micro-kernels (gemm_amd64.s) vectorize across output columns j
@@ -16,14 +14,10 @@ import "os"
 // register-width of columns.
 const simdMinCols = 8
 
-// simdGemm gates the assembly kernels at run time. It is written once at
-// init (and by SetSIMD in tests); all other access is read-only, so
-// concurrent GEMM calls race-detector-cleanly share it.
-var simdGemm bool
-
-func init() {
-	simdGemm = simdAvailable && os.Getenv("ENLD_NOSIMD") == ""
-}
+// simdGemm gates the assembly kernels at run time. It is written only at
+// package initialization and by SetSIMD in tests; all other access is
+// read-only, so concurrent GEMM calls race-detector-cleanly share it.
+var simdGemm = simdAvailable
 
 // SIMDAvailable reports whether this binary has vector GEMM kernels for the
 // current CPU (amd64 with AVX2 and OS-saved YMM state).

@@ -141,13 +141,6 @@ func Copy(dst, src []float64) []float64 {
 	return dst
 }
 
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Lerp computes dst[i] = t*a[i] + (1-t)*b[i], the convex combination used by
 // mixup augmentation (Eq. 1 and Eq. 2 of the paper).
 func Lerp(dst, a, b []float64, t float64) {
@@ -232,21 +225,6 @@ func Mean(x []float64) float64 {
 		return 0
 	}
 	return Sum(x) / float64(len(x))
-}
-
-// Std returns the population standard deviation of x, or 0 for fewer than
-// two elements.
-func Std(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
 }
 
 // Softmax writes the softmax of logits into dst and returns dst. The

@@ -110,60 +110,3 @@ func (a Aggregate) String() string {
 		a.Recall.Mean, a.Recall.Std,
 		a.F1.Mean, a.F1.Std)
 }
-
-// ConfusionMatrix counts (true label, predicted label) pairs.
-type ConfusionMatrix struct {
-	Classes int
-	Counts  [][]int
-}
-
-// NewConfusionMatrix returns a zeroed classes×classes matrix.
-func NewConfusionMatrix(classes int) *ConfusionMatrix {
-	c := &ConfusionMatrix{Classes: classes, Counts: make([][]int, classes)}
-	for i := range c.Counts {
-		c.Counts[i] = make([]int, classes)
-	}
-	return c
-}
-
-// Add records one (trueLabel, predicted) observation. Out-of-range labels
-// are ignored, which lets callers feed missing labels without pre-filtering.
-func (c *ConfusionMatrix) Add(trueLabel, predicted int) {
-	if trueLabel < 0 || trueLabel >= c.Classes || predicted < 0 || predicted >= c.Classes {
-		return
-	}
-	c.Counts[trueLabel][predicted]++
-}
-
-// Accuracy returns the fraction of on-diagonal observations, or 0 if empty.
-func (c *ConfusionMatrix) Accuracy() float64 {
-	total, diag := 0, 0
-	for i, row := range c.Counts {
-		for j, n := range row {
-			total += n
-			if i == j {
-				diag += n
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(diag) / float64(total)
-}
-
-// PerClassRecall returns recall per true class (NaN-free: classes with no
-// observations report 0).
-func (c *ConfusionMatrix) PerClassRecall() []float64 {
-	out := make([]float64, c.Classes)
-	for i, row := range c.Counts {
-		total := 0
-		for _, n := range row {
-			total += n
-		}
-		if total > 0 {
-			out[i] = float64(row[i]) / float64(total)
-		}
-	}
-	return out
-}

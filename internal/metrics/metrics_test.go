@@ -92,31 +92,6 @@ func TestAggregateDetections(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	c := NewConfusionMatrix(3)
-	c.Add(0, 0)
-	c.Add(0, 1)
-	c.Add(1, 1)
-	c.Add(2, 2)
-	c.Add(-1, 0)              // ignored
-	c.Add(0, 5)               // ignored
-	c.Add(dataset.Missing, 0) // ignored
-	if got := c.Accuracy(); got != 0.75 {
-		t.Fatalf("accuracy = %v", got)
-	}
-	rec := c.PerClassRecall()
-	if rec[0] != 0.5 || rec[1] != 1 || rec[2] != 1 {
-		t.Fatalf("per-class recall = %v", rec)
-	}
-	empty := NewConfusionMatrix(2)
-	if empty.Accuracy() != 0 {
-		t.Fatal("empty accuracy != 0")
-	}
-	if r := empty.PerClassRecall(); r[0] != 0 || r[1] != 0 {
-		t.Fatal("empty recall != 0")
-	}
-}
-
 // Property: precision and recall are always in [0,1] and F1 is their
 // harmonic mean (or 0 when both are 0).
 func TestDetectionProperty(t *testing.T) {

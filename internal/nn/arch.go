@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sort"
 
 	"enld/internal/mat"
 )
@@ -29,16 +28,6 @@ var archHidden = map[Arch][]int{
 	SimResNet110:   {128, 96, 64},
 	SimDenseNet121: {192, 128},
 	SimResNet164:   {128, 96, 96, 64},
-}
-
-// Architectures returns the known architecture names in sorted order.
-func Architectures() []Arch {
-	out := make([]Arch, 0, len(archHidden))
-	for a := range archHidden {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Build constructs a network of architecture a for the given input dimension

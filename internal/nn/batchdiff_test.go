@@ -107,7 +107,7 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 		for i := range targets {
 			targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
 		}
-		ref := net.Replica()
+		ref := net.Clone()
 		gWant := net.NewGrads()
 		var lossWant float64
 		for i := range xs {
@@ -158,7 +158,7 @@ func TestFusedChunkPassBitIdentical(t *testing.T) {
 		for i := range targets {
 			targets[i] = OneHot(rng.Intn(net.Classes()), net.Classes())
 		}
-		ref := net.Replica()
+		ref := net.Clone()
 		want := net.NewGrads()
 		var wantLoss float64
 		for lo := 0; lo < bs; lo += gradChunk {

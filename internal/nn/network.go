@@ -6,9 +6,9 @@
 // M(x,θ) and the penultimate-layer feature representation M̂(x,θ). Any
 // trainable classifier exposing both exercises the same algorithmic surface,
 // so this package provides multi-layer perceptrons over feature vectors with
-// SGD+momentum / Adam optimizers, mixup augmentation (Eq. 1–2 of the paper)
+// an SGD+momentum optimizer, mixup augmentation (Eq. 1–2 of the paper)
 // and cross-entropy loss, plus named architecture configurations mirroring
-// the paper's three network families (see Architectures in arch.go).
+// the paper's three network families (see arch.go).
 package nn
 
 import (
@@ -27,9 +27,7 @@ import (
 //
 // A Network is not safe for concurrent use: forward and backward passes share
 // the scratch buffers allocated at construction time. Clone the network to
-// train independent copies from several goroutines, or Replica to run
-// concurrent forward/backward passes against the same (externally
-// synchronized) parameters.
+// train independent copies from several goroutines.
 type Network struct {
 	// Weights[l] maps activations of layer l (length sizes[l]) to
 	// pre-activations of layer l+1 (length sizes[l+1]).
@@ -278,19 +276,6 @@ func (n *Network) Clone() *Network {
 	}
 	c.allocScratch()
 	return c
-}
-
-// Replica returns a network sharing n's parameter storage but owning private
-// scratch buffers. Forward and backward passes only read parameters
-// (Backward accumulates into the caller's Grads), so passes through a
-// replica leave n's scratch untouched, and replicas may run concurrently as
-// long as nothing mutates the parameters meanwhile. Parameter updates
-// (Optimizer.Step, CopyFrom) write the shared backing arrays in place, so
-// replicas observe them without re-synchronization.
-func (n *Network) Replica() *Network {
-	r := &Network{sizes: n.sizes, Weights: n.Weights, Biases: n.Biases}
-	r.allocScratch()
-	return r
 }
 
 // CopyFrom overwrites n's parameters with src's. The two networks must have

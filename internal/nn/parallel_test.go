@@ -121,27 +121,3 @@ func TestBatchInferenceMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicaSharesParameters pins the replica contract: parameter mutations
-// on the original are visible through replicas without copying, and replica
-// forward passes do not disturb the original's scratch-derived outputs.
-func TestReplicaSharesParameters(t *testing.T) {
-	rng := mat.NewRNG(70)
-	net := NewNetwork([]int{3, 4, 2}, rng)
-	rep := net.Replica()
-	x := []float64{0.3, -1, 2}
-	a, b := net.Confidences(x), rep.Confidences(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("replica disagrees with original before update")
-		}
-	}
-	// In-place parameter update must flow through to the replica.
-	net.Weights[0].Data[0] += 0.5
-	a, b = net.Confidences(x), rep.Confidences(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("replica did not observe in-place parameter update")
-		}
-	}
-}

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
-	"enld/internal/fsio"
 	"enld/internal/mat"
 )
 
@@ -133,31 +131,5 @@ func Load(r io.Reader) (*Network, error) {
 		n.Biases = append(n.Biases, append([]float64(nil), s.Biases[l]...))
 	}
 	n.allocScratch()
-	return n, nil
-}
-
-// SaveFile atomically writes the network snapshot to path via the shared
-// tmp+fsync+rename helper. A crash at any point leaves either the previous
-// file intact or a stray temporary — never a torn snapshot at path.
-func (n *Network) SaveFile(path string) error {
-	return fsio.WriteFileAtomic(path, func(w io.Writer) error {
-		if err := n.Save(w); err != nil {
-			return fmt.Errorf("nn: save %s: %w", path, err)
-		}
-		return nil
-	})
-}
-
-// LoadFile reads a snapshot previously written with SaveFile (or Save).
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load %s: %w", path, err)
-	}
-	defer f.Close()
-	n, err := Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load %s: %w", path, err)
-	}
 	return n, nil
 }

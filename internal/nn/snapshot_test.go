@@ -2,8 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -107,68 +105,5 @@ func TestLoadRejectsNonPositiveLayerSizes(t *testing.T) {
 		if _, err := Load(bytes.NewReader(data)); err == nil {
 			t.Fatalf("snapshot with sizes %v loaded successfully", sizes)
 		}
-	}
-}
-
-func TestSaveFileLoadFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.nn")
-	net := NewNetwork([]int{4, 6, 3}, mat.NewRNG(5))
-	if err := net.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalParams(net, got) {
-		t.Fatal("loaded parameters differ from saved")
-	}
-
-	// Overwrite with a different network: the replacement is atomic and
-	// leaves no temporary files behind.
-	net2 := NewNetwork([]int{4, 6, 3}, mat.NewRNG(6))
-	if err := net2.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalParams(net2, got2) || equalParams(net, got2) {
-		t.Fatal("overwrite did not replace the snapshot")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "model.nn" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("directory holds %v, want only model.nn", names)
-	}
-}
-
-func TestSaveFileFailureKeepsPreviousSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.nn")
-	net := NewNetwork([]int{4, 6, 3}, mat.NewRNG(5))
-	if err := net.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	// Saving into a missing directory fails without touching the original.
-	if err := net.SaveFile(filepath.Join(dir, "missing", "model.nn")); err == nil {
-		t.Fatal("save into missing directory succeeded")
-	}
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("original snapshot damaged: %v", err)
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.nn")); err == nil {
-		t.Fatal("loading a missing file succeeded")
 	}
 }

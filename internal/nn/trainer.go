@@ -59,10 +59,10 @@ const DefaultMixupAlpha = 0.2
 // inner dimension of the weight-gradient GemmTN.
 const gradChunk = 16
 
-// Trainer runs mini-batch training of a Network with a given optimizer.
+// Trainer runs mini-batch training of a Network with SGD.
 type Trainer struct {
 	Net *Network
-	Opt Optimizer
+	Opt *SGD
 
 	// Obs, when set, receives training metrics: epoch/batch duration and
 	// batch-loss histograms.
@@ -130,7 +130,7 @@ func (t *Trainer) ensureObs() {
 }
 
 // NewTrainer returns a trainer bound to net and opt.
-func NewTrainer(net *Network, opt Optimizer) *Trainer {
+func NewTrainer(net *Network, opt *SGD) *Trainer {
 	return &Trainer{
 		Net:   net,
 		Opt:   opt,

@@ -142,19 +142,3 @@ func fallbackLabel(i int, allowed map[int]bool) int {
 	}
 	return best
 }
-
-// TrueRate returns the empirical noise rate of s: the fraction of samples
-// whose observed label differs from the true label (missing counts as
-// noisy). Evaluation-only helper.
-func TrueRate(s dataset.Set) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	noisy := 0
-	for _, smp := range s {
-		if smp.IsNoisy() {
-			noisy++
-		}
-	}
-	return float64(noisy) / float64(len(s))
-}

@@ -19,15 +19,6 @@ import (
 // T[i][j] = P(ỹ = j | y* = i).
 type TransitionMatrix [][]float64
 
-// Identity returns the noise-free transition matrix for l classes.
-func Identity(l int) TransitionMatrix {
-	t := zeros(l)
-	for i := range t {
-		t[i][i] = 1
-	}
-	return t
-}
-
 // Pair returns the pair asymmetric noise matrix of the paper:
 // T[i][i] = 1−eta, T[i][(i+1) mod l] = eta. It returns an error if eta is
 // outside [0, 1) or l < 2.

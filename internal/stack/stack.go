@@ -248,7 +248,7 @@ func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory) error {
 	}
 	svc.SetObs(s.cfg.Registry)
 	s.Service = svc
-	s.tracker = lake.NewStatusTracker(nil)
+	s.tracker = lake.NewStatusTracker()
 	s.tracker.SetKeepRecent(s.cfg.KeepRecent)
 	s.tracker.AttachService(svc)
 	if inv != nil {

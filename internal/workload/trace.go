@@ -177,12 +177,3 @@ func (t *Trace) Hash() (uint64, error) {
 	h.Write(raw)
 	return h.Sum64(), nil
 }
-
-// Rates returns the offered request count per phase name, for logging.
-func (t *Trace) Rates() map[string]int {
-	out := make(map[string]int)
-	for _, e := range t.Events {
-		out[e.Phase]++
-	}
-	return out
-}

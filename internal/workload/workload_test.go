@@ -122,7 +122,10 @@ func TestGenTraceShape(t *testing.T) {
 		t.Fatalf("%d events for an expected 90", n)
 	}
 	// The burst phase must offer a higher rate than the warm phase.
-	rates := tr.Rates()
+	rates := map[string]int{}
+	for _, e := range tr.Events {
+		rates[e.Phase]++
+	}
 	warm := float64(rates["warm"]) / 5
 	burst := float64(rates["burst"]) / 2
 	if burst <= warm*2 {
