@@ -151,8 +151,8 @@ func gateLoad(w io.Writer, cur *workload.LoadSummary, comps []LoadComparison) (f
 func writeLoadTable(w io.Writer, cur *workload.LoadSummary, comps []LoadComparison) {
 	fmt.Fprintln(w, "## Load / SLO summary")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Scenario | Offered | Throughput | Task p50/p95/p99 | Queued p99 | Dead-letter | Degraded | Shed | Abandoned | Below full | Breaker opens | SLO |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|---|")
+	fmt.Fprintln(w, "| Scenario | Offered | Throughput | Task p50/p95/p99 | Queued p99 | Dead-letter | Degraded | Shed | Abandoned | Below full | SLO |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|")
 	for _, sc := range cur.Scenarios {
 		verdict := "✅ pass"
 		if !sc.Pass {
@@ -162,12 +162,12 @@ func writeLoadTable(w io.Writer, cur *workload.LoadSummary, comps []LoadComparis
 		if below := belowFullTiers(&sc); len(below) > 0 {
 			tier = strings.Join(below, ", ")
 		}
-		fmt.Fprintf(w, "| %s | %d | %.2f req/s | %s / %s / %s | %s | %d | %d | %d | %d | %s | %d | %s |\n",
+		fmt.Fprintf(w, "| %s | %d | %.2f req/s | %s / %s / %s | %s | %d | %d | %d | %d | %s | %s |\n",
 			sc.Name, sc.Offered, sc.ThroughputRPS,
 			fmtSeconds(sc.TaskSeconds.P50), fmtSeconds(sc.TaskSeconds.P95), fmtSeconds(sc.TaskSeconds.P99),
 			fmtSeconds(sc.QueuedSeconds.P99),
 			sc.Outcomes["dead_letter"], sc.Outcomes["degraded"],
-			sc.Outcomes["shed"], sc.Outcomes["abandoned"], tier, sc.BreakerOpens, verdict)
+			sc.Outcomes["shed"], sc.Outcomes["abandoned"], tier, verdict)
 	}
 	for _, sc := range cur.Scenarios {
 		for _, v := range sc.Violations {

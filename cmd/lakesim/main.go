@@ -6,14 +6,12 @@
 //
 // The simulation can be run under deterministic fault injection (injected
 // failures, panics, latency, corrupted shards) with the full resilience
-// stack engaged — per-task deadlines, a circuit breaker degrading to the
-// default baseline, dead-letter accounting, and crash recovery from the
-// segment log, which records every arrival, the platform and each task's
-// outcome:
+// stack engaged — per-task deadlines, a fallback to the default baseline,
+// dead-letter accounting, and crash recovery from the segment log, which
+// records every arrival, the platform and each task's outcome:
 //
 //	lakesim -dataset cifar100 -eta 0.2 -workers 2 -interval 100ms
-//	lakesim -fail-rate 0.2 -panic-rate 0.05 \
-//	        -breaker-threshold 3 -fallback -store-dir /var/lake -resume
+//	lakesim -fail-rate 0.2 -panic-rate 0.05 -fallback -store-dir /var/lake -resume
 //
 // The stream can also be served by a sharded cluster
 // (internal/lake/cluster): -shards N runs the whole cluster in-process
@@ -89,8 +87,6 @@ func main() {
 
 	// Resilience policy (internal/lake).
 	flag.DurationVar(&cfg.Policy.TaskTimeout, "task-timeout", 0, "per-task detector deadline (0 = none)")
-	flag.IntVar(&cfg.Policy.BreakerThreshold, "breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = no breaker)")
-	flag.DurationVar(&cfg.Policy.BreakerCooldown, "breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
 	flag.BoolVar(&cfg.Fallback, "fallback", false, "degrade failed tasks to the default baseline detector")
 
 	// Overload control (internal/lake): bounded admission with
@@ -306,12 +302,7 @@ func summarize(st *stack.Stack, reports []lake.Report) {
 		cs := st.Coordinator.Status(context.Background())
 		fmt.Printf("cluster: %d/%d shard(s) up, placement=%s\n", cs.ShardsUp, cs.Shards, cs.Placement)
 		for _, sh := range cs.PerShard {
-			if !sh.Up {
-				fmt.Printf("  %s: DOWN (%s)\n", sh.Name, sh.Error)
-				continue
-			}
-			fmt.Printf("  %s: processed=%d failed=%d shed=%d abandoned=%d\n",
-				sh.Name, sh.Status.TasksProcessed, sh.Status.TasksFailed, sh.Status.TasksShed, sh.Status.TasksAbandoned)
+			fmt.Println(shardLine(sh))
 		}
 	} else {
 		fmt.Printf("\naccounting: %d tasks = %d succeeded + %d degraded + %d dead-lettered + %d shed + %d abandoned + %d skipped (recovered)",
@@ -323,9 +314,6 @@ func summarize(st *stack.Stack, reports []lake.Report) {
 		if ov := st.Service.OverloadStatus(); ov.QueueCapacity > 0 {
 			fmt.Printf("overload: shed=%d abandoned=%d ewma_task=%.0fms\n", ov.TasksShed, ov.TasksAbandoned, ov.EWMATaskSeconds*1000)
 		}
-		if b := st.Service.Breaker(); b != nil {
-			fmt.Printf("breaker: state=%s trips=%d\n", b.State(), b.Trips())
-		}
 	}
 	if len(dets) == 0 {
 		fmt.Println("no tasks completed")
@@ -335,4 +323,15 @@ func summarize(st *stack.Stack, reports []lake.Report) {
 	fmt.Printf("%d tasks (%d dead-lettered): %s, mean queued %s, mean process %s\n",
 		len(reports), a.DeadLetter, metrics.AggregateDetections(dets),
 		(queued / n).Round(time.Millisecond), (process / n).Round(time.Millisecond))
+}
+
+// shardLine renders one shard of the cluster summary: the coordinator's
+// down-marker, then the shard's counts or why its status scrape failed.
+func shardLine(sh cluster.ShardStatus) string {
+	marker := map[bool]string{true: "up", false: "DOWN"}[sh.Up]
+	if st := sh.Status; st != nil {
+		return fmt.Sprintf("  %s: %s processed=%d failed=%d shed=%d abandoned=%d",
+			sh.Name, marker, st.TasksProcessed, st.TasksFailed, st.TasksShed, st.TasksAbandoned)
+	}
+	return fmt.Sprintf("  %s: %s, status unavailable (%s)", sh.Name, marker, sh.Error)
 }

@@ -2,9 +2,8 @@
 // any detect.Detector. It injects the failure modes a production data-lake
 // service must survive — injected errors, panics, added latency and
 // corrupted incremental shards — so every resilience path in internal/lake
-// (deadline, circuit breaker, fallback degradation, dead-lettering) is
-// exercisable in tests and in cmd/lakesim without depending on real
-// flakiness.
+// (deadline, fallback degradation, dead-lettering) is exercisable in tests
+// and in cmd/lakesim without depending on real flakiness.
 //
 // Determinism contract: the fault decisions of call k depend only on the
 // configured seed and k. Every call draws one uniform variate per fault
@@ -54,8 +53,8 @@ type Config struct {
 }
 
 // Error is an injected failure. It fails the call it was drawn for, and the
-// lake service attempts each task once, so it takes the same breaker →
-// fallback → dead-letter path as any real detector error.
+// lake service attempts each task once, so it takes the same fallback →
+// dead-letter path as any real detector error.
 type Error struct {
 	// Call is the 1-based injector call index that failed.
 	Call int

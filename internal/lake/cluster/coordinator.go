@@ -18,13 +18,69 @@ type Options struct {
 	// (default 4 × shards): the coordinator is a router, not a queue — the
 	// per-shard admission queues are where load control happens.
 	MaxInflight int
-	// Policy is the inter-node fault story, reusing the lake's resilience
-	// vocabulary: BreakerThreshold/BreakerCooldown drive the per-shard
-	// down-marker (defaults: threshold 1, cooldown 3s — a shard that fails
-	// one submission is down until a probe says otherwise). A failed
-	// submission moves on to the rendezvous runner-up; a task that
-	// exhausts every shard dead-letters at the coordinator.
-	Policy lake.Policy
+}
+
+// shardCooldown is how long a shard marked down is skipped before one probe
+// may go through.
+const shardCooldown = 3 * time.Second
+
+// downMarker is the coordinator's view of one shard. A failed submission
+// marks the shard down; after shardCooldown one probe at a time may go
+// through, and a served probe marks the shard up while a failed one marks it
+// down again. Each transition sets the shard's enld_cluster_shard_up gauge
+// under the marker's lock, so the gauge and up() always agree. Safe for
+// concurrent use by the dispatch goroutines.
+type downMarker struct {
+	mu      sync.Mutex
+	down    bool
+	since   time.Time // when the shard was last marked down
+	probing bool
+	// now is the clock, swappable in tests.
+	now func() time.Time
+	// gauge is enld_cluster_shard_up for this shard; nil when unobserved.
+	gauge *obs.Gauge
+}
+
+// allow reports whether a submission may go to the shard.
+func (m *downMarker) allow() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.down {
+		return true
+	}
+	if m.probing || m.now().Sub(m.since) < shardCooldown {
+		return false
+	}
+	m.probing = true
+	return true
+}
+
+// served records a submission the shard served; a served probe marks it up.
+func (m *downMarker) served() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.down && m.probing {
+		m.down, m.probing = false, false
+		m.gauge.Set(1)
+	}
+}
+
+// failed records a failed submission; an up shard or a failed probe is
+// marked down and the cooldown starts over.
+func (m *downMarker) failed() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.down || m.probing {
+		m.down, m.probing, m.since = true, false, m.now()
+		m.gauge.Set(0)
+	}
+}
+
+// up reports whether the shard is marked up.
+func (m *downMarker) up() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.down
 }
 
 // Coordinator routes a request stream across shards by rendezvous
@@ -33,10 +89,10 @@ type Options struct {
 // the same Run contract as lake.Service, so workload.Play and the load
 // harness drive a cluster unchanged.
 type Coordinator struct {
-	shards   []Shard
-	place    *Rendezvous
-	breakers []*lake.Breaker
-	opts     Options
+	shards []Shard
+	place  *Rendezvous
+	marks  []*downMarker
+	opts   Options
 
 	o   *coordObs
 	reg *obs.Registry
@@ -56,22 +112,14 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 4 * len(shards)
 	}
-	threshold := opts.Policy.BreakerThreshold
-	if threshold <= 0 {
-		threshold = 1
-	}
-	cooldown := opts.Policy.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = 3 * time.Second
-	}
 	c := &Coordinator{
-		shards:   shards,
-		place:    place,
-		breakers: make([]*lake.Breaker, len(shards)),
-		opts:     opts,
+		shards: shards,
+		place:  place,
+		marks:  make([]*downMarker, len(shards)),
+		opts:   opts,
 	}
 	for i := range shards {
-		c.breakers[i] = lake.NewBreaker(threshold, cooldown)
+		c.marks[i] = &downMarker{now: time.Now}
 	}
 	return c, nil
 }
@@ -81,8 +129,10 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 func (c *Coordinator) SetObs(reg *obs.Registry) {
 	c.reg = reg
 	c.o = newCoordObs(reg, c.place)
-	for i, b := range c.breakers {
-		c.o.watchBreaker(c.place.Name(i), b)
+	if c.o != nil {
+		for i, m := range c.marks {
+			m.gauge = c.o.up[c.place.Name(i)]
+		}
 	}
 }
 
@@ -130,9 +180,9 @@ func (c *Coordinator) Run(ctx context.Context, requests <-chan lake.Request) []l
 
 // dispatch routes one task: rendezvous owner first, then each runner-up in
 // rank order as shards prove unavailable. A submission error against one
-// shard moves on to the next; a shard whose breaker is open is skipped
-// outright. When every shard is exhausted the task dead-letters at the
-// coordinator — visibly, in both the report and the cluster metrics.
+// shard moves on to the next; a shard marked down is skipped outright.
+// When every shard is exhausted the task dead-letters at the coordinator —
+// visibly, in both the report and the cluster metrics.
 func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Report {
 	order := c.place.Rank(req.TaskID)
 	primary := order[0]
@@ -140,9 +190,9 @@ func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Repor
 	var errs []error
 	for _, idx := range order {
 		name := c.place.Name(idx)
-		br := c.breakers[idx]
-		if !br.Allow() {
-			errs = append(errs, fmt.Errorf("shard %s: breaker open", name))
+		mark := c.marks[idx]
+		if !mark.allow() {
+			errs = append(errs, fmt.Errorf("shard %s: marked down", name))
 			continue
 		}
 		rep, err := c.shards[idx].Submit(ctx, req)
@@ -153,7 +203,7 @@ func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Repor
 			err = fmt.Errorf("shard %s abandoned task %d: %w", name, rep.TaskID, ErrShardDown)
 		}
 		if err == nil {
-			br.Success()
+			mark.served()
 			rep.Shard = name
 			if idx != primary {
 				rep.Rerouted = true
@@ -162,7 +212,7 @@ func (c *Coordinator) dispatch(ctx context.Context, req lake.Request) lake.Repor
 			c.o.served(name)
 			return rep
 		}
-		br.Failure()
+		mark.failed()
 		errs = append(errs, err)
 		if ctx.Err() != nil {
 			break

@@ -17,7 +17,7 @@ import (
 // ShardStatus is one shard's slice of the cluster status view.
 type ShardStatus struct {
 	Name string `json:"name"`
-	// Up mirrors the coordinator-side breaker: false means submissions are
+	// Up is the coordinator's down-marker: false means submissions are
 	// currently routing around this shard.
 	Up bool `json:"up"`
 	// Error is why the status scrape failed, when it did; a down shard
@@ -53,7 +53,7 @@ func (c *Coordinator) Status(ctx context.Context) ClusterStatus {
 		wg.Add(1)
 		go func(i int, sh Shard) {
 			defer wg.Done()
-			entry := ShardStatus{Name: sh.Name(), Up: c.breakers[i].State() == lake.BreakerClosed}
+			entry := ShardStatus{Name: sh.Name(), Up: c.marks[i].up()}
 			st, err := sh.Status(ctx)
 			if err != nil {
 				entry.Error = err.Error()

@@ -117,7 +117,7 @@ func TestHTTPShardDownReroutes(t *testing.T) {
 	coord, err := New([]Shard{
 		NewHTTPShard("h0", srv0.URL),
 		NewHTTPShard("h1", srv1.URL),
-	}, Options{Policy: lake.Policy{BreakerCooldown: time.Minute}})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

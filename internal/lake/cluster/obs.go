@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"enld/internal/lake"
-	"enld/internal/obs"
-)
+import "enld/internal/obs"
 
 // coordObs is the coordinator's own routing metrics — distinct from the
 // per-shard lake families, which are merged (not shared) across shards.
@@ -48,26 +45,11 @@ func newCoordObs(reg *obs.Registry, place *Rendezvous) *coordObs {
 		o.reroutedOut[name] = reg.Counter("enld_cluster_rerouted_total",
 			"Tasks rerouted away from this shard (their owner) to a runner-up.", label)
 		g := reg.Gauge("enld_cluster_shard_up",
-			"1 while the shard's coordinator-side breaker is closed, 0 while it is open or probing.", label)
+			"1 while the coordinator marks the shard up, 0 while it is marked down or probing.", label)
 		g.Set(1)
 		o.up[name] = g
 	}
 	return o
-}
-
-// watchBreaker mirrors one shard's down-marker breaker into its up gauge.
-func (o *coordObs) watchBreaker(name string, b *lake.Breaker) {
-	if o == nil {
-		return
-	}
-	gauge := o.up[name]
-	b.OnTransition(func(_, to lake.BreakerState) {
-		if to == lake.BreakerClosed {
-			gauge.Set(1)
-		} else {
-			gauge.Set(0)
-		}
-	})
 }
 
 func (o *coordObs) placed(name string) {

@@ -13,7 +13,7 @@ import (
 
 // WorkerConfig wires one in-process shard. Every shard owns its full
 // vertical slice: its own lake.Service (admission queue, brownout ladder,
-// breaker), its own obs.Registry, its own StatusTracker, and —
+// fallback), its own obs.Registry, its own StatusTracker, and —
 // when an Inventory is attached — its own durable segment-log directory.
 type WorkerConfig struct {
 	// Name is the shard's placement identity (required, unique per cluster).
@@ -83,9 +83,6 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 		}
 	}
 	svc.SetObs(reg)
-	if svc.Breaker() != nil {
-		lake.ObserveBreaker(svc.Breaker(), reg)
-	}
 	if cfg.Inventory != nil {
 		svc.SetInventory(cfg.Inventory)
 	}
@@ -93,9 +90,6 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 	tracker := lake.NewStatusTracker()
 	tracker.SetKeepRecent(cfg.KeepRecent)
 	tracker.AttachService(svc)
-	if svc.Breaker() != nil {
-		tracker.AttachBreaker(svc.Breaker())
-	}
 	if cfg.Inventory != nil {
 		tracker.AttachInventory(cfg.Inventory)
 	}

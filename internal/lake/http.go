@@ -29,8 +29,6 @@ type Status struct {
 	// Overload reports the service's live overload-control state — queue
 	// occupancy and shed counts — when a service is attached.
 	Overload *OverloadStatus `json:"overload,omitempty"`
-	// Breaker reports the circuit breaker, when one is attached.
-	Breaker *BreakerStatus `json:"breaker,omitempty"`
 
 	// Storage reports the inventory backend's live statistics, when one is
 	// attached — segment counts, live/dead bytes, and what the last
@@ -41,12 +39,6 @@ type Status struct {
 	KeepRecent int `json:"keep_recent"`
 	// Recent holds the newest task reports, most recent first.
 	Recent []ReportSummary `json:"recent,omitempty"`
-}
-
-// BreakerStatus is the JSON shape of the circuit breaker's state.
-type BreakerStatus struct {
-	State string `json:"state"`
-	Trips int    `json:"trips"`
 }
 
 // ReportSummary is the JSON shape of one processed task.
@@ -78,7 +70,6 @@ type ReportSummary struct {
 // its size and a snapshot's cost do not grow with the tasks served.
 type StatusTracker struct {
 	mu        sync.Mutex
-	breaker   *Breaker
 	inventory Inventory
 	service   *Service
 	// tally carries the task counts; ok, f1Sum, procSum and queueSum feed
@@ -114,14 +105,6 @@ func (t *StatusTracker) SetKeepRecent(n int) {
 	if len(t.recent) > n {
 		t.recent = t.recent[:n]
 	}
-}
-
-// AttachBreaker makes snapshots report the circuit breaker's live state and
-// trip count. A nil breaker (policy without one) is ignored.
-func (t *StatusTracker) AttachBreaker(b *Breaker) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.breaker = b
 }
 
 // AttachInventory makes snapshots report the storage backend's live
@@ -220,9 +203,6 @@ func (t *StatusTracker) Snapshot() Status {
 	defer t.mu.Unlock()
 	st := t.tally
 	st.KeepRecent = t.keepRecent
-	if t.breaker != nil {
-		st.Breaker = &BreakerStatus{State: t.breaker.State().String(), Trips: t.breaker.Trips()}
-	}
 	if t.inventory != nil {
 		s := t.inventory.Stats()
 		st.Storage = &s

@@ -143,40 +143,3 @@ func (s *Service) setQueueDepth() {
 	}
 	s.obs.queueDepth.Set(float64(s.queueDepth()))
 }
-
-// ObserveBreaker exports a breaker's behaviour through the registry:
-// enld_lake_breaker_transitions_total{from,to} counts state changes,
-// enld_lake_breaker_state gauges the current state (0 closed, 1 open,
-// 2 half-open), and enld_lake_breaker_last_transition_timestamp_seconds
-// stamps the most recent change. The four reachable transitions are
-// registered up front so scrapes show them at zero. Nil breaker or registry
-// is a no-op.
-func ObserveBreaker(b *Breaker, reg *obs.Registry) {
-	if b == nil || reg == nil {
-		return
-	}
-	transitions := func(from, to BreakerState) *obs.Counter {
-		return reg.Counter("enld_lake_breaker_transitions_total",
-			"Circuit breaker state transitions.",
-			obs.Label{Key: "from", Value: from.String()},
-			obs.Label{Key: "to", Value: to.String()})
-	}
-	for _, t := range [][2]BreakerState{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-		{BreakerHalfOpen, BreakerOpen},
-	} {
-		transitions(t[0], t[1])
-	}
-	state := reg.Gauge("enld_lake_breaker_state",
-		"Current circuit breaker state: 0 closed, 1 open, 2 half-open.")
-	last := reg.Gauge("enld_lake_breaker_last_transition_timestamp_seconds",
-		"Unix time of the breaker's most recent state transition.")
-	state.Set(float64(b.State()))
-	b.OnTransition(func(from, to BreakerState) {
-		transitions(from, to).Inc()
-		state.Set(float64(to))
-		last.Set(float64(time.Now().UnixNano()) / 1e9)
-	})
-}

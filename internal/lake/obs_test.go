@@ -283,62 +283,6 @@ func TestServiceObsBrownoutSeries(t *testing.T) {
 	}
 }
 
-// TestObserveBreakerTransitions: breaker state changes surface as labelled
-// transition counters and state/timestamp gauges, and metrics coexist with a
-// previously registered OnTransition hook.
-func TestObserveBreakerTransitions(t *testing.T) {
-	b := NewBreaker(2, time.Hour)
-	clock := time.Unix(1000, 0)
-	b.now = func() time.Time { return clock }
-
-	var hookCalls int
-	b.OnTransition(func(from, to BreakerState) { hookCalls++ })
-
-	reg := obs.NewRegistry()
-	ObserveBreaker(b, reg)
-
-	state := reg.Gauge("enld_lake_breaker_state",
-		"Current circuit breaker state: 0 closed, 1 open, 2 half-open.")
-	if got := state.Value(); got != 0 {
-		t.Fatalf("initial state gauge = %v, want 0 (closed)", got)
-	}
-
-	b.Failure()
-	b.Failure() // trips: closed → open
-	clock = clock.Add(2 * time.Hour)
-	if !b.Allow() { // cooldown elapsed: open → half-open, probe admitted
-		t.Fatal("probe not admitted after cooldown")
-	}
-	b.Success() // half-open → closed
-
-	wantTransitions := map[[2]BreakerState]uint64{
-		{BreakerClosed, BreakerOpen}:     1,
-		{BreakerOpen, BreakerHalfOpen}:   1,
-		{BreakerHalfOpen, BreakerClosed}: 1,
-		{BreakerHalfOpen, BreakerOpen}:   0,
-	}
-	for tr, want := range wantTransitions {
-		c := reg.Counter("enld_lake_breaker_transitions_total",
-			"Circuit breaker state transitions.",
-			obs.Label{Key: "from", Value: tr[0].String()},
-			obs.Label{Key: "to", Value: tr[1].String()})
-		if got := c.Value(); got != want {
-			t.Fatalf("transition %s→%s = %d, want %d", tr[0], tr[1], got, want)
-		}
-	}
-	if got := state.Value(); got != 0 {
-		t.Fatalf("final state gauge = %v, want 0 (closed)", got)
-	}
-	last := reg.Gauge("enld_lake_breaker_last_transition_timestamp_seconds",
-		"Unix time of the breaker's most recent state transition.")
-	if last.Value() <= 0 {
-		t.Fatal("last-transition timestamp never set")
-	}
-	if hookCalls != 3 {
-		t.Fatalf("pre-existing hook saw %d transitions, want 3 (observer list broken)", hookCalls)
-	}
-}
-
 // TestKeepRecentConfigurable: SetKeepRecent bounds the recent list and is
 // reported in the snapshot.
 func TestKeepRecentConfigurable(t *testing.T) {

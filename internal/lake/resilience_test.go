@@ -215,120 +215,6 @@ func TestFallbackFailureDeadLettersWithBothErrors(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(2, time.Minute)
-	clock := time.Unix(0, 0)
-	b.now = func() time.Time { return clock }
-	var transitions []string
-	b.OnTransition(func(from, to BreakerState) {
-		transitions = append(transitions, from.String()+">"+to.String())
-	})
-
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("new breaker not closed")
-	}
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("tripped below threshold")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state=%v trips=%d after threshold", b.State(), b.Trips())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a call before cooldown")
-	}
-	// Cooldown elapses: exactly one probe passes.
-	clock = clock.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("half-open probe rejected")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe allowed")
-	}
-	// Probe fails: reopen.
-	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("failed probe: state=%v trips=%d", b.State(), b.Trips())
-	}
-	// Next cooldown, probe succeeds: closed again.
-	clock = clock.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("second probe rejected")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v", b.State())
-	}
-	want := []string{"closed>open", "open>half-open", "half-open>open", "open>half-open", "half-open>closed"}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v", transitions)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q", i, transitions[i], want[i])
-		}
-	}
-}
-
-func TestServiceBreakerTripsAndRecovers(t *testing.T) {
-	primary := &switchable{}
-	primary.set(true)
-	policy := Policy{
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Millisecond,
-		Fallback:         flagOdd{},
-	}
-	// One worker keeps the failure sequence strictly consecutive.
-	svc, err := NewServiceWithPolicy(primary, 1, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healAfter := 6
-	var mu sync.Mutex
-	degradedBeforeHeal := 0
-	n := 0
-	svc.OnReport = func(rep Report) {
-		mu.Lock()
-		defer mu.Unlock()
-		n++
-		if n < healAfter && rep.Degraded {
-			degradedBeforeHeal++
-		}
-		if n == healAfter {
-			// Primary heals while the breaker is open; the next half-open
-			// probe should close it.
-			primary.set(false)
-		}
-	}
-	ctx := context.Background()
-	// Pace arrivals past the cooldown so the breaker gets a probe window.
-	reports := svc.Run(ctx, Feed(ctx, shards(14, 4), 10*time.Millisecond))
-	if len(reports) != 14 {
-		t.Fatalf("%d reports", len(reports))
-	}
-	if svc.Breaker().Trips() == 0 {
-		t.Fatal("breaker never tripped")
-	}
-	if degradedBeforeHeal == 0 {
-		t.Fatal("open breaker produced no degraded tasks")
-	}
-	if svc.Breaker().State() != BreakerClosed {
-		t.Fatalf("breaker did not recover: %v", svc.Breaker().State())
-	}
-	// After recovery the tail of the stream is served by the primary again.
-	last := reports[len(reports)-1]
-	if last.Err != nil || last.Degraded {
-		t.Fatalf("post-recovery task not primary-served: %+v", last)
-	}
-	// No task was lost: succeeded, degraded or dead-lettered only.
-	for _, rep := range reports {
-		if rep.Err != nil && !rep.DeadLettered {
-			t.Fatalf("task %d failed without dead-letter flag: %v", rep.TaskID, rep.Err)
-		}
-	}
-}
-
 func TestSkipCompletedDropsRecoveredTasks(t *testing.T) {
 	svc, _ := NewService(flagOdd{}, 2)
 	svc.SkipCompleted(map[int]bool{0: true, 2: true, 4: true})
@@ -435,17 +321,14 @@ func TestServiceCancelMidFeed(t *testing.T) {
 }
 
 func TestPolicyValidation(t *testing.T) {
-	if _, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{BreakerThreshold: -1}); err == nil {
-		t.Error("negative breaker threshold accepted")
-	}
 	if _, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{TaskTimeout: -time.Second}); err == nil {
 		t.Error("negative timeout accepted")
 	}
 }
 
 // TestChaosZeroLostTasks is the acceptance scenario: 20% injected failures
-// plus occasional panics and slowdowns, served with a deadline, a breaker
-// and a fallback. Every task ID must appear in the final reports as succeeded,
+// plus occasional panics and slowdowns, served with a deadline and a
+// fallback. Every task ID must appear in the final reports as succeeded,
 // degraded or dead-lettered — nothing lost, nothing silently relabelled as
 // primary output.
 func TestChaosZeroLostTasks(t *testing.T) {
@@ -460,10 +343,8 @@ func TestChaosZeroLostTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := Policy{
-		TaskTimeout:      time.Second,
-		BreakerThreshold: 4,
-		BreakerCooldown:  20 * time.Millisecond,
-		Fallback:         flagOdd{},
+		TaskTimeout: time.Second,
+		Fallback:    flagOdd{},
 	}
 	svc, err := NewServiceWithPolicy(inj, 4, policy)
 	if err != nil {

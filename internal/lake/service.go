@@ -48,8 +48,8 @@ type Report struct {
 	// deletes it in the next benchmark change.
 	Retries int
 	// Degraded marks a result produced by the fallback detector after the
-	// primary path failed or was bypassed by an open circuit breaker. A
-	// degraded result is real output, but never ENLD-quality output.
+	// primary path failed. A degraded result is real output, but never
+	// ENLD-quality output.
 	Degraded bool
 	// DeadLettered marks a task that exhausted every path — the primary
 	// detector and the fallback — and carries only an error. No task is
@@ -79,10 +79,6 @@ type Report struct {
 	Rerouted bool
 }
 
-// ErrBreakerOpen reports a task bypassing the primary detector because the
-// circuit breaker is open.
-var ErrBreakerOpen = errors.New("lake: circuit breaker open")
-
 // Service processes detection requests with a fixed detector and a bounded
 // worker pool, in the arrival order the platform scenario prescribes.
 // Workers run concurrently, so the detector must be safe for concurrent
@@ -91,7 +87,6 @@ var ErrBreakerOpen = errors.New("lake: circuit breaker open")
 type Service struct {
 	workers int
 	policy  Policy
-	breaker *Breaker
 
 	// resumed holds, for a resumed run, the task IDs a previous incarnation
 	// already handled: true when its outcome is recorded (Run drops the
@@ -140,9 +135,6 @@ func NewServiceWithPolicy(detector detect.Detector, workers int, policy Policy) 
 	}
 	s := &Service{workers: workers, policy: policy}
 	s.rungs = []*rung{s.newRung("", detector)}
-	if policy.BreakerThreshold > 0 {
-		s.breaker = NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)
-	}
 	return s, nil
 }
 
@@ -197,10 +189,6 @@ func (s *Service) OverloadStatus() OverloadStatus {
 		TasksAbandoned:  int(s.abandoned.Load()),
 	}
 }
-
-// Breaker returns the service's circuit breaker, or nil when the policy
-// disables it. Callers may observe state and register transition hooks.
-func (s *Service) Breaker() *Breaker { return s.breaker }
 
 // SkipCompleted prepares a resume from a previous incarnation's records:
 // Run drops the task IDs in done (e.g. a segment log's DoneTasks after a
@@ -453,29 +441,16 @@ func (s *Service) abandonReport(st stamped) Report {
 }
 
 // process runs one request through the full resilience pipeline: primary
-// detector (breaker-gated, deadline-bounded, attempted once), then the
-// fallback detector, then the dead-letter report. A panicking detector is
-// contained: the panic becomes an attempt error rather than killing the
-// worker pool. The primary detector is the one serving the
-// task's admission rung.
+// detector (deadline-bounded, attempted once), then the fallback detector,
+// then the dead-letter report. A panicking detector is contained: the panic
+// becomes an attempt error rather than killing the worker pool. The primary
+// detector is the one serving the task's admission rung.
 func (s *Service) process(req Request, tier int) Report {
 	rep := Report{TaskID: req.TaskID, Size: len(req.Data), Tier: s.rungs[tier].name}
-	primary := s.rungs[tier].detector
-
-	primaryErr := ErrBreakerOpen
-	if s.breaker == nil || s.breaker.Allow() {
-		var res *detect.Result
-		res, primaryErr = s.attempt(primary, req)
-		if primaryErr == nil {
-			if s.breaker != nil {
-				s.breaker.Success()
-			}
-			fill(&rep, req, res)
-			return rep
-		}
-		if s.breaker != nil {
-			s.breaker.Failure()
-		}
+	res, primaryErr := s.attempt(s.rungs[tier].detector, req)
+	if primaryErr == nil {
+		fill(&rep, req, res)
+		return rep
 	}
 
 	if s.policy.Fallback != nil {

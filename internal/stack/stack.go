@@ -143,7 +143,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 		for _, u := range cfg.Remote {
 			shards = append(shards, cluster.NewHTTPShard(u, u))
 		}
-		if err := s.coordinate(shards, policy); err != nil {
+		if err := s.coordinate(shards); err != nil {
 			return nil, err
 		}
 		s.printf("coordinator over %d HTTP shard(s)", len(shards))
@@ -209,7 +209,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 		s.Workers = append(s.Workers, w)
 		shards = append(shards, w)
 	}
-	if err := s.coordinate(shards, policy); err != nil {
+	if err := s.coordinate(shards); err != nil {
 		return nil, err
 	}
 	if cfg.ShardName == "" {
@@ -220,8 +220,8 @@ func Build(cfg Config) (_ *Stack, err error) {
 
 // coordinate puts the rendezvous coordinator, observed into the stack's
 // registry, over shards.
-func (s *Stack) coordinate(shards []cluster.Shard, policy lake.Policy) (err error) {
-	if s.Coordinator, err = cluster.New(shards, cluster.Options{Policy: policy}); err != nil {
+func (s *Stack) coordinate(shards []cluster.Shard) (err error) {
+	if s.Coordinator, err = cluster.New(shards, cluster.Options{}); err != nil {
 		return err
 	}
 	s.Coordinator.SetObs(s.cfg.Registry)
@@ -254,11 +254,6 @@ func (s *Stack) buildService(policy lake.Policy, inv lake.Inventory) error {
 	if inv != nil {
 		svc.SetInventory(inv)
 		s.tracker.AttachInventory(inv)
-	}
-	if b := svc.Breaker(); b != nil {
-		s.tracker.AttachBreaker(b)
-		lake.ObserveBreaker(b, s.cfg.Registry)
-		b.OnTransition(func(from, to lake.BreakerState) { s.printf("breaker: %s -> %s", from, to) })
 	}
 
 	outcomes, _ := inv.(*seglog.Log)

@@ -262,17 +262,14 @@ func get(t *testing.T, h http.Handler, path string) string {
 }
 
 // TestSingleNodeUnderChaos builds the single node with every serving layer
-// on (fault injection, breaker, fallback, bounded admission and
-// the brownout ladder) and checks that its endpoints and its final stats
+// on (fault injection, fallback, bounded admission and the brownout
+// ladder) and checks that its endpoints and its final stats
 // report the run it served.
 func TestSingleNodeUnderChaos(t *testing.T) {
 	cfg := small(t)
 	cfg.Store = "memory"
 	cfg.Fault = fault.Config{Seed: 7, FailRate: 0.5}
-	cfg.Policy = lake.Policy{
-		BreakerThreshold: 2, BreakerCooldown: time.Second,
-		Admission: lake.AdmissionConfig{QueueDepth: 8, MaxQueueWait: time.Second},
-	}
+	cfg.Policy = lake.Policy{Admission: lake.AdmissionConfig{QueueDepth: 8, MaxQueueWait: time.Second}}
 	cfg.Fallback, cfg.Brownout = true, true
 	cfg.TierFloors = map[string]float64{lake.TierFull: 0}
 	var stdout strings.Builder
@@ -292,14 +289,14 @@ func TestSingleNodeUnderChaos(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, st.Handler(), "/statusz")), &status); err != nil {
 		t.Fatal(err)
 	}
-	if status.TasksProcessed != cfg.Datasets || status.Breaker == nil || status.Storage == nil || status.Overload == nil {
-		t.Fatalf("/statusz %+v: want %d tasks with breaker, storage and overload sections", status, cfg.Datasets)
+	if status.TasksProcessed != cfg.Datasets || status.Storage == nil || status.Overload == nil {
+		t.Fatalf("/statusz %+v: want %d tasks with storage and overload sections", status, cfg.Datasets)
 	}
 	var written bytes.Buffer
 	if err := st.WriteMetrics(ctx, &written); err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{"enld_lake_tasks_total", "enld_lake_tier_tasks_total", "enld_lake_breaker_transitions_total"} {
+	for _, family := range []string{"enld_lake_tasks_total", "enld_lake_tier_tasks_total"} {
 		if !strings.Contains(get(t, st.Handler(), "/metrics"), "# TYPE "+family+" ") || !strings.Contains(written.String(), "# TYPE "+family+" ") {
 			t.Errorf("family %s missing from /metrics or WriteMetrics", family)
 		}

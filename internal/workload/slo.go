@@ -8,7 +8,7 @@ import (
 // SLO declares a scenario's service-level objectives. Zero-valued latency
 // and throughput fields are unset (no objective); the count limits use
 // pointers because zero is the interesting value there ("zero dead-letters
-// at steady state", "the breaker never opens").
+// at steady state", "nothing abandoned at shutdown").
 type SLO struct {
 	MaxP50TaskSeconds   float64 `json:"max_p50_task_seconds,omitempty"`
 	MaxP95TaskSeconds   float64 `json:"max_p95_task_seconds,omitempty"`
@@ -17,7 +17,6 @@ type SLO struct {
 	MinThroughputRPS    float64 `json:"min_throughput_rps,omitempty"`
 	MaxDeadLetters      *int    `json:"max_dead_letters,omitempty"`
 	MaxDegraded         *int    `json:"max_degraded,omitempty"`
-	MaxBreakerOpens     *int    `json:"max_breaker_opens,omitempty"`
 	// MinCompletedRatio bounds lost work: accounted tasks (completed + shed
 	// + abandoned) over offered. 1.0 demands every offered request is
 	// accounted for. Shed tasks count as accounted — the client got an
@@ -41,7 +40,7 @@ type SLO struct {
 func (s SLO) Empty() bool {
 	return s.MaxP50TaskSeconds == 0 && s.MaxP95TaskSeconds == 0 && s.MaxP99TaskSeconds == 0 &&
 		s.MaxP99QueuedSeconds == 0 && s.MinThroughputRPS == 0 && s.MinCompletedRatio == 0 &&
-		s.MaxDeadLetters == nil && s.MaxDegraded == nil && s.MaxBreakerOpens == nil &&
+		s.MaxDeadLetters == nil && s.MaxDegraded == nil &&
 		s.MaxShedFraction == nil && s.MaxAbandoned == nil && len(s.MinTierF1) == 0
 }
 
@@ -62,7 +61,7 @@ func (s SLO) validate() error {
 		v    *int
 	}{
 		{"max_dead_letters", s.MaxDeadLetters}, {"max_degraded", s.MaxDegraded},
-		{"max_breaker_opens", s.MaxBreakerOpens}, {"max_abandoned", s.MaxAbandoned},
+		{"max_abandoned", s.MaxAbandoned},
 	} {
 		if limit.v != nil && *limit.v < 0 {
 			return fmt.Errorf("negative %s %d", limit.name, *limit.v)
@@ -112,7 +111,6 @@ func (s SLO) Evaluate(r *ScenarioResult) []string {
 	}
 	count("dead-lettered tasks", s.MaxDeadLetters, r.Outcomes["dead_letter"])
 	count("degraded tasks", s.MaxDegraded, r.Outcomes["degraded"])
-	count("breaker opens", s.MaxBreakerOpens, r.BreakerOpens)
 	count("abandoned tasks", s.MaxAbandoned, r.Outcomes["abandoned"])
 	if s.MinCompletedRatio > 0 {
 		ratio := 1.0

@@ -18,7 +18,6 @@ func baseResult() *ScenarioResult {
 		Outcomes:      map[string]int{"ok": 98, "degraded": 1, "dead_letter": 1},
 		TaskSeconds:   LatencySummary{P50: 0.01, P95: 0.05, P99: 0.2, Count: 100},
 		QueuedSeconds: LatencySummary{P50: 0.001, P95: 0.002, P99: 0.01, Count: 100},
-		BreakerOpens:  1,
 	}
 }
 
@@ -35,7 +34,7 @@ func TestSLOEvaluate(t *testing.T) {
 			slo: SLO{
 				MaxP50TaskSeconds: 0.01, MaxP95TaskSeconds: 0.05, MaxP99TaskSeconds: 0.2,
 				MaxP99QueuedSeconds: 0.01, MinThroughputRPS: 10,
-				MaxDeadLetters: intp(1), MaxDegraded: intp(1), MaxBreakerOpens: intp(1),
+				MaxDeadLetters: intp(1), MaxDegraded: intp(1),
 				MinCompletedRatio: 1.0,
 			},
 		},
@@ -58,11 +57,6 @@ func TestSLOEvaluate(t *testing.T) {
 			name: "zero dead-letters demanded",
 			slo:  SLO{MaxDeadLetters: intp(0)},
 			want: "dead-lettered",
-		},
-		{
-			name: "breaker must never open",
-			slo:  SLO{MaxBreakerOpens: intp(0)},
-			want: "breaker opens",
 		},
 		{
 			name:   "lost work breaches completed ratio",

@@ -68,8 +68,6 @@ type FaultSpec struct {
 // the scenario.
 type PolicySpec struct {
 	TaskTimeoutSeconds float64 `json:"task_timeout_seconds,omitempty"`
-	BreakerThreshold   int     `json:"breaker_threshold,omitempty"`
-	BreakerCooldownMS  float64 `json:"breaker_cooldown_ms,omitempty"`
 	Fallback           bool    `json:"fallback,omitempty"`
 	// Admission bounds the service's queue and enables deadline-aware load
 	// shedding (lake.AdmissionConfig): QueueDepth 0 keeps the legacy
@@ -94,10 +92,8 @@ func (f FaultSpec) Config() fault.Config {
 // detector belongs to the system under test, which fills it in.
 func (p PolicySpec) Policy() lake.Policy {
 	return lake.Policy{
-		TaskTimeout:      time.Duration(p.TaskTimeoutSeconds * float64(time.Second)),
-		BreakerThreshold: p.BreakerThreshold,
-		BreakerCooldown:  time.Duration(p.BreakerCooldownMS * float64(time.Millisecond)),
-		Admission:        p.Admission(),
+		TaskTimeout: time.Duration(p.TaskTimeoutSeconds * float64(time.Second)),
+		Admission:   p.Admission(),
 	}
 }
 
@@ -265,8 +261,7 @@ func (f FaultSpec) validate() error {
 
 // validate rejects resilience-policy settings the service would refuse.
 func (p PolicySpec) validate() error {
-	if p.TaskTimeoutSeconds < 0 || p.BreakerThreshold < 0 || p.BreakerCooldownMS < 0 ||
-		p.MaxQueueWaitMS < 0 {
+	if p.TaskTimeoutSeconds < 0 || p.MaxQueueWaitMS < 0 {
 		return fmt.Errorf("negative policy field: %+v", p)
 	}
 	return p.Admission().Validate()

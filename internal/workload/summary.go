@@ -38,7 +38,6 @@ type ScenarioResult struct {
 	Outcomes      map[string]int `json:"outcomes"`
 	TaskSeconds   LatencySummary `json:"task_seconds"`
 	QueuedSeconds LatencySummary `json:"queued_seconds"`
-	BreakerOpens  int            `json:"breaker_opens"`
 	// TierF1 is the per-tier detection quality of a brownout run, keyed by
 	// tier name; tiers appear only when they served scored tasks.
 	TierF1 map[string]TierF1 `json:"tier_f1,omitempty"`
@@ -209,16 +208,6 @@ func summarizeParsed(name string, parsed obs.Parsed) (*ScenarioResult, error) {
 	if out.QueuedSeconds, err = latencySummary(parsed, "enld_lake_queued_seconds"); err != nil {
 		return nil, err
 	}
-	// The breaker families only exist when a breaker is configured
-	// (lake.ObserveBreaker); absent means zero opens by construction.
-	if v, ok := parsed.Counter("enld_lake_breaker_transitions_total",
-		map[string]string{"from": "closed", "to": "open"}); ok {
-		out.BreakerOpens = int(v)
-	}
-	if v, ok := parsed.Counter("enld_lake_breaker_transitions_total",
-		map[string]string{"from": "half-open", "to": "open"}); ok {
-		out.BreakerOpens += int(v)
-	}
 	return out, nil
 }
 
@@ -261,10 +250,9 @@ func (r *ScenarioResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "[%s] completed=%d/%d offered, %.2f req/s, task p50/p95/p99 = %.3f/%.3f/%.3f s, queued p99 = %.3f s\n",
 		r.Name, r.Completed, r.Offered, r.ThroughputRPS,
 		r.TaskSeconds.P50, r.TaskSeconds.P95, r.TaskSeconds.P99, r.QueuedSeconds.P99)
-	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d breaker_opens=%d max_send_lag=%.3fs\n",
+	fmt.Fprintf(w, "[%s] outcomes: ok=%d degraded=%d dead_letter=%d shed=%d abandoned=%d max_send_lag=%.3fs\n",
 		r.Name, r.Outcomes["ok"], r.Outcomes["degraded"], r.Outcomes["dead_letter"],
-		r.Outcomes["shed"], r.Outcomes["abandoned"],
-		r.BreakerOpens, r.MaxSendLagSeconds)
+		r.Outcomes["shed"], r.Outcomes["abandoned"], r.MaxSendLagSeconds)
 	if len(r.TierF1) > 0 {
 		tiers := make([]string, 0, len(r.TierF1))
 		for tier := range r.TierF1 {

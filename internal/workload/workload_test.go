@@ -215,7 +215,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Fault.FailRate = 1.5 },
 		func(s *Spec) { s.Fault.PanicRate = -0.1 },
 		func(s *Spec) { s.Fault.SlowLatencyMS = -5 },
-		func(s *Spec) { s.Policy.BreakerThreshold = -1 },
+		func(s *Spec) { s.Policy.TaskTimeoutSeconds = -1 },
 		func(s *Spec) { s.Policy.QueueDepth = -4 },
 		func(s *Spec) { s.Policy.MaxQueueWaitMS = -10 },
 		func(s *Spec) { s.Brownout = true },                               // no bounded admission
@@ -255,12 +255,11 @@ func TestSpecValidate(t *testing.T) {
 // durations, and nothing the builder owns (the fallback) is set.
 func TestSpecConversions(t *testing.T) {
 	p := PolicySpec{
-		TaskTimeoutSeconds: 1.5, BreakerThreshold: 3,
-		BreakerCooldownMS: 500, Fallback: true, QueueDepth: 4, MaxQueueWaitMS: 30,
+		TaskTimeoutSeconds: 1.5, Fallback: true, QueueDepth: 4, MaxQueueWaitMS: 30,
 	}
 	wantPolicy := lake.Policy{
-		TaskTimeout: 1500 * time.Millisecond, BreakerThreshold: 3, BreakerCooldown: 500 * time.Millisecond,
-		Admission: lake.AdmissionConfig{QueueDepth: 4, MaxQueueWait: 30 * time.Millisecond},
+		TaskTimeout: 1500 * time.Millisecond,
+		Admission:   lake.AdmissionConfig{QueueDepth: 4, MaxQueueWait: 30 * time.Millisecond},
 	}
 	if got := p.Policy(); !reflect.DeepEqual(got, wantPolicy) {
 		t.Errorf("Policy() = %+v, want %+v", got, wantPolicy)
