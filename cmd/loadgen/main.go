@@ -4,18 +4,14 @@
 // the Zipf-skewed dataset catalog, the fault and resilience configuration
 // and the objectives; loadgen generates the deterministic trace, replays it
 // in-process against the stack internal/stack builds from the spec (one
-// service, or with -cluster an in-process sharded cluster), scrapes the
-// stack's own obs histograms, and writes one BENCH_load.json document for
-// benchsummary to compare against a checked-in baseline:
+// service, or with -cluster an in-process sharded cluster), reduces the
+// stack's report stream — one report per offered task — to the scenario's
+// outcomes, exact latency percentiles and SLO verdict, and writes one
+// BENCH_load.json document for benchsummary to compare against a
+// checked-in baseline:
 //
 //	loadgen -out BENCH_load.json scenarios/ci-short.json
 //	loadgen -store seglog -store-dir /tmp/lg -speed 2 scenarios/*.json
-//
-// With -scrape-url the replay is skipped entirely and the SLOs are
-// evaluated against a live /metrics endpoint (a running lakesim), which
-// makes the same gate usable against a deployed service:
-//
-//	loadgen -scrape-url http://localhost:8080/metrics -scrape-wall 30 scenarios/ci-short.json
 //
 // Exit status: 0 when every scenario meets its SLOs, 1 on violations
 // (suppressed by -warn-only), 2 on usage or build errors.
@@ -48,8 +44,6 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "directory for durable inventory storage (per-scenario subdirectories)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "per-scenario replay deadline")
 		warnOnly   = flag.Bool("warn-only", false, "report SLO violations without failing the process")
-		scrapeURL  = flag.String("scrape-url", "", "evaluate SLOs against this live /metrics endpoint instead of replaying")
-		scrapeWall = flag.Float64("scrape-wall", 0, "wall-clock seconds the scraped service has been serving (for the throughput objective)")
 		noBrownout = flag.Bool("no-brownout", false, "strip the scenario's overload protection (bounded admission, shedding, brownout tiers) and replay unprotected; the result is renamed <name>-unprotected so protected and baseline runs coexist in one artifact")
 
 		// Cluster mode (internal/lake/cluster): replay against an in-process
@@ -89,20 +83,14 @@ func main() {
 			spec.Policy.QueueDepth = 1 << 16
 			spec.Policy.MaxQueueWaitMS = 0
 		}
-		var res *workload.ScenarioResult
-		switch {
-		case *scrapeURL != "":
-			res, err = workload.SummarizeScrape(spec.Name, *scrapeURL, spec.SLO, *scrapeWall)
-		default:
-			if *clusterN > 0 {
-				spec.Name += "-cluster"
-			}
-			res, err = runScenario(ctx, spec, runOptions{
-				speed: *speed, timeout: *timeout,
-				storeKind: *storeKind, storeDir: *storeDir, metricsDir: *metricsDir,
-				shards: *clusterN, killShard: *killShard, killAfter: *killAfter,
-			})
+		if *clusterN > 0 {
+			spec.Name += "-cluster"
 		}
+		res, err := runScenario(ctx, spec, runOptions{
+			speed: *speed, timeout: *timeout,
+			storeKind: *storeKind, storeDir: *storeDir, metricsDir: *metricsDir,
+			shards: *clusterN, killShard: *killShard, killAfter: *killAfter,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: scenario %s: %v\n", spec.Name, err)
 			os.Exit(2)
@@ -153,9 +141,7 @@ type runOptions struct {
 // service, or with o.shards > 0 an in-process cluster whose every shard runs
 // the scenario's worker count (the cluster scenario is its own baseline,
 // not a capacity-matched rerun) — replays the scenario's trace against it
-// and reduces the run to its ScenarioResult. The reduction reads the
-// stack's own /metrics exposition (a cluster's is the coordinator's merged
-// scatter/gather view), so it measures exactly what a scrape would return.
+// and reduces the run's reports to its ScenarioResult.
 //
 // o.killShard >= 0 hard-kills that shard o.killAfter into the replay: the
 // victim's queued and in-flight work is abandoned at the shard and rerouted
@@ -165,8 +151,8 @@ func runScenario(ctx context.Context, spec workload.Spec, o runOptions) (*worklo
 	if o.shards > 0 && o.killShard >= o.shards {
 		return nil, fmt.Errorf("-kill-shard %d out of range for %d shard(s)", o.killShard, o.shards)
 	}
-	// Each scenario gets a fresh registry so its scrape measures exactly one
-	// replay — the same isolation a per-run /metrics endpoint would give.
+	// Each scenario gets a fresh registry so its -metrics-dir exposition
+	// covers exactly one replay.
 	reg := obs.NewRegistry()
 	cfg := stack.Config{
 		Preset:     spec.Preset,
@@ -242,13 +228,13 @@ func runScenario(ctx context.Context, spec workload.Spec, o runOptions) (*worklo
 	}
 	fmt.Printf("[%s] %s: %s\n", spec.Name, kind, acct)
 
-	var exposition bytes.Buffer
-	if err := st.WriteMetrics(ctx, &exposition); err != nil {
-		return nil, err
-	}
 	if o.metricsDir != "" {
 		// The scenario's final exposition: the artifact CI uploads next to
 		// BENCH_load.json.
+		var exposition bytes.Buffer
+		if err := st.WriteMetrics(ctx, &exposition); err != nil {
+			return nil, err
+		}
 		if err := os.MkdirAll(o.metricsDir, 0o755); err != nil {
 			return nil, err
 		}
@@ -256,10 +242,7 @@ func runScenario(ctx context.Context, spec workload.Spec, o runOptions) (*worklo
 			return nil, err
 		}
 	}
-	res, err := workload.SummarizeExposition(spec, played, &exposition)
-	if err != nil {
-		return nil, err
-	}
+	res := workload.Summarize(spec, played)
 	if acct.Lost != 0 {
 		res.Violations = append(res.Violations, fmt.Sprintf("%s: %d task(s) lost without a report", kind, acct.Lost))
 		res.Pass = false

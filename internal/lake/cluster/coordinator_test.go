@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,6 +32,31 @@ func (s *flakyShard) Submit(_ context.Context, req lake.Request) (lake.Report, e
 func (s *flakyShard) Status(context.Context) (lake.Status, error) { return lake.Status{}, nil }
 func (s *flakyShard) Metrics(context.Context) ([]byte, error)     { return nil, nil }
 func (s *flakyShard) Drain(context.Context) error                 { return nil }
+
+// mutedShard serves submissions but fails its status scrape, like a worker
+// that exited after its last task.
+type mutedShard struct{ flakyShard }
+
+func (s *mutedShard) Status(context.Context) (lake.Status, error) {
+	return lake.Status{}, errors.New("connection refused")
+}
+
+// TestStatusCountsOnlyAnsweringShards: a shard whose down-marker is up but
+// whose status scrape fails keeps Up and carries the Error in its entry, and
+// shards_up does not count it.
+func TestStatusCountsOnlyAnsweringShards(t *testing.T) {
+	coord, err := New([]Shard{&mutedShard{}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Status(context.Background())
+	if st.ShardsUp != 0 {
+		t.Fatalf("shards_up = %d for a shard that did not answer, want 0", st.ShardsUp)
+	}
+	if entry := st.PerShard[0]; !entry.Up || entry.Error == "" || entry.Status != nil {
+		t.Fatalf("per-shard entry = %+v, want up with an error and no status", entry)
+	}
+}
 
 // TestDownMarker walks one shard's down-marker through every transition on
 // an injected clock: down after one failed submission, skipped until the

@@ -29,7 +29,9 @@ type ShardStatus struct {
 // ClusterStatus is the scatter/gather /statusz document: every shard's own
 // status plus a cluster-wide aggregate.
 type ClusterStatus struct {
-	Shards    int    `json:"shards"`
+	Shards int `json:"shards"`
+	// ShardsUp counts the shards that are marked up and answered their
+	// status scrape.
 	ShardsUp  int    `json:"shards_up"`
 	Placement string `json:"placement"`
 	// Aggregate merges the per-shard statuses: counters are summed, the
@@ -66,7 +68,9 @@ func (c *Coordinator) Status(ctx context.Context) ClusterStatus {
 	wg.Wait()
 	sort.Slice(out.PerShard, func(i, j int) bool { return out.PerShard[i].Name < out.PerShard[j].Name })
 	for _, entry := range out.PerShard {
-		if entry.Up {
+		// A shard that cannot answer its status scrape is not up, whatever
+		// its down-marker says: it may have exited after its last task.
+		if entry.Up && entry.Status != nil {
 			out.ShardsUp++
 		}
 	}

@@ -1,10 +1,6 @@
 package lake
 
-import (
-	"time"
-
-	"enld/internal/obs"
-)
+import "enld/internal/obs"
 
 // lakeObs holds the service's pre-interned metric handles.
 type lakeObs struct {
@@ -53,7 +49,7 @@ func (s *Service) SetObs(reg *obs.Registry) {
 		tasksShed:      outcome("shed"),
 		tasksAbandoned: outcome("abandoned"),
 		taskSeconds: reg.Histogram("enld_lake_task_seconds",
-			"End-to-end processing time of one lake task (queue wait excluded).", taskBuckets),
+			"Worker wall-clock time of one lake task, Report.Process: primary attempt, fallback and injected slowdown included, queue wait excluded.", taskBuckets),
 		queuedSeconds: reg.Histogram("enld_lake_queued_seconds",
 			"Time a lake task waited in the queue before a worker picked it up.", taskBuckets),
 		inflight: reg.Gauge("enld_lake_inflight_tasks",
@@ -102,13 +98,12 @@ func (o *lakeObs) taskFinished() {
 	o.inflight.Add(-1)
 }
 
-// record files one finished task. elapsed is the worker's wall-clock
-// processing time (primary attempt and fallback included — unlike
-// Report.Process, which only the successful detector call stamps). Shed and
+// record files one finished task, its processing time from rep.Process, so
+// the histograms and the report stream agree by construction. Shed and
 // abandoned tasks count in the outcome taxonomy but deliberately skip the
 // latency histograms: no detector work ran, and folding their zeros in would
 // deflate the very percentiles the overload SLOs are judged on.
-func (o *lakeObs) record(rep Report, elapsed time.Duration) {
+func (o *lakeObs) record(rep Report) {
 	if o == nil {
 		return
 	}
@@ -126,7 +121,7 @@ func (o *lakeObs) record(rep Report, elapsed time.Duration) {
 	default:
 		o.tasksOK.Inc()
 	}
-	o.taskSeconds.Observe(elapsed.Seconds())
+	o.taskSeconds.Observe(rep.Process.Seconds())
 	o.queuedSeconds.Observe(rep.Queued.Seconds())
 	if rep.Tier != "" {
 		o.tierTasks(rep.Tier).Inc()

@@ -2,6 +2,7 @@ package lake
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"enld/internal/dataset"
 	"enld/internal/detect"
+	"enld/internal/fault"
 	"enld/internal/obs"
 )
 
@@ -52,18 +54,69 @@ func TestServiceObsOutcomes(t *testing.T) {
 			t.Fatalf("%s counter = %d, want 0 (pre-registered at zero)", outcome, got)
 		}
 	}
-	taskSec := reg.Histogram("enld_lake_task_seconds",
-		"End-to-end processing time of one lake task (queue wait excluded).", taskBuckets)
-	if got := taskSec.Count(); got != 3 {
+	if got := svc.obs.taskSeconds.Count(); got != 3 {
 		t.Fatalf("task histogram count = %d, want 3", got)
 	}
-	queued := reg.Histogram("enld_lake_queued_seconds",
-		"Time a lake task waited in the queue before a worker picked it up.", taskBuckets)
-	if got := queued.Count(); got != 3 {
+	if got := svc.obs.queuedSeconds.Count(); got != 3 {
 		t.Fatalf("queued histogram count = %d, want 3", got)
 	}
 	if got := inflightGauge(reg).Value(); got != 0 {
 		t.Fatalf("inflight gauge = %v after drain, want 0", got)
+	}
+}
+
+// TestMetricsMatchReportsProcessTime: enld_lake_task_seconds, the /statusz
+// mean and the report stream agree on processing time under composed
+// faults. Half the primary attempts fail over to the fallback and half are
+// slowed, so a degraded task's time includes its failed primary attempt and
+// a slowed task's its injected latency; all three views must count both.
+func TestMetricsMatchReportsProcessTime(t *testing.T) {
+	inj, err := fault.New(flagOdd{delay: time.Millisecond}, fault.Config{
+		Seed:     3,
+		FailRate: 0.5,
+		SlowRate: 0.5,
+		Latency:  5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewServiceWithPolicy(inj, 2, Policy{Fallback: flagOdd{delay: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetObs(obs.NewRegistry())
+	tracker := NewStatusTracker()
+	svc.OnReport = tracker.Record
+	ctx := context.Background()
+	reports := svc.Run(ctx, Feed(ctx, shards(40, 4), 0))
+
+	var sum time.Duration
+	degraded := 0
+	for _, rep := range reports {
+		if rep.Err != nil {
+			t.Fatalf("task %d: %v", rep.TaskID, rep.Err)
+		}
+		if rep.Degraded {
+			degraded++
+		}
+		sum += rep.Process
+	}
+	if stats := inj.Stats(); degraded == 0 || stats.Slowdowns == 0 {
+		t.Fatalf("%d degraded, %d slowed: the faults did not fire", degraded, stats.Slowdowns)
+	}
+	n := len(reports)
+	if got := svc.obs.taskSeconds.Count(); got != uint64(n) {
+		t.Fatalf("enld_lake_task_seconds count = %d, %d reports", got, n)
+	}
+	if got := svc.obs.taskSeconds.Sum(); math.Abs(got-sum.Seconds()) > 1e-9 {
+		t.Fatalf("enld_lake_task_seconds sum = %.9fs, Σ Report.Process = %.9fs", got, sum.Seconds())
+	}
+	st := tracker.Snapshot()
+	if st.TasksProcessed != n {
+		t.Fatalf("/statusz tasks_processed = %d, %d reports", st.TasksProcessed, n)
+	}
+	if got := st.MeanProcessSec * float64(n); math.Abs(got-sum.Seconds()) > 1e-9 {
+		t.Fatalf("/statusz mean_process_sec × n = %.9fs, Σ Report.Process = %.9fs", got, sum.Seconds())
 	}
 }
 
@@ -235,7 +288,7 @@ func TestServiceObsBrownoutSeries(t *testing.T) {
 	svc.SetObs(reg)
 	ctx := context.Background()
 	data := shards(24, 4)
-	// Same pacing as the differential test: arrivals outrun the 15ms full
+	// Same pacing as the differential test: arrivals outrun the 50ms full
 	// rung, so admission serves tasks at both tiers.
 	reports := svc.Run(ctx, Feed(ctx, data, 2*time.Millisecond))
 

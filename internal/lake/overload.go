@@ -36,36 +36,23 @@ type AdmissionConfig struct {
 	// MaxQueueWait sheds tasks whose predicted queue wait exceeds it. 0
 	// leaves only queue-full shedding active.
 	MaxQueueWait time.Duration
-	// EWMAAlpha is the service-time smoothing factor in (0, 1]; higher
-	// weights recent tasks more. Default 0.2.
-	EWMAAlpha float64
-	// InitialServiceTime seeds each rung's EWMA before any of its tasks
-	// completes, so the very first predictions are not zero. Default 50ms.
-	InitialServiceTime time.Duration
 }
 
-// normalized fills admission defaults and rejects nonsense.
-func (a AdmissionConfig) normalized() (AdmissionConfig, error) {
-	if a.QueueDepth < 0 || a.MaxQueueWait < 0 || a.InitialServiceTime < 0 {
-		return a, fmt.Errorf("lake: negative admission field: %+v", a)
-	}
-	if a.EWMAAlpha < 0 || a.EWMAAlpha > 1 {
-		return a, fmt.Errorf("lake: admission EWMA alpha %v outside (0, 1]", a.EWMAAlpha)
-	}
-	if a.EWMAAlpha == 0 {
-		a.EWMAAlpha = 0.2
-	}
-	if a.InitialServiceTime == 0 {
-		a.InitialServiceTime = 50 * time.Millisecond
-	}
-	return a, nil
-}
+// The service-time EWMA's smoothing factor, and the estimate each rung
+// starts from before any of its tasks completes, so the very first
+// predictions are not zero.
+const (
+	ewmaAlpha          = 0.2
+	initialServiceTime = 50 * time.Millisecond
+)
 
 // Validate reports whether the admission config is sound (the check applied
-// when a policy is installed), without filling defaults.
+// when a policy is installed).
 func (a AdmissionConfig) Validate() error {
-	_, err := a.normalized()
-	return err
+	if a.QueueDepth < 0 || a.MaxQueueWait < 0 {
+		return fmt.Errorf("lake: negative admission field: %+v", a)
+	}
+	return nil
 }
 
 // ValidateBrownout reports whether a brownout ladder can run under this

@@ -15,9 +15,6 @@ func TestAdmissionConfigValidation(t *testing.T) {
 	for _, bad := range []AdmissionConfig{
 		{QueueDepth: -1},
 		{MaxQueueWait: -time.Second},
-		{InitialServiceTime: -time.Millisecond},
-		{EWMAAlpha: -0.1},
-		{EWMAAlpha: 1.5},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
@@ -25,13 +22,6 @@ func TestAdmissionConfigValidation(t *testing.T) {
 	}
 	if err := (AdmissionConfig{QueueDepth: 8}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
-	}
-	got, err := AdmissionConfig{QueueDepth: 8}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.EWMAAlpha != 0.2 || got.InitialServiceTime != 50*time.Millisecond {
-		t.Fatalf("defaults not filled: %+v", got)
 	}
 }
 
@@ -260,19 +250,19 @@ func (f flagAll) Detect(d dataset.Set) (*detect.Result, error) {
 }
 
 // tierStampingService is a two-rung service whose admission rule moves
-// arrivals between rungs: one worker, a 15ms full rung, a 1ms fallback rung
-// and a 60ms wait budget, so the full rung takes a task only while the
-// predicted wait is at most 30ms.
+// arrivals between rungs: one worker, a 50ms full rung (the EWMA's seed
+// service time), a 1ms fallback rung and a 60ms wait budget, so the full
+// rung takes a task only while the predicted wait is at most 30ms.
 func tierStampingService(t *testing.T) *Service {
 	t.Helper()
 	svc, err := NewServiceWithPolicy(flagOdd{}, 1, Policy{
-		Admission: AdmissionConfig{QueueDepth: 32, MaxQueueWait: 60 * time.Millisecond, InitialServiceTime: 15 * time.Millisecond},
+		Admission: AdmissionConfig{QueueDepth: 32, MaxQueueWait: 60 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.SetBrownout([]TierDetector{
-		{Name: TierFull, Detector: flagOdd{delay: 15 * time.Millisecond}},
+		{Name: TierFull, Detector: flagOdd{delay: 50 * time.Millisecond}},
 		{Name: TierFallback, Detector: flagAll{delay: time.Millisecond}},
 	}); err != nil {
 		t.Fatal(err)
@@ -282,7 +272,7 @@ func tierStampingService(t *testing.T) *Service {
 
 // TestBrownoutDifferentialTierStamping is the differential check: a task is
 // served by the detector of the rung it was admitted at. Arrivals every 2ms
-// against the 15ms full rung build the queue past the full rung's budget,
+// against the 50ms full rung build the queue past the full rung's budget,
 // so admission stamps tasks on both rungs. Every served report's result must
 // match a fresh run of its stamped rung's detector on the same data — no
 // report may show tier A's label with tier B's output — and a shed report

@@ -26,12 +26,10 @@ type Policy struct {
 	Admission AdmissionConfig
 }
 
-// normalized fills policy defaults.
-func (p Policy) normalized() (Policy, error) {
+// validate rejects a policy with a negative field.
+func (p Policy) validate() error {
 	if p.TaskTimeout < 0 {
-		return p, fmt.Errorf("lake: negative policy field: %+v", p)
+		return fmt.Errorf("lake: negative policy field: %+v", p)
 	}
-	var err error
-	p.Admission, err = p.Admission.normalized()
-	return p, err
+	return p.Admission.Validate()
 }

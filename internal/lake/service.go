@@ -39,7 +39,9 @@ type Report struct {
 	// samples carry true labels (synthetic workloads always do).
 	Detection metrics.Detection
 	// Queued is how long the request waited before a worker picked it up;
-	// Process is the detector's own processing time.
+	// Process is the worker's wall-clock time on it: the primary attempt,
+	// the fallback and any injected slowdown included. It is the value
+	// enld_lake_task_seconds observes and /statusz averages.
 	Queued  time.Duration
 	Process time.Duration
 	Err     error
@@ -129,8 +131,7 @@ func NewServiceWithPolicy(detector detect.Detector, workers int, policy Policy) 
 	if workers < 1 {
 		return nil, fmt.Errorf("lake: worker count %d", workers)
 	}
-	policy, err := policy.normalized()
-	if err != nil {
+	if err := policy.validate(); err != nil {
 		return nil, err
 	}
 	s := &Service{workers: workers, policy: policy}
@@ -138,11 +139,10 @@ func NewServiceWithPolicy(detector detect.Detector, workers int, policy Policy) 
 	return s, nil
 }
 
-// newRung returns an admission class serving det, its EWMA seeded from the
-// admission policy.
+// newRung returns an admission class serving det, its EWMA at the seed
+// service time.
 func (s *Service) newRung(name string, det detect.Detector) *rung {
-	a := s.policy.Admission
-	return &rung{name: name, detector: det, ewma: newServiceEWMA(a.EWMAAlpha, a.InitialServiceTime)}
+	return &rung{name: name, detector: det, ewma: newServiceEWMA(ewmaAlpha, initialServiceTime)}
 }
 
 // SetBrownout installs a degradation ladder: admission then serves each task
@@ -289,7 +289,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 					var err error
 					if tier, err = s.admit(admission); err != nil {
 						rep := s.shedReport(req, err)
-						s.obs.record(rep, 0)
+						s.obs.record(rep)
 						file(rep)
 						continue
 					}
@@ -303,7 +303,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 							DeadLettered: true,
 							Err:          fmt.Errorf("lake: task %d: durable append: %w", req.TaskID, err),
 						}
-						s.obs.record(rep, 0)
+						s.obs.record(rep)
 						file(rep)
 						continue
 					}
@@ -323,7 +323,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 					// The hand-off never happened: this task was accepted
 					// but will never run. Account for it.
 					rep := s.abandonReport(st)
-					s.obs.record(rep, 0)
+					s.obs.record(rep)
 					file(rep)
 					return
 				}
@@ -347,7 +347,7 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 					// of either processing doomed tasks or dropping them
 					// silently.
 					rep := s.abandonReport(st)
-					s.obs.record(rep, 0)
+					s.obs.record(rep)
 					file(rep)
 					continue
 				}
@@ -356,10 +356,10 @@ func (s *Service) Run(ctx context.Context, requests <-chan Request) []Report {
 				began := time.Now()
 				rep := s.process(st.req, st.tier)
 				rep.Queued = queued
-				elapsed := time.Since(began)
+				rep.Process = time.Since(began)
 				s.obs.taskFinished()
-				r.ewma.observe(elapsed)
-				s.obs.record(rep, elapsed)
+				r.ewma.observe(rep.Process)
+				s.obs.record(rep)
 				file(rep)
 			}
 		}()
@@ -471,7 +471,6 @@ func (s *Service) process(req Request, tier int) Report {
 // fill completes a report from a successful detection result.
 func fill(rep *Report, req Request, res *detect.Result) {
 	rep.Result = res
-	rep.Process = res.Process
 	rep.Detection = metrics.EvaluateDetection(req.Data, res.Noisy)
 }
 

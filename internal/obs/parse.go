@@ -320,43 +320,3 @@ func (p Parsed) Histogram(name string, labels map[string]string) (*ParsedSeries,
 	}
 	return nil, false
 }
-
-// Quantile estimates the q-quantile (q in [0, 1]) of a parsed histogram the
-// way Prometheus's histogram_quantile does: find the bucket the target rank
-// falls in, then interpolate linearly inside it, assuming observations are
-// uniform within a bucket. A rank landing in the +Inf bucket returns the
-// highest finite bound (the histogram cannot resolve beyond it), and an
-// empty histogram returns NaN.
-func (s *ParsedSeries) Quantile(q float64) float64 {
-	if s == nil || len(s.Buckets) == 0 || s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var prevCum uint64
-	lower := 0.0
-	for i, b := range s.Buckets {
-		if float64(b.Count) >= rank && b.Count > prevCum {
-			if math.IsInf(b.LE, +1) {
-				// Beyond the finite layout: the best defensible answer is
-				// the largest finite bound.
-				if i == 0 {
-					return math.NaN()
-				}
-				return s.Buckets[i-1].LE
-			}
-			inBucket := float64(b.Count - prevCum)
-			return lower + (b.LE-lower)*(rank-float64(prevCum))/inBucket
-		}
-		if !math.IsInf(b.LE, +1) {
-			lower = b.LE
-		}
-		prevCum = b.Count
-	}
-	return math.NaN()
-}

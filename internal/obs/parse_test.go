@@ -100,63 +100,3 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		}
 	}
 }
-
-// TestParsedQuantile pins the interpolation against hand-computed values.
-func TestParsedQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("q_seconds", "Q.", []float64{1, 2, 4})
-	// 10 observations: 5 in (0,1], 4 in (1,2], 1 in (2,4].
-	for i := 0; i < 5; i++ {
-		h.Observe(0.5)
-	}
-	for i := 0; i < 4; i++ {
-		h.Observe(1.5)
-	}
-	h.Observe(3)
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := p.Histogram("q_seconds", nil)
-	if !ok {
-		t.Fatal("histogram missing")
-	}
-	cases := []struct{ q, want float64 }{
-		{0.5, 1},   // rank 5 falls exactly on the first bucket boundary
-		{0.9, 2},   // rank 9 closes the second bucket
-		{0.95, 3},  // rank 9.5: halfway into (2,4]
-		{0.2, 0.4}, // rank 2 of 5 inside (0,1]
-		{1.0, 4},   // top of the finite layout
-		{0.0, 0},   // bottom interpolates to the bucket floor
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-
-	// An observation past every finite bound caps at the largest finite le.
-	h.Observe(100)
-	buf.Reset()
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err = ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ = p.Histogram("q_seconds", nil)
-	if got := s.Quantile(1.0); got != 4 {
-		t.Errorf("Quantile(1.0) with +Inf tail = %v, want 4 (largest finite bound)", got)
-	}
-
-	var empty *ParsedSeries
-	if got := empty.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("nil series Quantile = %v, want NaN", got)
-	}
-}

@@ -24,10 +24,9 @@ type PlayOptions struct {
 	Obs *obs.Registry
 }
 
-// PlayResult is what one replay measured on the generator side. Latency
-// percentiles deliberately do not live here: they are scraped from the
-// service's own obs histograms (Summarize), the same way a production
-// monitor would read them.
+// PlayResult is what one replay measured on the generator side, with the
+// report stream the system under test returned; Summarize reduces it to the
+// scenario's outcomes, latency percentiles and SLO verdict.
 type PlayResult struct {
 	Reports []lake.Report
 	// Offered is how many events were actually submitted (a cancelled

@@ -1,22 +1,15 @@
 package workload
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
-	"strings"
-	"time"
-
-	"enld/internal/obs"
 )
 
-// LatencySummary is one histogram reduced to the numbers the SLO gate and
-// the BENCH_load.json artifact carry. Percentiles are estimated from the
-// scraped bucket layout the way Prometheus's histogram_quantile does, so
-// the artifact states exactly what a production dashboard would.
+// LatencySummary is one latency sample reduced to the numbers the SLO gate
+// and the BENCH_load.json artifact carry. Percentiles are exact order
+// statistics of the per-task durations in the reports.
 type LatencySummary struct {
 	P50   float64 `json:"p50_seconds"`
 	P95   float64 `json:"p95_seconds"`
@@ -72,175 +65,92 @@ func (s *LoadSummary) Scenario(name string) *ScenarioResult {
 	return nil
 }
 
-// SummarizeExposition reduces a replay to its ScenarioResult by reading the
-// system's own metrics exposition — a single service's registry, or a
-// coordinator's merged scatter/gather /metrics view — rather than the
-// in-process reports: the artifact then measures exactly what the /metrics
-// endpoint exposes, one-node and N-node runs are reduced by the same code,
-// and the same reduction also serves live HTTP endpoints (SummarizeScrape).
-// The SLO verdict is filled in.
-func SummarizeExposition(spec Spec, res *PlayResult, r io.Reader) (*ScenarioResult, error) {
-	parsed, err := obs.ParseText(r)
-	if err != nil {
-		return nil, err
+// Summarize reduces a replay to its ScenarioResult from the report stream,
+// the authoritative per-task record, and fills in the SLO verdict. Each
+// report lands in the outcome class the lake service's
+// enld_lake_tasks_total gives it; shed and abandoned reports ran no
+// detector and stay out of the latency samples, as they stay out of the
+// service's histograms. Percentiles are exact order statistics of
+// Report.Process and Report.Queued, and a tier's F1 is the mean over its
+// reports that carry a result.
+func Summarize(spec Spec, played *PlayResult) *ScenarioResult {
+	out := &ScenarioResult{
+		Name:              spec.Name,
+		Seed:              spec.Seed,
+		Offered:           played.Offered,
+		WallSeconds:       played.WallSeconds,
+		MaxSendLagSeconds: played.MaxSendLagSeconds,
+		Outcomes:          map[string]int{"ok": 0, "degraded": 0, "dead_letter": 0, "shed": 0, "abandoned": 0},
 	}
-	out, err := summarizeParsed(spec.Name, parsed)
-	if err != nil {
-		return nil, err
-	}
-	out.Seed = spec.Seed
-	out.Offered = res.Offered
-	out.WallSeconds = res.WallSeconds
-	out.MaxSendLagSeconds = res.MaxSendLagSeconds
-	if res.WallSeconds > 0 {
-		out.ThroughputRPS = float64(out.Completed) / res.WallSeconds
-	}
-	finishSLO(out, spec.SLO)
-	return out, nil
-}
-
-// SummarizeScrape builds a ScenarioResult from live /metrics endpoints —
-// the over-HTTP mode: point it at a running lakesim (or several) and
-// evaluate the same SLOs against whatever the services have served so far.
-// url is a comma-separated endpoint list; multiple endpoints are scraped
-// individually and merged with the cluster scatter/gather rules
-// (obs.MergeExpositions) before the one shared reduction runs, so a
-// multi-node run summarizes identically to an in-process one. Offered and
-// throughput come from the exposition (tasks completed over wallSeconds, if
-// positive), not from a replay.
-func SummarizeScrape(name, url string, slo SLO, wallSeconds float64) (*ScenarioResult, error) {
-	urls := strings.Split(url, ",")
-	client := &http.Client{Timeout: 10 * time.Second}
-	parts := make([]obs.ShardExposition, 0, len(urls))
-	for _, u := range urls {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			return nil, fmt.Errorf("workload: empty scrape URL in list %q", url)
+	var task, queued []float64
+	for _, rep := range played.Reports {
+		switch {
+		case rep.Shed:
+			out.Outcomes["shed"]++
+			continue
+		case rep.Abandoned:
+			out.Outcomes["abandoned"]++
+			continue
+		case rep.DeadLettered:
+			out.Outcomes["dead_letter"]++
+		case rep.Degraded:
+			out.Outcomes["degraded"]++
+		default:
+			out.Outcomes["ok"]++
 		}
-		resp, err := client.Get(u)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("workload: scraping %s: %s", u, resp.Status)
-		}
-		parsed, err := obs.ParseText(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("workload: scraping %s: %w", u, err)
-		}
-		shard := u
-		if len(urls) == 1 {
-			// A single endpoint keeps its gauges unlabelled — byte-for-byte
-			// the pre-cluster scrape behavior.
-			shard = ""
-		}
-		parts = append(parts, obs.ShardExposition{Shard: shard, Parsed: parsed})
-	}
-	merged, err := obs.MergeExpositions(parts)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteParsed(&buf, merged); err != nil {
-		return nil, err
-	}
-	return SummarizeReader(name, &buf, slo, wallSeconds)
-}
-
-// SummarizeReader is SummarizeScrape over an already-open exposition stream.
-func SummarizeReader(name string, r io.Reader, slo SLO, wallSeconds float64) (*ScenarioResult, error) {
-	parsed, err := obs.ParseText(r)
-	if err != nil {
-		return nil, err
-	}
-	out, err := summarizeParsed(name, parsed)
-	if err != nil {
-		return nil, err
-	}
-	out.Offered = out.Completed
-	out.WallSeconds = wallSeconds
-	if wallSeconds > 0 {
-		out.ThroughputRPS = float64(out.Completed) / wallSeconds
-	}
-	finishSLO(out, slo)
-	return out, nil
-}
-
-// summarizeParsed extracts the lake-service families from a parsed
-// exposition. Absent families are an error, not zeros: a load run whose
-// service exported nothing measured nothing.
-func summarizeParsed(name string, parsed obs.Parsed) (*ScenarioResult, error) {
-	out := &ScenarioResult{Name: name, Outcomes: map[string]int{}}
-	for _, outcome := range []string{"ok", "degraded", "dead_letter"} {
-		v, ok := parsed.Counter("enld_lake_tasks_total", map[string]string{"outcome": outcome})
-		if !ok {
-			return nil, fmt.Errorf("workload: scrape is missing enld_lake_tasks_total{outcome=%q} — is the service observed?", outcome)
-		}
-		out.Outcomes[outcome] = int(v)
-		out.Completed += int(v)
-	}
-	// Overload outcome classes: accounted work that is not completed work.
-	// Optional in the exposition so pre-overload-control scrapes still parse.
-	for _, outcome := range []string{"shed", "abandoned"} {
-		if v, ok := parsed.Counter("enld_lake_tasks_total", map[string]string{"outcome": outcome}); ok {
-			out.Outcomes[outcome] = int(v)
-		}
-	}
-	// Per-tier detection quality: every {tier=...} series of the F1 family.
-	if fam := parsed["enld_lake_detection_f1"]; fam != nil {
-		for _, s := range fam.Series {
-			tier := s.Labels["tier"]
-			if tier == "" || s.Count == 0 {
-				continue
-			}
+		out.Completed++
+		task = append(task, rep.Process.Seconds())
+		queued = append(queued, rep.Queued.Seconds())
+		if rep.Tier != "" && rep.Result != nil {
 			if out.TierF1 == nil {
 				out.TierF1 = map[string]TierF1{}
 			}
-			out.TierF1[tier] = TierF1{MeanF1: finite(s.Sum / float64(s.Count)), Tasks: s.Count}
+			q := out.TierF1[rep.Tier]
+			q.MeanF1 += rep.Detection.F1
+			q.Tasks++
+			out.TierF1[rep.Tier] = q
 		}
 	}
-	var err error
-	if out.TaskSeconds, err = latencySummary(parsed, "enld_lake_task_seconds"); err != nil {
-		return nil, err
+	for tier, q := range out.TierF1 {
+		q.MeanF1 /= float64(q.Tasks)
+		out.TierF1[tier] = q
 	}
-	if out.QueuedSeconds, err = latencySummary(parsed, "enld_lake_queued_seconds"); err != nil {
-		return nil, err
+	out.TaskSeconds = latencySummary(task)
+	out.QueuedSeconds = latencySummary(queued)
+	if out.WallSeconds > 0 {
+		out.ThroughputRPS = float64(out.Completed) / out.WallSeconds
 	}
-	return out, nil
+	out.SLO = spec.SLO
+	out.Violations = spec.SLO.Evaluate(out)
+	out.Pass = len(out.Violations) == 0
+	return out
 }
 
-func latencySummary(parsed obs.Parsed, family string) (LatencySummary, error) {
-	s, ok := parsed.Histogram(family, nil)
-	if !ok {
-		return LatencySummary{}, fmt.Errorf("workload: scrape is missing histogram %s — is the service observed?", family)
+// latencySummary reduces one latency sample, sorting it in place.
+func latencySummary(xs []float64) LatencySummary {
+	out := LatencySummary{Count: uint64(len(xs))}
+	if len(xs) == 0 {
+		return out
 	}
-	out := LatencySummary{Count: s.Count}
-	if s.Count > 0 {
-		// finite() guards JSON encodability: a quantile can only be NaN on
-		// an empty histogram, which Count == 0 already marks — the SLO
-		// evaluator treats Count == 0 as unmeasurable, never as fast.
-		out.P50 = finite(s.Quantile(0.50))
-		out.P95 = finite(s.Quantile(0.95))
-		out.P99 = finite(s.Quantile(0.99))
-		out.Mean = finite(s.Sum / float64(s.Count))
+	sort.Float64s(xs)
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
 	}
-	return out, nil
+	out.P50 = quantile(xs, 0.50)
+	out.P95 = quantile(xs, 0.95)
+	out.P99 = quantile(xs, 0.99)
+	out.Mean = sum / float64(len(xs))
+	return out
 }
 
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
-// finishSLO stamps the verdict.
-func finishSLO(r *ScenarioResult, slo SLO) {
-	r.SLO = slo
-	r.Violations = slo.Evaluate(r)
-	r.Pass = len(r.Violations) == 0
+// quantile returns the q-quantile of the sorted, non-empty xs by linear
+// interpolation between order statistics.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return xs[lo] + (xs[hi]-xs[lo])*(pos-float64(lo))
 }
 
 // Print writes the scenario's verdict for a run log: throughput and

@@ -1,15 +1,18 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"enld/internal/obs"
+	"enld/internal/detect"
+	"enld/internal/lake"
+	"enld/internal/metrics"
 )
 
 // TestLoadSpecFile: LoadSpec round-trips a spec written to disk and rejects
@@ -114,98 +117,100 @@ func TestLoadSummaryScenario(t *testing.T) {
 	}
 }
 
-// lakeExposition builds a registry carrying the exact metric families the
-// lake service exports, so SummarizeReader is tested against a real
-// WritePrometheus byte stream rather than hand-typed text.
-func lakeExposition(t *testing.T) *bytes.Buffer {
-	t.Helper()
-	reg := obs.NewRegistry()
-	outcome := func(v string, n uint64) {
-		reg.Counter("enld_lake_tasks_total", "h", obs.Label{Key: "outcome", Value: v}).Add(n)
+// summaryReports is a run's report stream with every outcome class: 40 ok,
+// 3 degraded and 1 dead-lettered task whose processing times are 1..44 ms,
+// then 6 shed and 2 abandoned ones that ran no detector.
+func summaryReports() *PlayResult {
+	var reps []lake.Report
+	scored := func(f1 float64) (*detect.Result, metrics.Detection) {
+		return detect.NewResult(), metrics.Detection{F1: f1}
 	}
-	outcome("ok", 40)
-	outcome("degraded", 3)
-	outcome("dead_letter", 1)
-	outcome("shed", 6)
-	outcome("abandoned", 2)
-	buckets := []float64{0.01, 0.1, 1, 10}
 	for i := 0; i < 44; i++ {
-		reg.Histogram("enld_lake_task_seconds", "h", buckets).Observe(0.05)
-		reg.Histogram("enld_lake_queued_seconds", "h", buckets).Observe(0.005)
-	}
-	f1 := func(tier string, v float64, n int) {
-		h := reg.Histogram("enld_lake_detection_f1", "h",
-			[]float64{0.5, 0.9, 1}, obs.Label{Key: "tier", Value: tier})
-		for i := 0; i < n; i++ {
-			h.Observe(v)
+		rep := lake.Report{
+			TaskID:  i,
+			Process: time.Duration(i+1) * time.Millisecond,
+			Queued:  time.Duration(i) * time.Microsecond,
+			Tier:    "full",
 		}
+		switch {
+		case i < 30:
+			rep.Result, rep.Detection = scored(0.9)
+		case i < 40:
+			rep.Tier = "fallback"
+			rep.Result, rep.Detection = scored(0.5)
+		case i < 43:
+			rep.Degraded = true
+			rep.Result, rep.Detection = scored(0.9)
+		default:
+			rep.DeadLettered = true
+			rep.Err = errors.New("dead")
+		}
+		reps = append(reps, rep)
 	}
-	f1("full", 0.9, 30)
-	f1("fallback", 0.5, 10)
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	for i := 44; i < 52; i++ {
+		rep := lake.Report{TaskID: i, Shed: i < 50, Abandoned: i >= 50, Err: errors.New("not served")}
+		if rep.Abandoned {
+			rep.Tier = "full"
+		}
+		reps = append(reps, rep)
 	}
-	return &buf
+	return &PlayResult{Reports: reps, Offered: 52, WallSeconds: 10, MaxSendLagSeconds: 0.25}
 }
 
-// TestSummarizeReader: the scrape path reduces an exposition stream to a
-// ScenarioResult — outcome taxonomy, per-tier F1,
-// latency percentiles, throughput, and the SLO verdict.
-func TestSummarizeReader(t *testing.T) {
-	slo := SLO{
-		MaxP99TaskSeconds: 1,
-		MaxShedFraction:   floatp(0.5),
-	}
-	sum, err := SummarizeReader("scraped", lakeExposition(t), slo, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Name != "scraped" || sum.Completed != 44 {
-		t.Fatalf("name=%q completed=%d, want scraped/44", sum.Name, sum.Completed)
+// TestSummarize: the report stream reduces to the outcome taxonomy, exact
+// latency percentiles over the tasks that ran, per-tier F1 over the scored
+// ones, throughput and the SLO verdict.
+func TestSummarize(t *testing.T) {
+	spec := Spec{Name: "reports", Seed: 7, SLO: SLO{MaxP99TaskSeconds: 1, MaxShedFraction: floatp(0.5)}}
+	sum := Summarize(spec, summaryReports())
+	if sum.Name != "reports" || sum.Seed != 7 || sum.Offered != 52 || sum.Completed != 44 {
+		t.Fatalf("name=%q seed=%d offered=%d completed=%d, want reports/7/52/44", sum.Name, sum.Seed, sum.Offered, sum.Completed)
 	}
 	want := map[string]int{"ok": 40, "degraded": 3, "dead_letter": 1, "shed": 6, "abandoned": 2}
+	if len(sum.Outcomes) != len(want) {
+		t.Fatalf("outcomes %v, want %v", sum.Outcomes, want)
+	}
 	for k, v := range want {
 		if sum.Outcomes[k] != v {
 			t.Fatalf("outcome %s = %d, want %d (all: %v)", k, sum.Outcomes[k], v, sum.Outcomes)
 		}
 	}
-	if got := sum.TierF1["full"]; got.Tasks != 30 || got.MeanF1 < 0.89 || got.MeanF1 > 0.91 {
-		t.Fatalf("tier full F1 = %+v, want ~0.9 over 30 tasks", got)
+	// Order statistics of 1..44 ms; the shed and abandoned zeros would pull
+	// every percentile down.
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
+	task := sum.TaskSeconds
+	if task.Count != 44 || !near(task.P50, 0.0225) || !near(task.P95, 0.04185) || !near(task.P99, 0.04357) || !near(task.Mean, 0.0225) {
+		t.Fatalf("task latency = %+v, want count 44, p50 22.5ms, p95 41.85ms, p99 43.57ms, mean 22.5ms", task)
 	}
-	if got := sum.TierF1["fallback"]; got.Tasks != 10 {
-		t.Fatalf("tier fallback F1 = %+v, want 10 tasks", got)
+	if q := sum.QueuedSeconds; q.Count != 44 || !near(q.P50, 21.5e-6) {
+		t.Fatalf("queued latency = %+v, want count 44, p50 21.5µs", q)
 	}
-	if sum.TaskSeconds.Count != 44 || sum.TaskSeconds.P99 <= 0 {
-		t.Fatalf("task latency summary: %+v", sum.TaskSeconds)
+	if got := sum.TierF1["full"]; got.Tasks != 33 || !near(got.MeanF1, 0.9) {
+		t.Fatalf("tier full F1 = %+v, want 0.9 over 33 tasks", got)
 	}
-	if sum.ThroughputRPS != 4.4 {
-		t.Fatalf("throughput = %v, want 44/10s = 4.4", sum.ThroughputRPS)
+	if got := sum.TierF1["fallback"]; got.Tasks != 10 || !near(got.MeanF1, 0.5) {
+		t.Fatalf("tier fallback F1 = %+v, want 0.5 over 10 tasks", got)
+	}
+	if len(sum.TierF1) != 2 {
+		t.Fatalf("tiers %v, want full and fallback only", sum.TierF1)
+	}
+	if sum.ThroughputRPS != 4.4 || sum.WallSeconds != 10 || sum.MaxSendLagSeconds != 0.25 {
+		t.Fatalf("throughput %v over %vs, lag %v; want 4.4 over 10s, lag 0.25", sum.ThroughputRPS, sum.WallSeconds, sum.MaxSendLagSeconds)
 	}
 	if !sum.Pass || len(sum.Violations) != 0 {
 		t.Fatalf("SLO verdict: pass=%v violations=%v", sum.Pass, sum.Violations)
 	}
 
-	// A shed fraction over the floor flips the verdict from the same stream.
-	tight := SLO{MaxShedFraction: floatp(0.05)}
-	sum, err = SummarizeReader("scraped", lakeExposition(t), tight, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Pass || len(sum.Violations) == 0 {
+	// A shed fraction over the floor flips the verdict.
+	spec.SLO = SLO{MaxShedFraction: floatp(0.05)}
+	if sum := Summarize(spec, summaryReports()); sum.Pass || len(sum.Violations) == 0 {
 		t.Fatalf("shed fraction 6/52 passed a 0.05 floor: %+v", sum.Violations)
 	}
 
-	// An exposition without the lake families is an error, not zeros.
-	empty := obs.NewRegistry()
-	empty.Counter("unrelated_total", "h").Add(1)
-	var buf bytes.Buffer
-	if err := empty.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SummarizeReader("empty", &buf, SLO{}, 1); err == nil {
-		t.Fatal("exposition without lake families accepted")
+	// A run with no reports measured nothing: the latency SLOs cannot pass.
+	spec.SLO = SLO{MaxP99TaskSeconds: 1}
+	if sum := Summarize(spec, &PlayResult{Offered: 3}); sum.Pass || sum.TaskSeconds.Count != 0 {
+		t.Fatalf("empty report stream passed a latency SLO: %+v", sum)
 	}
 }
 
