@@ -340,15 +340,7 @@ func TestCoordinatorAllShardsDownDeadLetters(t *testing.T) {
 			t.Fatalf("task %d not dead-lettered with every shard down: %+v", rep.TaskID, rep)
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := obs.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := parsed.Counter("enld_cluster_dead_letter_total", nil); !ok || v != 3 {
+	if v, ok := reg.Snapshot().Counter("enld_cluster_dead_letter_total", nil); !ok || v != 3 {
 		t.Fatalf("dead letter counter = %v, %v; want 3", v, ok)
 	}
 }

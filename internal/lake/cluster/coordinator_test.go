@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -30,7 +29,7 @@ func (s *flakyShard) Submit(_ context.Context, req lake.Request) (lake.Report, e
 }
 
 func (s *flakyShard) Status(context.Context) (lake.Status, error) { return lake.Status{}, nil }
-func (s *flakyShard) Metrics(context.Context) ([]byte, error)     { return nil, nil }
+func (s *flakyShard) Metrics(context.Context) (obs.Parsed, error) { return nil, nil }
 func (s *flakyShard) Drain(context.Context) error                 { return nil }
 
 // mutedShard serves submissions but fails its status scrape, like a worker
@@ -79,15 +78,7 @@ func TestDownMarker(t *testing.T) {
 
 	check := func(step string, wantUp bool, wantCalls int64) {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := obs.ParseText(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gauge, ok := parsed.Gauge("enld_cluster_shard_up", map[string]string{"shard": "f0"})
+		gauge, ok := reg.Snapshot().Gauge("enld_cluster_shard_up", map[string]string{"shard": "f0"})
 		if want := map[bool]float64{true: 1, false: 0}[wantUp]; !ok || gauge != want {
 			t.Fatalf("%s: enld_cluster_shard_up = %v, %v; want %v", step, gauge, ok, want)
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -147,18 +146,19 @@ func addStorage(agg *lake.Status, s *lake.InventoryStats) {
 }
 
 // WriteMetrics renders the merged cluster exposition: every shard's
-// /metrics parsed and merged (counters and histograms summed, gauges
-// labelled shard="name") plus the coordinator's own routing families
-// passed through unlabelled. The output round-trips obs.ParseText — the
-// same conformance bar the per-shard endpoints meet. A shard whose scrape
-// fails is skipped with its name recorded in the error only if every
-// scrape fails; partial views stay serveable because a cluster dashboard
-// that goes blank when one shard dies is worse than one missing a shard.
+// families merged (counters and histograms summed, gauges labelled
+// shard="name") plus a snapshot of the coordinator's own routing families
+// passed through unlabelled. The families arrive typed — only an
+// HTTPShard's scrape parses text — and one renderer, obs.WriteParsed,
+// writes the result. A shard whose scrape fails is skipped with its name
+// recorded in the error only if every scrape fails; partial views stay
+// serveable because a cluster dashboard that goes blank when one shard dies
+// is worse than one missing a shard.
 func (c *Coordinator) WriteMetrics(ctx context.Context, w io.Writer) error {
 	type scrape struct {
-		name string
-		body []byte
-		err  error
+		name   string
+		parsed obs.Parsed
+		err    error
 	}
 	scrapes := make([]scrape, len(c.shards))
 	var wg sync.WaitGroup
@@ -166,8 +166,8 @@ func (c *Coordinator) WriteMetrics(ctx context.Context, w io.Writer) error {
 		wg.Add(1)
 		go func(i int, sh Shard) {
 			defer wg.Done()
-			body, err := sh.Metrics(ctx)
-			scrapes[i] = scrape{name: sh.Name(), body: body, err: err}
+			parsed, err := sh.Metrics(ctx)
+			scrapes[i] = scrape{name: sh.Name(), parsed: parsed, err: err}
 		}(i, sh)
 	}
 	wg.Wait()
@@ -179,23 +179,10 @@ func (c *Coordinator) WriteMetrics(ctx context.Context, w io.Writer) error {
 			failed = append(failed, fmt.Errorf("shard %s: %w", s.name, s.err))
 			continue
 		}
-		parsed, err := obs.ParseText(bytes.NewReader(s.body))
-		if err != nil {
-			failed = append(failed, fmt.Errorf("shard %s: %w", s.name, err))
-			continue
-		}
-		parts = append(parts, obs.ShardExposition{Shard: s.name, Parsed: parsed})
+		parts = append(parts, obs.ShardExposition{Shard: s.name, Parsed: s.parsed})
 	}
 	if c.reg != nil {
-		var buf bytes.Buffer
-		if err := c.reg.WritePrometheus(&buf); err != nil {
-			return err
-		}
-		own, err := obs.ParseText(&buf)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, obs.ShardExposition{Parsed: own})
+		parts = append(parts, obs.ShardExposition{Parsed: c.reg.Snapshot()})
 	}
 	if len(parts) == 0 {
 		if len(failed) > 0 {

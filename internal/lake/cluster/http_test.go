@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -55,11 +56,7 @@ func TestHTTPShardRoundTrip(t *testing.T) {
 	if st.TasksProcessed != 1 {
 		t.Fatalf("status over HTTP: %+v", st)
 	}
-	body, err := shard.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := obs.ParseText(bytes.NewReader(body))
+	parsed, err := shard.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +211,53 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	req, err := decodeSubmit(strings.NewReader(`{"task_id": 3, "data": [{"id": 1, "x": [0.5], "observed": 0, "true": 1}]}`))
 	if err != nil || req.TaskID != 3 || len(req.Data) != 1 {
 		t.Fatalf("minimal submit rejected: %+v, %v", req, err)
+	}
+}
+
+// TestInProcessAndHTTPMetricsAgree scrapes the same two shard workers
+// through an in-process coordinator (registry snapshots) and through an
+// HTTP one (parsed /metrics text): the merged expositions are identical.
+func TestInProcessAndHTTPMetricsAgree(t *testing.T) {
+	w0, srv0 := newHTTPWorker(t, "h0")
+	w1, srv1 := newHTTPWorker(t, "h1")
+	local, err := New([]Shard{w0, w1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := New([]Shard{NewHTTPShard("h0", srv0.URL), NewHTTPShard("h1", srv1.URL)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports := runTasks(t, local, 12); len(reports) != 12 {
+		t.Fatalf("got %d reports", len(reports))
+	}
+	var a, b bytes.Buffer
+	if err := local.WriteMetrics(context.Background(), &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.WriteMetrics(context.Background(), &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("in-process and HTTP merged metrics differ:\n%s\nvs\n%s", a.String(), b.String())
+	}
+	if !strings.Contains(a.String(), `enld_lake_tasks_total{outcome="ok"} 12`+"\n") {
+		t.Fatalf("merged metrics miss the 12 served tasks:\n%s", a.String())
+	}
+}
+
+// TestHTTPShardGetRejectsOversizedReply: a reply one byte over the cap is
+// an error, not a silently truncated body.
+func TestHTTPShardGetRejectsOversizedReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(strings.Repeat("x", 17)))
+	}))
+	defer srv.Close()
+	shard := NewHTTPShard("big", srv.URL)
+	if body, err := shard.get(context.Background(), "/metrics", 16); err == nil {
+		t.Fatalf("17-byte reply under a 16-byte cap returned %q and no error", body)
+	}
+	if body, err := shard.get(context.Background(), "/metrics", 17); err != nil || len(body) != 17 {
+		t.Fatalf("17-byte reply under a 17-byte cap: %q, %v", body, err)
 	}
 }

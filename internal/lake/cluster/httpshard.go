@@ -14,6 +14,7 @@ import (
 	"enld/internal/detect"
 	"enld/internal/lake"
 	"enld/internal/metrics"
+	"enld/internal/obs"
 )
 
 // The HTTP transport: a ShardWorker serves POST /submit, GET /statusz,
@@ -285,9 +286,18 @@ func (s *HTTPShard) Status(ctx context.Context) (lake.Status, error) {
 	return decodeStatus(bytes.NewReader(body))
 }
 
-// Metrics implements Shard over GET /metrics.
-func (s *HTTPShard) Metrics(ctx context.Context) ([]byte, error) {
-	return s.get(ctx, "/metrics", maxReplyBytes)
+// Metrics implements Shard over GET /metrics: the shard serves text, and
+// this is where the cluster parses it back into families.
+func (s *HTTPShard) Metrics(ctx context.Context) (obs.Parsed, error) {
+	body, err := s.get(ctx, "/metrics", maxReplyBytes)
+	if err != nil {
+		return nil, err
+	}
+	parsed, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %s: %w", s.name, err)
+	}
+	return parsed, nil
 }
 
 // Drain implements Shard over POST /drain.
@@ -321,5 +331,12 @@ func (s *HTTPShard) get(ctx context.Context, path string, limit int64) ([]byte, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: shard %s: %s: %s", s.name, path, resp.Status)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %s: %s: %w", s.name, path, err)
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("cluster: shard %s: %s: reply exceeds %d bytes", s.name, path, limit)
+	}
+	return body, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"enld/internal/lake"
+	"enld/internal/obs"
 )
 
 // ErrShardDown reports a shard that cannot accept submissions: it was
@@ -28,9 +29,10 @@ type Shard interface {
 	Submit(ctx context.Context, req lake.Request) (lake.Report, error)
 	// Status returns the shard's /statusz snapshot for scatter/gather.
 	Status(ctx context.Context) (lake.Status, error)
-	// Metrics returns the shard's Prometheus text exposition for
-	// scatter/gather merging.
-	Metrics(ctx context.Context) ([]byte, error)
+	// Metrics returns the shard's metric families for scatter/gather
+	// merging: an in-process shard snapshots its registry, a remote one
+	// parses its /metrics text (the cluster's only text parse).
+	Metrics(ctx context.Context) (obs.Parsed, error)
 	// Drain stops intake, waits for queued and in-flight work to finish,
 	// and leaves the shard answering Status/Metrics but refusing Submit
 	// with ErrShardDown.

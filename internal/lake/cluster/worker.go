@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -121,9 +120,6 @@ func NewShardWorker(det detect.Detector, cfg WorkerConfig) (*ShardWorker, error)
 // Name implements Shard.
 func (w *ShardWorker) Name() string { return w.name }
 
-// Registry exposes the shard's own metrics registry (scatter/gather input).
-func (w *ShardWorker) Registry() *obs.Registry { return w.reg }
-
 // resolve hands a filed report to the submitter waiting on its task ID.
 // Reports without a waiter (caller gave up on its context) are dropped
 // here but remain in the tracker and metrics.
@@ -199,13 +195,9 @@ func (w *ShardWorker) Status(context.Context) (lake.Status, error) {
 	return w.tracker.Snapshot(), nil
 }
 
-// Metrics implements Shard.
-func (w *ShardWorker) Metrics(context.Context) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := w.reg.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Metrics implements Shard with a snapshot of the shard's registry.
+func (w *ShardWorker) Metrics(context.Context) (obs.Parsed, error) {
+	return w.reg.Snapshot(), nil
 }
 
 // stop flips the shard to refusing new submissions and waits until every

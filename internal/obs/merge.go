@@ -1,8 +1,9 @@
 package obs
 
 // Scatter/gather support for the sharded lake: a cluster coordinator
-// scrapes every shard's /metrics exposition, parses each with ParseText,
-// and merges them here into one cluster-wide exposition. Merge rules:
+// gathers every shard's typed families — an in-process shard's
+// Registry.Snapshot, a remote shard's /metrics through ParseText — and
+// merges them here into one cluster-wide view. Merge rules:
 //
 //   - counters and histograms are summed across shards per label set —
 //     they are monotone totals, so the sum is the cluster total;
@@ -14,19 +15,17 @@ package obs
 //
 // The merge is deterministic: parts are processed in shard-name order, so
 // float64 sums accumulate in one fixed order no matter how the scrapes
-// raced. WriteParsed renders the result back to conformant text that
-// round-trips ParseText.
+// raced. A family's help text comes from the first part that has the family.
+// WriteParsed renders the result.
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 )
 
-// ShardExposition is one scrape to merge: a shard name and its parsed
-// exposition. An empty Shard marks a pass-through part whose gauges keep
-// their labels as-is.
+// ShardExposition is one part to merge: a shard name and its families. An
+// empty Shard marks a pass-through part whose gauges keep their labels
+// as-is.
 type ShardExposition struct {
 	Shard  string
 	Parsed Parsed
@@ -51,7 +50,7 @@ func MergeExpositions(parts []ShardExposition) (Parsed, error) {
 			src := part.Parsed[name]
 			dst := out[name]
 			if dst == nil {
-				dst = &ParsedFamily{Name: name, Type: src.Type}
+				dst = &ParsedFamily{Name: name, Help: src.Help, Type: src.Type}
 				out[name] = dst
 			}
 			if dst.Type != src.Type {
@@ -122,86 +121,10 @@ func mergeSeries(dst *ParsedFamily, shard string, s *ParsedSeries) error {
 	}
 }
 
-// find returns the series with exactly these labels, or nil.
-func (f *ParsedFamily) find(labels map[string]string) *ParsedSeries {
-	key := mapKey(labels)
-	for _, s := range f.Series {
-		if mapKey(s.Labels) == key {
-			return s
-		}
-	}
-	return nil
-}
-
 func cloneLabels(labels map[string]string) map[string]string {
 	out := make(map[string]string, len(labels)+1)
 	for k, v := range labels {
 		out[k] = v
 	}
 	return out
-}
-
-// WriteParsed renders a parsed (typically merged) exposition back to the
-// 0.0.4 text format: families sorted by name, series sorted by label set,
-// TYPE comment before samples, cumulative histogram buckets closing at
-// +Inf — everything ParseText demands, so the merged cluster view passes
-// the same conformance parser the per-shard endpoints do.
-func WriteParsed(w io.Writer, p Parsed) error {
-	names := make([]string, 0, len(p))
-	for name := range p {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := p[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type); err != nil {
-			return err
-		}
-		series := append([]*ParsedSeries(nil), f.Series...)
-		sort.SliceStable(series, func(i, j int) bool {
-			return mapKey(series[i].Labels) < mapKey(series[j].Labels)
-		})
-		for _, s := range series {
-			switch f.Type {
-			case typeCounter, typeGauge:
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.Name,
-					renderLabelMap(s.Labels, nil), formatFloat(s.Value)); err != nil {
-					return err
-				}
-			case typeHistogram:
-				for _, b := range s.Buckets {
-					le := Label{Key: "le", Value: formatFloat(b.LE)}
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n", f.Name,
-						renderLabelMap(s.Labels, &le), strconv.FormatUint(b.Count, 10)); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.Name,
-					renderLabelMap(s.Labels, nil), formatFloat(s.Sum)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %s\n", f.Name,
-					renderLabelMap(s.Labels, nil), strconv.FormatUint(s.Count, 10)); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("obs: render: family %s has unsupported type %q", f.Name, f.Type)
-			}
-		}
-	}
-	return nil
-}
-
-// renderLabelMap is renderLabels for the map-shaped label sets ParseText
-// produces: keys sorted, values escaped, optional extra label appended.
-func renderLabelMap(labels map[string]string, extra *Label) string {
-	if len(labels) == 0 && extra == nil {
-		return ""
-	}
-	pairs := make([]Label, 0, len(labels))
-	for k, v := range labels {
-		pairs = append(pairs, Label{Key: k, Value: v})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return renderLabels(pairs, extra)
 }

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-// parseRegistry renders reg and parses it back — the exact path a
-// coordinator scrape takes.
-func parseRegistry(t *testing.T, reg *Registry) Parsed {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return parsed
-}
-
 func shardRegistry(t *testing.T, tasks uint64, depth float64, lat ...float64) *Registry {
 	t.Helper()
 	reg := NewRegistry()
@@ -34,8 +19,8 @@ func shardRegistry(t *testing.T, tasks uint64, depth float64, lat ...float64) *R
 }
 
 func TestMergeExpositions(t *testing.T) {
-	a := parseRegistry(t, shardRegistry(t, 3, 2, 0.05, 0.5))
-	b := parseRegistry(t, shardRegistry(t, 4, 7, 5))
+	a := shardRegistry(t, 3, 2, 0.05, 0.5).Snapshot()
+	b := shardRegistry(t, 4, 7, 5).Snapshot()
 
 	coord := NewRegistry()
 	coord.Gauge("cluster_shards", "g").Set(2)
@@ -43,7 +28,7 @@ func TestMergeExpositions(t *testing.T) {
 	merged, err := MergeExpositions([]ShardExposition{
 		{Shard: "s1", Parsed: b},
 		{Shard: "s0", Parsed: a},
-		{Shard: "", Parsed: parseRegistry(t, coord)},
+		{Shard: "", Parsed: coord.Snapshot()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +69,8 @@ func TestMergeExpositions(t *testing.T) {
 // TestMergeDeterministic pins that shard scrape order does not change the
 // merged result — parts are re-sorted by shard name before any float sums.
 func TestMergeDeterministic(t *testing.T) {
-	a := parseRegistry(t, shardRegistry(t, 3, 2, 0.1, 0.3, 0.7))
-	b := parseRegistry(t, shardRegistry(t, 4, 7, 0.2, 0.9))
+	a := shardRegistry(t, 3, 2, 0.1, 0.3, 0.7).Snapshot()
+	b := shardRegistry(t, 4, 7, 0.2, 0.9).Snapshot()
 	render := func(parts []ShardExposition) string {
 		merged, err := MergeExpositions(parts)
 		if err != nil {
@@ -105,11 +90,12 @@ func TestMergeDeterministic(t *testing.T) {
 }
 
 // TestWriteParsedRoundTrip pins the acceptance requirement: the merged
-// cluster exposition passes the same strict conformance parser the
-// per-shard endpoints do, and parses back to the same values.
+// cluster exposition passes the same strict conformance parsers the
+// per-shard endpoints do — HELP (non-empty) before TYPE for every family —
+// prints a large counter as an integer, and parses back to the same values.
 func TestWriteParsedRoundTrip(t *testing.T) {
-	a := parseRegistry(t, shardRegistry(t, 3, 2, 0.05, 0.5))
-	b := parseRegistry(t, shardRegistry(t, 4, 7, 5))
+	a := shardRegistry(t, 1234000, 2, 0.05, 0.5).Snapshot()
+	b := shardRegistry(t, 567, 7, 5).Snapshot()
 	merged, err := MergeExpositions([]ShardExposition{
 		{Shard: "s0", Parsed: a}, {Shard: "s1", Parsed: b},
 	})
@@ -120,12 +106,23 @@ func TestWriteParsedRoundTrip(t *testing.T) {
 	if err := WriteParsed(&buf, merged); err != nil {
 		t.Fatal(err)
 	}
+	text := buf.String()
+	families := parsePrometheus(t, text)
+	for _, name := range []string{"tasks_total", "queue_depth", "task_seconds"} {
+		if f := families[name]; f == nil || f.help == "" {
+			t.Fatalf("family %s lacks its HELP line:\n%s", name, text)
+		}
+	}
+	checkHistogram(t, families["task_seconds"])
+	if want := `tasks_total{outcome="ok"} 1234567` + "\n"; !strings.Contains(text, want) {
+		t.Fatalf("merged counter not rendered as %q:\n%s", want, text)
+	}
 	again, err := ParseText(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("merged exposition failed conformance parse: %v\n%s", err, buf.String())
+		t.Fatalf("merged exposition failed conformance parse: %v\n%s", err, text)
 	}
-	if v, ok := again.Counter("tasks_total", map[string]string{"outcome": "ok"}); !ok || v != 7 {
-		t.Fatalf("round-trip counter = %v, %v; want 7, true", v, ok)
+	if v, ok := again.Counter("tasks_total", map[string]string{"outcome": "ok"}); !ok || v != 1234567 {
+		t.Fatalf("round-trip counter = %v, %v; want 1234567, true", v, ok)
 	}
 	h, ok := again.Histogram("task_seconds", nil)
 	if !ok || h.Count != 3 {
@@ -142,8 +139,8 @@ func TestMergeErrors(t *testing.T) {
 	gaugeReg := NewRegistry()
 	gaugeReg.Gauge("m", "g").Set(1)
 	if _, err := MergeExpositions([]ShardExposition{
-		{Shard: "a", Parsed: parseRegistry(t, counterReg)},
-		{Shard: "b", Parsed: parseRegistry(t, gaugeReg)},
+		{Shard: "a", Parsed: counterReg.Snapshot()},
+		{Shard: "b", Parsed: gaugeReg.Snapshot()},
 	}); err == nil || !strings.Contains(err.Error(), "family m") {
 		t.Fatalf("type conflict not rejected: %v", err)
 	}
@@ -153,8 +150,8 @@ func TestMergeErrors(t *testing.T) {
 	h2 := NewRegistry()
 	h2.Histogram("h", "h", []float64{0.2, 2}).Observe(0.5)
 	if _, err := MergeExpositions([]ShardExposition{
-		{Shard: "a", Parsed: parseRegistry(t, h1)},
-		{Shard: "b", Parsed: parseRegistry(t, h2)},
+		{Shard: "a", Parsed: h1.Snapshot()},
+		{Shard: "b", Parsed: h2.Snapshot()},
 	}); err == nil || !strings.Contains(err.Error(), "layout") {
 		t.Fatalf("bucket layout mismatch not rejected: %v", err)
 	}
@@ -164,8 +161,8 @@ func TestMergeErrors(t *testing.T) {
 	g2 := NewRegistry()
 	g2.Gauge("g", "g").Set(2)
 	if _, err := MergeExpositions([]ShardExposition{
-		{Shard: "", Parsed: parseRegistry(t, g1)},
-		{Shard: "", Parsed: parseRegistry(t, g2)},
+		{Shard: "", Parsed: g1.Snapshot()},
+		{Shard: "", Parsed: g2.Snapshot()},
 	}); err == nil || !strings.Contains(err.Error(), "duplicate gauge") {
 		t.Fatalf("gauge collision not rejected: %v", err)
 	}

@@ -20,6 +20,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -183,15 +184,12 @@ type Registry struct {
 	families map[string]*family
 
 	// Span state (span.go): a cache from span name to its duration-histogram
-	// series, a bounded ring of recent spans, and the optional JSONL ledger.
+	// series, and the optional JSONL ledger.
 	spanMu    sync.RWMutex
 	spanHists map[string]*Histogram
-	ring      []SpanRecord
-	ringNext  int
-	ringSize  int
 
 	ledgerMu sync.Mutex
-	ledger   spanLedger
+	ledger   io.Writer
 }
 
 // NewRegistry returns an empty registry.
@@ -199,7 +197,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		families:  make(map[string]*family),
 		spanHists: make(map[string]*Histogram),
-		ringSize:  defaultSpanRing,
 	}
 }
 

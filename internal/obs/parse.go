@@ -1,14 +1,13 @@
 package obs
 
-// A parser for the text exposition this package writes. It exists so the
-// load-testing harness can scrape latency histograms and outcome counters
-// the same way whether the registry is in-process (render + parse) or on the
-// far side of a live /metrics endpoint — one code path, exercised against
-// real exposition either way. It parses the subset of the 0.0.4 text format
-// WritePrometheus emits (HELP/TYPE comments, counter/gauge/histogram
-// families, escaped label values) and is strict about it: a malformed line
-// is an error, not a skip, because silently dropping a sample would turn a
-// wiring bug into a fake-green SLO gate.
+// A parser for the text exposition WriteParsed emits. The serving program
+// parses text at one place: a coordinator's scrape of a remote shard's
+// /metrics (cluster.HTTPShard.Metrics); in-process readers take
+// Registry.Snapshot. It reads the subset of the 0.0.4 text format
+// WriteParsed writes (HELP/TYPE comments, counter/gauge/histogram families,
+// escaped label values and help text) and is strict about it: a malformed
+// line is an error, not a skip, because silently dropping a sample would
+// turn a wiring bug into a fake-green view of the cluster.
 
 import (
 	"bufio"
@@ -20,40 +19,13 @@ import (
 	"strings"
 )
 
-// ParsedBucket is one cumulative histogram bucket: the count of observations
-// at or below LE.
-type ParsedBucket struct {
-	LE    float64
-	Count uint64
-}
-
-// ParsedSeries is one labelled member of a parsed family. Counter and gauge
-// series carry Value; histogram series carry Buckets (cumulative, ascending,
-// ending at +Inf), Sum and Count.
-type ParsedSeries struct {
-	Labels  map[string]string
-	Value   float64
-	Buckets []ParsedBucket
-	Sum     float64
-	Count   uint64
-}
-
-// ParsedFamily groups the parsed series of one metric name.
-type ParsedFamily struct {
-	Name   string
-	Type   string
-	Series []*ParsedSeries
-}
-
-// Parsed is a scraped exposition, keyed by family name.
-type Parsed map[string]*ParsedFamily
-
 // ParseText parses a Prometheus text exposition (version 0.0.4, the subset
-// WritePrometheus emits). Histogram component series (_bucket, _sum, _count)
+// WriteParsed emits). Histogram component series (_bucket, _sum, _count)
 // are folded back into one ParsedSeries per label set.
 func ParseText(r io.Reader) (Parsed, error) {
 	out := Parsed{}
 	types := map[string]string{}
+	helps := map[string]string{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	for line := 1; sc.Scan(); line++ {
@@ -67,6 +39,10 @@ func ParseText(r io.Reader) (Parsed, error) {
 				return nil, fmt.Errorf("obs: parse line %d: malformed TYPE comment %q", line, text)
 			}
 			types[fields[2]] = fields[3]
+			continue
+		case strings.HasPrefix(text, "# HELP "):
+			name, help, _ := strings.Cut(strings.TrimPrefix(text, "# HELP "), " ")
+			helps[name] = helpUnescaper.Replace(help)
 			continue
 		case strings.HasPrefix(text, "#"):
 			continue
@@ -82,7 +58,7 @@ func ParseText(r io.Reader) (Parsed, error) {
 		}
 		f := out[base]
 		if f == nil {
-			f = &ParsedFamily{Name: base, Type: typ}
+			f = &ParsedFamily{Name: base, Help: helps[base], Type: typ}
 			out[base] = f
 		}
 		if typ != typeHistogram {
@@ -143,31 +119,12 @@ func splitHistogramSample(name string, types map[string]string) (base, component
 
 // lookup finds or creates the histogram series with the given labels.
 func (f *ParsedFamily) lookup(labels map[string]string) *ParsedSeries {
-	key := mapKey(labels)
-	for _, s := range f.Series {
-		if mapKey(s.Labels) == key {
-			return s
-		}
+	if s := f.find(labels); s != nil {
+		return s
 	}
 	s := &ParsedSeries{Labels: labels}
 	f.Series = append(f.Series, s)
 	return s
-}
-
-func mapKey(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 // checkHistogram verifies the folded series is internally consistent:
@@ -278,45 +235,4 @@ func parseBound(le string) (float64, error) {
 		return 0, fmt.Errorf("bad le bound %q: %w", le, err)
 	}
 	return v, nil
-}
-
-// Counter returns the value of the named counter series, matching labels
-// exactly (nil matches the unlabelled series). The second return is false
-// when family or series is absent.
-func (p Parsed) Counter(name string, labels map[string]string) (float64, bool) {
-	return p.scalar(name, typeCounter, labels)
-}
-
-// Gauge is Counter for gauge families.
-func (p Parsed) Gauge(name string, labels map[string]string) (float64, bool) {
-	return p.scalar(name, typeGauge, labels)
-}
-
-func (p Parsed) scalar(name, typ string, labels map[string]string) (float64, bool) {
-	f := p[name]
-	if f == nil || f.Type != typ {
-		return 0, false
-	}
-	key := mapKey(labels)
-	for _, s := range f.Series {
-		if mapKey(s.Labels) == key {
-			return s.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Histogram returns the named histogram series, matching labels exactly.
-func (p Parsed) Histogram(name string, labels map[string]string) (*ParsedSeries, bool) {
-	f := p[name]
-	if f == nil || f.Type != typeHistogram {
-		return nil, false
-	}
-	key := mapKey(labels)
-	for _, s := range f.Series {
-		if mapKey(s.Labels) == key {
-			return s, true
-		}
-	}
-	return nil, false
 }

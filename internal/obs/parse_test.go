@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -99,4 +102,72 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: parsed without error", name)
 		}
 	}
+}
+
+// TestSnapshotMatchesParseText is the property that lets a coordinator treat
+// in-process and HTTP shards alike: for random registries — counters, gauges
+// including NaN and ±Inf, histograms, label values and help text with every
+// escapable character — Snapshot equals ParseText of the rendered text.
+func TestSnapshotMatchesParseText(t *testing.T) {
+	words := []string{"ok", `a\b`, `say "hi"`, "two\nlines", `\n`, ""}
+	gauges := []float64{0, -2.5, 1e-300, 1 << 60, math.NaN(), math.Inf(+1), math.Inf(-1)}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := NewRegistry()
+		for f := 0; f < 1+rng.Intn(6); f++ {
+			name := fmt.Sprintf("fam%d", f)
+			help := "Help " + words[rng.Intn(len(words))]
+			for s := 0; s < 1+rng.Intn(4); s++ {
+				var labels []Label
+				if s > 0 {
+					labels = []Label{{Key: "k", Value: fmt.Sprintf("%d%s", s, words[rng.Intn(len(words))])}}
+				}
+				switch f % 3 {
+				case 0:
+					reg.Counter(name, help, labels...).Add(uint64(rng.Int63n(1 << 40)))
+				case 1:
+					reg.Gauge(name, help, labels...).Set(gauges[rng.Intn(len(gauges))])
+				case 2:
+					h := reg.Histogram(name, help, []float64{0.001, 0.5, 7}, labels...)
+					for i := rng.Intn(20); i > 0; i-- {
+						h.Observe(rng.ExpFloat64())
+					}
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseText(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, buf.String())
+		}
+		if err := sameFamilies(reg.Snapshot(), parsed); err != nil {
+			t.Fatalf("seed %d: snapshot and parsed text differ: %v\n%s", seed, err, buf.String())
+		}
+	}
+}
+
+// sameFamilies compares two metric models, ignoring series order and
+// treating NaN as equal to NaN.
+func sameFamilies(a, b Parsed) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d families vs %d", len(a), len(b))
+	}
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	for name, fa := range a {
+		fb := b[name]
+		if fb == nil || fa.Name != fb.Name || fa.Help != fb.Help || fa.Type != fb.Type || len(fa.Series) != len(fb.Series) {
+			return fmt.Errorf("family %s: %+v vs %+v", name, fa, fb)
+		}
+		for _, sa := range fa.Series {
+			sb := fb.find(sa.Labels)
+			if sb == nil || !same(sa.Value, sb.Value) || !same(sa.Sum, sb.Sum) || sa.Count != sb.Count ||
+				!reflect.DeepEqual(sa.Buckets, sb.Buckets) {
+				return fmt.Errorf("family %s series %v: %+v vs %+v", name, sa.Labels, sa, sb)
+			}
+		}
+	}
+	return nil
 }

@@ -14,16 +14,6 @@ const SpanFamily = "enld_span_duration_seconds"
 
 const spanFamilyHelp = "Duration of traced spans, by span name."
 
-// defaultSpanRing bounds the in-memory recent-span ring.
-const defaultSpanRing = 256
-
-// SpanRecord is one completed span.
-type SpanRecord struct {
-	Name     string
-	Start    time.Time
-	Duration time.Duration
-}
-
 // Span is an in-flight traced section. The zero Span (from a nil registry)
 // is valid and End on it is an allocation-free no-op, so callers trace
 // unconditionally:
@@ -46,15 +36,14 @@ func (r *Registry) StartSpan(name string) Span {
 }
 
 // End completes the span: its duration is observed into the SpanFamily
-// histogram, the span is appended to the bounded recent-span ring, and —
-// when a ledger is attached — one JSONL event is written.
+// histogram and, when a ledger is attached, one JSONL event is written.
 func (s Span) End() {
 	if s.r == nil {
 		return
 	}
 	d := time.Since(s.start)
 	s.r.spanHist(s.name).Observe(d.Seconds())
-	s.r.recordSpan(SpanRecord{Name: s.name, Start: s.start, Duration: d})
+	s.r.writeLedger(s, d)
 }
 
 // spanHist returns the duration histogram of a span name, interning it on
@@ -74,36 +63,21 @@ func (r *Registry) spanHist(name string) *Histogram {
 	return h
 }
 
-// recordSpan appends to the ring and the ledger.
-func (r *Registry) recordSpan(rec SpanRecord) {
-	r.spanMu.Lock()
-	if len(r.ring) < r.ringSize {
-		r.ring = append(r.ring, rec)
-	} else {
-		r.ring[r.ringNext] = rec
-	}
-	r.ringNext = (r.ringNext + 1) % r.ringSize
-	r.spanMu.Unlock()
-
+// writeLedger appends the completed span s, which took d, to the ledger,
+// if one is attached.
+func (r *Registry) writeLedger(s Span, d time.Duration) {
 	r.ledgerMu.Lock()
-	w := r.ledger.w
-	r.ledgerMu.Unlock()
-	if w == nil {
+	defer r.ledgerMu.Unlock()
+	if r.ledger == nil {
 		return
 	}
 	line, err := json.Marshal(spanEvent{
-		TS:    rec.Start.UTC().Format(time.RFC3339Nano),
-		Span:  rec.Name,
-		DurNS: rec.Duration.Nanoseconds(),
+		TS:    s.start.UTC().Format(time.RFC3339Nano),
+		Span:  s.name,
+		DurNS: d.Nanoseconds(),
 	})
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	r.ledgerMu.Lock()
-	defer r.ledgerMu.Unlock()
-	if r.ledger.w != nil {
-		r.ledger.w.Write(line)
+	if err == nil {
+		r.ledger.Write(append(line, '\n'))
 	}
 }
 
@@ -112,11 +86,6 @@ type spanEvent struct {
 	TS    string `json:"ts"`
 	Span  string `json:"span"`
 	DurNS int64  `json:"dur_ns"`
-}
-
-// spanLedger wraps the optional event sink.
-type spanLedger struct {
-	w io.Writer
 }
 
 // SetSpanLedger attaches (or, with nil, detaches) a JSONL event ledger:
@@ -129,37 +98,6 @@ func (r *Registry) SetSpanLedger(w io.Writer) {
 		return
 	}
 	r.ledgerMu.Lock()
-	r.ledger.w = w
+	r.ledger = w
 	r.ledgerMu.Unlock()
-}
-
-// SetSpanRing resizes the recent-span ring (default 256), clearing it.
-// Non-positive n keeps the default. No-op on a nil registry.
-func (r *Registry) SetSpanRing(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 0 {
-		n = defaultSpanRing
-	}
-	r.spanMu.Lock()
-	r.ring = nil
-	r.ringNext = 0
-	r.ringSize = n
-	r.spanMu.Unlock()
-}
-
-// RecentSpans returns a copy of the recent-span ring, most recent first.
-// Nil on a nil registry.
-func (r *Registry) RecentSpans() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	r.spanMu.RLock()
-	defer r.spanMu.RUnlock()
-	out := make([]SpanRecord, 0, len(r.ring))
-	for i := 1; i <= len(r.ring); i++ {
-		out = append(out, r.ring[(r.ringNext-i+len(r.ring))%len(r.ring)])
-	}
-	return out
 }

@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"testing"
 	"time"
 )
 
-func TestSpanRecordsHistogramAndRing(t *testing.T) {
+func TestSpanRecordsHistogram(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 3; i++ {
 		sp := r.StartSpan("detect/finetune")
@@ -18,43 +17,6 @@ func TestSpanRecordsHistogramAndRing(t *testing.T) {
 	h := r.Histogram(SpanFamily, spanFamilyHelp, DefBuckets, Label{Key: "span", Value: "detect/finetune"})
 	if got := h.Count(); got != 3 {
 		t.Fatalf("span histogram count = %d, want 3", got)
-	}
-	recent := r.RecentSpans()
-	if len(recent) != 3 {
-		t.Fatalf("recent spans = %d, want 3", len(recent))
-	}
-	for _, rec := range recent {
-		if rec.Name != "detect/finetune" || rec.Duration < 0 || rec.Start.IsZero() {
-			t.Fatalf("bad span record %+v", rec)
-		}
-	}
-}
-
-func TestSpanRingBoundedNewestFirst(t *testing.T) {
-	r := NewRegistry()
-	r.SetSpanRing(4)
-	for i := 0; i < 10; i++ {
-		sp := r.StartSpan("s" + strconv.Itoa(i))
-		sp.End()
-	}
-	recent := r.RecentSpans()
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d spans, want 4", len(recent))
-	}
-	for i, want := range []string{"s9", "s8", "s7", "s6"} {
-		if recent[i].Name != want {
-			t.Fatalf("recent[%d] = %s, want %s (most recent first)", i, recent[i].Name, want)
-		}
-	}
-	// A partially filled ring reports in order too.
-	r.SetSpanRing(8)
-	for i := 0; i < 3; i++ {
-		sp := r.StartSpan("t" + strconv.Itoa(i))
-		sp.End()
-	}
-	recent = r.RecentSpans()
-	if len(recent) != 3 || recent[0].Name != "t2" || recent[2].Name != "t0" {
-		t.Fatalf("partial ring order wrong: %+v", recent)
 	}
 }
 
