@@ -54,41 +54,35 @@ func (c ConfidentLearning) Name() string {
 func (c ConfidentLearning) Detect(set dataset.Set) (*detect.Result, error) {
 	sw := cost.StartStopwatch()
 	res := detect.NewResult()
-	// Clone before scoring: scratch buffers are not safe for concurrent
-	// use across the lake service's worker pool.
-	model := c.Model.Clone()
-	scores := detect.Score(model, set, &res.Meter)
-	classes := model.Classes()
+	classes := c.Model.Classes()
+
+	// Confidences of D, then of the labelled calibration samples, in one
+	// batched pass through a borrowed workspace of the shared model: no
+	// clone, since batched inference only reads the parameters.
+	scored := append(make(dataset.Set, 0, len(set)+len(c.Calibration)), set...)
+	for _, smp := range c.Calibration {
+		if smp.Observed != dataset.Missing {
+			scored = append(scored, smp)
+		}
+	}
+	xs := make([][]float64, len(scored))
+	for i, smp := range scored {
+		xs[i] = smp.X
+	}
+	all := c.Model.ConfidencesBatch(xs)
+	res.Meter.ForwardPasses += int64(len(xs))
+	conf := all[:len(set)]
 
 	// Class thresholds: mean confidence of class j over samples observed as
 	// j, estimated on the calibration data (I_c) together with D per §V-A4.
 	// Classes absent everywhere keep threshold +inf (never confident).
 	thresh := make([]float64, classes)
 	counts := make([]int, classes)
-	accumulate := func(smp dataset.Sample, conf []float64) {
-		if smp.Observed == dataset.Missing {
-			return
+	for i, smp := range scored {
+		if smp.Observed != dataset.Missing {
+			thresh[smp.Observed] += all[i][smp.Observed]
+			counts[smp.Observed]++
 		}
-		thresh[smp.Observed] += conf[smp.Observed]
-		counts[smp.Observed]++
-	}
-	for i, smp := range set {
-		accumulate(smp, scores.Confidences[i])
-	}
-	// Calibration confidences in one batched pass (blocked-GEMM kernels);
-	// identical to per-sample Confidences calls, accumulated in set order.
-	calSamples := make([]dataset.Sample, 0, len(c.Calibration))
-	calXs := make([][]float64, 0, len(c.Calibration))
-	for _, smp := range c.Calibration {
-		if smp.Observed == dataset.Missing {
-			continue
-		}
-		calSamples = append(calSamples, smp)
-		calXs = append(calXs, smp.X)
-	}
-	for i, conf := range model.ConfidencesBatch(calXs) {
-		accumulate(calSamples[i], conf)
-		res.Meter.ForwardPasses++
 	}
 	for j := range thresh {
 		if counts[j] > 0 {
@@ -108,7 +102,7 @@ func (c ConfidentLearning) Detect(set dataset.Set) (*detect.Result, error) {
 		}
 		best, bestConf := -1, 0.0
 		for j := 0; j < classes; j++ {
-			if p := scores.Confidences[i][j]; p >= thresh[j] && p > bestConf {
+			if p := conf[i][j]; p >= thresh[j] && p > bestConf {
 				best, bestConf = j, p
 			}
 		}
@@ -120,9 +114,9 @@ func (c ConfidentLearning) Detect(set dataset.Set) (*detect.Result, error) {
 
 	switch c.Variant {
 	case PruneByClass:
-		c.pruneByClass(set, scores, cells, res)
+		c.pruneByClass(set, conf, cells, res)
 	case PruneByNoiseRate:
-		c.pruneByNoiseRate(set, scores, cells, res)
+		c.pruneByNoiseRate(set, conf, cells, res)
 	default:
 		return nil, fmt.Errorf("baselines: unknown CL variant %d", c.Variant)
 	}
@@ -130,7 +124,7 @@ func (c ConfidentLearning) Detect(set dataset.Set) (*detect.Result, error) {
 	return res, nil
 }
 
-func (c ConfidentLearning) pruneByClass(set dataset.Set, scores *detect.Scores, cells map[[2]int][]int, res *detect.Result) {
+func (c ConfidentLearning) pruneByClass(set dataset.Set, conf [][]float64, cells map[[2]int][]int, res *detect.Result) {
 	// Per observed class: total off-diagonal count n_i, prune the n_i
 	// samples of that class with lowest self-confidence.
 	offDiag := make(map[int]int)
@@ -141,8 +135,8 @@ func (c ConfidentLearning) pruneByClass(set dataset.Set, scores *detect.Scores, 
 	for class, n := range offDiag {
 		idxs := append([]int(nil), byClass[class]...)
 		sort.Slice(idxs, func(a, b int) bool {
-			sa := scores.Confidences[idxs[a]][class]
-			sb := scores.Confidences[idxs[b]][class]
+			sa := conf[idxs[a]][class]
+			sb := conf[idxs[b]][class]
 			if sa != sb {
 				return sa < sb
 			}
@@ -157,7 +151,7 @@ func (c ConfidentLearning) pruneByClass(set dataset.Set, scores *detect.Scores, 
 	}
 }
 
-func (c ConfidentLearning) pruneByNoiseRate(set dataset.Set, scores *detect.Scores, cells map[[2]int][]int, res *detect.Result) {
+func (c ConfidentLearning) pruneByNoiseRate(set dataset.Set, conf [][]float64, cells map[[2]int][]int, res *detect.Result) {
 	// Per off-diagonal cell (i, j): prune |cell| samples of observed class i
 	// with the largest margin p_j − p_i. The confident-joint construction
 	// already associates indices with cells, so prune exactly those whose
@@ -166,8 +160,8 @@ func (c ConfidentLearning) pruneByNoiseRate(set dataset.Set, scores *detect.Scor
 		i, j := cell[0], cell[1]
 		ranked := append([]int(nil), idxs...)
 		sort.Slice(ranked, func(a, b int) bool {
-			ma := scores.Confidences[ranked[a]][j] - scores.Confidences[ranked[a]][i]
-			mb := scores.Confidences[ranked[b]][j] - scores.Confidences[ranked[b]][i]
+			ma := conf[ranked[a]][j] - conf[ranked[a]][i]
+			mb := conf[ranked[b]][j] - conf[ranked[b]][i]
 			if ma != mb {
 				return ma > mb
 			}

@@ -11,6 +11,7 @@ import (
 	"enld/internal/cost"
 	"enld/internal/dataset"
 	"enld/internal/detect"
+	"enld/internal/mat"
 	"enld/internal/nn"
 )
 
@@ -29,12 +30,18 @@ func (Default) Name() string { return "default" }
 func (d Default) Detect(set dataset.Set) (*detect.Result, error) {
 	sw := cost.StartStopwatch()
 	res := detect.NewResult()
-	// Clone before scoring: the network's scratch buffers are not safe for
-	// concurrent use, and the lake service runs detectors from a worker
-	// pool against one shared general model.
-	scores := detect.Score(d.Model.Clone(), set, &res.Meter)
+	xs := make([][]float64, len(set))
 	for i, smp := range set {
-		if smp.Observed == dataset.Missing || scores.Predicted[i] != smp.Observed {
+		xs[i] = smp.X
+	}
+	// The lake service runs detectors from a worker pool against one shared
+	// general model; batched inference only reads its parameters, so no
+	// clone is needed. The prediction is the argmax of the softmax row, as
+	// detect.Scores takes it.
+	conf := d.Model.ConfidencesBatch(xs)
+	res.Meter.ForwardPasses += int64(len(set))
+	for i, smp := range set {
+		if smp.Observed == dataset.Missing || mat.ArgMax(conf[i]) != smp.Observed {
 			res.MarkNoisy(smp.ID)
 		} else {
 			res.MarkClean(smp.ID)

@@ -91,7 +91,9 @@ type Scores struct {
 // It charges one forward pass per sample to meter (if non-nil).
 func Score(model *nn.Network, d dataset.Set, meter *cost.Meter) *Scores {
 	s := new(Scores)
-	s.Fill(nn.NewEvaluator(model), d, meter)
+	ev := model.BorrowEvaluator()
+	s.Fill(ev, d, meter)
+	ev.Release()
 	return s
 }
 

@@ -16,9 +16,9 @@ type lakeObs struct {
 	queueDepth     *obs.Gauge
 }
 
-// f1Buckets spans the [0, 1] detection-F1 range; the load harness reads
-// per-tier quality as sum/count (the mean) so bucket placement only affects
-// dashboard resolution.
+// f1Buckets spans the [0, 1] detection-F1 range. A tier's mean quality is
+// the family's sum/count, so bucket placement only affects dashboard
+// resolution.
 var f1Buckets = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
 
 // taskBuckets spans detection-task latencies: sub-millisecond degraded
@@ -53,7 +53,7 @@ func (s *Service) SetObs(reg *obs.Registry) {
 		queuedSeconds: reg.Histogram("enld_lake_queued_seconds",
 			"Time a lake task waited in the queue before a worker picked it up.", taskBuckets),
 		inflight: reg.Gauge("enld_lake_inflight_tasks",
-			"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay."),
+			"Lake tasks currently being processed by a worker; equals the worker count while the service is saturated."),
 		queueDepth: reg.Gauge("enld_lake_queue_depth",
 			"Admitted-but-not-started lake tasks in the bounded admission queue (0 without bounded admission)."),
 	}
@@ -75,7 +75,7 @@ func (o *lakeObs) tierTasks(tier string) *obs.Counter {
 }
 
 // tierF1 interns the per-tier detection-F1 histogram. Mean F1 for a tier is
-// sum/count; the load harness reads it to enforce per-tier quality floors.
+// sum/count.
 func (o *lakeObs) tierF1(tier string) *obs.Histogram {
 	return o.reg.Histogram("enld_lake_detection_f1",
 		"Detection F1 of completed lake tasks scored against ground truth, by brownout tier.",

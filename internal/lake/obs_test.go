@@ -122,7 +122,7 @@ func TestMetricsMatchReportsProcessTime(t *testing.T) {
 
 func inflightGauge(reg *obs.Registry) *obs.Gauge {
 	return reg.Gauge("enld_lake_inflight_tasks",
-		"Lake tasks currently being processed by a worker. Pinned at the worker count when the service is saturated — the load harness reads this to tell queueing delay from processing delay.")
+		"Lake tasks currently being processed by a worker; equals the worker count while the service is saturated.")
 }
 
 // TestServiceObsInflight: the in-flight gauge rises while a worker holds a

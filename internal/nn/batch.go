@@ -20,10 +20,11 @@ const batchChunk = 64
 // per-sample loop.
 //
 // After the first call on a given input size nothing is allocated: the
-// scratch, the panels and the outputs are all reused. What that buys is
-// bounded by the owner's lifetime — an Evaluator holds about 0.4 MB for the
-// default architecture, so callers keep one for a burst of passes over one
-// model (core.ENLD: one Detect call) and drop it.
+// scratch, the panels and the outputs are all reused. An Evaluator holds
+// about 0.4 MB for the default architecture, so how long it lives decides
+// what that buys: passes over a fixed model borrow one from the network's
+// pool (BorrowEvaluator), which the runtime empties after two idle GCs;
+// core.ENLD keeps its own for one Detect call over θ′ and drops it.
 //
 // An Evaluator is for one goroutine at a time. Outputs never alias its
 // internals: a later call disturbs nothing an earlier call returned, except
@@ -45,6 +46,19 @@ type Evaluator struct {
 func NewEvaluator(net *Network) *Evaluator {
 	return &Evaluator{net: net}
 }
+
+// BorrowEvaluator takes an idle Evaluator bound to n from n's pool, or a new
+// one when the pool is empty. Pass it back with Release once its outputs
+// are read; one whose pass panicked is simply dropped.
+func (n *Network) BorrowEvaluator() *Evaluator {
+	if e, ok := n.evals.Get().(*Evaluator); ok {
+		return e
+	}
+	return NewEvaluator(n)
+}
+
+// Release returns e to its network's pool. e must not be used afterwards.
+func (e *Evaluator) Release() { e.net.evals.Put(e) }
 
 // run executes one pass over xs with whatever outputs the caller set.
 func (e *Evaluator) run(xs [][]float64) {
@@ -116,14 +130,16 @@ func (e *Evaluator) LossesInto(dst []float64, xs, targets [][]float64) []float64
 }
 
 // The helpers below are the one-shot forms: each runs a single pass through
-// a throwaway Evaluator and returns fresh outputs. Callers making repeated
-// passes over one model should hold an Evaluator instead.
+// a borrowed Evaluator and returns fresh outputs, so concurrent callers
+// share the model without cloning it.
 
 // ConfidencesBatch computes M(x,θ) for every input, one confidence vector
 // per input (rows of one shared backing array).
 func (n *Network) ConfidencesBatch(xs [][]float64) [][]float64 {
 	var conf mat.Matrix
-	NewEvaluator(n).EvaluateInto(&conf, nil, xs)
+	e := n.BorrowEvaluator()
+	e.EvaluateInto(&conf, nil, xs)
+	e.Release()
 	return conf.AppendRows(make([][]float64, 0, len(xs)))
 }
 
@@ -131,11 +147,17 @@ func (n *Network) ConfidencesBatch(xs [][]float64) [][]float64 {
 // effect; it stays only because the benchmark harness still passes it, and
 // ROADMAP 1(b) deletes it in the next benchmark change.
 func (n *Network) PredictBatch(xs [][]float64, workers int) []int {
-	return NewEvaluator(n).PredictInto(nil, xs)
+	e := n.BorrowEvaluator()
+	preds := e.PredictInto(nil, xs)
+	e.Release()
+	return preds
 }
 
 // LossesBatch computes the cross-entropy loss of every (xs[i], targets[i])
 // pair, the batched counterpart of a per-sample Loss loop.
 func (n *Network) LossesBatch(xs, targets [][]float64) []float64 {
-	return NewEvaluator(n).LossesInto(nil, xs, targets)
+	e := n.BorrowEvaluator()
+	losses := e.LossesInto(nil, xs, targets)
+	e.Release()
+	return losses
 }

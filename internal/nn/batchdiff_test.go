@@ -230,7 +230,7 @@ func TestTrainerBatchedMatchesPerSampleReference(t *testing.T) {
 }
 
 // TestMeanLossAccuracyBatchedMatchesPerSample pins the batched MeanLoss and
-// Accuracy helpers to the per-sample definitions.
+// PredictBatch accuracy to the per-sample definitions.
 func TestMeanLossAccuracyBatchedMatchesPerSample(t *testing.T) {
 	examples := twoBlobs(70, 95) // 140 samples: crosses the batchChunk boundary
 	net := NewNetwork([]int{2, 9, 2}, mat.NewRNG(96))
@@ -247,8 +247,8 @@ func TestMeanLossAccuracyBatchedMatchesPerSample(t *testing.T) {
 		t.Fatalf("MeanLoss %v != %v", got, wantLoss)
 	}
 	wantAcc := float64(correct) / float64(len(examples))
-	if got := Accuracy(net, examples); got != wantAcc {
-		t.Fatalf("Accuracy %v != %v", got, wantAcc)
+	if got := accuracy(net, examples); got != wantAcc {
+		t.Fatalf("accuracy %v != %v", got, wantAcc)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"enld/internal/mat"
 )
@@ -25,9 +26,12 @@ import (
 // feeding the final Dense layer is the feature representation M̂(x,θ); the
 // softmax output is the confidence vector M(x,θ).
 //
-// A Network is not safe for concurrent use: forward and backward passes share
-// the scratch buffers allocated at construction time. Clone the network to
-// train independent copies from several goroutines.
+// The per-sample methods (Predict, Confidences, Features, Evaluate, Loss,
+// Backward) are not safe for concurrent use: they share the scratch buffers
+// allocated at construction time. Batched inference through distinct
+// Evaluators only reads the parameters, so any number of goroutines may run
+// it at once while nothing trains the network. Clone the network to train
+// independent copies from several goroutines.
 type Network struct {
 	// Weights[l] maps activations of layer l (length sizes[l]) to
 	// pre-activations of layer l+1 (length sizes[l+1]).
@@ -40,6 +44,10 @@ type Network struct {
 	pre    [][]float64 // pre-activation per non-input layer
 	deltas [][]float64 // error terms per non-input layer
 	probs  []float64   // softmax output buffer
+
+	// evals holds idle Evaluators bound to this network (see
+	// BorrowEvaluator); a Clone or a loaded network starts with none.
+	evals sync.Pool
 }
 
 // NewNetwork constructs a network with the given layer sizes
@@ -95,15 +103,6 @@ func (n *Network) FeatureDim() int { return n.sizes[len(n.sizes)-2] }
 // Sizes returns a copy of the layer size vector.
 func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
 
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for l, w := range n.Weights {
-		total += len(w.Data) + len(n.Biases[l])
-	}
-	return total
-}
-
 // forward runs the network on x, filling the scratch activations.
 // The returned slice is the output-layer pre-activation (logits).
 func (n *Network) forward(x []float64) []float64 {
@@ -142,13 +141,6 @@ func (n *Network) Confidences(x []float64) []float64 {
 	return out
 }
 
-// ConfidencesInto computes M(x,θ) into dst, avoiding the allocation of
-// Confidences. dst must have length Classes().
-func (n *Network) ConfidencesInto(dst, x []float64) []float64 {
-	logits := n.forward(x)
-	return mat.Softmax(dst, logits)
-}
-
 // Predict returns argmax M(x,θ), the predicted class label.
 func (n *Network) Predict(x []float64) int {
 	return mat.ArgMax(n.forward(x))
@@ -161,12 +153,6 @@ func (n *Network) Features(x []float64) []float64 {
 	n.forward(x)
 	feat := n.acts[len(n.acts)-2]
 	return append([]float64(nil), feat...)
-}
-
-// FeaturesInto computes M̂(x,θ) into dst. dst must have length FeatureDim().
-func (n *Network) FeaturesInto(dst, x []float64) []float64 {
-	n.forward(x)
-	return mat.Copy(dst, n.acts[len(n.acts)-2])
 }
 
 // Evaluate runs one forward pass and returns both the confidence vector

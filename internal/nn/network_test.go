@@ -13,6 +13,15 @@ func newTestNet(t *testing.T, sizes ...int) *Network {
 	return NewNetwork(sizes, mat.NewRNG(1))
 }
 
+// NumParams returns the total number of trainable parameters.
+func (n *Network) NumParams() int {
+	total := 0
+	for l, w := range n.Weights {
+		total += len(w.Data) + len(n.Biases[l])
+	}
+	return total
+}
+
 func TestNetworkShapes(t *testing.T) {
 	n := newTestNet(t, 5, 8, 6, 3)
 	if n.InputDim() != 5 {
@@ -91,30 +100,6 @@ func TestFeaturesNonNegative(t *testing.T) {
 	}
 }
 
-func TestFeaturesIntoMatchesFeatures(t *testing.T) {
-	n := newTestNet(t, 4, 7, 3)
-	x := mat.NewRNG(5).NormVec(make([]float64, 4), 0, 1)
-	a := n.Features(x)
-	b := n.FeaturesInto(make([]float64, n.FeatureDim()), x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("FeaturesInto differs from Features")
-		}
-	}
-}
-
-func TestConfidencesIntoMatches(t *testing.T) {
-	n := newTestNet(t, 4, 7, 3)
-	x := mat.NewRNG(6).NormVec(make([]float64, 4), 0, 1)
-	a := n.Confidences(x)
-	b := n.ConfidencesInto(make([]float64, 3), x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("ConfidencesInto differs from Confidences")
-		}
-	}
-}
-
 func TestLossPositiveAndConsistent(t *testing.T) {
 	n := newTestNet(t, 3, 4, 2)
 	x := []float64{0.5, -0.2, 0.1}
@@ -183,15 +168,23 @@ func TestBackwardReturnsLoss(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	n := newTestNet(t, 3, 4, 2)
-	c := n.Clone()
 	x := []float64{1, 2, 3}
+	n.ConfidencesBatch([][]float64{x}) // leave an evaluator in n's pool
+	c := n.Clone()
 	before := n.Confidences(x)
 	// Mutate the clone; original must be unaffected.
 	c.Weights[0].Data[0] += 10
 	after := n.Confidences(x)
+	cloned := c.Confidences(x)
+	// Batched passes borrow from each network's own pool, so each follows
+	// its own parameters.
+	nBatch, cBatch := n.ConfidencesBatch([][]float64{x})[0], c.ConfidencesBatch([][]float64{x})[0]
 	for i := range before {
-		if before[i] != after[i] {
+		if before[i] != after[i] || nBatch[i] != before[i] {
 			t.Fatal("Clone shares parameters with original")
+		}
+		if cBatch[i] != cloned[i] {
+			t.Fatal("clone's batched pass does not read the clone's parameters")
 		}
 	}
 }

@@ -326,28 +326,3 @@ func MeanLoss(net *Network, examples []Example) float64 {
 	}
 	return sum / float64(len(examples))
 }
-
-// Accuracy returns the fraction of examples whose predicted class matches
-// the argmax of their target distribution.
-func Accuracy(net *Network, examples []Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	var s BatchScratch
-	xs := make([][]float64, len(examples))
-	for i, ex := range examples {
-		xs[i] = ex.X
-	}
-	correct := 0
-	for lo := 0; lo < len(examples); lo += batchChunk {
-		hi := min(lo+batchChunk, len(examples))
-		net.ForwardBatch(&s, xs[lo:hi])
-		logits := s.Logits()
-		for r := 0; r < hi-lo; r++ {
-			if mat.ArgMax(logits.Row(r)) == mat.ArgMax(examples[lo+r].Target) {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(len(examples))
-}

@@ -8,6 +8,22 @@ import (
 	"enld/internal/mat"
 )
 
+// accuracy returns the fraction of examples whose batched prediction
+// matches the argmax of their target distribution.
+func accuracy(net *Network, examples []Example) float64 {
+	xs := make([][]float64, len(examples))
+	for i, ex := range examples {
+		xs[i] = ex.X
+	}
+	correct := 0
+	for i, pred := range net.PredictBatch(xs, 1) {
+		if pred == mat.ArgMax(examples[i].Target) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(examples))
+}
+
 // twoBlobs builds a linearly separable 2-class problem.
 func twoBlobs(n int, seed uint64) []Example {
 	rng := mat.NewRNG(seed)
@@ -31,7 +47,7 @@ func TestTrainingLearnsSeparableProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(net, examples); acc < 0.98 {
+	if acc := accuracy(net, examples); acc < 0.98 {
 		t.Fatalf("accuracy after training = %v", acc)
 	}
 	if stats[len(stats)-1].MeanLoss >= stats[0].MeanLoss {
@@ -47,7 +63,7 @@ func TestTrainingWithMixup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(net, examples); acc < 0.95 {
+	if acc := accuracy(net, examples); acc < 0.95 {
 		t.Fatalf("mixup accuracy = %v", acc)
 	}
 }
@@ -101,13 +117,10 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 	}
 }
 
-func TestMeanLossAndAccuracyEmpty(t *testing.T) {
+func TestMeanLossEmpty(t *testing.T) {
 	net := NewNetwork([]int{2, 3, 2}, mat.NewRNG(1))
 	if MeanLoss(net, nil) != 0 {
 		t.Error("MeanLoss(empty) != 0")
-	}
-	if Accuracy(net, nil) != 0 {
-		t.Error("Accuracy(empty) != 0")
 	}
 }
 
