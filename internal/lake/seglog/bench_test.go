@@ -61,7 +61,7 @@ func BenchmarkSeglogRecovery10k(b *testing.B) {
 
 // BenchmarkSeglogLoad measures one LoadDataset over the 10k-dataset
 // history: a positioned read of the dataset's frame, its checksum and its
-// gob decode.
+// decode.
 func BenchmarkSeglogLoad(b *testing.B) {
 	dir := b.TempDir()
 	ids := buildTortureLog(b, dir, 10000)

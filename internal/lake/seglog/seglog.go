@@ -1,6 +1,7 @@
 package seglog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -276,7 +277,7 @@ func (l *Log) apply(ra recordAt, segment string) error {
 			return &CorruptionError{Segment: segment, Offset: ra.off,
 				Reason: fmt.Sprintf("dataset %d appended twice", rec.ID)}
 		}
-		l.addDataset(rec.ID, rec.Name, len(rec.Samples), loc)
+		l.addDataset(rec.ID, rec.Name, rec.Samples, loc)
 		if rec.ID >= l.nextID {
 			l.nextID = rec.ID + 1
 		}
@@ -344,20 +345,17 @@ func (l *Log) closeFiles() {
 	}
 }
 
-// appendRecord assigns p its sequence number, frames it, rotates the active
-// segment if it is full, writes and (by default) fsyncs. Callers hold the
-// mutex. On a write failure the segment is truncated back so a half-written
-// frame never survives into the next append.
-func (l *Log) appendRecord(p payload) (frameLoc, error) {
+// appendRecord seals an encoded frame with the next sequence number,
+// rotates the active segment if it is full, writes and (by default) fsyncs.
+// Callers encode the frame before taking the mutex and hold it here. On a
+// write failure the segment is truncated back so a half-written frame never
+// survives into the next append.
+func (l *Log) appendRecord(frame []byte) (frameLoc, error) {
 	if l.closed {
 		return frameLoc{}, lake.ErrInventoryClosed
 	}
 	began := time.Now()
-	*p.seq() = l.nextSeq
-	frame, err := encodeFrame(p)
-	if err != nil {
-		return frameLoc{}, err
-	}
+	seal(frame, l.nextSeq)
 	if l.activeSize > 0 && l.activeSize+int64(len(frame)) > l.opts.SegmentTargetBytes {
 		if err := l.rotate(); err != nil {
 			return frameLoc{}, err
@@ -408,8 +406,8 @@ func (loc frameLoc) damage(err error) error {
 }
 
 // load looks up and reads a frame under the mutex, so compaction cannot
-// move it midway, then checks and decodes it into p outside the lock.
-func (l *Log) load(locate func() (frameLoc, error), p payload) error {
+// move it midway, then decodes it outside the lock.
+func (l *Log) load(locate func() (frameLoc, error), kind recordKind, decode func(recordHead, *decoder)) error {
 	l.mu.Lock()
 	loc, err := locate()
 	var frame []byte
@@ -420,9 +418,24 @@ func (l *Log) load(locate func() (frameLoc, error), p payload) error {
 	if err != nil {
 		return err
 	}
-	_, err = decodeFrame(loc.segment, frame, 0, p)
-	if seq := *p.seq(); err == nil && seq != loc.seq {
-		err = fmt.Errorf("frame holds seq %d, the index expects %d", seq, loc.seq)
+	return loc.decode(frame, kind, decode)
+}
+
+// decode checks frame, the image of the frame at loc, which must hold a
+// kind record with loc's sequence number, and hands decode the decoder
+// positioned after the record's head. Every field must be consumed: a
+// malformed field or a trailing byte is a *CorruptionError at loc.
+func (loc frameLoc) decode(frame []byte, kind recordKind, decode func(recordHead, *decoder)) error {
+	h, d, _, err := readFrame(loc.segment, frame, 0)
+	switch {
+	case err != nil:
+	case h.Seq != loc.seq:
+		err = fmt.Errorf("frame holds seq %d, the index expects %d", h.Seq, loc.seq)
+	case h.Kind != kind:
+		err = fmt.Errorf("frame holds a kind %d record, the index expects kind %d", h.Kind, kind)
+	default:
+		decode(h, &d)
+		err = d.finish()
 	}
 	if err != nil {
 		return loc.damage(err)
@@ -471,14 +484,16 @@ func (l *Log) rotate() error {
 
 // AppendDataset implements lake.Inventory.
 func (l *Log) AppendDataset(name string, set dataset.Set) (uint64, error) {
+	// No clone: the frame is the copy, encoded before the lock.
+	frame := datasetFrame(name, set)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, lake.ErrInventoryClosed
 	}
-	// No clone: the frame on disk is the copy.
 	id := l.nextID
-	loc, err := l.appendRecord(&record{Kind: kindDataset, ID: id, Name: name, Samples: set})
+	binary.LittleEndian.PutUint64(frame[idOff:], id)
+	loc, err := l.appendRecord(frame)
 	if err != nil {
 		return 0, err
 	}
@@ -504,19 +519,23 @@ func (l *Log) Datasets() ([]lake.DatasetMeta, error) {
 // LoadDataset implements lake.Inventory. A damaged frame is a
 // *CorruptionError naming segment and offset.
 func (l *Log) LoadDataset(id uint64) (dataset.Set, error) {
-	var rec record
+	var set dataset.Set
 	err := l.load(func() (frameLoc, error) {
 		ent, ok := l.datasets[id]
 		if !ok {
 			return frameLoc{}, fmt.Errorf("seglog: no dataset %d", id)
 		}
 		return ent.frameLoc, nil
-	}, &rec)
-	return rec.Samples, err
+	}, kindDataset, func(h recordHead, d *decoder) { set = d.samples(h.Samples) })
+	if err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // RemoveDataset implements lake.Inventory.
 func (l *Log) RemoveDataset(id uint64) error {
+	frame := removeFrame(id)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -525,7 +544,7 @@ func (l *Log) RemoveDataset(id uint64) error {
 	if _, ok := l.datasets[id]; !ok {
 		return fmt.Errorf("seglog: no dataset %d", id)
 	}
-	loc, err := l.appendRecord(&record{Kind: kindRemove, ID: id})
+	loc, err := l.appendRecord(frame)
 	if err != nil {
 		return err
 	}
@@ -537,12 +556,13 @@ func (l *Log) RemoveDataset(id uint64) error {
 
 // SavePlatform implements lake.Inventory.
 func (l *Log) SavePlatform(snapshot []byte) error {
+	frame := platformFrame(snapshot)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return lake.ErrInventoryClosed
 	}
-	loc, err := l.appendRecord(&record{Kind: kindPlatform, Snapshot: snapshot})
+	loc, err := l.appendRecord(frame)
 	if err != nil {
 		return err
 	}
@@ -554,14 +574,17 @@ func (l *Log) SavePlatform(snapshot []byte) error {
 
 // LoadPlatform implements lake.Inventory, failing as LoadDataset does.
 func (l *Log) LoadPlatform() ([]byte, error) {
-	var rec record
+	var snapshot []byte
 	err := l.load(func() (frameLoc, error) {
 		if l.platform == nil {
 			return frameLoc{}, lake.ErrNoSnapshot
 		}
 		return *l.platform, nil
-	}, &rec)
-	return rec.Snapshot, err
+	}, kindPlatform, func(_ recordHead, d *decoder) { snapshot = d.blob() })
+	if err != nil {
+		return nil, err
+	}
+	return snapshot, nil
 }
 
 // AppendDetection durably records the outcome of detection task taskID:
@@ -570,9 +593,10 @@ func (l *Log) LoadPlatform() ([]byte, error) {
 // its return on, DoneTasks includes taskID, also after a reopen (unless
 // Options.NoSyncEachAppend left the frame unsynced at a crash).
 func (l *Log) AppendDetection(taskID int, noisy, clean []int, note string) error {
+	frame := detectionFrame(taskID, noisy, clean, note)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	loc, err := l.appendRecord(&detection{Kind: kindDetection, ID: uint64(taskID), Noisy: noisy, Clean: clean, Note: note})
+	loc, err := l.appendRecord(frame)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -763,7 +765,7 @@ func TestLogIndexHeapPerDataset(t *testing.T) {
 		l := mustOpen(t, t.TempDir(), Options{NoSyncEachAppend: true, AutoCompactRatio: -1})
 		defer l.Close()
 		set := testSet(0, samples)
-		if _, err := l.AppendDataset("d", set); err != nil { // warm gob's type cache
+		if _, err := l.AppendDataset("d", set); err != nil { // one-time allocations stay out of the count
 			t.Fatal(err)
 		}
 		before := liveHeap()
@@ -816,6 +818,15 @@ func TestLogStraySweep(t *testing.T) {
 	}
 }
 
+// detection is a decoded detection frame.
+type detection struct {
+	Kind  recordKind
+	ID    uint64
+	Noisy []int
+	Clean []int
+	Note  string
+}
+
 // loadDetection reads task taskID's outcome frame back through the log's
 // own load path.
 func loadDetection(t *testing.T, l *Log, taskID int) detection {
@@ -827,7 +838,10 @@ func loadDetection(t *testing.T, l *Log, taskID int) detection {
 			return frameLoc{}, fmt.Errorf("no outcome for task %d", taskID)
 		}
 		return loc, nil
-	}, &det)
+	}, kindDetection, func(h recordHead, d *decoder) {
+		det.Kind, det.ID = h.Kind, h.ID
+		det.Note, det.Noisy, det.Clean = d.detection()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -948,5 +962,206 @@ func TestLogDetectionInteriorCorruptionLoud(t *testing.T) {
 		if ce.Segment != loc.segment || ce.Offset != loc.off || !strings.Contains(ce.Reason, "checksum") {
 			t.Fatalf("payload byte %d flipped: corruption context = %+v, want offset %d", at, ce, loc.off)
 		}
+	}
+}
+
+// v1Dataset and v1Platform are version-1 frames as the gob encoding wrote
+// them: a dataset "v1" of one sample (ID 7, X {1.5, −2}, observed 1, true 0)
+// at seq 1, and a platform snapshot "snap" at seq 2.
+const (
+	v1Dataset  = "454e4c445347000100000000000000cf0e4bc8634e7f030101067265636f726401ff80000106010353657101060001044b696e640106000102494401060001044e616d65010c00010753616d706c657301ff86000108536e617073686f74010a00000012ff850201010353657401ff860001ff82000038ff810301010653616d706c6501ff820001040102494401040001015801ff840001084f62736572766564010400010454727565010400000017ff83020101095b5d666c6f6174363401ff8400010800001bff80010101010101010276310101010e0102fef83fffc001020000"
+	v1Platform = "454e4c445347000100000000000000c105efcc454e7f030101067265636f726401ff80000106010353657101060001044b696e640106000102494401060001044e616d65010c00010753616d706c657301ff86000108536e617073686f74010a00000012ff850201010353657401ff860001ff82000038ff810301010653616d706c6501ff820001040102494401040001015801ff840001084f62736572766564010400010454727565010400000017ff83020101095b5d666c6f6174363401ff8400010800000dff80010201020404736e617000"
+)
+
+// TestLogRefusesVersion1Frames: a store written by the gob encoding is
+// refused with a *CorruptionError naming version 1 at the frame's offset,
+// also when the version-1 frame is the last one of the active segment,
+// where a torn append would be dropped.
+func TestLogRefusesVersion1Frames(t *testing.T) {
+	hexFrame := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	v2 := codecRecord{seq: 1, kind: kindDataset, id: 1, name: "v2", set: testSet(0, 2)}.frame()
+	for _, tc := range []struct {
+		name    string
+		segment []byte
+		at      int64
+	}{
+		{"all version 1", append(hexFrame(v1Dataset), hexFrame(v1Platform)...), 0},
+		{"version 1 tail", append(append([]byte{}, v2...), hexFrame(v1Platform)...), int64(len(v2))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			name := segmentFileName(1)
+			if err := os.WriteFile(filepath.Join(dir, name), tc.segment, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeManifest(dir, manifest{Segments: []string{name}, NextSegment: 2, MinNextSeq: 1, MinNextDatasetID: 1}); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dir, Options{})
+			var ce *CorruptionError
+			if !errors.As(err, &ce) {
+				if l != nil {
+					l.Close()
+				}
+				t.Fatalf("open err = %v, want CorruptionError", err)
+			}
+			if ce.Segment != name || ce.Offset != tc.at || !strings.Contains(ce.Reason, "version 1") {
+				t.Fatalf("corruption context = %+v, want version 1 at %s offset %d", ce, name, tc.at)
+			}
+			after, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil || !bytes.Equal(after, tc.segment) {
+				t.Fatalf("refused open changed the segment (%v)", err)
+			}
+		})
+	}
+}
+
+// TestAppendDatasetAllocations pins the encode cost of a steady-state
+// append of an emnist-sized dataset (270 samples, 24 features): the frame is
+// the one allocation that scales with the set, and the rest is the index
+// entry. Rotation (a manifest write every few dozen such appends) is kept
+// out of the measured window by a segment target larger than it.
+func TestAppendDatasetAllocations(t *testing.T) {
+	set := make(dataset.Set, 270)
+	for i := range set {
+		x := make([]float64, 24)
+		for j := range x {
+			x[j] = float64(i*24+j) / 7
+		}
+		set[i] = dataset.Sample{ID: 1000 + i, X: x, Observed: i % 10, True: (i + i/9) % 10}
+	}
+	frameSize := len(datasetFrame("emnist", set))
+	l := mustOpen(t, t.TempDir(), Options{SegmentTargetBytes: 1 << 30, NoSyncEachAppend: true, AutoCompactRatio: -1})
+	defer l.Close()
+	appendOnce := func() {
+		if _, err := l.AppendDataset("emnist", set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOnce()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, appendOnce)
+	runtime.ReadMemStats(&after)
+	perAppend := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("append: %.0f allocs, %.0f B for a %d-byte frame", allocs, perAppend, frameSize)
+	if allocs > 4 {
+		t.Fatalf("append allocates %.0f times, want ≤ 4", allocs)
+	}
+	if perAppend > 1.2*float64(frameSize) {
+		t.Fatalf("append allocates %.0f B, want ≤ 1.2 × the %d-byte frame", perAppend, frameSize)
+	}
+}
+
+// TestDecodeRejectsOverlongCountsUnallocated: a declared count or length
+// that overruns the payload is an error before anything sized by it is
+// allocated.
+func TestDecodeRejectsOverlongCountsUnallocated(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	oneSample := append(binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, 1), 0), 0), huge...)
+	for _, tc := range []struct {
+		name   string
+		decode func(*decoder)
+		body   []byte
+	}{
+		{"samples", func(d *decoder) { d.count(4) }, huge},
+		{"features", func(d *decoder) { d.samples(1) }, oneSample},
+		{"list", func(d *decoder) { d.list() }, huge},
+		{"blob", func(d *decoder) { d.blob() }, huge},
+	} {
+		body := append(tc.body, make([]byte, 64)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := decoder{b: body}
+		tc.decode(&d)
+		runtime.ReadMemStats(&after)
+		if d.err == nil {
+			t.Fatalf("%s: a count of 2^40 in %d bytes decoded", tc.name, len(body))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
+			t.Fatalf("%s: rejecting the count allocated %d B", tc.name, grew)
+		}
+	}
+}
+
+// TestLogConcurrentAppendsReopenBitIdentical: datasets appended from 8
+// goroutines at once, across segment rotations, all load back bit-identical
+// after a reopen, and the frames on disk carry strictly increasing sequence
+// numbers.
+func TestLogConcurrentAppendsReopenBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SegmentTargetBytes: 4096, NoSyncEachAppend: true, AutoCompactRatio: -1})
+	const writers, each = 8, 25
+	sets := make([][]dataset.Set, writers)
+	ids := make([][]uint64, writers)
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				set := testSet(w*1000+i*10, 1+i%4)
+				set[0].X = []float64{math.Float64frombits(0x7ff8_0000_0000_0001 + uint64(w)), math.Copysign(0, -1)}
+				set[len(set)-1].Observed = dataset.Missing
+				id, err := l.AppendDataset(fmt.Sprintf("w%d-%d", w, i), set)
+				if err != nil {
+					errs <- err
+					return
+				}
+				sets[w] = append(sets[w], set)
+				ids[w] = append(ids[w], id)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l = mustOpen(t, dir, Options{})
+	defer l.Close()
+	for w := range sets {
+		for i, want := range sets[w] {
+			got, err := l.LoadDataset(ids[w][i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecord(codecRecord{set: got}, codecRecord{set: want}) {
+				t.Fatalf("dataset %d of writer %d = %+v, want %+v", i, w, got, want)
+			}
+		}
+	}
+	last, frames := uint64(0), 0
+	for _, name := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := readSegment(name, data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ra := range recs {
+			if ra.rec.Seq <= last {
+				t.Fatalf("%s offset %d: seq %d after %d", name, ra.off, ra.rec.Seq, last)
+			}
+			last = ra.rec.Seq
+			frames++
+		}
+	}
+	if frames != writers*each {
+		t.Fatalf("log holds %d frames, want %d", frames, writers*each)
 	}
 }
